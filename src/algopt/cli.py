@@ -18,14 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import AlgoptError, ConfigError
 from .pmp import verify_extremal
-from .scenarios import (SCENARIO_NAMES, WongFixture, build_lq_system,
-                        build_so3_bang_bang_system, build_wong_system, run_scenario,
-                        validate_chart, validate_config)
-from .core import so3_structure
+from .scenarios import SCENARIOS, run_scenario, validate_chart, validate_config
 from .serialize import (infer_breakpoints, read_costate_csv,
                         read_trajectory_csv, write_report_json)
 
@@ -41,8 +36,10 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("solver") or {}, dict):
+        return cfg   # left for validate_config to reject with a field path
     cfg = dict(cfg)
-    solver = dict(cfg.get("solver", {}))
+    solver = dict(cfg.get("solver") or {})
     if args.step is not None:
         solver["step"] = args.step
     if getattr(args, "tol", None) is not None:
@@ -55,27 +52,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def _system_for_config(cfg: dict):
-    name = cfg["scenario"]
-    if name == "so3-bang-bang":
-        p = cfg["params"]
-        return build_so3_bang_bang_system(p["a"], p["b"])
-    if name == "classical-tm-lq":
-        return build_lq_system(u_max=float(cfg["params"].get("u_max", 10.0)))
-    if name == "wong-so3-r2":
-        p = cfg["params"]
-        fixture = WongFixture(
-            algebra=so3_structure(),
-            connection_const=np.asarray(p["connection_const"], dtype=float),
-            connection_linear=(np.asarray(p["connection_linear"], dtype=float)
-                               if p.get("connection_linear") is not None else None),
-        )
-        return build_wong_system(fixture, u_max=float(p.get("u_max", 10.0)))
-    raise ConfigError("scenario", "auditing requires a built-in scenario")
-
-
 def _cmd_list(args) -> int:
-    for name in SCENARIO_NAMES:
+    for name in SCENARIOS:
         print(name)
     return 0
 
@@ -100,7 +78,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = validate_config(_apply_overrides(_load_config(args.config), args))
-    sys_ = _system_for_config(cfg)
+    if cfg["scenario"] not in SCENARIOS:
+        raise ConfigError("scenario", "auditing requires a built-in scenario")
+    sys_ = SCENARIOS[cfg["scenario"]].system(cfg)
     path, u_nodes = read_trajectory_csv(args.traj)
     breakpoints = infer_breakpoints(path.grid.nodes, u_nodes)
     if len(breakpoints) > 0.05 * path.grid.n_nodes:

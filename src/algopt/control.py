@@ -18,7 +18,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import ChartAlgebroid, ExtendedAlgebroid, product_with_time
+from .core import (_DEFAULT_FD_STEP, ChartAlgebroid, ExtendedAlgebroid, _dual_field,
+                   _lift_matrix, _shaped, product_with_time)
 from .numerics import TimeGrid, finite_difference_jacobian, integrate_segmented
 from .paths import EPath
 
@@ -37,9 +38,6 @@ __all__ = [
     "transport_frame",
     "pairing_drift",
 ]
-
-_DEFAULT_FD_STEP = 1e-5
-
 
 def _as_control(u) -> np.ndarray:
     return np.atleast_1d(np.asarray(u, dtype=float))
@@ -145,10 +143,8 @@ class ControlSystem:
     L_gradient: Callable | None = None   # (x, u) -> (n,)
 
     def f_at(self, x, u) -> np.ndarray:
-        out = np.asarray(self.f(np.asarray(x, dtype=float), _as_control(u)), dtype=float)
-        if out.shape != (self.alg.fiber_dim,):
-            raise ValueError(f"f returned shape {out.shape}, expected {(self.alg.fiber_dim,)}")
-        return out
+        out = self.f(np.asarray(x, dtype=float), _as_control(u))
+        return _shaped(out, (self.alg.fiber_dim,), "f returned shape")
 
     def L_at(self, x, u) -> float:
         return float(self.L(np.asarray(x, dtype=float), _as_control(u)))
@@ -157,8 +153,6 @@ class ControlSystem:
         if self.f_jacobian is not None:
             return np.asarray(self.f_jacobian(np.asarray(x, dtype=float), _as_control(u)),
                               dtype=float)
-        if self.alg.base_dim == 0:
-            return np.zeros((self.alg.fiber_dim, 0))
         u = _as_control(u)
         return finite_difference_jacobian(lambda p: self.f_at(p, u), x, fd_step)
 
@@ -166,8 +160,6 @@ class ControlSystem:
         if self.L_gradient is not None:
             return np.asarray(self.L_gradient(np.asarray(x, dtype=float), _as_control(u)),
                               dtype=float)
-        if self.alg.base_dim == 0:
-            return np.zeros(0)
         u = _as_control(u)
         return finite_difference_jacobian(lambda p: self.L_at(p, u), x, fd_step)[0]
 
@@ -180,9 +172,29 @@ class Trajectory:
     control: ControlSignal
 
 
-def _signal_grid(signal: ControlSignal, t0: float, t1: float, step: float) -> TimeGrid:
-    inner = tuple(s for s in signal.switch_times if t0 < s < t1)
-    return TimeGrid(t0, t1, step, inner)
+def _flow_rhs(sys: ControlSystem, u, block=None):
+    """RHS ``(t, state) -> dstate`` of the base flow xdot = rho(x) f(x, u) on
+    the state (x, w), with wdot = block(x, u, w) appended when ``block`` is
+    given.  ``u`` is a held control value, or a callable (x, w) -> u that is
+    evaluated at every stage."""
+    n = sys.alg.base_dim
+    pick = u if callable(u) else (lambda x, w: u)
+
+    def rhs(t, state):
+        x, w = state[:n], state[n:]
+        v = pick(x, w)
+        xdot = sys.alg.anchor_at(x) @ sys.f_at(x, v)
+        if block is None:
+            return xdot
+        return np.concatenate([xdot, block(x, v, w)])
+
+    return rhs
+
+
+def _held_segments(sys: ControlSystem, signal: ControlSignal, block=None):
+    """Per-segment RHS factory for :func:`integrate_segmented` that holds the
+    signal's value at each segment midpoint."""
+    return lambda seg, lo, hi: _flow_rhs(sys, signal.value(0.5 * (lo + hi)), block)
 
 
 def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
@@ -194,17 +206,8 @@ def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarra
             raise ValueError(f"control value {v} outside the control space")
     t0 = signal.t0 if t0 is None else t0
     t1 = signal.t1 if t1 is None else t1
-    grid = _signal_grid(signal, t0, t1, step)
-
-    def make_rhs(seg, lo, hi):
-        u = signal.value(0.5 * (lo + hi))
-
-        def rhs(t, x):
-            return sys.alg.anchor_at(x) @ sys.f_at(x, u)
-
-        return rhs
-
-    base = integrate_segmented(make_rhs, grid, np.asarray(x0, dtype=float))
+    grid = TimeGrid(t0, t1, step, tuple(s for s in signal.switch_times if t0 < s < t1))
+    base = integrate_segmented(_held_segments(sys, signal), grid, np.asarray(x0, dtype=float))
     fiber = np.array([sys.f_at(base[k], signal.value(tk))
                       for k, tk in enumerate(grid.nodes)])
     return Trajectory(EPath(grid, base, fiber), signal)
@@ -238,50 +241,38 @@ def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]
     ), ext
 
 
-def _fiber_flow_matrix(sys: ControlSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """M with ydot = M y along the lifted section: M = df/dx rho + c[., f]."""
-    rho = sys.alg.anchor_at(x)
-    jf = sys.f_jac_at(x, u)
-    c = sys.alg.structure_at(x)
-    f = sys.f_at(x, u)
-    return jf @ rho + np.einsum("ijk,k->ij", c, f)
-
-
-def transport_B(sys: ControlSystem, traj: Trajectory, y0: np.ndarray) -> np.ndarray:
-    """Transport the fiber vector y0 along the trajectory; returns samples (N, m)."""
-    path, signal = traj.path, traj.control
-    n, m = sys.alg.base_dim, sys.alg.fiber_dim
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (m,):
-        raise ValueError(f"fiber vector has shape {y0.shape}, expected {(m,)}")
-
-    def make_rhs(seg, lo, hi):
-        u = signal.value(0.5 * (lo + hi))
-
-        def rhs(t, state):
-            x, y = state[:n], state[n:]
-            xdot = sys.alg.anchor_at(x) @ sys.f_at(x, u)
-            ydot = _fiber_flow_matrix(sys, x, u) @ y
-            return np.concatenate([xdot, ydot])
-
-        return rhs
-
-    state0 = np.concatenate([path.base[0], y0])
-    out = integrate_segmented(make_rhs, path.grid, state0)
-    return out[:, n:]
+def _fiber_block(sys: ControlSystem):
+    """Fiber flow ydot = M y, with M the complete-lift matrix of f(., u)."""
+    return lambda x, u, y: _lift_matrix(sys.alg, x, sys.f_at(x, u), sys.f_jac_at(x, u)) @ y
 
 
 def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,
                 z0: float) -> np.ndarray:
     """zdot_k = -rho^a_k (df^i/dx^a z_i + dL/dx^a z0) + c^i_jk f^j z_i."""
-    rho = sys.alg.anchor_at(x)
-    jf = sys.f_jac_at(x, u)
-    c = sys.alg.structure_at(x)
-    f = sys.f_at(x, u)
-    zdot = np.einsum("ijk,j,i->k", c, f, z)
+    dh_dx = None
     if sys.alg.base_dim:
-        zdot -= rho.T @ (jf.T @ z + z0 * sys.L_grad_at(x, u))
-    return zdot
+        dh_dx = sys.f_jac_at(x, u).T @ z + z0 * sys.L_grad_at(x, u)
+    return _dual_field(sys.alg, x, sys.f_at(x, u), z, dh_dx)
+
+
+def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, block) -> np.ndarray:
+    """Integrate the base under the trajectory's control together with the
+    block w, wdot = block(x, u, w) for w of the shape of ``w0``; returns the
+    block samples, shape (N, *w0.shape)."""
+    n, shape = sys.alg.base_dim, w0.shape
+
+    def flat(x, u, w):
+        return block(x, u, w.reshape(shape)).ravel()
+
+    state0 = np.concatenate([traj.path.base[0], w0.ravel()])
+    out = integrate_segmented(_held_segments(sys, traj.control, flat), traj.path.grid, state0)
+    return out[:, n:].reshape((-1,) + shape)
+
+
+def transport_B(sys: ControlSystem, traj: Trajectory, y0: np.ndarray) -> np.ndarray:
+    """Transport the fiber vector y0 along the trajectory; returns samples (N, m)."""
+    y0 = _shaped(y0, (sys.alg.fiber_dim,), "fiber vector has shape")
+    return _transport(sys, traj, y0, _fiber_block(sys))
 
 
 def transport_Bbar(sys: ControlSystem, traj: Trajectory, z0_pair) -> tuple[np.ndarray, float]:
@@ -292,26 +283,9 @@ def transport_Bbar(sys: ControlSystem, traj: Trajectory, z0_pair) -> tuple[np.nd
     case.  Returns (samples (N, m), z0).
     """
     z_init, z0 = z0_pair
-    path, signal = traj.path, traj.control
-    n, m = sys.alg.base_dim, sys.alg.fiber_dim
-    z_init = np.asarray(z_init, dtype=float)
-    if z_init.shape != (m,):
-        raise ValueError(f"dual vector has shape {z_init.shape}, expected {(m,)}")
+    z_init = _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
     z0 = float(z0)
-
-    def make_rhs(seg, lo, hi):
-        u = signal.value(0.5 * (lo + hi))
-
-        def rhs(t, state):
-            x, z = state[:n], state[n:]
-            xdot = sys.alg.anchor_at(x) @ sys.f_at(x, u)
-            return np.concatenate([xdot, costate_rhs(sys, x, u, z, z0)])
-
-        return rhs
-
-    state0 = np.concatenate([path.base[0], z_init])
-    out = integrate_segmented(make_rhs, path.grid, state0)
-    return out[:, n:], z0
+    return _transport(sys, traj, z_init, lambda x, u, z: costate_rhs(sys, x, u, z, z0)), z0
 
 
 @dataclass(frozen=True)
@@ -325,33 +299,11 @@ class TransportFrame:
 
 
 def transport_frame(sys: ControlSystem, traj: Trajectory) -> TransportFrame:
-    """Materialize both transports by flowing full bases along the trajectory."""
-    path, signal = traj.path, traj.control
-    n, m = sys.alg.base_dim, sys.alg.fiber_dim
-
-    def make_rhs(seg, lo, hi):
-        u = signal.value(0.5 * (lo + hi))
-
-        def rhs(t, state):
-            x = state[:n]
-            Bmat = state[n:n + m * m].reshape(m, m)
-            Cmat = state[n + m * m:].reshape(m, m)
-            xdot = sys.alg.anchor_at(x) @ sys.f_at(x, u)
-            M = _fiber_flow_matrix(sys, x, u)
-            Bdot = M @ Bmat
-            Cdot = np.column_stack([costate_rhs(sys, x, u, Cmat[:, j], 0.0)
-                                    for j in range(m)])
-            return np.concatenate([xdot, Bdot.ravel(), Cdot.ravel()])
-
-        return rhs
-
-    eye = np.eye(m)
-    state0 = np.concatenate([path.base[0], eye.ravel(), eye.ravel()])
-    out = integrate_segmented(make_rhs, path.grid, state0)
-    N = path.grid.n_nodes
-    B = out[:, n:n + m * m].reshape(N, m, m)
-    Bbar = out[:, n + m * m:].reshape(N, m, m)
-    return TransportFrame(path.grid, B, Bbar)
+    """Materialize both transports by flowing full bases along the trajectory;
+    column j of Bbar is the dual transport of the basis covector e_j."""
+    eye = np.eye(sys.alg.fiber_dim)
+    Bbar = np.stack([transport_Bbar(sys, traj, (e, 0.0))[0] for e in eye], axis=-1)
+    return TransportFrame(traj.path.grid, _transport(sys, traj, eye, _fiber_block(sys)), Bbar)
 
 
 def pairing_drift(sys: ControlSystem, traj: Trajectory, y0: np.ndarray,

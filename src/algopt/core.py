@@ -45,6 +45,15 @@ __all__ = [
 _DEFAULT_FD_STEP = 1e-5
 
 
+def _shaped(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float array; raises unless it has ``shape``.  ``what``
+    opens the message, e.g. "anchor returned shape"."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} {arr.shape}, expected {shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class ChartAlgebroid:
     """Anchored bundle chart with callable structure data.
@@ -66,18 +75,13 @@ class ChartAlgebroid:
             raise ValueError("need base_dim >= 0 and fiber_dim >= 1")
 
     def anchor_at(self, x: np.ndarray) -> np.ndarray:
-        rho = np.asarray(self.anchor(np.asarray(x, dtype=float)), dtype=float)
-        if rho.shape != (self.base_dim, self.fiber_dim):
-            raise ValueError(f"anchor returned shape {rho.shape}, "
-                             f"expected {(self.base_dim, self.fiber_dim)}")
-        return rho
+        rho = self.anchor(np.asarray(x, dtype=float))
+        return _shaped(rho, (self.base_dim, self.fiber_dim), "anchor returned shape")
 
     def structure_at(self, x: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.structure(np.asarray(x, dtype=float)), dtype=float)
         m = self.fiber_dim
-        if c.shape != (m, m, m):
-            raise ValueError(f"structure returned shape {c.shape}, expected {(m, m, m)}")
-        return c
+        c = self.structure(np.asarray(x, dtype=float))
+        return _shaped(c, (m, m, m), "structure returned shape")
 
     def bracket(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """[u, v]^i = c^i_jk u^j v^k at the point x."""
@@ -85,11 +89,9 @@ class ChartAlgebroid:
 
     def anchor_jacobian_at(self, x: np.ndarray, fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
         if self.anchor_jacobian is not None:
-            jac = np.asarray(self.anchor_jacobian(np.asarray(x, dtype=float)), dtype=float)
-            expected = (self.base_dim, self.fiber_dim, self.base_dim)
-            if jac.shape != expected:
-                raise ValueError(f"anchor jacobian returned shape {jac.shape}, expected {expected}")
-            return jac
+            jac = self.anchor_jacobian(np.asarray(x, dtype=float))
+            return _shaped(jac, (self.base_dim, self.fiber_dim, self.base_dim),
+                           "anchor jacobian returned shape")
         flat = finite_difference_jacobian(lambda p: self.anchor_at(p).ravel(), x, fd_step)
         return flat.reshape(self.base_dim, self.fiber_dim, self.base_dim)
 
@@ -154,26 +156,34 @@ def as_sample_points(points, base_dim: int) -> np.ndarray:
 
 def anchor_apply(alg: ChartAlgebroid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Base velocity rho^a_i(x) y^i of the fiber vector y at x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (alg.base_dim,):
-        raise ValueError(f"base point has shape {x.shape}, expected {(alg.base_dim,)}")
-    if y.shape != (alg.fiber_dim,):
-        raise ValueError(f"fiber vector has shape {y.shape}, expected {(alg.fiber_dim,)}")
+    x = _shaped(x, (alg.base_dim,), "base point has shape")
+    y = _shaped(y, (alg.fiber_dim,), "fiber vector has shape")
     return alg.anchor_at(x) @ y
+
+
+def _sampled_report(check: str, alg: ChartAlgebroid, sample_points, tol: float,
+                    residual) -> ValidationReport:
+    """Largest |residual(x)| entry over the sample points; passes iff <= tol."""
+    pts = as_sample_points(sample_points, alg.base_dim)
+    worst = 0.0
+    for x in pts:
+        res = residual(x)
+        if res.size:
+            worst = max(worst, float(np.abs(res).max()))
+    lo, hi = _sample_box(pts)
+    return ValidationReport(check, worst, tol, worst <= tol, len(pts), lo, hi)
 
 
 def validate_skew(alg: ChartAlgebroid, sample_points, tol: float) -> ValidationReport:
     """Max of |c^i_jk + c^i_kj| over the samples; passes iff <= tol."""
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    pts = as_sample_points(sample_points, alg.base_dim)
-    worst = 0.0
-    for x in pts:
+
+    def residual(x):
         c = alg.structure_at(x)
-        worst = max(worst, float(np.abs(c + np.swapaxes(c, 1, 2)).max()))
-    lo, hi = _sample_box(pts)
-    return ValidationReport("skew_symmetry", worst, tol, worst <= tol, len(pts), lo, hi)
+        return c + np.swapaxes(c, 1, 2)
+
+    return _sampled_report("skew_symmetry", alg, sample_points, tol, residual)
 
 
 def morphism_residual(alg: ChartAlgebroid, x: np.ndarray,
@@ -193,14 +203,8 @@ def validate_anchor_morphism(alg: ChartAlgebroid, sample_points, fd_step: float,
     """Check that the anchor is a bracket morphism on the sample points."""
     if not (fd_step > 0 and tol > 0):
         raise ValueError("fd_step and tol must be positive")
-    pts = as_sample_points(sample_points, alg.base_dim)
-    worst = 0.0
-    for x in pts:
-        res = morphism_residual(alg, x, fd_step)
-        if res.size:
-            worst = max(worst, float(np.abs(res).max()))
-    lo, hi = _sample_box(pts)
-    return ValidationReport("anchor_morphism", worst, tol, worst <= tol, len(pts), lo, hi)
+    return _sampled_report("anchor_morphism", alg, sample_points, tol,
+                           lambda x: morphism_residual(alg, x, fd_step))
 
 
 def tangent_lift_section(alg: ChartAlgebroid, f: Section, x: np.ndarray,
@@ -214,14 +218,28 @@ def tangent_lift_section(alg: ChartAlgebroid, f: Section, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho = alg.anchor_at(x)
     fx = f.value(x)
     if fx.shape != (alg.fiber_dim,) or y.shape != (alg.fiber_dim,):
         raise ValueError("fiber dimension mismatch")
-    jac = f.jacobian_at(x)
-    xdot = rho @ fx
-    ydot = jac @ (rho @ y) + alg.bracket(x, y, fx)
-    return xdot, ydot
+    xdot = alg.anchor_at(x) @ fx
+    return xdot, _lift_matrix(alg, x, fx, f.jacobian_at(x)) @ y
+
+
+def _lift_matrix(alg: ChartAlgebroid, x: np.ndarray, f: np.ndarray,
+                 jac: np.ndarray) -> np.ndarray:
+    """M with ydot = M y along the complete lift of a section with value f and
+    Jacobian jac at x: M = df/dx rho + c[., f]."""
+    return jac @ alg.anchor_at(x) + np.einsum("ijk,k->ij", alg.structure_at(x), f)
+
+
+def _dual_field(alg: ChartAlgebroid, x: np.ndarray, v: np.ndarray, z: np.ndarray,
+                dh_dx: np.ndarray | None) -> np.ndarray:
+    """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a, where v is the
+    fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point."""
+    zdot = np.einsum("ijk,j,i->k", alg.structure_at(x), v, z)
+    if alg.base_dim:
+        zdot -= alg.anchor_at(x).T @ dh_dx
+    return zdot
 
 
 def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarray,
@@ -241,17 +259,12 @@ def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarr
         dh_dxi = np.asarray(grad_xi(x, xi), dtype=float)
     else:
         dh_dxi = finite_difference_jacobian(lambda p: h(x, p), xi, fd_step)[0]
+    dh_dx = None   # not read over a point base
     if grad_x is not None:
         dh_dx = np.asarray(grad_x(x, xi), dtype=float)
     elif alg.base_dim:
         dh_dx = finite_difference_jacobian(lambda p: h(p, xi), x, fd_step)[0]
-    else:
-        dh_dx = np.zeros(0)
-    rho = alg.anchor_at(x)
-    c = alg.structure_at(x)
-    xdot = rho @ dh_dxi
-    xidot = np.einsum("kij,k,i->j", c, xi, dh_dxi) - rho.T @ dh_dx
-    return xdot, xidot
+    return alg.anchor_at(x) @ dh_dxi, _dual_field(alg, x, dh_dxi, xi, dh_dx)
 
 
 @dataclass(frozen=True)
@@ -266,43 +279,45 @@ class ExtendedAlgebroid:
     inner: ChartAlgebroid
     original: ChartAlgebroid
 
-    def split_base(self, xx: np.ndarray) -> tuple[float, np.ndarray]:
-        xx = np.asarray(xx, dtype=float)
-        return float(xx[0]), xx[1:]
-
     def embed_base(self, x0: float, x: np.ndarray) -> np.ndarray:
         return np.concatenate(([float(x0)], np.asarray(x, dtype=float)))
 
-    def split_fiber(self, yy: np.ndarray) -> tuple[float, np.ndarray]:
-        yy = np.asarray(yy, dtype=float)
-        return float(yy[0]), yy[1:]
 
-
-def product_with_time(alg: ChartAlgebroid) -> ExtendedAlgebroid:
-    """Prepend a trivial real direction to both base and fiber."""
+def _with_unit_direction(alg: ChartAlgebroid, first: bool, name: str) -> ChartAlgebroid:
+    """The product of ``alg`` with the trivial line algebroid: one more base
+    and fiber coordinate, at index 0 when ``first`` and last otherwise.  The
+    new fiber direction moves the new base coordinate at unit rate and
+    brackets to zero with everything."""
     n, m = alg.base_dim, alg.fiber_dim
+    bs, fs = (slice(1, None), slice(1, None)) if first else (slice(0, n), slice(0, m))
+    b0, f0 = (0, 0) if first else (n, m)
 
     def anchor(xx):
         out = np.zeros((n + 1, m + 1))
-        out[0, 0] = 1.0
-        out[1:, 1:] = alg.anchor_at(xx[1:])
+        out[b0, f0] = 1.0
+        out[bs, fs] = alg.anchor_at(xx[bs])
         return out
 
     def structure(xx):
         out = np.zeros((m + 1, m + 1, m + 1))
-        out[1:, 1:, 1:] = alg.structure_at(xx[1:])
+        out[fs, fs, fs] = alg.structure_at(xx[bs])
         return out
 
     jac = None
     if alg.anchor_jacobian is not None:
         def jac(xx):
             out = np.zeros((n + 1, m + 1, n + 1))
-            out[1:, 1:, 1:] = alg.anchor_jacobian_at(xx[1:])
+            out[bs, fs, bs] = alg.anchor_jacobian_at(xx[bs])
             return out
 
-    inner = ChartAlgebroid(n + 1, m + 1, anchor, structure, anchor_jacobian=jac,
-                           name=f"time-extended({alg.name})" if alg.name else "time-extended")
-    return ExtendedAlgebroid(inner=inner, original=alg)
+    return ChartAlgebroid(n + 1, m + 1, anchor, structure, anchor_jacobian=jac,
+                          name=f"{name}({alg.name})" if alg.name else name)
+
+
+def product_with_time(alg: ChartAlgebroid) -> ExtendedAlgebroid:
+    """Prepend a trivial real direction to both base and fiber."""
+    return ExtendedAlgebroid(inner=_with_unit_direction(alg, True, "time-extended"),
+                             original=alg)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +389,6 @@ def affine_matrix_field(const: np.ndarray, linear: np.ndarray | None = None):
     """
     const = np.asarray(const, dtype=float)
     if linear is None:
-        jac_shape = const.shape + (0,)
-
         def field(x):
             return const
 

@@ -115,17 +115,32 @@ class OdeRhs:
     eval: Callable[[float, np.ndarray], np.ndarray]
 
 
-def rk4_step(fn, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step.
+def _rk4(f_lo, f_mid, f_hi, y, h: float):
+    """The classical RK4 stage formula, with the field at the left end, the
+    midpoint and the right end of the step given as ``y -> dy`` callables.
 
     The increment is written as ``h * (combo / 6)`` so that a unit-rate RHS
     advances the state by exactly ``h`` in floating point.
     """
-    k1 = fn(t, y)
-    k2 = fn(t + h / 2.0, y + (h / 2.0) * k1)
-    k3 = fn(t + h / 2.0, y + (h / 2.0) * k2)
-    k4 = fn(t + h, y + h * k3)
+    k1 = f_lo(y)
+    k2 = f_mid(y + (h / 2.0) * k1)
+    k3 = f_mid(y + (h / 2.0) * k2)
+    k4 = f_hi(y + h * k3)
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def rk4_step(fn, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of ``y' = fn(t, y)``."""
+    t_mid = t + h / 2.0
+    return _rk4(lambda v: fn(t, v), lambda v: fn(t_mid, v), lambda v: fn(t + h, v), y, h)
+
+
+def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
+    """One RK4 step of ``y' = fn(*coefficients, y)`` whose coefficients are
+    node samples: ``lo`` at the left node and ``hi`` at the right one.  The
+    midpoint stages use the mean of the two samples."""
+    mid = tuple(0.5 * (a + b) for a, b in zip(lo, hi))
+    return _rk4(lambda v: fn(*lo, v), lambda v: fn(*mid, v), lambda v: fn(*hi, v), y, h)
 
 
 def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartAlgebroid
-from .errors import AdmissibilityWarning, CompositionError
-from .numerics import TimeGrid, grid_derivative
+from .core import ChartAlgebroid, as_sample_points
+from .errors import AdmissibilityWarning, CompositionError, IntegrationDivergedError
+from .numerics import TimeGrid, _rk4_sampled, grid_derivative
 
 __all__ = [
     "EPath",
@@ -61,29 +61,27 @@ class EPath:
 
     def base_at(self, t) -> np.ndarray:
         """Linear interpolation of the (continuous) base curve."""
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        nodes = self.grid.nodes
-        out = np.empty(t.shape + (self.base_dim,))
-        for j in range(self.base_dim):
-            out[:, j] = np.interp(t, nodes, self.base[:, j])
-        return out[0] if scalar else out
+        return self._interp(self.base, t, (), ((0, self.grid.n_nodes - 1),))
 
     def fiber_at(self, t) -> np.ndarray:
         """Segment-respecting linear interpolation; right-continuous at breakpoints."""
+        return self._interp(self.fiber, t, self.grid.breakpoints, self.grid.segment_bounds)
+
+    def _interp(self, values: np.ndarray, t, breakpoints, segments) -> np.ndarray:
+        """Column-wise linear interpolation of node samples within the segment
+        each time falls in; a breakpoint belongs to the segment it starts."""
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         nodes = self.grid.nodes
-        out = np.empty(t.shape + (self.fiber_dim,))
-        bps = np.asarray(self.grid.breakpoints)
-        seg_of_t = np.searchsorted(bps, t, side="right")
-        for s, (i0, i1) in enumerate(self.grid.segment_bounds):
+        out = np.empty(t.shape + (values.shape[1],))
+        seg_of_t = np.searchsorted(np.asarray(breakpoints, dtype=float), t, side="right")
+        for s, (i0, i1) in enumerate(segments):
             mask = seg_of_t == s
             if not mask.any():
                 continue
             seg_nodes = nodes[i0:i1 + 1]
-            for j in range(self.fiber_dim):
-                out[mask, j] = np.interp(t[mask], seg_nodes, self.fiber[i0:i1 + 1, j])
+            for j in range(values.shape[1]):
+                out[mask, j] = np.interp(t[mask], seg_nodes, values[i0:i1 + 1, j])
         return out[0] if scalar else out
 
 
@@ -262,22 +260,13 @@ def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
     b = np.empty((T, E, m))
     B = b0.copy()
     b[0] = B
-    for i0, i1 in field.t_grid.segment_bounds:
-        for k in range(i0, i1):
-            h = nodes[k + 1] - nodes[k]
-            x_l, x_r = field.base[k], field.base[k + 1]
-            a_l, a_r = field.a[k], field.a[k + 1]
-            d_l, d_r = da_de[k], da_de[k + 1]
-            x_m, a_m, d_m = 0.5 * (x_l + x_r), 0.5 * (a_l + a_r), 0.5 * (d_l + d_r)
-            k1 = rhs(x_l, a_l, d_l, B)
-            k2 = rhs(x_m, a_m, d_m, B + (h / 2.0) * k1)
-            k3 = rhs(x_m, a_m, d_m, B + (h / 2.0) * k2)
-            k4 = rhs(x_r, a_r, d_r, B + h * k3)
-            B = B + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-            if not np.all(np.isfinite(B)):
-                from .errors import IntegrationDivergedError
-                raise IntegrationDivergedError(nodes[k + 1])
-            b[k + 1] = B
+    for k in range(T - 1):
+        B = _rk4_sampled(rhs, (field.base[k], field.a[k], da_de[k]),
+                         (field.base[k + 1], field.a[k + 1], da_de[k + 1]),
+                         B, nodes[k + 1] - nodes[k])
+        if not np.all(np.isfinite(B)):
+            raise IntegrationDivergedError(nodes[k + 1])
+        b[k + 1] = B
 
     chi = 0.0
     if n:
@@ -322,8 +311,6 @@ def shrink_homotopy(alg: ChartAlgebroid, p: EPath, n_t: int = 33,
 
 def bracket_bound(alg: ChartAlgebroid, points) -> float:
     """Frobenius bound on the bracket: |c[u, v]| <= bound * |u| * |v| on the samples."""
-    from .core import as_sample_points
-
     worst = 0.0
     for x in as_sample_points(points, alg.base_dim):
         worst = max(worst, float(np.sqrt((alg.structure_at(x) ** 2).sum())))

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      costate_rhs, extend_system, simulate_trajectory,
-                      transport_frame)
-from .core import ChartAlgebroid
+                      _fiber_block, _flow_rhs, _transport, costate_rhs, extend_system,
+                      simulate_trajectory)
+from .core import ChartAlgebroid, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import TimeGrid, grid_derivative, rk4_step
+from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
+                       grid_derivative, integrate, rk4_step)
 from .paths import EPath
 
 __all__ = [
@@ -76,9 +76,7 @@ class CostatePath:
 
 def hamiltonian(sys: ControlSystem, z: np.ndarray, z0: float, x: np.ndarray, u) -> float:
     """H(z, u) = <f(x, u), z> + z0 L(x, u)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (sys.alg.fiber_dim,):
-        raise ValueError(f"dual vector has shape {z.shape}, expected {(sys.alg.fiber_dim,)}")
+    z = _shaped(z, (sys.alg.fiber_dim,), "dual vector has shape")
     return float(z @ sys.f_at(x, u) + z0 * sys.L_at(x, u))
 
 
@@ -101,16 +99,26 @@ def _golden_section(fn, lo: float, hi: float, iters: int = 48) -> float:
     return 0.5 * (a + b)
 
 
+def _box_grid(box: Box, n: int) -> list[np.ndarray]:
+    """The controls of an n-per-axis grid over the box."""
+    axes = [np.linspace(box.lower[j], box.upper[j], n) for j in range(box.dim)]
+    return [np.array(combo) for combo in itertools.product(*axes)]
+
+
+def _runner_up_gap(values: list[float], best: int) -> float:
+    """values[best] minus the largest other value; inf when there is none."""
+    others = values[:best] + values[best + 1:]
+    return values[best] - max(others) if others else np.inf
+
+
 def _box_argmax(sys: ControlSystem, z, z0, x, box: Box, n_grid: int = 33,
                 sweeps: int = 2) -> np.ndarray:
     p = box.dim
     if p > 3:
         raise UnsupportedDimensionError(
             f"numeric maximization over a {p}-dimensional box needs a registered maximizer")
-    axes = [np.linspace(box.lower[j], box.upper[j], n_grid) for j in range(p)]
     best_u, best_h = None, -np.inf
-    for combo in itertools.product(*axes):
-        u = np.array(combo)
+    for u in _box_grid(box, n_grid):
         h = hamiltonian(sys, z, z0, x, u)
         if h > best_h:
             best_u, best_h = u, h
@@ -139,11 +147,7 @@ def _maximize_detailed(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float,
     if isinstance(U, FiniteSet):
         values = [hamiltonian(sys, z, z0, x, v) for v in U.values]
         best = int(np.argmax(values))
-        gap = np.inf
-        if len(values) > 1:
-            others = values[:best] + values[best + 1:]
-            gap = values[best] - max(others)
-        return U.values[best], values[best], gap
+        return U.values[best], values[best], _runner_up_gap(values, best)
     if U.maximizer is not None:
         u = U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
         return u, hamiltonian(sys, z, z0, x, u), np.inf
@@ -169,10 +173,15 @@ def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, floa
 
 @dataclass(frozen=True)
 class PmpFlow:
-    """Result of closed-loop integration of the maximized Hamiltonian flow."""
+    """Result of closed-loop integration of the maximized Hamiltonian flow.
+
+    Over a finite control set ``control`` is the piecewise-constant signal
+    with one segment per switch.  Over a box the control varies continuously
+    and is carried by ``u_nodes`` alone; ``control`` is then None.
+    """
 
     path: EPath
-    control: ControlSignal
+    control: ControlSignal | None
     costate: CostatePath
     u_nodes: np.ndarray       # (N, p) maximizing control re-evaluated per node
     h_nodes: np.ndarray       # (N,) Hamiltonian values at nodes
@@ -180,15 +189,14 @@ class PmpFlow:
     tie_times: tuple[float, ...]
 
 
-def _coupled_rhs_fixed(sys: ControlSystem, u, z0: float):
-    n = sys.alg.base_dim
+def _pmp_rhs(sys: ControlSystem, u, z0: float):
+    """State-plus-costate RHS with the control u held, or, for u None,
+    maximized at every stage."""
+    def maximizer(x, z):
+        return _maximize_detailed(sys, z, z0, x)[0]
 
-    def rhs(t, state):
-        x, z = state[:n], state[n:]
-        xdot = sys.alg.anchor_at(x) @ sys.f_at(x, u)
-        return np.concatenate([xdot, costate_rhs(sys, x, u, z, z0)])
-
-    return rhs
+    return _flow_rhs(sys, maximizer if u is None else u,
+                     lambda x, v, z: costate_rhs(sys, x, v, z, z0))
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
@@ -199,8 +207,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     For a two-element control set, switching times are localized by bisection
     on the Hamiltonian gap to ``switch_tol`` and inserted as grid breakpoints;
     larger finite sets re-evaluate the argmax at nodes only, and boxes use the
-    (typically closed-form) maximizer at every integration stage.  Aborts with
-    :class:`ChatteringError` after ``max_switches`` switches.
+    (typically closed-form) maximizer at every integration stage and keep the
+    control only as ``u_nodes``.  Aborts with :class:`ChatteringError` after
+    ``max_switches`` switches.
     """
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
@@ -209,43 +218,26 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     z_init = np.asarray(z_init, dtype=float)
     state = np.concatenate([x0, z_init])
     U = sys.control_space
+    switch_times: list[float] = []
 
     if isinstance(U, Box):
         grid = TimeGrid(t0, t1, step)
-
-        def rhs(t, s):
-            x, z = s[:n], s[n:]
-            u, _, _ = _maximize_detailed(sys, z, z0, x)
-            xdot = sys.alg.anchor_at(x) @ sys.f_at(x, u)
-            return np.concatenate([xdot, costate_rhs(sys, x, u, z, z0)])
-
-        out = np.empty((grid.n_nodes, state.size))
-        out[0] = state
-        y = state
-        nodes = grid.nodes
-        for k in range(len(nodes) - 1):
-            y = rk4_step(rhs, nodes[k], y, nodes[k + 1] - nodes[k])
-            if not np.all(np.isfinite(y)):
-                raise IntegrationDivergedError(nodes[k + 1])
-            out[k + 1] = y
-        node_list = list(nodes)
-        states = list(out)
-        switch_times: list[float] = []
-        seg_values = None
+        node_list = grid.nodes
+        states = integrate(_pmp_rhs(sys, None, z0), grid, state)
+        tie_times: list[float] = []   # box maximizers report no runner-up gap
     else:
         node_list = [t0]
         states = [state.copy()]
         u_cur, _, gap = _maximize_detailed(sys, z_init, z0, x0)
         tie_times = [t0] if gap <= _TIE_GAP else []
         seg_values = [u_cur]
-        switch_times = []
         two_valued = len(U.values) == 2
         t, y = t0, state
+        rhs = _pmp_rhs(sys, u_cur, z0)
         while t1 - t > 1e-15:
             remaining = t1 - t
-            h = step if remaining > step * (1.0 + 1e-9) else remaining
+            h = step if remaining > step * (1.0 + _STEP_SLACK) else remaining
             t_next = t1 if h == remaining else t + h
-            rhs = _coupled_rhs_fixed(sys, u_cur, z0)
             y_next = rk4_step(rhs, t, y, t_next - t)
             if not np.all(np.isfinite(y_next)):
                 raise IntegrationDivergedError(t_next)
@@ -291,6 +283,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             node_list.append(s_star)
             states.append(y_star)
             u_cur = u_new
+            rhs = _pmp_rhs(sys, u_cur, z0)
             seg_values.append(u_cur)
             t, y = s_star, y_star
 
@@ -300,21 +293,10 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     base = states_arr[:, :n]
     zs = states_arr[:, n:]
 
-    if isinstance(U, Box):
-        u_nodes = []
-        tie_times = []
-        for k in range(len(nodes_arr)):
-            u, _, gap = _maximize_detailed(sys, zs[k], z0, base[k])
-            u_nodes.append(u)
-            if gap <= _TIE_GAP:
-                tie_times.append(nodes_arr[k])
-        u_nodes = np.asarray(u_nodes)
-        inner = tuple(nodes_arr[1:-1])
-        signal = ControlSignal(t0, t1, inner, tuple(u_nodes[:-1]))
-    else:
-        u_nodes = np.array([_maximize_detailed(sys, zs[k], z0, base[k])[0]
-                            for k in range(len(nodes_arr))])
-        signal = ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
+    u_nodes = np.array([_maximize_detailed(sys, zs[k], z0, base[k])[0]
+                        for k in range(len(nodes_arr))])
+    signal = (None if isinstance(U, Box)
+              else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values)))
 
     fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(nodes_arr))])
     path = EPath(grid, base, fiber)
@@ -367,8 +349,7 @@ def _candidate_controls(sys: ControlSystem, n_samples: int = 9):
         return list(U.values)
     if U.dim > 3:
         return [0.5 * (U.lower + U.upper)]
-    axes = [np.linspace(U.lower[j], U.upper[j], n_samples) for j in range(U.dim)]
-    return [np.array(combo) for combo in itertools.product(*axes)]
+    return _box_grid(U, n_samples)
 
 
 def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
@@ -407,15 +388,16 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     for k in range(N):
         if nodes[k] in bset:
             continue
-        best = max(hamiltonian(sys, costate.z[k], z0, path.base[k], v) for v in candidates)
+        values = [hamiltonian(sys, costate.z[k], z0, path.base[k], v) for v in candidates]
+        best = max(values)
         if isinstance(sys.control_space, Box) and sys.control_space.maximizer is not None:
             u_star, h_star = maximize_hamiltonian(sys, costate.z[k], z0, path.base[k])
             best = max(best, h_star)
         max_violation = max(max_violation, best - h_vals[k])
-        if isinstance(sys.control_space, FiniteSet):
-            _, _, gap = _maximize_detailed(sys, costate.z[k], z0, path.base[k])
-            if gap <= _TIE_GAP:
-                n_ties += 1
+        # over a finite set the candidates are the whole set, in listing order
+        if (isinstance(sys.control_space, FiniteSet)
+                and _runner_up_gap(values, int(np.argmax(values))) <= _TIE_GAP):
+            n_ties += 1
     if n_ties:
         notes.append(f"maximizer tie at {n_ties} node(s); singular arcs are flagged, "
                      "not resolved")
@@ -512,11 +494,12 @@ class NeedleContext:
 
 def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
                         step: float = 1e-3) -> NeedleContext:
+    """Cost-extended trajectory under ``control`` and its fiber transport B;
+    needle directions never read the dual transport, so it is not built."""
     esys, ext = extend_system(sys)
-    xx0 = ext.embed_base(0.0, x0)
-    etraj = simulate_trajectory(esys, control, xx0, step=step)
-    frame = transport_frame(esys, etraj)
-    return NeedleContext(sys, esys, etraj, frame.B)
+    etraj = simulate_trajectory(esys, control, ext.embed_base(0.0, x0), step=step)
+    frame_B = _transport(esys, etraj, np.eye(esys.alg.fiber_dim), _fiber_block(esys))
+    return NeedleContext(sys, esys, etraj, frame_B)
 
 
 def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
@@ -639,22 +622,12 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
 
     nodes = path.grid.nodes
     g = np.eye(mats.shape[1])
-    steps_done = 0
-    for i0, i1 in path.grid.segment_bounds:
-        for k in range(i0, i1):
-            h = nodes[k + 1] - nodes[k]
-            A_l = R(path.fiber[k])
-            A_r = R(path.fiber[k + 1])
-            A_m = 0.5 * (A_l + A_r)
-            k1 = g @ A_l
-            k2 = (g + (h / 2.0) * k1) @ A_m
-            k3 = (g + (h / 2.0) * k2) @ A_m
-            k4 = (g + h * k3) @ A_r
-            g = g + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-            steps_done += 1
-            if skew and steps_done % reorthonormalize_every == 0:
-                uu, _, vv = np.linalg.svd(g)
-                g = uu @ vv
+    for k in range(len(nodes) - 1):
+        g = _rk4_sampled(lambda A, y: y @ A, (R(path.fiber[k]),), (R(path.fiber[k + 1]),),
+                         g, nodes[k + 1] - nodes[k])
+        if skew and (k + 1) % reorthonormalize_every == 0:
+            uu, _, vv = np.linalg.svd(g)
+            g = uu @ vv
     if skew:
         uu, _, vv = np.linalg.svd(g)
         g = uu @ vv
@@ -681,6 +654,8 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     the result is flagged not-converged when the residual stays above
     ``residual_tol``.
     """
+    from scipy.optimize import minimize   # the only user; keeps `import algopt` light
+
     if sys.alg.base_dim != 0:
         raise ValueError("endpoint shooting requires a chart over a point")
     target = np.asarray(target, dtype=float)
@@ -734,14 +709,12 @@ class TimeDependentControlSystem:
     def f_t_at(self, x, t, u, fd_step: float = 1e-6) -> np.ndarray:
         if self.f_time_derivative is not None:
             return np.asarray(self.f_time_derivative(x, t, u), dtype=float)
-        fp = np.asarray(self.f(x, t + fd_step, u), dtype=float)
-        fm = np.asarray(self.f(x, t - fd_step, u), dtype=float)
-        return (fp - fm) / (2.0 * fd_step)
+        return finite_difference_jacobian(lambda s: self.f(x, s[0], u), [t], fd_step)[:, 0]
 
     def L_t_at(self, x, t, u, fd_step: float = 1e-6) -> float:
         if self.L_time_derivative is not None:
             return float(self.L_time_derivative(x, t, u))
-        return (float(self.L(x, t + fd_step, u)) - float(self.L(x, t - fd_step, u))) / (2.0 * fd_step)
+        return float(finite_difference_jacobian(lambda s: self.L(x, s[0], u), [t], fd_step)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -763,22 +736,8 @@ class AutonomizedSystem:
 def autonomize(tdsys: TimeDependentControlSystem) -> AutonomizedSystem:
     """Append a clock coordinate with unit dynamics so the problem becomes
     time-independent; the control map gains a constant unit component."""
-    alg = tdsys.alg
-    n, m = alg.base_dim, alg.fiber_dim
-
-    def anchor(xe):
-        out = np.zeros((n + 1, m + 1))
-        out[:n, :m] = alg.anchor_at(xe[:n])
-        out[n, m] = 1.0
-        return out
-
-    def structure(xe):
-        out = np.zeros((m + 1, m + 1, m + 1))
-        out[:m, :m, :m] = alg.structure_at(xe[:n])
-        return out
-
-    chart = ChartAlgebroid(n + 1, m + 1, anchor, structure,
-                           name=f"clock-extended({alg.name})" if alg.name else "clock-extended")
+    n = tdsys.alg.base_dim
+    chart = _with_unit_direction(tdsys.alg, False, "clock-extended")
 
     def f_ext(xe, u):
         return np.concatenate([np.asarray(tdsys.f(xe[:n], float(xe[n]), u), dtype=float),

@@ -1,31 +1,29 @@
 """Built-in scenarios, fixtures, and the config-driven runner.
 
-Three pipelines ship with the library:
-
-* ``so3-bang-bang``       time-optimal switching between two body-fixed
-                          rotation axes, on the zero-anchor so(3) chart;
-* ``classical-tm-lq``     scalar linear-quadratic problem on the tangent
-                          bundle, with a closed-form oracle;
-* ``wong-so3-r2``         energy-minimizing trajectories on a trivialized
-                          Atiyah chart TM x so(3) over R^2 with an affine
-                          connection, audited against the reduced
-                          momentum/internal-momentum equations.
+Each built-in pipeline is registered once, as a :class:`Scenario` in
+``SCENARIOS``: its config defaults, field checks, chart, control system and
+runner.  A config names a registered scenario, or ``custom`` to validate a
+user-supplied chart only.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .control import Box, ControlSystem, FiniteSet
+from .control import Box, ControlSystem, FiniteSet, costate_rhs
 from .core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial,
                    lie_algebra, so3_algebra, so3_structure, tangent_bundle,
                    validate_anchor_morphism, validate_skew)
 from .errors import ConfigError
 from .numerics import grid_derivative
-from .pmp import ExtremalAudit, PmpFlow, integrate_pmp_flow, verify_extremal
+from .pmp import (ExtremalAudit, PmpFlow, cone_support_check, integrate_pmp_flow,
+                  make_needle_context, needle_vector, sample_symbols, verify_extremal)
 from .serialize import (write_costate_csv, write_report_json, write_trajectory_csv)
 
 __all__ = [
@@ -41,7 +39,8 @@ __all__ = [
     "build_lq_system",
     "scenario_classical",
     "classical_reduction_residual",
-    "SCENARIO_NAMES",
+    "Scenario",
+    "SCENARIOS",
     "default_config",
     "validate_config",
     "build_chart_from_config",
@@ -50,7 +49,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SCENARIO_NAMES = ("so3-bang-bang", "classical-tm-lq", "wong-so3-r2")
+# Largest horizon / step a config may ask for; a flow stores every node.
+_MAX_NODES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,6 @@ def classical_reduction_residual(sys: ControlSystem, samples) -> float:
     ``samples`` is an iterable of (x, u, z, z0) tuples; returns the largest
     absolute difference between the two formulas.
     """
-    from .control import costate_rhs
-
     worst = 0.0
     for x, u, z, z0 in samples:
         x = np.asarray(x, dtype=float)
@@ -406,7 +404,7 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
 
 
 # ---------------------------------------------------------------------------
-# Config-driven runner
+# Scenario registry and the config-driven runner
 # ---------------------------------------------------------------------------
 
 def _check(name: str, value: float, tolerance: float) -> dict:
@@ -414,46 +412,113 @@ def _check(name: str, value: float, tolerance: float) -> dict:
             "passed": bool(value <= tolerance)}
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A built-in pipeline.
+
+    ``defaults`` are the scenario-specific config fields; ``fields`` lists the
+    arrays to check as (section, key, shape[, required]), with section "" for
+    the top level.  ``run(cfg, z0, step, tol)`` returns the scenario result
+    and its report notes.
+    """
+
+    name: str
+    defaults: dict
+    fields: tuple
+    chart: Callable[[], ChartAlgebroid]
+    system: Callable[[dict], ControlSystem]
+    run: Callable[[dict, float, float, float], tuple]
+
+
+def _u_max(cfg: dict) -> float:
+    return float(cfg["params"].get("u_max", 10.0))
+
+
+def _wong_fixture(params: dict) -> WongFixture:
+    return WongFixture(so3_structure(), params["connection_const"],
+                       params.get("connection_linear"))
+
+
+def _run_so3(cfg: dict, z0: float, step: float, tol: float):
+    p = cfg["params"]
+    result = scenario_so3_bang_bang(p["a"], p["b"], np.asarray(cfg["z_init"], dtype=float),
+                                    z0=z0, horizon=float(cfg["horizon"]), step=step, tol=tol)
+    return result, {"singular": result.singular, "switch_times": list(result.flow.switch_times)}
+
+
+def _run_classical(cfg: dict, z0: float, step: float, tol: float):
+    result = scenario_classical(z_init=float(np.asarray(cfg["z_init"])[0]),
+                                x0=float(np.asarray(cfg["initial_point"])[0]),
+                                z0=z0, horizon=float(cfg["horizon"]),
+                                step=step, tol=tol, u_max=_u_max(cfg))
+    return result, {}
+
+
+def _run_wong(cfg: dict, z0: float, step: float, tol: float):
+    z_init = np.asarray(cfg["z_init"], dtype=float)
+    result = scenario_wong(_wong_fixture(cfg["params"]),
+                           np.asarray(cfg["initial_point"], dtype=float),
+                           z_init[:2], z_init[2:], z0=z0,
+                           horizon=float(cfg["horizon"]), step=step, tol=tol,
+                           u_max=_u_max(cfg))
+    return result, {}
+
+
+SCENARIOS = {s.name: s for s in (
+    # Time-optimal switching between two body-fixed rotation axes, on the
+    # zero-anchor so(3) chart.
+    Scenario(
+        name="so3-bang-bang",
+        defaults={"horizon": 10.0, "z_init": [0.0, 1.0, 0.2],
+                  "params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}},
+        fields=(("params", "a", (3,)), ("params", "b", (3,)), ("", "z_init", (3,))),
+        chart=lambda: so3_algebra(),
+        system=lambda cfg: build_so3_bang_bang_system(cfg["params"]["a"], cfg["params"]["b"]),
+        run=_run_so3),
+    # Scalar linear-quadratic problem on the tangent bundle, with a
+    # closed-form oracle.
+    Scenario(
+        name="classical-tm-lq",
+        defaults={"horizon": 1.0, "z_init": [0.5], "initial_point": [0.0],
+                  "params": {"u_max": 10.0}},
+        fields=(("", "z_init", (1,)), ("", "initial_point", (1,))),
+        chart=lambda: tangent_bundle(1),
+        system=lambda cfg: build_lq_system(u_max=_u_max(cfg)),
+        run=_run_classical),
+    # Energy-minimizing trajectories on a trivialized Atiyah chart TM x so(3)
+    # over R^2 with an affine connection, audited against the reduced
+    # momentum/internal-momentum equations.
+    Scenario(
+        name="wong-so3-r2",
+        defaults={"horizon": 1.0, "z_init": [0.8, 0.5, 0.3, -0.2, 0.4],
+                  "initial_point": [0.2, -0.1],
+                  "params": {
+                      "u_max": 10.0,
+                      "connection_const": [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]],
+                      "connection_linear": [
+                          [[0.3, 0.0], [0.0, -0.2]],
+                          [[0.0, 0.4], [0.1, 0.0]],
+                          [[-0.2, 0.1], [0.3, 0.0]],
+                      ],
+                  }},
+        fields=(("", "z_init", (5,)), ("", "initial_point", (2,)),
+                ("params", "connection_const", (3, 2)),
+                ("params", "connection_linear", (3, 2, 2), False)),
+        chart=lambda: atiyah_trivial(2, so3_structure()),
+        system=lambda cfg: build_wong_system(_wong_fixture(cfg["params"]), u_max=_u_max(cfg)),
+        run=_run_wong),
+)}
+
+_SOLVER_DEFAULTS = {"step": 1e-3, "tol": 1e-5, "seed": 0}
+
+
 def default_config(name: str) -> dict:
-    if name == "so3-bang-bang":
-        return {
-            "scenario": name,
-            "z0_mode": "normal",
-            "horizon": 10.0,
-            "z_init": [0.0, 1.0, 0.2],
-            "params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]},
-            "solver": {"step": 1e-3, "tol": 1e-5, "seed": 0},
-        }
-    if name == "classical-tm-lq":
-        return {
-            "scenario": name,
-            "z0_mode": "normal",
-            "horizon": 1.0,
-            "z_init": [0.5],
-            "initial_point": [0.0],
-            "params": {"u_max": 10.0},
-            "solver": {"step": 1e-3, "tol": 1e-5, "seed": 0},
-        }
-    if name == "wong-so3-r2":
-        return {
-            "scenario": name,
-            "z0_mode": "normal",
-            "horizon": 1.0,
-            "z_init": [0.8, 0.5, 0.3, -0.2, 0.4],
-            "initial_point": [0.2, -0.1],
-            "params": {
-                "u_max": 10.0,
-                "connection_const": [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]],
-                "connection_linear": [
-                    [[0.3, 0.0], [0.0, -0.2]],
-                    [[0.0, 0.4], [0.1, 0.0]],
-                    [[-0.2, 0.1], [0.3, 0.0]],
-                ],
-            },
-            "solver": {"step": 1e-3, "tol": 1e-5, "seed": 0},
-        }
-    raise ConfigError("scenario", f"unknown scenario {name!r}; "
-                                  f"known: {', '.join(SCENARIO_NAMES)} or 'custom'")
+    """A fresh, complete config of a registered scenario."""
+    if name not in SCENARIOS:
+        raise ConfigError("scenario", f"unknown scenario {name!r}; "
+                                      f"known: {', '.join(SCENARIOS)} or 'custom'")
+    return {"scenario": name, "z0_mode": "normal", **copy.deepcopy(SCENARIOS[name].defaults),
+            "solver": dict(_SOLVER_DEFAULTS)}
 
 
 def _label(path: str, key: str) -> str:
@@ -474,30 +539,46 @@ def _expect(cfg: dict, key: str, kind, path: str, required: bool = True, default
     return val
 
 
-def _vector(cfg: dict, key: str, path: str, length: int | None = None,
-            required: bool = True, default=None):
-    raw = _expect(cfg, key, list, path, required=required, default=None)
-    if raw is None:
-        return default
+def _array(cfg: dict, key: str, path: str, shape: tuple, required: bool = True):
+    if not required and cfg.get(key) is None:
+        return None
+    raw = _expect(cfg, key, list, path)
     try:
-        vec = np.asarray(raw, dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(_label(path, key), "expected a numeric array") from None
-    if length is not None and vec.shape != (length,):
-        raise ConfigError(_label(path, key), f"expected {length} entries, got shape {vec.shape}")
-    return vec
+    if arr.shape != shape:
+        raise ConfigError(_label(path, key), f"expected shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _check_finite(value, path: str) -> None:
+    """Reject NaN and infinities anywhere in a parsed JSON value; the JSON
+    reader accepts ``NaN`` and ``Infinity``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"non-finite number {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, _label(path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
 
 
 def validate_config(config: dict) -> dict:
     """Normalize a scenario config, raising ConfigError with a field path."""
     if not isinstance(config, dict):
         raise ConfigError("", "config must be a JSON object")
+    _check_finite(config, "")
     name = _expect(config, "scenario", str, "")
-    if name != "custom" and name not in SCENARIO_NAMES:
+    if name != "custom" and name not in SCENARIOS:
         raise ConfigError("scenario", f"unknown scenario {name!r}")
-    out = dict(default_config(name)) if name != "custom" else {"scenario": "custom"}
+    for key in ("solver", "params"):
+        if config.get(key) is not None and not isinstance(config[key], dict):
+            raise ConfigError(key, f"expected an object, got {type(config[key]).__name__}")
+    out = default_config(name) if name != "custom" else {"scenario": "custom"}
     out.update({k: v for k, v in config.items() if k not in ("solver", "params")})
-    solver = dict(out.get("solver", {"step": 1e-3, "tol": 1e-5, "seed": 0}))
+    solver = dict(out.get("solver", _SOLVER_DEFAULTS))
     solver.update(config.get("solver", {}) or {})
     params = dict(out.get("params", {}))
     params.update(config.get("params", {}) or {})
@@ -514,41 +595,20 @@ def validate_config(config: dict) -> dict:
     if mode not in ("normal", "abnormal"):
         raise ConfigError("z0_mode", "must be 'normal' or 'abnormal'")
 
-    if name == "so3-bang-bang":
-        _vector(out["params"], "a", "params", 3)
-        _vector(out["params"], "b", "params", 3)
-        _vector(out, "z_init", "", 3)
-    elif name == "classical-tm-lq":
-        _vector(out, "z_init", "", 1)
-        _vector(out, "initial_point", "", 1)
-    elif name == "wong-so3-r2":
-        _vector(out, "z_init", "", 5)
-        _vector(out, "initial_point", "", 2)
-        con = _vector_table(out["params"], "connection_const", "params", (3, 2))
-        lin = out["params"].get("connection_linear")
-        if lin is not None:
-            _vector_table(out["params"], "connection_linear", "params", (3, 2, 2))
-        del con, lin
-    elif name == "custom":
+    if name == "custom":
         if "chart" not in out:
             raise ConfigError("chart", "custom scenarios must supply a chart spec")
         build_chart_from_config(out["chart"])
-    if name != "custom":
-        horizon = _expect(out, "horizon", float, "", required=False, default=1.0)
-        if not horizon > 0:
-            raise ConfigError("horizon", "must be positive")
+        return out
+    for section, key, shape, *required in SCENARIOS[name].fields:
+        _array(out[section] if section else out, key, section, shape, *required)
+    horizon = _expect(out, "horizon", float, "", required=False, default=1.0)
+    if not horizon > 0:
+        raise ConfigError("horizon", "must be positive")
+    if horizon / step > _MAX_NODES:
+        raise ConfigError("horizon", f"horizon / solver.step is {horizon / step:.3g}, "
+                                     f"above the limit of {_MAX_NODES} nodes")
     return out
-
-
-def _vector_table(cfg: dict, key: str, path: str, shape: tuple):
-    raw = _expect(cfg, key, list, path)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(_label(path, key), "expected a numeric table") from None
-    if arr.shape != shape:
-        raise ConfigError(_label(path, key), f"expected shape {shape}, got {arr.shape}")
-    return arr
 
 
 def _structure_table(spec: dict, key: str = "table") -> np.ndarray:
@@ -581,24 +641,14 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     if kind == "atiyah":
         base_dim = _expect(spec, "base_dim", int, "chart")
         table = _structure_table(spec)
-        k = table.shape[0]
-        if "connection_const" in spec:
-            A0 = np.asarray(spec["connection_const"], dtype=float)
-            if A0.shape != (k, base_dim):
-                raise ConfigError("chart.connection_const",
-                                  f"expected shape {(k, base_dim)}, got {A0.shape}")
+        _array(spec, "connection_const", "chart", (table.shape[0], base_dim), required=False)
         return atiyah_trivial(base_dim, table, name="config-atiyah")
     if kind == "affine-anchor":
         const = np.asarray(_expect(spec, "anchor_const", list, "chart"), dtype=float)
         if const.ndim != 2:
             raise ConfigError("chart.anchor_const", "expected an (n, m) matrix")
         n, m = const.shape
-        linear = None
-        if spec.get("anchor_linear") is not None:
-            linear = np.asarray(spec["anchor_linear"], dtype=float)
-            if linear.shape != (n, m, n):
-                raise ConfigError("chart.anchor_linear",
-                                  f"expected shape {(n, m, n)}, got {linear.shape}")
+        linear = _array(spec, "anchor_linear", "chart", (n, m, n), required=False)
         table = _structure_table(spec)
         if table.shape[0] != m:
             raise ConfigError("chart.table", "table size does not match the anchor")
@@ -608,21 +658,12 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     raise ConfigError("chart.kind", f"unknown chart kind {kind!r}")
 
 
-def _chart_for_scenario(cfg: dict):
-    name = cfg["scenario"]
-    if name == "so3-bang-bang":
-        return so3_algebra()
-    if name == "classical-tm-lq":
-        return tangent_bundle(1)
-    if name == "wong-so3-r2":
-        return atiyah_trivial(2, so3_structure())
-    return build_chart_from_config(cfg["chart"])
-
-
 def validate_chart(cfg: dict, n_points: int = 100, tol: float = 1e-6) -> dict:
     """AL-axiom validation of the scenario's chart on random sample points."""
     cfg = validate_config(cfg)
-    chart = _chart_for_scenario(cfg)
+    name = cfg["scenario"]
+    chart = (SCENARIOS[name].chart() if name in SCENARIOS
+             else build_chart_from_config(cfg["chart"]))
     seed = int(cfg.get("solver", {}).get("seed", 0))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(n_points, chart.base_dim))
@@ -636,13 +677,10 @@ def validate_chart(cfg: dict, n_points: int = 100, tol: float = 1e-6) -> dict:
     }
 
 
-def _cone_check_so3(cfg: dict, flow: PmpFlow, n_symbols: int, step: float) -> dict:
+def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
+                step: float) -> dict:
     """Sampled support check of the extended covector against needle directions."""
-    from .pmp import cone_support_check, make_needle_context, needle_vector, sample_symbols
-
-    p = cfg["params"]
-    sys = build_so3_bang_bang_system(p["a"], p["b"])
-    ctx = make_needle_context(sys, flow.control, np.zeros(0), step=step)
+    ctx = make_needle_context(sys, flow.control, flow.path.base[0], step=step)
     nodes = flow.path.grid.nodes
     tau = nodes[len(nodes) // 2]
     if any(abs(tau - s) <= 1e-6 for s in flow.switch_times):
@@ -680,35 +718,8 @@ def run_scenario(config: dict, out_dir) -> dict:
         write_report_json(out / "invariants.json", report)
         return report
 
-    if name == "so3-bang-bang":
-        p = cfg["params"]
-        result = scenario_so3_bang_bang(p["a"], p["b"], np.asarray(cfg["z_init"], dtype=float),
-                                        z0=z0, horizon=float(cfg["horizon"]),
-                                        step=step, tol=tol)
-        extra_notes = {"singular": result.singular,
-                       "switch_times": list(result.flow.switch_times)}
-    elif name == "classical-tm-lq":
-        result = scenario_classical(z_init=float(np.asarray(cfg["z_init"])[0]),
-                                    x0=float(np.asarray(cfg["initial_point"])[0]),
-                                    z0=z0, horizon=float(cfg["horizon"]),
-                                    step=step, tol=tol,
-                                    u_max=float(cfg["params"].get("u_max", 10.0)))
-        extra_notes = {}
-    else:
-        p = cfg["params"]
-        fixture = WongFixture(
-            algebra=so3_structure(),
-            connection_const=np.asarray(p["connection_const"], dtype=float),
-            connection_linear=(np.asarray(p["connection_linear"], dtype=float)
-                               if p.get("connection_linear") is not None else None),
-        )
-        z_init = np.asarray(cfg["z_init"], dtype=float)
-        result = scenario_wong(fixture, np.asarray(cfg["initial_point"], dtype=float),
-                               z_init[:2], z_init[2:], z0=z0,
-                               horizon=float(cfg["horizon"]), step=step, tol=tol,
-                               u_max=float(p.get("u_max", 10.0)))
-        extra_notes = {}
-
+    scenario = SCENARIOS[name]
+    result, notes = scenario.run(cfg, z0, step, tol)
     flow = result.flow
     write_trajectory_csv(out / "trajectory.csv", flow.path, flow.u_nodes)
     write_costate_csv(out / "costate.csv", flow.costate, flow.h_nodes)
@@ -720,8 +731,8 @@ def run_scenario(config: dict, out_dir) -> dict:
 
     checks = list(chart_report["checks"]) + result.checks(tol)
     n_symbols = int(cfg["solver"].get("symbol_samples", 0))
-    if n_symbols > 0 and name == "so3-bang-bang":
-        checks.append(_cone_check_so3(cfg, flow, n_symbols, step))
+    if n_symbols > 0 and flow.control is not None:   # needles need a switching control
+        checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))
     checks.append({"name": "extremal_audit", "value": 0.0 if result.audit.passed else 1.0,
                    "tolerance": 0.0, "passed": result.audit.passed})
     report = {
@@ -729,7 +740,7 @@ def run_scenario(config: dict, out_dir) -> dict:
         "scenario": name,
         "config": {k: v for k, v in cfg.items() if k != "params"},
         "checks": checks,
-        "notes": extra_notes,
+        "notes": notes,
         "passed": all(c["passed"] for c in checks),
     }
     write_report_json(out / "invariants.json", report)

@@ -37,10 +37,6 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
-
-
 def _write_rows(file, header: list[str], rows) -> None:
     path = Path(file)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -48,31 +44,27 @@ def _write_rows(file, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_FMT % v for v in row])
 
 
-def _grid_from_csv(ts: np.ndarray, breakpoints) -> TimeGrid:
-    return TimeGrid.from_nodes(ts, tuple(breakpoints))
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{j+1}" for j in range(count)]
+
+
+def _columns(data, prefix: str) -> np.ndarray:
+    """The numbered columns prefix1, prefix2, ... of a parsed table, (N, count)."""
+    count = sum(1 for c in data.dtype.names if c.startswith(prefix))
+    if not count:
+        return np.zeros((np.atleast_1d(data["t"]).size, 0))
+    return np.column_stack([np.atleast_1d(data[name]) for name in _names(prefix, count)])
 
 
 def write_path_csv(file, path: EPath) -> None:
-    n, m = path.base_dim, path.fiber_dim
-    header = ["t"] + [f"x_{j+1}" for j in range(n)] + [f"a_{j+1}" for j in range(m)]
-    rows = (np.concatenate(([t], path.base[k], path.fiber[k]))
-            for k, t in enumerate(path.grid.nodes))
-    _write_rows(file, header, rows)
+    write_trajectory_csv(file, path, np.zeros((path.grid.n_nodes, 0)))
 
 
 def read_path_csv(file, breakpoints=()) -> EPath:
-    data = np.genfromtxt(file, delimiter=",", names=True)
-    names = data.dtype.names
-    n = sum(1 for c in names if c.startswith("x_"))
-    m = sum(1 for c in names if c.startswith("a_"))
-    ts = np.atleast_1d(data["t"])
-    base = np.column_stack([np.atleast_1d(data[f"x_{j+1}"]) for j in range(n)]) \
-        if n else np.zeros((len(ts), 0))
-    fiber = np.column_stack([np.atleast_1d(data[f"a_{j+1}"]) for j in range(m)])
-    return EPath(_grid_from_csv(ts, breakpoints), base, fiber)
+    return read_trajectory_csv(file, breakpoints)[0]
 
 
 def write_homotopy_csv(file, field: HomotopyField) -> None:
@@ -80,8 +72,7 @@ def write_homotopy_csv(file, field: HomotopyField) -> None:
         raise ValueError("homotopy field has no b component")
     T, E, m = field.a.shape
     n = field.base.shape[2]
-    header = (["t", "eps"] + [f"x_{j+1}" for j in range(n)]
-              + [f"a_{j+1}" for j in range(m)] + [f"b_{j+1}" for j in range(m)])
+    header = ["t", "eps"] + _names("x_", n) + _names("a_", m) + _names("b_", m)
 
     def rows():
         for it, t in enumerate(field.t_grid.nodes):
@@ -95,8 +86,7 @@ def write_homotopy_csv(file, field: HomotopyField) -> None:
 def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
     u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
     n, m, p = path.base_dim, path.fiber_dim, u_nodes.shape[1]
-    header = (["t"] + [f"x_{j+1}" for j in range(n)] + [f"a_{j+1}" for j in range(m)]
-              + [f"u_{j+1}" for j in range(p)])
+    header = ["t"] + _names("x_", n) + _names("a_", m) + _names("u_", p)
     rows = (np.concatenate(([t], path.base[k], path.fiber[k], u_nodes[k]))
             for k, t in enumerate(path.grid.nodes))
     _write_rows(file, header, rows)
@@ -104,16 +94,10 @@ def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
 
 def read_trajectory_csv(file, breakpoints=()) -> tuple[EPath, np.ndarray]:
     data = np.genfromtxt(file, delimiter=",", names=True)
-    names = data.dtype.names
-    n = sum(1 for c in names if c.startswith("x_"))
-    m = sum(1 for c in names if c.startswith("a_"))
-    p = sum(1 for c in names if c.startswith("u_"))
     ts = np.atleast_1d(data["t"])
-    base = np.column_stack([np.atleast_1d(data[f"x_{j+1}"]) for j in range(n)]) \
-        if n else np.zeros((len(ts), 0))
-    fiber = np.column_stack([np.atleast_1d(data[f"a_{j+1}"]) for j in range(m)])
-    u_nodes = np.column_stack([np.atleast_1d(data[f"u_{j+1}"]) for j in range(p)])
-    return EPath(_grid_from_csv(ts, breakpoints), base, fiber), u_nodes
+    grid = TimeGrid.from_nodes(ts, tuple(breakpoints))
+    path = EPath(grid, _columns(data, "x_"), _columns(data, "a_"))
+    return path, _columns(data, "u_")
 
 
 def infer_breakpoints(ts: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
@@ -128,8 +112,7 @@ def infer_breakpoints(ts: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
 
 
 def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
-    m = costate.fiber_dim
-    header = ["t"] + [f"z_{j+1}" for j in range(m)] + ["z0", "H"]
+    header = ["t"] + _names("z_", costate.fiber_dim) + ["z0", "H"]
     rows = (np.concatenate(([t], costate.z[k], [costate.z0, h_nodes[k]]))
             for k, t in enumerate(costate.grid.nodes))
     _write_rows(file, header, rows)
@@ -137,13 +120,11 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 
 def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
     data = np.genfromtxt(file, delimiter=",", names=True)
-    names = data.dtype.names
-    m = sum(1 for c in names if c.startswith("z_"))
     ts = np.atleast_1d(data["t"])
-    z = np.column_stack([np.atleast_1d(data[f"z_{j+1}"]) for j in range(m)])
     z0 = float(np.atleast_1d(data["z0"])[0])
     h = np.atleast_1d(data["H"])
-    return CostatePath(_grid_from_csv(ts, breakpoints), z, z0), h
+    grid = TimeGrid.from_nodes(ts, tuple(breakpoints))
+    return CostatePath(grid, _columns(data, "z_"), z0), h
 
 
 def write_frame_csv(file, frame: TransportFrame) -> None:

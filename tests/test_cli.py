@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from algopt.cli import main
-from algopt.scenarios import default_config
+from algopt.scenarios import SCENARIOS, default_config
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -92,3 +94,31 @@ def test_audit_detects_corrupted_costate(tmp_path, capsys):
                  "--traj", str(out_dir / "trajectory.csv"),
                  "--costate", str(costate)])
     assert code == 1
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"z_init": [float("nan"), 1.0, 0.2]}, "z_init[0]"),
+    ({"params": [1, 2]}, "params"),
+    ({"solver": "fast"}, "solver"),
+])
+def test_bad_input_exits_2_with_field_path(tmp_path, capsys, change, field):
+    path = write_config(tmp_path, dict(default_config("so3-bang-bang"), **change))
+    assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_then_audit_round_trip(tmp_path, capsys, name):
+    cfg = default_config(name)
+    cfg["horizon"] = min(cfg["horizon"], 3.0)   # so3 still switches once by t = 3
+    mode = "free-time" if name == "so3-bang-bang" else "fixed-time"
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = main(["audit", path, "--mode", mode,
+                 "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(out_dir / "costate.csv")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdicts"] and all(report["verdicts"].values())

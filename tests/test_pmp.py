@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from algopt.control import (Box, ControlSignal, ControlSystem,
-                            simulate_trajectory, transport_Bbar)
+                            simulate_trajectory, transport_Bbar, transport_frame)
 from algopt.core import tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
 from algopt.numerics import TimeGrid
@@ -139,6 +142,13 @@ def test_flow_lq_matches_closed_form():
     assert np.abs(flow.path.base[:, 0] - 0.5 * ts).max() < 1e-6
 
 
+def test_box_flow_keeps_its_control_as_node_samples():
+    flow = integrate_pmp_flow(build_lq_system(), [0.0], [0.5], -1.0, 0.0, 1.0, step=1e-2)
+    assert flow.control is None
+    assert flow.u_nodes.shape == (flow.path.grid.n_nodes, 1)
+    assert flow.switch_times == () and flow.tie_times == ()
+
+
 def test_flow_zero_covector_flagged(bang_bang_system):
     flow = integrate_pmp_flow(bang_bang_system, np.zeros(0), np.zeros(3), 0.0,
                               0.0, 1.0, step=1e-2)
@@ -223,6 +233,11 @@ def needle_setup():
                               0.0, 6.0, step=2e-3)
     ctx = make_needle_context(sys, flow.control, np.zeros(0), step=2e-3)
     return sys, flow, ctx
+
+
+def test_needle_frame_is_the_fiber_transport_frame(needle_setup):
+    _, _, ctx = needle_setup
+    assert np.array_equal(ctx.frame_B, transport_frame(ctx.esys, ctx.etraj).B)
 
 
 def test_needle_zero_symbol(needle_setup):
@@ -368,6 +383,13 @@ def test_shoot_round_trip(bang_bang_system, so3):
                          z0=-1.0, t0=0.0, t1=2.0, step=2e-3)
     assert res.converged
     assert res.residual < 1e-4
+
+
+def test_import_leaves_scipy_optimize_to_shooting():
+    code = "import sys, algopt; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_shoot_zero_time_identity(bang_bang_system):

@@ -172,6 +172,42 @@ def test_validate_config_inconsistent_wong_table():
     assert err.value.path == "params.connection_const"
 
 
+def test_default_config_is_a_fresh_copy():
+    cfg = default_config("wong-so3-r2")
+    cfg["params"]["connection_const"][0][0] = 99.0
+    assert default_config("wong-so3-r2")["params"]["connection_const"][0][0] == 0.0
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"scenario": "so3-bang-bang", "horizon": Infinity}', "horizon"),
+    ('{"scenario": "so3-bang-bang", "horizon": NaN}', "horizon"),
+    ('{"scenario": "so3-bang-bang", "params": {"a": [1, -Infinity, 0]}}', "params.a[1]"),
+    ('{"scenario": "so3-bang-bang", "solver": {"tol": NaN}}', "solver.tol"),
+])
+def test_validate_config_rejects_non_finite_numbers(text, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.loads(text))
+    assert err.value.path == field
+
+
+def test_validate_config_caps_the_node_count():
+    cfg = default_config("so3-bang-bang")
+    cfg["horizon"] = 1e4
+    cfg["solver"]["step"] = 1e-4
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.path == "horizon"
+
+
+@pytest.mark.parametrize("key", ["params", "solver"])
+def test_validate_config_rejects_non_object_sections(key):
+    cfg = default_config("classical-tm-lq")
+    cfg[key] = [1, 2]
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.path == key
+
+
 def test_build_chart_from_config_variants():
     chart = build_chart_from_config({"kind": "tangent", "dim": 2})
     assert chart.base_dim == 2
