@@ -176,8 +176,16 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
     """RHS ``(t, state) -> dstate`` of the base flow xdot = rho(x) f(x, u) on
     the state (x, w), with wdot = block(x, u, w) appended when ``block`` is
     given.  ``u`` is a held control value, or a callable (x, w) -> u that is
-    evaluated at every stage."""
+    evaluated at every stage.
+
+    Over a point with ``u`` held, the state is w alone and every block of the
+    library (the fiber and dual transports, the costate flow) is linear in w
+    with constant coefficients, so the segment's RHS is one matrix K, built
+    from the block's columns at the first call and applied at every stage.
+    """
     n = sys.alg.base_dim
+    if n == 0 and block is not None and not callable(u):
+        return _segment_matrix_rhs(u, block)
     pick = u if callable(u) else (lambda x, w: u)
 
     def rhs(t, state):
@@ -187,6 +195,25 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
         if block is None:
             return xdot
         return np.concatenate([xdot, block(x, v, w)])
+
+    return rhs
+
+
+def _segment_matrix_rhs(u, block):
+    """``(t, w) -> K w`` with K[:, i] = block(x, u, e_i) over the empty base.
+
+    The product is an einsum, not ``K @ w``: BLAS matrix-vector kernels may
+    fuse multiply-adds and so round differently from the einsum of
+    :func:`costate_rhs`; on a table whose entries of K are single products,
+    as on so(3), the einsum here reproduces that formula bit for bit.
+    """
+    K = None
+
+    def rhs(t, w):
+        nonlocal K
+        if K is None:
+            K = np.column_stack([block(w[:0], u, e) for e in np.eye(w.size)])
+        return np.einsum("ij,j->i", K, w)
 
     return rhs
 

@@ -38,7 +38,7 @@ class ConfigError(AlgoptError):
     """Raised on scenario configuration problems; carries the offending field path."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 

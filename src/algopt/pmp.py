@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _TIE_GAP = 1e-10
+# Steps whose development propagators are built in one batched RK4 step;
+# bounds the (block, d, d) arrays on long paths.
+_DEVELOP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,20 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
                      lambda x, v, z: costate_rhs(sys, x, v, z, z0))
 
 
+def _finite_set_table(sys: ControlSystem, z0: float):
+    """``(h_at, F)``: ``h_at(state)`` lists H(z, v_i) over the finite set in
+    listing order.  Over a point H is the fixed table F[i] @ z + z0 L_i, with
+    F (k, m) the fibers f(v_i); elsewhere F is None and each value is a
+    :func:`hamiltonian` call."""
+    U, n = sys.control_space, sys.alg.base_dim
+    if n:
+        return (lambda y: [hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values]), None
+    x = np.zeros(0)
+    F = np.array([sys.f_at(x, v) for v in U.values])
+    rows = [(f, z0 * sys.L_at(x, v)) for f, v in zip(F, U.values)]
+    return (lambda y: [float(f @ y + c) for f, c in rows]), F
+
+
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        t1: float, step: float = 1e-3, switch_tol: float = 1e-9,
                        max_switches: int = 10_000) -> PmpFlow:
@@ -225,15 +242,25 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         node_list = grid.nodes
         states = integrate(_pmp_rhs(sys, None, z0), grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
+        base, zs = states[:, :n], states[:, n:]
+        u_nodes = np.array([_maximize_detailed(sys, zs[k], z0, base[k])[0]
+                            for k in range(len(node_list))])
+        fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(node_list))])
+        h_nodes = np.array([hamiltonian(sys, zs[k], z0, base[k], u_nodes[k])
+                            for k in range(len(node_list))])
+        signal = None
     else:
+        _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
+        h_at, F = _finite_set_table(sys, z0)
         node_list = [t0]
         states = [state.copy()]
-        u_cur, _, gap = _maximize_detailed(sys, z_init, z0, x0)
-        tie_times = [t0] if gap <= _TIE_GAP else []
-        seg_values = [u_cur]
+        rows = [h_at(state)]            # H over the set at every node
+        i_cur = int(np.argmax(rows[0]))
+        tie_times = [t0] if _runner_up_gap(rows[0], i_cur) <= _TIE_GAP else []
+        seg_values = [U.values[i_cur]]
         two_valued = len(U.values) == 2
         t, y = t0, state
-        rhs = _pmp_rhs(sys, u_cur, z0)
+        rhs = _pmp_rhs(sys, U.values[i_cur], z0)
         while t1 - t > 1e-15:
             remaining = t1 - t
             h = step if remaining > step * (1.0 + _STEP_SLACK) else remaining
@@ -241,23 +268,22 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             y_next = rk4_step(rhs, t, y, t_next - t)
             if not np.all(np.isfinite(y_next)):
                 raise IntegrationDivergedError(t_next)
-            u_new, _, gap = _maximize_detailed(sys, y_next[n:], z0, y_next[:n])
-            if gap <= _TIE_GAP:
+            row = h_at(y_next)
+            i_new = int(np.argmax(row))
+            if _runner_up_gap(row, i_new) <= _TIE_GAP:
                 tie_times.append(t_next)
-            if np.array_equal(u_new, u_cur):
+            if i_new == i_cur:
                 t, y = t_next, y_next
                 node_list.append(t)
                 states.append(y)
+                rows.append(row)
                 continue
             if len(switch_times) >= max_switches:
                 raise ChatteringError(max_switches, t_next)
             if two_valued:
-                other = u_new
-
                 def sigma(s):
-                    ys = y if s <= t else rk4_step(rhs, t, y, s - t)
-                    return (hamiltonian(sys, ys[n:], z0, ys[:n], other)
-                            - hamiltonian(sys, ys[n:], z0, ys[:n], u_cur))
+                    vals = h_at(y if s <= t else rk4_step(rhs, t, y, s - t))
+                    return vals[i_new] - vals[i_cur]
 
                 lo, hi = t, t_next
                 if sigma(lo) > 0:
@@ -271,40 +297,37 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                             lo = mid
                 s_star = hi
                 y_star = rk4_step(rhs, t, y, s_star - t)
+                row_star = h_at(y_star)
             else:
-                s_star, y_star = t_next, y_next
+                s_star, y_star, row_star = t_next, y_next, row
             if t1 - s_star <= 1e-12:
                 # switch localized onto the horizon end: no interior segment left
                 node_list.append(t_next)
                 states.append(y_next)
+                rows.append(row)
                 t = t_next
                 break
             switch_times.append(s_star)
             node_list.append(s_star)
             states.append(y_star)
-            u_cur = u_new
-            rhs = _pmp_rhs(sys, u_cur, z0)
-            seg_values.append(u_cur)
+            rows.append(row_star)
+            i_cur = i_new
+            rhs = _pmp_rhs(sys, U.values[i_cur], z0)
+            seg_values.append(U.values[i_cur])
             t, y = s_star, y_star
 
-    nodes_arr = np.asarray(node_list)
-    states_arr = np.asarray(states)
-    grid = TimeGrid.from_nodes(nodes_arr, tuple(switch_times), step=step)
-    base = states_arr[:, :n]
-    zs = states_arr[:, n:]
+        states = np.asarray(states)
+        base, zs = states[:, :n], states[:, n:]
+        idx = [int(np.argmax(r)) for r in rows]
+        u_nodes = np.array([U.values[i] for i in idx])
+        fiber = (F[idx] if F is not None
+                 else np.array([sys.f_at(x, u) for x, u in zip(base, u_nodes)]))
+        h_nodes = np.array([r[i] for r, i in zip(rows, idx)])
+        signal = ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
-    u_nodes = np.array([_maximize_detailed(sys, zs[k], z0, base[k])[0]
-                        for k in range(len(nodes_arr))])
-    signal = (None if isinstance(U, Box)
-              else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values)))
-
-    fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(nodes_arr))])
-    path = EPath(grid, base, fiber)
-    costate = CostatePath(grid, zs, z0)
-    h_nodes = np.array([hamiltonian(sys, zs[k], z0, base[k], u_nodes[k])
-                        for k in range(len(nodes_arr))])
-    return PmpFlow(path, signal, costate, u_nodes, h_nodes,
-                   tuple(switch_times), tuple(tie_times))
+    grid = TimeGrid.from_nodes(np.asarray(node_list), tuple(switch_times), step=step)
+    return PmpFlow(EPath(grid, base, fiber), signal, CostatePath(grid, zs, z0), u_nodes,
+                   h_nodes, tuple(switch_times), tuple(tie_times))
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +621,11 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
 
     ``rep`` maps fiber vectors linearly to square matrices and must intertwine
     the bracket with the commutator on basis pairs (checked to ``bracket_tol``).
-    For skew-symmetric representations the running product is re-projected
-    onto the orthogonal group every ``reorthonormalize_every`` steps.
+    The equation is linear in g, so each RK4 step is g -> g P_k with P_k the
+    same step applied to the identity; the propagators of a block of steps
+    come from one batched step and are then composed in order.  For
+    skew-symmetric representations the running product is re-projected onto
+    the orthogonal group every ``reorthonormalize_every`` steps.
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
@@ -617,17 +643,20 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
                 raise ValueError("rep is not bracket-compatible on the basis")
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
-    def R(v):
-        return np.tensordot(v, mats, axes=(0, 0))
-
     nodes = path.grid.nodes
-    g = np.eye(mats.shape[1])
-    for k in range(len(nodes) - 1):
-        g = _rk4_sampled(lambda A, y: y @ A, (R(path.fiber[k]),), (R(path.fiber[k + 1]),),
-                         g, nodes[k + 1] - nodes[k])
-        if skew and (k + 1) % reorthonormalize_every == 0:
-            uu, _, vv = np.linalg.svd(g)
-            g = uu @ vv
+    eye = np.eye(mats.shape[1])
+    g = eye
+    n_steps = len(nodes) - 1
+    for lo in range(0, n_steps, _DEVELOP_BLOCK):
+        hi = min(lo + _DEVELOP_BLOCK, n_steps)
+        R = np.einsum("ki,ijl->kjl", path.fiber[lo:hi + 1], mats)
+        h = np.diff(nodes[lo:hi + 1])[:, None, None]
+        P = _rk4_sampled(lambda A, y: y @ A, (R[:-1],), (R[1:],), eye, h)
+        for k in range(lo, hi):
+            g = g @ P[k - lo]
+            if skew and (k + 1) % reorthonormalize_every == 0:
+                uu, _, vv = np.linalg.svd(g)
+                g = uu @ vv
     if skew:
         uu, _, vv = np.linalg.svd(g)
         g = uu @ vv

@@ -51,6 +51,8 @@ SCHEMA_VERSION = 1
 
 # Largest horizon / step a config may ask for; a flow stores every node.
 _MAX_NODES = 1_000_000
+# Largest solver.symbol_samples; each symbol is one needle vector of the cone check.
+_MAX_SYMBOL_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +592,12 @@ def validate_config(config: dict) -> dict:
     tol = _expect(solver, "tol", float, "solver", required=False, default=1e-5)
     if not tol > 0:
         raise ConfigError("solver.tol", "must be positive")
-    _expect(solver, "seed", int, "solver", required=False, default=0)
+    for key in ("seed", "symbol_samples"):
+        if _expect(solver, key, int, "solver", required=False, default=0) < 0:
+            raise ConfigError(f"solver.{key}", "must be a non-negative integer")
+    if solver.get("symbol_samples", 0) > _MAX_SYMBOL_SAMPLES:
+        raise ConfigError("solver.symbol_samples",
+                          f"above the limit of {_MAX_SYMBOL_SAMPLES} symbols")
     mode = _expect(out, "z0_mode", str, "", required=False, default="normal")
     if mode not in ("normal", "abnormal"):
         raise ConfigError("z0_mode", "must be 'normal' or 'abnormal'")

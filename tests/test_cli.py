@@ -100,11 +100,20 @@ def test_audit_detects_corrupted_costate(tmp_path, capsys):
     ({"z_init": [float("nan"), 1.0, 0.2]}, "z_init[0]"),
     ({"params": [1, 2]}, "params"),
     ({"solver": "fast"}, "solver"),
+    ({"solver": {"seed": -1}}, "solver.seed"),
+    ({"solver": {"symbol_samples": "many"}}, "solver.symbol_samples"),
+    ({"solver": {"symbol_samples": True}}, "solver.symbol_samples"),
 ])
 def test_bad_input_exits_2_with_field_path(tmp_path, capsys, change, field):
     path = write_config(tmp_path, dict(default_config("so3-bang-bang"), **change))
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_non_object_config_exits_2_without_an_empty_path(tmp_path, capsys):
+    path = write_config(tmp_path, [1, 2])
+    assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -5,8 +5,8 @@ import pytest
 
 from algopt.core import so3_structure
 from algopt.errors import ConfigError
-from algopt.scenarios import (WongFixture, build_chart_from_config, default_config,
-                              run_scenario, scenario_classical,
+from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, build_chart_from_config,
+                              default_config, run_scenario, scenario_classical,
                               scenario_so3_bang_bang, scenario_wong,
                               validate_chart, validate_config)
 
@@ -197,6 +197,29 @@ def test_validate_config_caps_the_node_count():
     with pytest.raises(ConfigError) as err:
         validate_config(cfg)
     assert err.value.path == "horizon"
+
+
+@pytest.mark.parametrize("solver, field", [
+    ({"seed": -1}, "solver.seed"),
+    ({"seed": 1.5}, "solver.seed"),
+    ({"seed": True}, "solver.seed"),
+    ({"symbol_samples": "many"}, "solver.symbol_samples"),
+    ({"symbol_samples": True}, "solver.symbol_samples"),
+    ({"symbol_samples": -3}, "solver.symbol_samples"),
+    ({"symbol_samples": _MAX_SYMBOL_SAMPLES + 1}, "solver.symbol_samples"),
+])
+def test_validate_config_checks_seed_and_symbol_samples(solver, field):
+    cfg = default_config("so3-bang-bang")
+    cfg["solver"].update(solver)
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.path == field
+
+
+def test_validate_config_accepts_symbol_samples_at_the_cap():
+    cfg = default_config("so3-bang-bang")
+    cfg["solver"].update(seed=7, symbol_samples=_MAX_SYMBOL_SAMPLES)
+    assert validate_config(cfg)["solver"]["symbol_samples"] == _MAX_SYMBOL_SAMPLES
 
 
 @pytest.mark.parametrize("key", ["params", "solver"])
