@@ -53,6 +53,13 @@ _TIE_GAP = 1e-10
 # Steps whose development propagators are built in one batched RK4 step;
 # bounds the (block, d, d) arrays on long paths.
 _DEVELOP_BLOCK = 1024
+# Relative forward-difference step of the shooting Jacobian.  Over a point the
+# endpoint depends on z only through the switch times, which bisection
+# localizes to integrate_pmp_flow's switch_tol = 1e-9; the endpoint map is
+# piecewise constant on that scale.  At a step of sqrt(switch_tol) that
+# quantization is about 3e-5 of each difference; at scipy's default step of
+# 1.5e-8 the Jacobian would be mostly quantization noise.
+_SHOOT_DIFF_STEP = np.sqrt(1e-9)
 
 
 @dataclass(frozen=True)
@@ -623,7 +630,10 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     the bracket with the commutator on basis pairs (checked to ``bracket_tol``).
     The equation is linear in g, so each RK4 step is g -> g P_k with P_k the
     same step applied to the identity; the propagators of a block of steps
-    come from one batched step and are then composed in order.  For
+    come from one batched step and are then composed in order.  A breakpoint
+    node stores the fiber's right-hand limit, so the step that ends at one
+    holds its start sample instead of blending across the jump; otherwise the
+    endpoint would jump by O(step) as a switch crosses a grid node.  For
     skew-symmetric representations the running product is re-projected onto
     the orthogonal group every ``reorthonormalize_every`` steps.
     """
@@ -644,14 +654,17 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
     nodes = path.grid.nodes
+    left, right = path.fiber[:-1], path.fiber[1:].copy()
+    ends = np.array([i1 for _, i1 in path.grid.segment_bounds[:-1]], dtype=int)
+    right[ends - 1] = left[ends - 1]
     eye = np.eye(mats.shape[1])
     g = eye
     n_steps = len(nodes) - 1
     for lo in range(0, n_steps, _DEVELOP_BLOCK):
         hi = min(lo + _DEVELOP_BLOCK, n_steps)
-        R = np.einsum("ki,ijl->kjl", path.fiber[lo:hi + 1], mats)
+        R0, R1 = (np.einsum("ki,ijl->kjl", a[lo:hi], mats) for a in (left, right))
         h = np.diff(nodes[lo:hi + 1])[:, None, None]
-        P = _rk4_sampled(lambda A, y: y @ A, (R[:-1],), (R[1:],), eye, h)
+        P = _rk4_sampled(lambda A, y: y @ A, (R0,), (R1,), eye, h)
         for k in range(lo, hi):
             g = g @ P[k - lo]
             if skew and (k + 1) % reorthonormalize_every == 0:
@@ -679,45 +692,74 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     """Find an initial covector (and, when ``t1`` is None, a horizon) whose
     extremal develops to the target group element.
 
-    Derivative-free Nelder-Mead search on the Frobenius endpoint mismatch;
-    the result is flagged not-converged when the residual stays above
-    ``residual_tol``.
+    Indirect shooting by trust-region least squares (``scipy.optimize.
+    least_squares``, method ``trf`` with the regularized ``lsmr``
+    subproblem solver) on the endpoint residual
+    ``(g - target).ravel()`` over z, plus the duration in free time.  The
+    Jacobian is taken by forward differences with relative step
+    ``_SHOOT_DIFF_STEP``.  A chattering or diverged flow counts as a residual
+    of 1e6.  ``residual`` is the Frobenius norm at the returned point, from one
+    more flow; the result is flagged not-converged when it is not below
+    ``residual_tol``.  ``n_evaluations`` counts every flow the shot ran,
+    Jacobian columns and that last flow included; ``max_evals`` bounds it
+    (at least one Jacobian is always taken).
+
+    Raises ``ValueError`` before any flow when ``target`` does not have the
+    shape of ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or
+    when ``target``, ``z_guess`` or ``duration_guess`` is not finite.
     """
-    from scipy.optimize import minimize   # the only user; keeps `import algopt` light
+    from scipy.optimize import least_squares   # the only user; keeps `import algopt` light
 
     if sys.alg.base_dim != 0:
         raise ValueError("endpoint shooting requires a chart over a point")
+    m = sys.alg.fiber_dim
     target = np.asarray(target, dtype=float)
     z_guess = np.asarray(z_guess, dtype=float)
-    m = sys.alg.fiber_dim
+    shape = np.shape(rep(np.eye(m)[0]))
+    if target.shape != shape:
+        raise ValueError(f"target has shape {target.shape}, rep's matrices {shape}")
+    if z_guess.shape != (m,):
+        raise ValueError(f"z_guess has shape {z_guess.shape}, expected ({m},)")
+    if not (np.isfinite(target).all() and np.isfinite(z_guess).all()
+            and np.isfinite(duration_guess)):
+        raise ValueError("target, z_guess and duration_guess must be finite")
     free_time = t1 is None
     x0 = np.zeros(0)
+    failed = np.zeros(target.size)
+    failed[0] = 1e6   # residual of a chattering or diverged flow
+    n_flows = 0
 
-    def endpoint(z, duration):
-        if duration <= 1e-9:
-            return np.eye(target.shape[0])
-        eff_step = min(step, duration / 4.0)
-        flow = integrate_pmp_flow(sys, x0, z, z0, t0, t0 + duration, step=eff_step)
-        return develop_to_group(sys.alg, flow.path, rep)
-
-    def objective(params):
+    def residual_vector(params):
+        nonlocal n_flows
         z = params[:m]
         duration = abs(params[m]) if free_time else (t1 - t0)
+        if duration <= 1e-9:
+            return (np.eye(shape[0]) - target).ravel()
+        n_flows += 1
         try:
-            g = endpoint(z, duration)
+            flow = integrate_pmp_flow(sys, x0, z, z0, t0, t0 + duration,
+                                      step=min(step, duration / 4.0))
         except (ChatteringError, IntegrationDivergedError):
-            return 1e6
-        return float(np.linalg.norm(g - target, ord="fro"))
+            return failed
+        return (develop_to_group(sys.alg, flow.path, rep) - target).ravel()
 
-    params0 = np.concatenate([z_guess, [duration_guess]]) if free_time else z_guess
-    res = minimize(objective, params0, method="Nelder-Mead",
-                   options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-12})
+    params0 = np.append(z_guess, duration_guess) if free_time else z_guess
+    # Each solver evaluation may add a Jacobian of len(params0) flows; one
+    # more flow re-evaluates the returned point.
+    max_nfev = max(1, (max_evals - 1) // (len(params0) + 1))
+    # The endpoint can be flat along some directions of z (on so(3) bang-bang
+    # it depends on z only through the switch times, so not on |z|); there
+    # the Jacobian's singular values are quantization noise.  The exact
+    # subproblem solver inverts them into long useless steps; lsmr's
+    # regularized subproblem damps them.
+    res = least_squares(residual_vector, params0, method="trf", jac="2-point",
+                        diff_step=_SHOOT_DIFF_STEP, max_nfev=max_nfev,
+                        tr_solver="lsmr")
     best = res.x
-    z_best = best[:m]
+    residual = float(np.linalg.norm(residual_vector(best)))
     t1_best = (t0 + abs(best[m])) if free_time else t1
-    residual = objective(best)
-    return ShootingResult(z_best, float(t1_best), residual,
-                          residual < residual_tol, int(res.nfev))
+    return ShootingResult(best[:m], float(t1_best), residual,
+                          residual < residual_tol, n_flows)
 
 
 # ---------------------------------------------------------------------------

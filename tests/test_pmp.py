@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from algopt.control import (Box, ControlSignal, ControlSystem,
@@ -334,6 +336,19 @@ def test_develop_full_rotation(so3):
     assert np.abs(g - np.eye(3)).max() < 1e-6
 
 
+@pytest.mark.parametrize("tau", [1.2399999, 1.2400001, 1.2350001])
+def test_develop_piecewise_constant_path_across_a_breakpoint(so3, tau):
+    """The sample at a breakpoint node is the right-hand limit; the step that
+    ends there must not blend it in.  Exact: a product of two exponentials,
+    whether the jump sits just below, just above or between grid nodes."""
+    a1, a2 = np.array([1.0, 1.0, 0.2]), np.array([1.0, -1.0, 0.2])
+    grid = TimeGrid(0.0, 2.0, 1e-2, breakpoints=(tau,))
+    fiber = np.where((grid.nodes < tau)[:, None], a1, a2)
+    path = EPath(grid, np.zeros((grid.n_nodes, 0)), fiber)
+    exact = expm(tau * skew_hat(a1)) @ expm((2.0 - tau) * skew_hat(a2))
+    assert np.abs(develop_to_group(so3, path, skew_hat) - exact).max() < 1e-9
+
+
 def test_develop_requires_point_base():
     tb = tangent_bundle(1)
     grid = TimeGrid(0.0, 1.0, 0.1)
@@ -407,6 +422,96 @@ def test_shoot_unreachable_flagged():
                          z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
                          t0=0.0, t1=1.5, step=2e-3, max_evals=300)
     assert not res.converged
+
+
+def test_shoot_unreachable_stops_by_stall():
+    """The degenerate system's endpoint does not depend on z: the Jacobian
+    vanishes and the solver stops long before the budget."""
+    degenerate = build_so3_bang_bang_system([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    target = expm(skew_hat(np.array([1.2, 0.0, 0.0])))
+    res = shoot_endpoint(degenerate, skew_hat, target,
+                         z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
+                         t0=0.0, t1=1.5, step=2e-3, max_evals=300)
+    assert not res.converged
+    assert res.n_evaluations <= 20
+
+
+@pytest.fixture
+def flow_counter(monkeypatch):
+    """Counts the flows run through ``algopt.pmp.integrate_pmp_flow``."""
+    import algopt.pmp
+
+    calls = []
+    real = algopt.pmp.integrate_pmp_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algopt.pmp, "integrate_pmp_flow", counted)
+    return calls
+
+
+def switching_case(z_star, t1=2.0, step=1e-2):
+    system = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    flow = integrate_pmp_flow(system, np.zeros(0), z_star, -1.0, 0.0, t1, step=step)
+    return system, flow, develop_to_group(system.alg, flow.path, skew_hat)
+
+
+@pytest.mark.parametrize("target, z_guess, duration_guess", [
+    (np.zeros(3), [0.1, 0.5, 0.1], 1.0),
+    (np.eye(2), [0.1, 0.5, 0.1], 1.0),
+    (np.eye(3), [np.nan, 0.5, 0.1], 1.0),
+    (np.full((3, 3), np.inf), [0.1, 0.5, 0.1], 1.0),
+    (np.eye(3), [0.1, 0.5, 0.1], np.nan),
+    (np.eye(3), [0.1, 0.5], 1.0),
+], ids=["target-vector", "target-2x2", "nan-guess", "inf-target", "nan-duration",
+        "short-guess"])
+def test_shoot_rejects_bad_input_before_any_flow(bang_bang_system, flow_counter,
+                                                 target, z_guess, duration_guess):
+    with pytest.raises(ValueError):
+        shoot_endpoint(bang_bang_system, skew_hat, target, z_guess=np.array(z_guess),
+                       z0=-1.0, t0=0.0, t1=None, duration_guess=duration_guess,
+                       step=1e-2)
+    assert flow_counter == []
+
+
+def test_shoot_counts_every_flow(flow_counter):
+    system, _, target = switching_case(np.array([-0.3, 1.3, -0.4]))
+    del flow_counter[:]
+    guess = np.array([-0.27, 1.27, -0.43])
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                         t0=0.0, t1=2.0, step=1e-2)
+    assert res.converged
+    assert res.n_evaluations == len(flow_counter) > 4
+    del flow_counter[:]
+    capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                            t0=0.0, t1=2.0, step=1e-2, max_evals=8)
+    assert capped.n_evaluations == len(flow_counter) <= 8
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(z_a=st.floats(-0.5, -0.1), z_3=st.floats(0.2, 0.6),
+       sign=st.sampled_from([-1.0, 1.0]),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1))
+@example(z_a=-0.24869051613468535, z_3=0.521157587530396, sign=-1.0,
+         direction=(0.014557353487533786, -0.0021709271441208156, -0.047784626552625775))
+def test_shoot_converges_on_switching_targets(z_a, z_3, sign, direction):
+    """z* on H = 0 (z_a + |z_b| = 1) with z_3 of the sign opposite to z_b
+    switches before t = 2; a guess 0.05 away must be shot back.  The explicit
+    example switches at t = 1.2416, just past the grid node 1.24: a
+    development that blends across the switch made the endpoint jump as the
+    switch crossed that node, and the shot stalled there."""
+    z_star = np.array([z_a, sign * (1.0 - z_a), -sign * z_3])
+    system, flow, target = switching_case(z_star)
+    assert flow.switch_times
+    guess = z_star + 0.05 * np.asarray(direction) / np.linalg.norm(direction)
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                         t0=0.0, t1=2.0, step=1e-2)
+    assert res.converged
+    assert res.residual < 1e-4
+    assert res.n_evaluations <= 40
 
 
 # ---------------------------------------------------------------------------
