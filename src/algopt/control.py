@@ -182,6 +182,9 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
     library (the fiber and dual transports, the costate flow) is linear in w
     with constant coefficients, so the segment's RHS is one matrix K, built
     from the block's columns at the first call and applied at every stage.
+    The cost extension of a system over a point has one base coordinate, the
+    accrued cost, that no coefficient reads; its trajectory and fiber
+    transport run on :func:`_frozen_trajectory_frame` instead.
     """
     n = sys.alg.base_dim
     if n == 0 and block is not None and not callable(u):
@@ -224,20 +227,58 @@ def _held_segments(sys: ControlSystem, signal: ControlSignal, block=None):
     return lambda seg, lo, hi: _flow_rhs(sys, signal.value(0.5 * (lo + hi)), block)
 
 
-def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
-                        t0: float | None = None, t1: float | None = None,
-                        step: float = 1e-3) -> Trajectory:
-    """Integrate xdot = rho(x) f(x, u(t)) and attach fiber samples a = f(x, u)."""
+def _signal_grid(sys: ControlSystem, signal: ControlSignal, t0, t1, step: float) -> TimeGrid:
+    """The grid on [t0, t1] (the signal's interval by default) with the
+    signal's switch times as breakpoints; raises unless every control value
+    lies in the control space."""
     for v in signal.values:
         if not sys.control_space.contains(v):
             raise ValueError(f"control value {v} outside the control space")
     t0 = signal.t0 if t0 is None else t0
     t1 = signal.t1 if t1 is None else t1
-    grid = TimeGrid(t0, t1, step, tuple(s for s in signal.switch_times if t0 < s < t1))
+    return TimeGrid(t0, t1, step, tuple(s for s in signal.switch_times if t0 < s < t1))
+
+
+def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
+                        t0: float | None = None, t1: float | None = None,
+                        step: float = 1e-3) -> Trajectory:
+    """Integrate xdot = rho(x) f(x, u(t)) and attach fiber samples a = f(x, u)."""
+    grid = _signal_grid(sys, signal, t0, t1, step)
     base = integrate_segmented(_held_segments(sys, signal), grid, np.asarray(x0, dtype=float))
     fiber = np.array([sys.f_at(base[k], signal.value(tk))
                       for k, tk in enumerate(grid.nodes)])
     return Trajectory(EPath(grid, base, fiber), signal)
+
+
+def _frozen_trajectory_frame(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
+                             step: float) -> tuple[Trajectory, np.ndarray]:
+    """:func:`simulate_trajectory` and the fiber transport frame along it (the
+    transports of the basis vectors, shape (N, m, m)), in one pass, for a
+    system whose coefficients do not read the base point; the caller knows
+    this from how the system was built.
+
+    On each held segment the base velocity rho f(., u) and the lift matrix
+    M(u) are built once, at x0, and every stage steps the base and the frame
+    Y with them, keeping :func:`_fiber_block`'s own product ``M @ Y``.  The
+    fiber samples are f(x0, v), once per control value.  Both equal what the
+    two separate passes compute at every stage and node, bit for bit.
+    """
+    grid = _signal_grid(sys, signal, None, None, step)
+    x0 = np.asarray(x0, dtype=float)
+    n, m = sys.alg.base_dim, sys.alg.fiber_dim
+
+    def make_rhs(seg, lo, hi):
+        u = signal.value(0.5 * (lo + hi))
+        f = sys.f_at(x0, u)
+        xdot = sys.alg.anchor_at(x0) @ f
+        M = _lift_matrix(sys.alg, x0, f, sys.f_jac_at(x0, u))
+        return lambda t, state: np.concatenate([xdot, (M @ state[n:].reshape(m, m)).ravel()])
+
+    out = integrate_segmented(make_rhs, grid, np.concatenate([x0, np.eye(m).ravel()]))
+    fibers = np.array([sys.f_at(x0, v) for v in signal.values])
+    fiber = fibers[np.searchsorted(signal.switch_times, grid.nodes, side="right")]
+    return (Trajectory(EPath(grid, out[:, :n].copy(), fiber), signal),
+            out[:, n:].reshape(-1, m, m))
 
 
 def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]:

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      _fiber_block, _flow_rhs, _transport, costate_rhs, extend_system,
-                      simulate_trajectory)
+                      _fiber_block, _flow_rhs, _frozen_trajectory_frame, _transport,
+                      costate_rhs, extend_system, simulate_trajectory)
 from .core import ChartAlgebroid, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
@@ -515,20 +515,41 @@ class NeedleContext:
         return self.etraj.path.base_at(t)
 
     def frame_at(self, t: float) -> np.ndarray:
-        nodes = self.grid.nodes
-        me = self.frame_B.shape[1]
-        flat = self.frame_B.reshape(len(nodes), me * me)
-        cols = np.array([np.interp(t, nodes, flat[:, j]) for j in range(me * me)])
-        return cols.reshape(me, me)
+        """Linear interpolation of the frame, bracketed once for all entries.
+
+        Entry for entry this is ``np.interp`` over the nodes, with its own
+        formula: the node value at a node, the end values outside, and
+        slope * (t - t_j) + B_j in between (NaN for a NaN time).
+        """
+        nodes, B = self.grid.nodes, self.frame_B
+        if t <= nodes[0] or t >= nodes[-1]:
+            return B[0 if t <= nodes[0] else -1].copy()
+        j = min(int(np.searchsorted(nodes, t, side="right")), len(nodes) - 1) - 1
+        if nodes[j] == t:
+            return B[j].copy()
+        slope = (B[j + 1] - B[j]) / (nodes[j + 1] - nodes[j])
+        return slope * (t - nodes[j]) + B[j]
 
 
 def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
                         step: float = 1e-3) -> NeedleContext:
     """Cost-extended trajectory under ``control`` and its fiber transport B;
-    needle directions never read the dual transport, so it is not built."""
+    needle directions never read the dual transport, so it is not built.
+
+    Over a point the extended system's one base coordinate is the accrued
+    cost, and by construction of :func:`extend_system` nothing reads it: the
+    base velocity L(u) and the lift matrix M(u) are constant on each held
+    segment.  Trajectory and frame then come from one pass that builds those
+    arrays once per segment, bit for bit what the two passes that a real
+    base still needs (trajectory, then transport) would give.
+    """
     esys, ext = extend_system(sys)
-    etraj = simulate_trajectory(esys, control, ext.embed_base(0.0, x0), step=step)
-    frame_B = _transport(esys, etraj, np.eye(esys.alg.fiber_dim), _fiber_block(esys))
+    xx0 = ext.embed_base(0.0, x0)
+    if sys.alg.base_dim == 0:
+        etraj, frame_B = _frozen_trajectory_frame(esys, control, xx0, step)
+    else:
+        etraj = simulate_trajectory(esys, control, xx0, step=step)
+        frame_B = _transport(esys, etraj, np.eye(esys.alg.fiber_dim), _fiber_block(esys))
     return NeedleContext(sys, esys, etraj, frame_B)
 
 

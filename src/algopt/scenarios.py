@@ -9,6 +9,7 @@ user-supplied chart only.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -684,14 +685,38 @@ def validate_chart(cfg: dict, n_points: int = 100, tol: float = 1e-6) -> dict:
     }
 
 
+def _observation_time(nodes: np.ndarray, spike_nodes: np.ndarray, switch_times,
+                      guard: float = 1e-6) -> float:
+    """The cone check's observation time: the middle flow node, else the node
+    five after it, else the nearest later node, else the nearest earlier one.
+    It must lie strictly inside the horizon, more than ``guard`` from every
+    switch, and above at least one spike node that is too (as
+    :func:`sample_symbols` draws them); raises ConfigError when no node does.
+    """
+    bounds = np.concatenate(([-np.inf], switch_times, [np.inf]))
+
+    def off_switches(t):
+        i = np.searchsorted(bounds, t)
+        return np.minimum(t - bounds[i - 1], bounds[i] - t) > guard
+
+    inner = spike_nodes[(spike_nodes > nodes[0]) & off_switches(spike_nodes)]
+    first_spike = inner[0] if inner.size else np.inf
+    mid, last = len(nodes) // 2, len(nodes) - 1
+    for k in itertools.chain((mid, mid + 5), range(mid + 1, last), range(mid - 1, 0, -1)):
+        if k < last and nodes[k] > first_spike and off_switches(nodes[k]):
+            return nodes[k]
+    raise ConfigError("solver.symbol_samples",
+                      "the grid has no observation time for the cone check (a node off "
+                      "every switch with a spike time below it); use a finer solver.step "
+                      "or a longer horizon, or set symbol_samples to 0")
+
+
 def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
                 step: float) -> dict:
     """Sampled support check of the extended covector against needle directions."""
     ctx = make_needle_context(sys, flow.control, flow.path.base[0], step=step)
     nodes = flow.path.grid.nodes
-    tau = nodes[len(nodes) // 2]
-    if any(abs(tau - s) <= 1e-6 for s in flow.switch_times):
-        tau = nodes[len(nodes) // 2 + 5]
+    tau = _observation_time(nodes, ctx.grid.nodes, flow.switch_times)
     rng = np.random.default_rng(int(cfg["solver"].get("seed", 0)))
     symbols = sample_symbols(rng, ctx, tau, n_symbols)
     needles = [needle_vector(ctx, s) for s in symbols]

@@ -131,3 +131,27 @@ def test_run_then_audit_round_trip(tmp_path, capsys, name):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["verdicts"] and all(report["verdicts"].values())
+
+
+@pytest.mark.parametrize("horizon, step", [(0.002, 0.001), (0.001, 0.001), (0.003, 0.002)])
+def test_cone_check_without_an_observation_time_exits_2(tmp_path, capsys, horizon, step):
+    path = write_config(tmp_path, {"scenario": "so3-bang-bang", "horizon": horizon,
+                                   "solver": {"step": step, "symbol_samples": 5}})
+    assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: solver.symbol_samples: ")
+
+
+# z.b = 0.0045 falls at unit rate, so the one switch is near t = 0.00451; at
+# step 1e-3 it is the middle node of the flow's grid, and the node five after
+# it is past the end (horizon 0.008) or the horizon end itself (0.009).
+@pytest.mark.parametrize("horizon", [0.008, 0.009])
+def test_cone_check_observes_off_the_switch_on_a_short_grid(tmp_path, capsys, horizon):
+    path = write_config(tmp_path, {"scenario": "so3-bang-bang", "horizon": horizon,
+                                   "z_init": [0.9955, 0.0045, -1.0],
+                                   "solver": {"step": 0.001, "symbol_samples": 5}})
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "invariants.json").read_text())
+    assert len(report["notes"]["switch_times"]) == 1
+    cone = [c for c in report["checks"] if c["name"] == "cone_support"]
+    assert len(cone) == 1 and cone[0]["passed"]

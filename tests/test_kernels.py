@@ -1,16 +1,18 @@
 """Property tests of the per-segment linear kernels over a point: the held
-control's constant matrix, the fixed Hamiltonian table of a finite set, and
-development by composed step propagators."""
+control's constant matrix, the fixed Hamiltonian table of a finite set,
+development by composed step propagators, and the cost-extended needle frame
+with its interpolation."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algopt.control import ControlSystem, FiniteSet, _flow_rhs, costate_rhs
+from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, costate_rhs,
+                            simulate_trajectory, transport_frame)
 from algopt.core import lie_algebra, so3_algebra
 from algopt.numerics import TimeGrid
 from algopt.paths import EPath
-from algopt.pmp import develop_to_group, integrate_pmp_flow
+from algopt.pmp import develop_to_group, integrate_pmp_flow, make_needle_context
 from algopt.scenarios import build_so3_bang_bang_system
 from conftest import skew_hat
 
@@ -107,3 +109,99 @@ def test_so3_flow_keeps_casimir_and_zero_hamiltonian(seed):
     norms = np.linalg.norm(flow.costate.z, axis=1)
     assert np.abs(norms - norms[0]).max() <= 1e-8
     assert np.abs(flow.h_nodes).max() <= 1e-6
+
+
+def random_signal(rng, values, n_switches, t1):
+    """A ControlSignal on [0, t1] alternating between the two values, with
+    switches at least 0.05 apart and away from the ends."""
+    while True:
+        switches = np.sort(rng.uniform(0.05, t1 - 0.05, size=n_switches))
+        if np.all(np.diff(switches) > 0.05):
+            break
+    first = int(rng.integers(0, 2))
+    seq = tuple(values[(first + j) % 2] for j in range(n_switches + 1))
+    return ControlSignal(0.0, t1, tuple(switches), seq)
+
+
+def reference_needle_frame(c, a, b, signal, grid):
+    """Step-by-step RK4 of the fiber flow Y' = M(u) Y of the cost extension,
+    M(u) = c[., a + u b] on the inner block and zero on the cost row and
+    column, from the identity over the given grid."""
+    m = c.shape[0]
+    Y = np.eye(m + 1)
+    out = [Y]
+    nodes = grid.nodes
+    for k in range(len(nodes) - 1):
+        h = nodes[k + 1] - nodes[k]
+        u = signal.value(0.5 * (nodes[k] + nodes[k + 1]))[0]
+        M = np.zeros((m + 1, m + 1))
+        M[1:, 1:] = np.einsum("ijk,k->ij", c, a + u * b)
+        k1 = M @ Y
+        k2 = M @ (Y + 0.5 * h * k1)
+        k3 = M @ (Y + 0.5 * h * k2)
+        k4 = M @ (Y + h * k3)
+        Y = Y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        out.append(Y)
+    return np.array(out)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, m=st.integers(2, 4), n_switches=st.integers(1, 3))
+def test_needle_frame_and_accrued_cost_over_a_point(seed, m, n_switches):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(m, m, m))
+    c = c - np.swapaxes(c, 1, 2)
+    a, b = rng.normal(size=m), rng.normal(size=m)
+    cost = rng.uniform(0.5, 2.0, size=2)
+    values = tuple(rng.uniform(-2.0, 2.0, size=(2, 1)))
+    sys = ControlSystem(lie_algebra(c), lambda x, u: a + u[0] * b,
+                        lambda x, u: float(cost[0] + cost[1] * u[0]), FiniteSet(values))
+    t1, step = float(rng.uniform(0.5, 1.5)), float(rng.uniform(5e-3, 2e-2))
+    signal = random_signal(rng, values, n_switches, t1)
+    ctx = make_needle_context(sys, signal, np.zeros(0), step=step)
+
+    grid = ctx.grid
+    assert grid.breakpoints == signal.switch_times
+    assert np.array_equal(grid.nodes, TimeGrid(0.0, t1, step, signal.switch_times).nodes)
+    ref = reference_needle_frame(c, a, b, signal, grid)
+    assert ctx.frame_B.shape == ref.shape
+    assert np.abs(ctx.frame_B - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    # the accrued cost is the integral of L along the held control
+    bounds = (0.0, *signal.switch_times, t1)
+    running = [cost[0] + cost[1] * v[0] for v in signal.values]
+    nodes = grid.nodes
+    seg = np.searchsorted(signal.switch_times, nodes, side="right")
+    integral = np.array([sum(running[j] * (bounds[j + 1] - bounds[j]) for j in range(s))
+                         + running[s] * (t - bounds[s]) for s, t in zip(seg, nodes)])
+    assert ctx.etraj.path.base.shape == (len(nodes), 1)
+    assert np.abs(ctx.etraj.path.base[:, 0] - integral).max() <= 1e-12 * max(1.0, integral[-1])
+    expected_fiber = np.array([np.concatenate(([running[s]], a + signal.values[s][0] * b))
+                               for s in seg])
+    assert np.abs(ctx.etraj.path.fiber - expected_fiber).max() <= 1e-15 * np.abs(
+        expected_fiber).max()
+
+    # and the one pass reproduces the two separate passes bit for bit
+    etraj = simulate_trajectory(ctx.esys, signal, np.zeros(1), step=step)
+    assert np.array_equal(ctx.etraj.path.base, etraj.path.base)
+    assert np.array_equal(ctx.etraj.path.fiber, etraj.path.fiber)
+    assert np.array_equal(ctx.frame_B, transport_frame(ctx.esys, etraj).B)
+
+
+@PROPERTY
+@given(seed=SEEDS)
+def test_frame_at_is_np_interp_entry_by_entry(seed):
+    rng = np.random.default_rng(seed)
+    sys, _ = random_point_system(rng, int(rng.integers(2, 5)))
+    signal = random_signal(rng, sys.control_space.values, int(rng.integers(1, 4)), 1.0)
+    ctx = make_needle_context(sys, signal, np.zeros(0), step=float(rng.uniform(5e-3, 5e-2)))
+    nodes = ctx.grid.nodes
+    me = ctx.frame_B.shape[1]
+    flat = ctx.frame_B.reshape(len(nodes), me * me)
+    times = np.concatenate([rng.uniform(-0.1, 1.1, size=20), rng.choice(nodes, size=5),
+                            [0.0, 1.0], signal.switch_times])
+    for t in times:
+        expected = np.array([np.interp(t, nodes, flat[:, j]) for j in range(me * me)])
+        got = ctx.frame_at(t)
+        assert got.shape == (me, me)
+        assert got.ravel().tobytes() == expected.tobytes()
