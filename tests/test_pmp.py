@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from algopt.control import (Box, ControlSignal, ControlSystem,
+from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet,
                             simulate_trajectory, transport_Bbar, transport_frame)
-from algopt.core import tangent_bundle
+from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
 from algopt.numerics import TimeGrid
 from algopt.paths import EPath, reparameterize_unit
@@ -213,6 +213,47 @@ def test_audit_invariant_under_positive_scaling(bang_bang_system):
                          mode="free-time", tol=lam * 1e-5, u_nodes=f2.u_nodes)
     assert a1.verdicts == a2.verdicts
     assert np.abs(f2.h_nodes - lam * f1.h_nodes).max() < 1e-9
+
+
+def test_audit_costate_flow_fails_on_a_costate_of_the_wrong_structure(bang_bang_system):
+    """A costate integrated with sign-flipped structure constants still
+    maximizes H node by node and keeps H = 0, but it does not follow the
+    so(3) dual flow, and only the costate-flow verdict says so."""
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    flipped = ControlSystem(lie_algebra(-so3_structure()), lambda x, u: a + u[0] * b,
+                            lambda x, u: 1.0, FiniteSet(([-1.0], [1.0])))
+    wrong = integrate_pmp_flow(flipped, np.zeros(0), [0.0, 1.0, 0.2], -1.0, 0.0, 4.0,
+                               step=1e-3)
+    audit = verify_extremal(bang_bang_system, wrong.path, wrong.control, wrong.costate,
+                            mode="free-time", tol=1e-5, u_nodes=wrong.u_nodes)
+    assert audit.costate_residual > 0.1
+    assert audit.verdicts == {"maximum_condition": True, "costate_flow": False,
+                              "hamiltonian_profile": True, "multiplier": True}
+
+
+def test_box_audit_flags_perturbed_controls():
+    sys = build_lq_system()
+    flow = integrate_pmp_flow(sys, [0.0], [0.5], -1.0, 0.0, 1.0, step=1e-2)
+    good = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
+                           u_nodes=flow.u_nodes)
+    assert good.passed, good.to_dict()
+    bad = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
+                          u_nodes=flow.u_nodes + 0.1)
+    # H(u) = 0.5 u - u^2 / 2 peaks at u = 0.5 with 0.125; H(0.6) = 0.12
+    assert abs(bad.max_condition_violation - 0.005) < 1e-12
+    assert not bad.verdicts["maximum_condition"]
+    assert bad.verdicts["costate_flow"] and bad.verdicts["hamiltonian_profile"]
+
+
+def test_audit_notes_ties_on_a_degenerate_two_valued_set():
+    sys = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])   # u moves nothing
+    flow = integrate_pmp_flow(sys, np.zeros(0), [0.0, 0.0, 1.0], -1.0, 0.0, 1.0, step=1e-2)
+    audit = verify_extremal(sys, flow.path, flow.control, flow.costate, mode="fixed-time",
+                            u_nodes=flow.u_nodes)
+    n = flow.path.grid.n_nodes
+    assert len(flow.tie_times) == n == 101
+    assert audit.notes == (f"maximizer tie at {n} node(s); singular arcs are flagged, "
+                           "not resolved",)
 
 
 def test_audit_grid_mismatch_rejected(bang_bang_system):
