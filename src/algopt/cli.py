@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import AlgoptError, ConfigError
 from .pmp import verify_extremal
 from .scenarios import SCENARIOS, run_scenario, validate_chart, validate_config
@@ -76,15 +78,28 @@ def _cmd_run(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _switch_times(written: Path, path, u_nodes) -> tuple[float, ...]:
+    """The switch times ``run`` wrote beside the trajectory; without them, the
+    nodes where the control changes, unless at over 5% of the nodes."""
+    if not written.is_file():
+        guess = infer_breakpoints(path.grid.nodes, u_nodes)
+        return guess if len(guess) <= 0.05 * path.grid.n_nodes else ()
+    try:
+        times = tuple(float(t) for t in written.read_text().split()[1:])
+    except ValueError:
+        times = (np.nan,)
+    if not set(times) <= set(path.grid.nodes):
+        raise ConfigError(str(written), "expected a header, then one node time per line")
+    return times
+
+
 def _cmd_audit(args) -> int:
     cfg = validate_config(_apply_overrides(_load_config(args.config), args))
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError("scenario", "auditing requires a built-in scenario")
     sys_ = SCENARIOS[cfg["scenario"]].system(cfg)
     path, u_nodes = read_trajectory_csv(args.traj)
-    breakpoints = infer_breakpoints(path.grid.nodes, u_nodes)
-    if len(breakpoints) > 0.05 * path.grid.n_nodes:
-        breakpoints = ()   # continuously sampled control, not bang-bang switching
+    breakpoints = _switch_times(Path(args.traj).with_name("switches.csv"), path, u_nodes)
     if breakpoints:
         path, u_nodes = read_trajectory_csv(args.traj, breakpoints)
     costate, _ = read_costate_csv(args.costate, breakpoints)

@@ -176,19 +176,11 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
     """RHS ``(t, state) -> dstate`` of the base flow xdot = rho(x) f(x, u) on
     the state (x, w), with wdot = block(x, u, w) appended when ``block`` is
     given.  ``u`` is a held control value, or a callable (x, w) -> u that is
-    evaluated at every stage.
-
-    Over a point with ``u`` held, the state is w alone and every block of the
-    library (the fiber and dual transports, the costate flow) is linear in w
-    with constant coefficients, so the segment's RHS is one matrix K, built
-    from the block's columns at the first call and applied at every stage.
-    The cost extension of a system over a point has one base coordinate, the
-    accrued cost, that no coefficient reads; its trajectory and fiber
-    transport run on :func:`_frozen_trajectory_frame` instead.
+    evaluated at every stage.  Every stage evaluates the chart and the
+    block; flows whose coefficients do not read the base read the
+    per-control table of :func:`_point_table` instead.
     """
     n = sys.alg.base_dim
-    if n == 0 and block is not None and not callable(u):
-        return _segment_matrix_rhs(u, block)
     pick = u if callable(u) else (lambda x, w: u)
 
     def rhs(t, state):
@@ -202,23 +194,35 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
     return rhs
 
 
-def _segment_matrix_rhs(u, block):
-    """``(t, w) -> K w`` with K[:, i] = block(x, u, e_i) over the empty base.
+@dataclass(frozen=True)
+class _PointTable:
+    """What holding a control fixes when no coefficient reads the base point:
+    over a point, and on the cost extension of a point system, whose one base
+    coordinate (the accrued cost) nothing reads.  Row i is for the control
+    value v_i: F[i] = f(v_i), L[i] = L(v_i), the dual transport zdot = K[i] z
+    (columns of costate_rhs; its z0 term z0 dL/dx vanishes) and the complete
+    lift ydot = M[i] y."""
 
-    The product is an einsum, not ``K @ w``: BLAS matrix-vector kernels may
-    fuse multiply-adds and so round differently from the einsum of
-    :func:`costate_rhs`; on a table whose entries of K are single products,
-    as on so(3), the einsum here reproduces that formula bit for bit.
-    """
-    K = None
+    F: np.ndarray  # (k, m)
+    L: np.ndarray  # (k,)
+    K: np.ndarray  # (k, m, m)
+    M: np.ndarray  # (k, m, m)
 
-    def rhs(t, w):
-        nonlocal K
-        if K is None:
-            K = np.column_stack([block(w[:0], u, e) for e in np.eye(w.size)])
-        return np.einsum("ij,j->i", K, w)
 
-    return rhs
+def _point_table(sys: ControlSystem, values, x=np.zeros(0)) -> _PointTable:
+    """The table of ``sys`` over the control values, at the base point x."""
+    eye = np.eye(sys.alg.fiber_dim)
+    F = np.array([sys.f_at(x, v) for v in values])
+    K = [np.column_stack([costate_rhs(sys, x, v, e, 0.0) for e in eye]) for v in values]
+    M = [_lift_matrix(sys.alg, x, f, sys.f_jac_at(x, v)) for f, v in zip(F, values)]
+    return _PointTable(F, np.array([sys.L_at(x, v) for v in values]), np.array(K), np.array(M))
+
+
+def _matrix_rhs(A: np.ndarray, shape: tuple):
+    """``(t, w) -> A w`` for w flattened from ``shape``, as an einsum: BLAS
+    kernels may fuse multiply-adds, while on so(3), whose K entries are
+    single products, this reproduces :func:`costate_rhs` bit for bit."""
+    return lambda t, w: np.einsum("ij,j...->i...", A, w.reshape(shape)).ravel()
 
 
 def _held_segments(sys: ControlSystem, signal: ControlSignal, block=None):
@@ -250,37 +254,6 @@ def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarra
     return Trajectory(EPath(grid, base, fiber), signal)
 
 
-def _frozen_trajectory_frame(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
-                             step: float) -> tuple[Trajectory, np.ndarray]:
-    """:func:`simulate_trajectory` and the fiber transport frame along it (the
-    transports of the basis vectors, shape (N, m, m)), in one pass, for a
-    system whose coefficients do not read the base point; the caller knows
-    this from how the system was built.
-
-    On each held segment the base velocity rho f(., u) and the lift matrix
-    M(u) are built once, at x0, and every stage steps the base and the frame
-    Y with them, keeping :func:`_fiber_block`'s own product ``M @ Y``.  The
-    fiber samples are f(x0, v), once per control value.  Both equal what the
-    two separate passes compute at every stage and node, bit for bit.
-    """
-    grid = _signal_grid(sys, signal, None, None, step)
-    x0 = np.asarray(x0, dtype=float)
-    n, m = sys.alg.base_dim, sys.alg.fiber_dim
-
-    def make_rhs(seg, lo, hi):
-        u = signal.value(0.5 * (lo + hi))
-        f = sys.f_at(x0, u)
-        xdot = sys.alg.anchor_at(x0) @ f
-        M = _lift_matrix(sys.alg, x0, f, sys.f_jac_at(x0, u))
-        return lambda t, state: np.concatenate([xdot, (M @ state[n:].reshape(m, m)).ravel()])
-
-    out = integrate_segmented(make_rhs, grid, np.concatenate([x0, np.eye(m).ravel()]))
-    fibers = np.array([sys.f_at(x0, v) for v in signal.values])
-    fiber = fibers[np.searchsorted(signal.switch_times, grid.nodes, side="right")]
-    return (Trajectory(EPath(grid, out[:, :n].copy(), fiber), signal),
-            out[:, n:].reshape(-1, m, m))
-
-
 def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]:
     """Absorb the cost: on the time-extended chart the control map becomes
     (L(x, u), f(x, u)), the extra base coordinate integrates the running cost,
@@ -309,11 +282,6 @@ def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]
     ), ext
 
 
-def _fiber_block(sys: ControlSystem):
-    """Fiber flow ydot = M y, with M the complete-lift matrix of f(., u)."""
-    return lambda x, u, y: _lift_matrix(sys.alg, x, sys.f_at(x, u), sys.f_jac_at(x, u)) @ y
-
-
 def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,
                 z0: float) -> np.ndarray:
     """zdot_k = -rho^a_k (df^i/dx^a z_i + dL/dx^a z0) + c^i_jk f^j z_i."""
@@ -323,24 +291,37 @@ def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,
     return _dual_field(sys.alg, x, sys.f_at(x, u), z, dh_dx)
 
 
-def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, block) -> np.ndarray:
+def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, dual: bool,
+               z0: float = 0.0) -> np.ndarray:
     """Integrate the base under the trajectory's control together with the
-    block w, wdot = block(x, u, w) for w of the shape of ``w0``; returns the
-    block samples, shape (N, *w0.shape)."""
-    n, shape = sys.alg.base_dim, w0.shape
+    fiber (ydot = M y) or, for ``dual``, the dual (costate_rhs at z0)
+    transport of w0, a vector or frame; returns samples (N, *w0.shape).
+    Over a point each held segment applies its K or M from the table."""
+    n, shape, signal = sys.alg.base_dim, w0.shape, traj.control
 
     def flat(x, u, w):
-        return block(x, u, w.reshape(shape)).ravel()
+        if dual:
+            return costate_rhs(sys, x, u, w, z0)
+        return (_lift_matrix(sys.alg, x, sys.f_at(x, u), sys.f_jac_at(x, u))
+                @ w.reshape(shape)).ravel()
 
+    if n == 0:
+        table = _point_table(sys, signal.values)
+        mats = table.K if dual else table.M
+
+        def make_rhs(seg, lo, hi):
+            j = np.searchsorted(signal.switch_times, 0.5 * (lo + hi), side="right")
+            return _matrix_rhs(mats[j], shape)
+    else:
+        make_rhs = _held_segments(sys, signal, flat)
     state0 = np.concatenate([traj.path.base[0], w0.ravel()])
-    out = integrate_segmented(_held_segments(sys, traj.control, flat), traj.path.grid, state0)
-    return out[:, n:].reshape((-1,) + shape)
+    return integrate_segmented(make_rhs, traj.path.grid, state0)[:, n:].reshape((-1,) + shape)
 
 
 def transport_B(sys: ControlSystem, traj: Trajectory, y0: np.ndarray) -> np.ndarray:
     """Transport the fiber vector y0 along the trajectory; returns samples (N, m)."""
     y0 = _shaped(y0, (sys.alg.fiber_dim,), "fiber vector has shape")
-    return _transport(sys, traj, y0, _fiber_block(sys))
+    return _transport(sys, traj, y0, False)
 
 
 def transport_Bbar(sys: ControlSystem, traj: Trajectory, z0_pair) -> tuple[np.ndarray, float]:
@@ -353,7 +334,7 @@ def transport_Bbar(sys: ControlSystem, traj: Trajectory, z0_pair) -> tuple[np.nd
     z_init, z0 = z0_pair
     z_init = _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
     z0 = float(z0)
-    return _transport(sys, traj, z_init, lambda x, u, z: costate_rhs(sys, x, u, z, z0)), z0
+    return _transport(sys, traj, z_init, True, z0), z0
 
 
 @dataclass(frozen=True)
@@ -371,7 +352,7 @@ def transport_frame(sys: ControlSystem, traj: Trajectory) -> TransportFrame:
     column j of Bbar is the dual transport of the basis covector e_j."""
     eye = np.eye(sys.alg.fiber_dim)
     Bbar = np.stack([transport_Bbar(sys, traj, (e, 0.0))[0] for e in eye], axis=-1)
-    return TransportFrame(traj.path.grid, _transport(sys, traj, eye, _fiber_block(sys)), Bbar)
+    return TransportFrame(traj.path.grid, _transport(sys, traj, eye, False), Bbar)
 
 
 def pairing_drift(sys: ControlSystem, traj: Trajectory, y0: np.ndarray,

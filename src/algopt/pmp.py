@@ -17,12 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      _fiber_block, _flow_rhs, _frozen_trajectory_frame, _transport,
+                      _flow_rhs, _matrix_rhs, _point_table, _signal_grid, _transport,
                       costate_rhs, extend_system, simulate_trajectory)
 from .core import ChartAlgebroid, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
-                       grid_derivative, integrate, rk4_step)
+                       grid_derivative, integrate, integrate_segmented, rk4_step)
 from .paths import EPath
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
     "time_dependence_audit",
 ]
 
-_TIE_GAP = 1e-10
+_TIE_GAP = 1e-10   # times max(1, |z|): H scales with (z, z0)
 # Steps whose development propagators are built in one batched RK4 step;
 # bounds the (block, d, d) arrays on long paths.
 _DEVELOP_BLOCK = 1024
@@ -90,6 +90,21 @@ def hamiltonian(sys: ControlSystem, z: np.ndarray, z0: float, x: np.ndarray, u) 
     return float(z @ sys.f_at(x, u) + z0 * sys.L_at(x, u))
 
 
+def _point_hamiltonians(table, z: np.ndarray, z0: float) -> np.ndarray:
+    """H over the rows of a per-control table, on the last axis, for z of
+    shape (m,) or (N, m); each <z, F[i]> is a stacked row-by-column
+    ``matmul``, the dot kernel of :func:`hamiltonian`, so the bits match."""
+    return (z[..., None, None, :] @ table.F[:, :, None])[..., 0, 0] + z0 * table.L
+
+
+def _ties(values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Whether the best of ``values`` (H over a finite set, last axis) has a
+    runner-up within _TIE_GAP max(1, |z|); a single value never ties."""
+    top = np.sort(values, axis=-1)
+    gap = top[..., -1] - top[..., -2] if top.shape[-1] > 1 else np.inf
+    return gap <= _TIE_GAP * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+
+
 def _golden_section(fn, lo: float, hi: float, iters: int = 48) -> float:
     """Deterministic golden-section maximization of a scalar function."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -113,12 +128,6 @@ def _box_grid(box: Box, n: int) -> list[np.ndarray]:
     """The controls of an n-per-axis grid over the box."""
     axes = [np.linspace(box.lower[j], box.upper[j], n) for j in range(box.dim)]
     return [np.array(combo) for combo in itertools.product(*axes)]
-
-
-def _runner_up_gap(values: list[float], best: int) -> float:
-    """values[best] minus the largest other value; inf when there is none."""
-    others = values[:best] + values[best + 1:]
-    return values[best] - max(others) if others else np.inf
 
 
 def _box_argmax(sys: ControlSystem, z, z0, x, box: Box, n_grid: int = 33,
@@ -151,18 +160,17 @@ def _box_argmax(sys: ControlSystem, z, z0, x, box: Box, n_grid: int = 33,
     return u
 
 
-def _maximize_detailed(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float, float]:
-    """Returns (maximizer, value, gap to the runner-up; inf when meaningless)."""
+def _maximize(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float]:
     U = sys.control_space
     if isinstance(U, FiniteSet):
         values = [hamiltonian(sys, z, z0, x, v) for v in U.values]
         best = int(np.argmax(values))
-        return U.values[best], values[best], _runner_up_gap(values, best)
+        return U.values[best], values[best]
     if U.maximizer is not None:
         u = U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
-        return u, hamiltonian(sys, z, z0, x, u), np.inf
-    u = _box_argmax(sys, z, z0, x, U)
-    return u, hamiltonian(sys, z, z0, x, u), np.inf
+    else:
+        u = _box_argmax(sys, z, z0, x, U)
+    return u, hamiltonian(sys, z, z0, x, u)
 
 
 def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float]:
@@ -173,8 +181,7 @@ def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, floa
     33-per-axis grid with golden-section refinement otherwise (up to three
     control dimensions).
     """
-    u, h, _ = _maximize_detailed(sys, z, z0, x)
-    return u, h
+    return _maximize(sys, z, z0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +203,17 @@ class PmpFlow:
     u_nodes: np.ndarray       # (N, p) maximizing control re-evaluated per node
     h_nodes: np.ndarray       # (N,) Hamiltonian values at nodes
     switch_times: tuple[float, ...]
-    tie_times: tuple[float, ...]
+    tie_times: tuple[float, ...]    # nodes whose best H ties with the runner-up
 
 
 def _pmp_rhs(sys: ControlSystem, u, z0: float):
     """State-plus-costate RHS with the control u held, or, for u None,
     maximized at every stage."""
     def maximizer(x, z):
-        return _maximize_detailed(sys, z, z0, x)[0]
+        return _maximize(sys, z, z0, x)[0]
 
     return _flow_rhs(sys, maximizer if u is None else u,
                      lambda x, v, z: costate_rhs(sys, x, v, z, z0))
-
-
-def _finite_set_table(sys: ControlSystem, z0: float):
-    """``(h_at, F)``: ``h_at(state)`` lists H(z, v_i) over the finite set in
-    listing order.  Over a point H is the fixed table F[i] @ z + z0 L_i, with
-    F (k, m) the fibers f(v_i); elsewhere F is None and each value is a
-    :func:`hamiltonian` call."""
-    U, n = sys.control_space, sys.alg.base_dim
-    if n:
-        return (lambda y: [hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values]), None
-    x = np.zeros(0)
-    F = np.array([sys.f_at(x, v) for v in U.values])
-    rows = [(f, z0 * sys.L_at(x, v)) for f, v in zip(F, U.values)]
-    return (lambda y: [float(f @ y + c) for f, c in rows]), F
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
@@ -250,7 +243,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         states = integrate(_pmp_rhs(sys, None, z0), grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]
-        u_nodes = np.array([_maximize_detailed(sys, zs[k], z0, base[k])[0]
+        u_nodes = np.array([_maximize(sys, zs[k], z0, base[k])[0]
                             for k in range(len(node_list))])
         fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(node_list))])
         h_nodes = np.array([hamiltonian(sys, zs[k], z0, base[k], u_nodes[k])
@@ -258,16 +251,23 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         signal = None
     else:
         _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
-        h_at, F = _finite_set_table(sys, z0)
+        table = None if n else _point_table(sys, U.values)   # H and K fixed per control
+
+        def h_at(y):
+            if n:
+                return np.array([hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values])
+            return _point_hamiltonians(table, y, z0)
+
+        def held(i):
+            return _pmp_rhs(sys, U.values[i], z0) if n else _matrix_rhs(table.K[i], z_init.shape)
+
         node_list = [t0]
         states = [state.copy()]
         rows = [h_at(state)]            # H over the set at every node
         i_cur = int(np.argmax(rows[0]))
-        tie_times = [t0] if _runner_up_gap(rows[0], i_cur) <= _TIE_GAP else []
         seg_values = [U.values[i_cur]]
-        two_valued = len(U.values) == 2
         t, y = t0, state
-        rhs = _pmp_rhs(sys, U.values[i_cur], z0)
+        rhs = held(i_cur)
         while t1 - t > 1e-15:
             remaining = t1 - t
             h = step if remaining > step * (1.0 + _STEP_SLACK) else remaining
@@ -277,8 +277,6 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 raise IntegrationDivergedError(t_next)
             row = h_at(y_next)
             i_new = int(np.argmax(row))
-            if _runner_up_gap(row, i_new) <= _TIE_GAP:
-                tie_times.append(t_next)
             if i_new == i_cur:
                 t, y = t_next, y_next
                 node_list.append(t)
@@ -287,7 +285,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 continue
             if len(switch_times) >= max_switches:
                 raise ChatteringError(max_switches, t_next)
-            if two_valued:
+            if len(U.values) == 2:
                 def sigma(s):
                     vals = h_at(y if s <= t else rk4_step(rhs, t, y, s - t))
                     return vals[i_new] - vals[i_cur]
@@ -319,17 +317,18 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             states.append(y_star)
             rows.append(row_star)
             i_cur = i_new
-            rhs = _pmp_rhs(sys, U.values[i_cur], z0)
+            rhs = held(i_cur)
             seg_values.append(U.values[i_cur])
             t, y = s_star, y_star
 
-        states = np.asarray(states)
+        states, rows = np.asarray(states), np.asarray(rows)
         base, zs = states[:, :n], states[:, n:]
-        idx = [int(np.argmax(r)) for r in rows]
-        u_nodes = np.array([U.values[i] for i in idx])
-        fiber = (F[idx] if F is not None
-                 else np.array([sys.f_at(x, u) for x, u in zip(base, u_nodes)]))
-        h_nodes = np.array([r[i] for r, i in zip(rows, idx)])
+        idx = rows.argmax(axis=1)
+        u_nodes = np.array(U.values)[idx]
+        fiber = (np.array([sys.f_at(x, u) for x, u in zip(base, u_nodes)]) if n
+                 else table.F[idx])
+        h_nodes = rows[np.arange(len(idx)), idx]
+        tie_times = np.asarray(node_list)[_ties(rows, zs)].tolist()
         signal = ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
     grid = TimeGrid.from_nodes(np.asarray(node_list), tuple(switch_times), step=step)
@@ -388,10 +387,15 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     """Audit the maximum-principle conditions along sampled curves.
 
     At every non-breakpoint node: (1) H(z, u) must dominate H(z, v) for the
-    sampled candidates v up to ``tol``; (2) the costate must satisfy the dual
-    flow equation (finite-difference residual); (3) |H| <= tol in free-time
+    sampled candidates v up to ``tol`` (ties over a finite set are counted
+    as the flow counts them); (2) the costate must satisfy the dual flow
+    equation (finite-difference residual); (3) |H| <= tol in free-time
     mode, |H - mean H| <= tol in fixed-time mode; (4) z0 <= 0 holds by
-    construction and z must be nowhere-vanishing when z0 = 0.
+    construction and z must be nowhere-vanishing when z0 = 0.  H is one
+    (nodes x candidates) table: over a point ``z F.T + z0 L`` from the
+    per-control table of the candidates and of the rows of ``u_nodes``, with
+    the dual flow ``K(u) z`` at all nodes at once; with a base, filled by
+    :func:`hamiltonian` calls, with :func:`costate_rhs` calls.
     """
     if mode not in ("free-time", "fixed-time"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -399,69 +403,61 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
         raise ValueError("trajectory and costate grids do not match")
     nodes = path.grid.nodes
     N = len(nodes)
-    bset = set(path.grid.breakpoints)
-    z0 = costate.z0
+    z, z0, x = costate.z, costate.z0, path.base
     notes: list[str] = []
 
     if u_nodes is None:
-        u_nodes = np.array([control.value(t) for t in nodes])
+        u_nodes = np.array(control.values)[np.searchsorted(control.switch_times, nodes, "right")]
     u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
     if u_nodes.shape[0] != N:
         raise ValueError("u_nodes rows do not match grid nodes")
+    keep = ~np.isin(nodes, path.grid.breakpoints)
+    inner = keep.copy()   # the nodes inside a segment
+    inner[[0, -1]] = False
 
-    h_vals = np.array([hamiltonian(sys, costate.z[k], z0, path.base[k], u_nodes[k])
-                       for k in range(N)])
-
+    U = sys.control_space
     candidates = _candidate_controls(sys)
-    max_violation = 0.0
-    n_ties = 0
-    for k in range(N):
-        if nodes[k] in bset:
-            continue
-        values = [hamiltonian(sys, costate.z[k], z0, path.base[k], v) for v in candidates]
-        best = max(values)
-        if isinstance(sys.control_space, Box) and sys.control_space.maximizer is not None:
-            u_star, h_star = maximize_hamiltonian(sys, costate.z[k], z0, path.base[k])
-            best = max(best, h_star)
-        max_violation = max(max_violation, best - h_vals[k])
-        # over a finite set the candidates are the whole set, in listing order
-        if (isinstance(sys.control_space, FiniteSet)
-                and _runner_up_gap(values, int(np.argmax(values))) <= _TIE_GAP):
-            n_ties += 1
+    c = len(candidates)
+    if sys.alg.base_dim == 0:
+        used, which = np.unique(u_nodes, axis=0, return_inverse=True)
+        table = _point_table(sys, [*candidates, *used])
+        which = c + which.ravel()
+        H = _point_hamiltonians(table, z, z0)
+        h_vals, values = H[np.arange(N), which], H[keep, :c]
+        rhs = np.einsum("nij,nj->ni", table.K[which[inner]], z[inner])
+    else:
+        h_vals = np.array([hamiltonian(sys, z[k], z0, x[k], u_nodes[k]) for k in range(N)])
+        values = np.array([[hamiltonian(sys, z[k], z0, x[k], v) for v in candidates]
+                           for k in np.flatnonzero(keep)])
+        rhs = np.array([costate_rhs(sys, x[k], u_nodes[k], z[k], z0)
+                        for k in np.flatnonzero(inner)]).reshape(-1, z.shape[1])
+    best = values.max(axis=1)
+    if isinstance(U, Box) and U.maximizer is not None:
+        best = np.maximum(best, [maximize_hamiltonian(sys, z[k], z0, x[k])[1]
+                                 for k in np.flatnonzero(keep)])
+    max_violation = float(np.max(best - h_vals[keep], initial=0.0))
+    n_ties = np.count_nonzero(_ties(values, z[keep])) if isinstance(U, FiniteSet) else 0
     if n_ties:
         notes.append(f"maximizer tie at {n_ties} node(s); singular arcs are flagged, "
                      "not resolved")
-
-    dz = grid_derivative(path.grid, costate.z)
-    costate_residual = 0.0
-    for i0, i1 in path.grid.segment_bounds:
-        for k in range(i0 + 1, i1):
-            rhs = costate_rhs(sys, path.base[k], u_nodes[k], costate.z[k], z0)
-            costate_residual = max(costate_residual, float(np.abs(dz[k] - rhs).max()))
-
-    keep = np.array([t not in bset for t in nodes])
+    dz = grid_derivative(path.grid, z)
+    costate_residual = float(np.max(np.abs(dz[inner] - rhs), initial=0.0))
     h_kept = h_vals[keep]
     if mode == "free-time":
         h_drift = float(np.abs(h_kept).max())
     else:
         h_drift = float(np.abs(h_kept - h_kept.mean()).max())
-
-    z_norms = np.linalg.norm(costate.z, axis=1)
-    covector_min = float(z_norms.min())
+    covector_min = float(np.linalg.norm(z, axis=1).min())
     if z0 == 0.0:
-        multiplier_ok = covector_min > tol
         notes.append("abnormal multiplier (z0 = 0) accepted; the strict-negativity "
                      "variant of the transversality statement is not enforced")
-    else:
-        multiplier_ok = True
-
     verdicts = {
         "maximum_condition": bool(max_violation <= tol),
         "costate_flow": bool(costate_residual <= tol),
         "hamiltonian_profile": bool(h_drift <= tol),
-        "multiplier": bool(multiplier_ok),
+        "multiplier": bool(z0 != 0.0 or covector_min > tol),
     }
-    return ExtremalAudit(mode, tol, float(max_violation), costate_residual, h_drift,
+    return ExtremalAudit(mode, tol, max_violation, costate_residual, h_drift,
                          covector_min, h_vals, verdicts, tuple(notes))
 
 
@@ -536,21 +532,31 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     """Cost-extended trajectory under ``control`` and its fiber transport B;
     needle directions never read the dual transport, so it is not built.
 
-    Over a point the extended system's one base coordinate is the accrued
-    cost, and by construction of :func:`extend_system` nothing reads it: the
-    base velocity L(u) and the lift matrix M(u) are constant on each held
-    segment.  Trajectory and frame then come from one pass that builds those
-    arrays once per segment, bit for bit what the two passes that a real
-    base still needs (trajectory, then transport) would give.
+    Over a point the extension's one base coordinate, the accrued cost, is
+    read by nothing (see :func:`extend_system`), so its per-control table
+    holds: one pass steps cost and frame Y at each segment's constant rate
+    rho f(u) = L(u) and ``M(u) @ Y``, the fiber transport's own product,
+    with the table's f(v) as fiber samples; bit for bit what the two passes
+    that a real base needs (trajectory, then transport) give.
     """
     esys, ext = extend_system(sys)
     xx0 = ext.embed_base(0.0, x0)
-    if sys.alg.base_dim == 0:
-        etraj, frame_B = _frozen_trajectory_frame(esys, control, xx0, step)
-    else:
+    me = esys.alg.fiber_dim
+    if sys.alg.base_dim:
         etraj = simulate_trajectory(esys, control, xx0, step=step)
-        frame_B = _transport(esys, etraj, np.eye(esys.alg.fiber_dim), _fiber_block(esys))
-    return NeedleContext(sys, esys, etraj, frame_B)
+        return NeedleContext(sys, esys, etraj, _transport(esys, etraj, np.eye(me), False))
+    grid = _signal_grid(esys, control, None, None, step)
+    table = _point_table(esys, control.values, xx0)
+    rates = table.F @ esys.alg.anchor_at(xx0).T
+
+    def make_rhs(seg, lo, hi):
+        rate, M = rates[seg], table.M[seg]
+        return lambda t, state: np.concatenate([rate, (M @ state[1:].reshape(me, me)).ravel()])
+
+    out = integrate_segmented(make_rhs, grid, np.concatenate([xx0, np.eye(me).ravel()]))
+    fiber = table.F[np.searchsorted(control.switch_times, grid.nodes, side="right")]
+    etraj = Trajectory(EPath(grid, out[:, :1].copy(), fiber), control)
+    return NeedleContext(sys, esys, etraj, out[:, 1:].reshape(-1, me, me))
 
 
 def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,

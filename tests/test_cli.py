@@ -155,3 +155,37 @@ def test_cone_check_observes_off_the_switch_on_a_short_grid(tmp_path, capsys, ho
     assert len(report["notes"]["switch_times"]) == 1
     cone = [c for c in report["checks"] if c["name"] == "cone_support"]
     assert len(cone) == 1 and cone[0]["passed"]
+
+
+def coarse_so3_run(tmp_path):
+    """An so3 run on 17 nodes with one switch; the switch is one node in 17,
+    above the 5% that the audit's own breakpoint guess accepts."""
+    cfg = default_config("so3-bang-bang")
+    cfg["horizon"] = 3.0
+    cfg["solver"].update(step=0.2, tol=0.02)
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "artifacts"
+    main(["run", path, "--out", str(out_dir)])
+    assert len((out_dir / "switches.csv").read_text().split()) == 2
+    return path, out_dir
+
+
+def test_audit_reads_the_switches_that_run_wrote(tmp_path, capsys):
+    path, out_dir = coarse_so3_run(tmp_path)
+    written = json.loads((out_dir / "audit.json").read_text())
+    capsys.readouterr()
+    code = main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(out_dir / "costate.csv")])
+    report = json.loads(capsys.readouterr().out)
+    assert written["passed"] and code == 0
+    assert report == written
+
+
+@pytest.mark.parametrize("text", ["t\nnot-a-time\n", "t\n1.2345\n"])
+def test_audit_rejects_a_bad_switches_file(tmp_path, capsys, text):
+    path, out_dir = coarse_so3_run(tmp_path)
+    (out_dir / "switches.csv").write_text(text)
+    capsys.readouterr()
+    assert main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(out_dir / "costate.csv")]) == 2
+    assert "switches.csv" in capsys.readouterr().err

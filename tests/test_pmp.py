@@ -256,6 +256,23 @@ def test_audit_notes_ties_on_a_degenerate_two_valued_set():
                            "not resolved",)
 
 
+def test_tie_count_is_invariant_under_scaling_the_covector():
+    """H scales with (z, z0), so the flow's tie times and the audit's tie
+    count must not change when both are scaled."""
+    sys = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 1e-11, 0.0])
+    ties, notes = [], []
+    for lam in (1.0, 100.0):
+        flow = integrate_pmp_flow(sys, np.zeros(0), lam * np.array([0.0, 1.0, 0.2]), -lam,
+                                  0.0, 2.0, step=1e-2)
+        audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
+                                mode="free-time", u_nodes=flow.u_nodes)
+        ties.append(len(flow.tie_times))
+        notes.append(audit.notes)
+    assert ties == [202, 202]
+    assert notes[0] == notes[1] == ("maximizer tie at 201 node(s); singular arcs are "
+                                    "flagged, not resolved",)
+
+
 def test_audit_grid_mismatch_rejected(bang_bang_system):
     flow = so3_extremal(bang_bang_system, horizon=1.0)
     other = integrate_pmp_flow(bang_bang_system, np.zeros(0), [0.0, 1.0, 0.2],

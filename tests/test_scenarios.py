@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from algopt import scenarios
 from algopt.core import so3_structure
 from algopt.errors import ConfigError
 from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, build_chart_from_config,
@@ -48,6 +49,21 @@ def test_so3_abnormal_multiplier_mode():
                                horizon=2.0, step=1e-3, tol=1e-5)
     assert r.flow.costate.z0 == 0.0
     assert r.switching_violations == 0
+
+
+@pytest.mark.parametrize("z3", [2.2, 5.0])
+def test_so3_costate_equation_holds_for_larger_covectors(z3):
+    # on H = 0 for every z3; the old central-difference check read 1.09e-6
+    # and 2.38e-6 here, its own O(step^2) error growing with |z|
+    r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, z3], horizon=3.0, step=1e-3)
+    assert r.audit.h_drift < 1e-6
+    assert r.costate_residual <= 1e-6
+
+
+def test_so3_costate_equation_fails_with_the_structure_sign_flipped(monkeypatch):
+    monkeypatch.setattr(scenarios, "so3_structure", lambda: -so3_structure())
+    r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, 0.2], horizon=3.0, step=1e-3)
+    assert r.costate_residual > 1e-3
 
 
 # ---------------------------------------------------------------------------
