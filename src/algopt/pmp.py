@@ -427,10 +427,11 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
         rhs = np.einsum("nij,nj->ni", table.K[which[inner]], z[inner])
     else:
         h_vals = np.array([hamiltonian(sys, z[k], z0, x[k], u_nodes[k]) for k in range(N)])
-        values = np.array([[hamiltonian(sys, z[k], z0, x[k], v) for v in candidates]
-                           for k in np.flatnonzero(keep)])
-        rhs = np.array([costate_rhs(sys, x[k], u_nodes[k], z[k], z0)
-                        for k in np.flatnonzero(inner)]).reshape(-1, z.shape[1])
+        top = min(c, 2)   # a node's two best values are all that is read from its row
+        values = np.fromiter((np.sort([hamiltonian(sys, z[k], z0, x[k], v) for v in candidates])
+                              [-top:] for k in np.flatnonzero(keep)), (float, top), keep.sum())
+        rhs = np.fromiter((costate_rhs(sys, x[k], u_nodes[k], z[k], z0)
+                           for k in np.flatnonzero(inner)), (float, z.shape[1]), inner.sum())
     best = values.max(axis=1)
     if isinstance(U, Box) and U.maximizer is not None:
         best = np.maximum(best, [maximize_hamiltonian(sys, z[k], z0, x[k])[1]
