@@ -391,11 +391,13 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     as the flow counts them); (2) the costate must satisfy the dual flow
     equation (finite-difference residual); (3) |H| <= tol in free-time
     mode, |H - mean H| <= tol in fixed-time mode; (4) z0 <= 0 holds by
-    construction and z must be nowhere-vanishing when z0 = 0.  H is one
-    (nodes x candidates) table: over a point ``z F.T + z0 L`` from the
-    per-control table of the candidates and of the rows of ``u_nodes``, with
-    the dual flow ``K(u) z`` at all nodes at once; with a base, filled by
-    :func:`hamiltonian` calls, with :func:`costate_rhs` calls.
+    construction and z must be nowhere-vanishing when z0 = 0.  H over the
+    candidates is a (nodes x candidates) table: over a point ``z F.T + z0 L``
+    in one operation, from the per-control table of the candidates and of
+    the rows of ``u_nodes``, with the dual flow ``K(u) z`` at all nodes at
+    once; with a base each node's row comes from :func:`hamiltonian` calls,
+    of which its two best values are kept, and the dual flow from
+    :func:`costate_rhs` calls.
     """
     if mode not in ("free-time", "fixed-time"):
         raise ValueError(f"unknown mode {mode!r}")
