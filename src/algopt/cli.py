@@ -98,11 +98,16 @@ def _cmd_audit(args) -> int:
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError("scenario", "auditing requires a built-in scenario")
     sys_ = SCENARIOS[cfg["scenario"]].system(cfg)
+    for file in (args.traj, args.costate):
+        if not Path(file).is_file():
+            raise ConfigError(file, "file not found")
     path, u_nodes = read_trajectory_csv(args.traj)
     breakpoints = _switch_times(Path(args.traj).with_name("switches.csv"), path, u_nodes)
     if breakpoints:
         path, u_nodes = read_trajectory_csv(args.traj, breakpoints)
-    costate, _ = read_costate_csv(args.costate, breakpoints)
+    costate, _ = read_costate_csv(args.costate)   # only its nodes and z are read
+    if not np.array_equal(costate.grid.nodes, path.grid.nodes):
+        raise ConfigError(args.costate, "costate times do not match the trajectory's")
     audit = verify_extremal(sys_, path, None, costate, mode=args.mode,
                             tol=float(cfg["solver"]["tol"]), u_nodes=u_nodes)
     report = audit.to_dict()

@@ -13,13 +13,14 @@ functions are skew; :func:`pairing_drift` measures the numerical defect.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .core import (_DEFAULT_FD_STEP, ChartAlgebroid, ExtendedAlgebroid, _dual_field,
-                   _lift_matrix, _shaped, product_with_time)
+                   _lift_matrix, _shaped, affine_matrix_field, product_with_time)
 from .numerics import TimeGrid, finite_difference_jacobian, integrate_segmented
 from .paths import EPath
 
@@ -29,6 +30,7 @@ __all__ = [
     "ControlSpace",
     "ControlSignal",
     "ControlSystem",
+    "control_affine",
     "Trajectory",
     "TransportFrame",
     "simulate_trajectory",
@@ -68,8 +70,9 @@ class FiniteSet:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box of controls, with an optional closed-form maximizer
-    ``maximizer(x, z, z0) -> u`` registered by a scenario."""
+    """Axis-aligned box of controls, with an optional exact maximizer
+    ``maximizer(x, z, z0) -> u`` of H over the box, as :func:`control_affine`
+    registers; without one, H is maximized on a refined grid."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -162,6 +165,53 @@ class ControlSystem:
                               dtype=float)
         u = _as_control(u)
         return finite_difference_jacobian(lambda p: self.L_at(p, u), x, fd_step)[0]
+
+
+def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
+    """argmax of b.u - (c/2) u.G u over the box, for c >= 0 and G positive
+    definite.  For c > 0 it is the interior stationary point when that is
+    feasible, else the best feasible stationary point over the 3^p faces of
+    the box (each coordinate free, at its lower or at its upper bound): a
+    concave maximum is the stationary point of the face it lies inside.  For
+    c = 0 it is the sign rule, the upper bound where b_j >= 0."""
+    if c == 0:
+        return np.where(b >= 0, box.upper, box.lower)
+    u = np.linalg.solve(G, b) / c
+    if box.contains(u):
+        return u
+    best, best_h = None, -np.inf
+    for face in map(np.array, itertools.product((0, 1, 2), repeat=b.size)):
+        free = face == 2
+        u = np.where(face == 0, box.lower, box.upper)
+        if free.any():
+            rhs = b[free] - c * G[np.ix_(free, ~free)] @ u[~free]
+            u[free] = np.linalg.solve(G[np.ix_(free, free)], rhs) / c
+        h = b @ u - 0.5 * c * (u @ G @ u)
+        if box.contains(u) and h > best_h:
+            best, best_h = u, h
+    return best
+
+
+def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
+    """The system f(x, u) = F(x) u with the cost L(x, u) = 1/2 u.G(x) u over
+    the box |u_j| <= u_max, with exact Jacobians.  ``F`` and ``G`` are
+    (const, linear) pairs of :func:`core.affine_matrix_field` (linear may be
+    None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
+    definite where the system is used.  The box's maximizer of
+    H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`)."""
+    F_at, dF = affine_matrix_field(*F)
+    G_at, dG = affine_matrix_field(*G)
+    p = np.shape(F[0])[1]
+    box = Box(-u_max * np.ones(p), u_max * np.ones(p),
+              maximizer=lambda x, z, z0: _box_qp(F_at(x).T @ z, G_at(x), -z0, box))
+    return ControlSystem(
+        alg=alg,
+        f=lambda x, u: F_at(x) @ u,
+        L=lambda x, u: 0.5 * float(u @ G_at(x) @ u),
+        control_space=box,
+        f_jacobian=lambda x, u: np.einsum("iba,b->ia", dF(x), u),
+        L_gradient=lambda x, u: 0.5 * np.einsum("acb,a,c->b", dG(x), u, u),
+    )
 
 
 @dataclass(frozen=True)

@@ -160,28 +160,28 @@ def _box_argmax(sys: ControlSystem, z, z0, x, box: Box, n_grid: int = 33,
     return u
 
 
-def _maximize(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float]:
+def _argmax(sys: ControlSystem, z, z0, x) -> np.ndarray:
+    """The control of :func:`maximize_hamiltonian`, without its H."""
     U = sys.control_space
     if isinstance(U, FiniteSet):
-        values = [hamiltonian(sys, z, z0, x, v) for v in U.values]
-        best = int(np.argmax(values))
-        return U.values[best], values[best]
+        return U.values[int(np.argmax([hamiltonian(sys, z, z0, x, v) for v in U.values]))]
     if U.maximizer is not None:
-        u = U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
-    else:
-        u = _box_argmax(sys, z, z0, x, U)
-    return u, hamiltonian(sys, z, z0, x, u)
+        return U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
+    return _box_argmax(sys, z, z0, x, U)
 
 
 def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float]:
-    """Pointwise maximization of H over the control space.
+    """Pointwise maximization of H over the control space; returns (u, H).
 
     Finite sets are searched exhaustively with ties broken by lowest listing
-    index; boxes use a registered closed-form maximizer when present and a
-    33-per-axis grid with golden-section refinement otherwise (up to three
-    control dimensions).
+    index.  Boxes use their registered maximizer when present, clipped to the
+    box: the exact one of :func:`control.control_affine` (the interior
+    solution, else the best stationary point over the box faces), or a
+    scenario's own.  Other boxes use a 33-per-axis grid with golden-section
+    refinement (up to three control dimensions).
     """
-    return _maximize(sys, z, z0, x)
+    u = _argmax(sys, z, z0, x)
+    return u, hamiltonian(sys, z, z0, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
     """State-plus-costate RHS with the control u held, or, for u None,
     maximized at every stage."""
     def maximizer(x, z):
-        return _maximize(sys, z, z0, x)[0]
+        return _argmax(sys, z, z0, x)
 
     return _flow_rhs(sys, maximizer if u is None else u,
                      lambda x, v, z: costate_rhs(sys, x, v, z, z0))
@@ -243,8 +243,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         states = integrate(_pmp_rhs(sys, None, z0), grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]
-        u_nodes = np.array([_maximize(sys, zs[k], z0, base[k])[0]
-                            for k in range(len(node_list))])
+        u_nodes = np.array([_argmax(sys, zs[k], z0, base[k]) for k in range(len(node_list))])
         fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(node_list))])
         h_nodes = np.array([hamiltonian(sys, zs[k], z0, base[k], u_nodes[k])
                             for k in range(len(node_list))])

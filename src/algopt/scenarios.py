@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import Box, ControlSystem, FiniteSet, costate_rhs
+from .control import ControlSystem, FiniteSet, control_affine, costate_rhs
 from .core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial,
                    lie_algebra, so3_algebra, so3_structure, tangent_bundle,
                    validate_anchor_morphism, validate_skew)
@@ -151,22 +151,16 @@ class WongFixture:
     metric_linear: np.ndarray = None          # (d, d, d)
 
     def __post_init__(self):
-        algebra = np.asarray(self.algebra, dtype=float)
-        A0 = np.asarray(self.connection_const, dtype=float)
-        k, d = A0.shape
-        A1 = (np.zeros((k, d, d)) if self.connection_linear is None
-              else np.asarray(self.connection_linear, dtype=float))
-        g0 = (np.eye(d) if self.metric_const is None
-              else np.asarray(self.metric_const, dtype=float))
-        g1 = (np.zeros((d, d, d)) if self.metric_linear is None
-              else np.asarray(self.metric_linear, dtype=float))
-        if algebra.shape != (k, k, k):
-            raise ValueError("algebra table shape does not match the connection")
-        if A1.shape != (k, d, d) or g0.shape != (d, d) or g1.shape != (d, d, d):
-            raise ValueError("fixture coefficient shapes are inconsistent")
-        for name, val in (("algebra", algebra), ("connection_const", A0),
-                          ("connection_linear", A1), ("metric_const", g0),
-                          ("metric_linear", g1)):
+        k, d = np.shape(self.connection_const)
+        for name, shape, default in (
+                ("algebra", (k, k, k), None), ("connection_const", (k, d), None),
+                ("connection_linear", (k, d, d), np.zeros((k, d, d))),
+                ("metric_const", (d, d), np.eye(d)),
+                ("metric_linear", (d, d, d), np.zeros((d, d, d)))):
+            val = getattr(self, name)
+            val = np.asarray(default if val is None else val, dtype=float)
+            if val.shape != shape:
+                raise ValueError(f"{name} has shape {val.shape}, expected {shape}")
             object.__setattr__(self, name, val)
 
     @property
@@ -178,67 +172,38 @@ class WongFixture:
         return self.connection_const.shape[0]
 
     def connection(self, x) -> np.ndarray:
-        return self.connection_const + self.connection_linear @ np.asarray(x, dtype=float)
-
-    def connection_jac(self, x) -> np.ndarray:
-        """dA[i, b, c] = d A^i_b / d x^c."""
-        return self.connection_linear
+        """A(x), at a point or at each row of a stack of points."""
+        return self.connection_const + np.einsum("ibc,...c->...ib", self.connection_linear, x)
 
     def metric(self, x) -> np.ndarray:
-        return self.metric_const + self.metric_linear @ np.asarray(x, dtype=float)
-
-    def metric_jac(self, x) -> np.ndarray:
-        """dg[a, c, b] = d g_ac / d x^b."""
-        return self.metric_linear
+        """g(x), at a point or at each row of a stack of points."""
+        return self.metric_const + np.einsum("acb,...b->...ac", self.metric_linear, x)
 
     def curvature(self, x) -> np.ndarray:
-        """B[i, a, b] = d_a A^i_b - d_b A^i_a - c^i_jk A^j_a A^k_b."""
-        dA = self.connection_jac(x)
+        """B[..., i, a, b] = d_a A^i_b - d_b A^i_a - c^i_jk A^j_a A^k_b, where
+        dA[i, b, a] = d A^i_b / d x^a is ``connection_linear``."""
+        dA = self.connection_linear
         A = self.connection(x)
-        out = np.einsum("iba->iab", dA) - dA
-        out -= np.einsum("ijk,ja,kb->iab", self.algebra, A, A)
-        return out
+        return (np.einsum("iba->iab", dA) - dA
+                - np.einsum("ijk,...ja,...kb->...iab", self.algebra, A, A))
 
     def curvature_antisymmetry(self, points) -> float:
-        worst = 0.0
-        for x in np.atleast_2d(points):
-            B = self.curvature(x)
-            worst = max(worst, float(np.abs(B + np.swapaxes(B, 1, 2)).max()))
-        return worst
+        B = self.curvature(np.atleast_2d(points))
+        return float(np.abs(B + np.swapaxes(B, -1, -2)).max())
 
 
 def build_wong_system(fixture: WongFixture, u_max: float = 10.0) -> ControlSystem:
-    """Control system (u, -A(x) u) with kinetic-energy cost 1/2 g(x)(u, u).
-
-    The box carries the closed-form maximizer of the normal case,
-    u^b = g^{ab} (p_a - A^i_a xi_i) / (-z0).
+    """Control system f = (u, -A(x) u) with kinetic-energy cost 1/2 g(x)(u, u),
+    as the control-affine form F(x) = [[I], [-A(x)]], G(x) = g(x) of
+    :func:`control.control_affine`, whose box maximizer is exact: in the
+    normal case u = g^{-1} (p - A(x)^T xi) / (-z0) when that is inside the
+    box, otherwise the box-constrained maximizer.
     """
     d, k = fixture.base_dim, fixture.algebra_dim
     chart = atiyah_trivial(d, fixture.algebra, name="atiyah-so3" if k == 3 else "atiyah")
-
-    def f(x, u):
-        return np.concatenate([u, -fixture.connection(x) @ u])
-
-    def f_jac(x, u):
-        out = np.zeros((d + k, d))
-        out[d:, :] = -np.einsum("ibc,b->ic", fixture.connection_jac(x), u)
-        return out
-
-    def L(x, u):
-        return 0.5 * float(u @ fixture.metric(x) @ u)
-
-    def L_grad(x, u):
-        return 0.5 * np.einsum("acb,a,c->b", fixture.metric_jac(x), u, u)
-
-    def maximizer(x, z, z0):
-        p, xi = z[:d], z[d:]
-        ptilde = p - fixture.connection(x).T @ xi
-        if z0 < 0:
-            return np.linalg.solve(fixture.metric(x), ptilde) / (-z0)
-        return np.where(ptilde >= 0, u_max, -u_max)
-
-    box = Box(-u_max * np.ones(d), u_max * np.ones(d), maximizer=maximizer)
-    return ControlSystem(chart, f, L, box, f_jacobian=f_jac, L_gradient=L_grad)
+    F = (np.vstack([np.eye(d), -fixture.connection_const]),
+         np.concatenate([np.zeros((d, d, d)), -fixture.connection_linear]))
+    return control_affine(chart, F, (fixture.metric_const, fixture.metric_linear), u_max)
 
 
 @dataclass(frozen=True)
@@ -283,29 +248,20 @@ def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
     audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
                             mode="fixed-time", tol=tol, u_nodes=flow.u_nodes)
 
-    nodes = flow.path.grid.nodes
-    N = len(nodes)
-    xs = flow.path.base
-    ps = flow.costate.z[:, :d]
-    xis = flow.costate.z[:, d:]
-    us = flow.u_nodes
-    ptil = np.array([ps[k] - fixture.connection(xs[k]).T @ xis[k] for k in range(N)])
-    dptil = grid_derivative(flow.path.grid, ptil)
+    xs, us = flow.path.base, flow.u_nodes
+    ps, xis = flow.costate.z[:, :d], flow.costate.z[:, d:]
+    A = fixture.connection(xs)
+    dptil = grid_derivative(flow.path.grid, ps - np.einsum("nib,ni->nb", A, xis))
     dxi = grid_derivative(flow.path.grid, xis)
 
-    res1 = 0.0
-    res2 = 0.0
-    for k in range(2, N - 2):
-        x, u, xi = xs[k], us[k], xis[k]
-        B = fixture.curvature(x)
-        r1 = (dptil[k] + np.einsum("iab,a,i->b", B, u, xi)
-              + 0.5 * z0 * np.einsum("acb,a,c->b", fixture.metric_jac(x), u, u))
-        A = fixture.connection(x)
-        r2 = dxi[k] + np.einsum("kij,ib,b,k->j", fixture.algebra, A, u, xi)
-        res1 = max(res1, float(np.abs(r1).max()))
-        res2 = max(res2, float(np.abs(r2).max()))
+    inner = slice(2, len(xs) - 2)
+    r1 = (dptil + np.einsum("niab,na,ni->nb", fixture.curvature(xs), us, xis)
+          + 0.5 * z0 * np.einsum("acb,na,nc->nb", fixture.metric_linear, us, us))
+    r2 = dxi + np.einsum("kij,nib,nb,nk->nj", fixture.algebra, A, us, xis)
+    res1 = float(np.max(np.abs(r1[inner]), initial=0.0))
+    res2 = float(np.max(np.abs(r2[inner]), initial=0.0))
 
-    speeds = np.array([us[k] @ fixture.metric(xs[k]) @ us[k] for k in range(N)])
+    speeds = np.einsum("na,nac,nc->n", us, fixture.metric(xs), us)
     speed_drift = float(np.abs(speeds - speeds[0]).max())
 
     rng = np.random.default_rng(0)
@@ -320,22 +276,10 @@ def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
 # ---------------------------------------------------------------------------
 
 def build_lq_system(u_max: float = 10.0) -> ControlSystem:
-    """Scalar integrator xdot = u with cost u^2/2 on the tangent bundle of R."""
-    chart = tangent_bundle(1)
-
-    def maximizer(x, z, z0):
-        if z0 < 0:
-            return z / (-z0)
-        return np.where(z >= 0, u_max, -u_max)
-
-    return ControlSystem(
-        alg=chart,
-        f=lambda x, u: u.copy(),
-        L=lambda x, u: 0.5 * float(u @ u),
-        control_space=Box([-u_max], [u_max], maximizer=maximizer),
-        f_jacobian=lambda x, u: np.zeros((1, 1)),
-        L_gradient=lambda x, u: np.zeros(1),
-    )
+    """Scalar integrator xdot = u with cost u^2/2 on the tangent bundle of R:
+    the control-affine form F = G = [[1]] of :func:`control.control_affine`,
+    whose maximizer is u = z / (-z0) clipped to the box."""
+    return control_affine(tangent_bundle(1), (np.eye(1), None), (np.eye(1), None), u_max)
 
 
 def classical_reduction_residual(sys: ControlSystem, samples) -> float:
@@ -347,9 +291,6 @@ def classical_reduction_residual(sys: ControlSystem, samples) -> float:
     """
     worst = 0.0
     for x, u, z, z0 in samples:
-        x = np.asarray(x, dtype=float)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        z = np.asarray(z, dtype=float)
         general = costate_rhs(sys, x, u, z, z0)
         textbook = -(sys.f_jac_at(x, u).T @ z + z0 * sys.L_grad_at(x, u))
         worst = max(worst, float(np.abs(general - textbook).max()))
@@ -383,10 +324,7 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
                             mode="fixed-time", tol=tol, u_nodes=flow.u_nodes)
 
     nodes = flow.path.grid.nodes
-    if z0 < 0:
-        u_star = float(z_init) / (-z0)
-    else:
-        u_star = u_max if z_init >= 0 else -u_max
+    u_star = float(z_init) / (-z0) if z0 < 0 else (u_max if z_init >= 0 else -u_max)
     x_exact = float(x0) + u_star * nodes
     err = max(float(np.abs(flow.path.base[:, 0] - x_exact).max()),
               float(np.abs(flow.costate.z[:, 0] - float(z_init)).max()),
@@ -528,7 +466,10 @@ def _expect(cfg: dict, key: str, kind, path: str, required: bool = True, default
         return default
     val = cfg[key]
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:   # an integer literal past the float range
+            raise ConfigError(_label(path, key), "number out of range") from None
     if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(_label(path, key),
                           f"expected {kind.__name__}, got {type(val).__name__}")
@@ -603,6 +544,9 @@ def validate_config(config: dict) -> dict:
         return out
     for section, key, shape, *required in SCENARIOS[name].fields:
         _array(out[section] if section else out, key, section, shape, *required)
+    if "u_max" in SCENARIOS[name].defaults["params"]:   # the bound of a box
+        if not _expect(params, "u_max", float, "params") > 0:
+            raise ConfigError("params.u_max", "must be positive")
     horizon = _expect(out, "horizon", float, "", required=False, default=1.0)
     if not horizon > 0:
         raise ConfigError("horizon", "must be positive")

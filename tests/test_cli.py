@@ -189,3 +189,31 @@ def test_audit_rejects_a_bad_switches_file(tmp_path, capsys, text):
     assert main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
                  "--costate", str(out_dir / "costate.csv")]) == 2
     assert "switches.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["traj", "costate", "grid"])
+def test_audit_names_a_missing_or_mismatched_file(tmp_path, capsys, bad):
+    """A missing --traj or --costate file, or a costate from another grid,
+    exits 2 and names the file."""
+    path = write_config(tmp_path, dict(default_config("so3-bang-bang"), horizon=1.0))
+    for step in ("1e-3", "2e-3"):
+        main(["run", path, "--out", str(tmp_path / step), "--step", step])
+    traj, costate = tmp_path / "1e-3" / "trajectory.csv", tmp_path / "1e-3" / "costate.csv"
+    named = tmp_path / "2e-3" / "costate.csv" if bad == "grid" else tmp_path / "absent.csv"
+    if bad == "traj":
+        traj = named
+    else:
+        costate = named
+    capsys.readouterr()
+    assert main(["audit", path, "--traj", str(traj), "--costate", str(costate)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+
+
+@pytest.mark.parametrize("name", ["classical-tm-lq", "wong-so3-r2"])
+@pytest.mark.parametrize("u_max", ["big", -1, 0, [1], True, 10**400])
+def test_bad_u_max_exits_2_with_its_path(tmp_path, capsys, name, u_max):
+    cfg = default_config(name)
+    cfg["params"]["u_max"] = u_max
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: params.u_max: ")

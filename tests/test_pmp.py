@@ -18,7 +18,8 @@ from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol
                         hamiltonian, integrate_pmp_flow, make_needle_context,
                         maximize_hamiltonian, needle_vector, sample_symbols,
                         shoot_endpoint, time_dependence_audit, verify_extremal)
-from algopt.scenarios import build_lq_system, build_so3_bang_bang_system
+from algopt.scenarios import (WongFixture, build_lq_system, build_so3_bang_bang_system,
+                              build_wong_system)
 from conftest import skew_hat
 
 
@@ -92,6 +93,38 @@ def test_maximize_quadratic_box_against_grid_search(wong_fixture):
         hi = np.minimum(best_u + cell, 10.0)
     assert np.abs(u_closed - best_u).max() < 1e-4
     assert h_closed >= best - 1e-8
+
+
+def test_box_maximizer_on_a_non_diagonal_metric_reproduction():
+    """Clipping g^{-1} p / (-z0) coordinate by coordinate gives u = (1, 1) and
+    H = -1.975 here; a 101 x 101 grid finds 4.380."""
+    fixture = WongFixture(so3_structure(), np.zeros((3, 2)),
+                          metric_const=[[0.2026, -0.5385], [-0.5385, 3.1371]])
+    u, h = maximize_hamiltonian(build_wong_system(fixture, u_max=1.0),
+                                np.array([2.872, -3.716, 0.0, 0.0, 0.0]), -1.0, np.zeros(2))
+    assert u.tolist() == [1.0, -1.0]
+    assert abs(h - 4.37965) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3))
+def test_box_maximizer_beats_a_fine_grid_on_non_diagonal_metrics(seed, p):
+    """Wong systems over R^p with a random non-diagonal SPD metric and a box
+    that cuts off the unconstrained maximizer: the maximizer's H is at least
+    the best H on a fine grid over the box, computed from the fixture."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(p, p))
+    metric = R @ R.T + 0.1 * np.eye(p)
+    fixture = WongFixture(so3_structure(), rng.normal(size=(3, p)), metric_const=metric)
+    x, z = rng.uniform(-1.0, 1.0, size=p), rng.normal(size=p + 3)
+    b = z[:p] - fixture.connection(x).T @ z[p:]
+    u_max = rng.uniform(0.2, 0.9) * np.abs(np.linalg.solve(metric, b)).max()
+    u, h = maximize_hamiltonian(build_wong_system(fixture, u_max=u_max), z, -1.0, x)
+    assert np.all(np.abs(u) <= u_max)
+    axis = np.linspace(-u_max, u_max, {1: 2001, 2: 201, 3: 41}[p])
+    grid = np.stack(np.meshgrid(*[axis] * p, indexing="ij"), axis=-1).reshape(-1, p)
+    grid_h = grid @ b - 0.5 * np.einsum("na,ab,nb->n", grid, metric, grid)
+    assert h >= grid_h.max() - 1e-12
 
 
 def test_box_without_maximizer_uses_refined_grid():

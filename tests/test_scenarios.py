@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algopt import scenarios
-from algopt.core import so3_structure
+from algopt.control import control_affine
+from algopt.core import so3_structure, tangent_bundle
 from algopt.errors import ConfigError
+from algopt.numerics import finite_difference_jacobian, grid_derivative
 from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, build_chart_from_config,
+                              classical_reduction_residual,
                               default_config, run_scenario, scenario_classical,
                               scenario_so3_bang_bang, scenario_wong,
                               validate_chart, validate_config)
@@ -97,6 +102,39 @@ def test_wong_nonconstant_metric_residuals():
     assert r.internal_residual < 1e-5
 
 
+def test_wong_oracle_matches_a_per_node_loop():
+    """The oracle's array operations against its formulas node by node.  The
+    sums run in another order, and the residuals differentiate ptilde and xi
+    on the grid, so the tolerance is a few ulps of O(1) terms over the step."""
+    A1 = np.array([[[0.3, 0.0], [0.0, -0.2]], [[0.0, 0.4], [0.1, 0.0]],
+                   [[-0.2, 0.1], [0.3, 0.0]]])
+    g1 = 0.1 * np.array([[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.5], [1.0, 0.0]]])
+    fixture = WongFixture(so3_structure(), np.array([[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]]), A1,
+                          np.array([[1.0, 0.2], [0.2, 1.5]]), g1)
+    z0, step = -1.0, 1e-3
+    r = scenario_wong(fixture, [0.2, -0.1], [0.8, 0.5], [0.3, -0.2, 0.4], z0=z0,
+                      horizon=0.2, step=step)
+    xs, us, z, grid = r.flow.path.base, r.flow.u_nodes, r.flow.costate.z, r.flow.path.grid
+    A = [fixture.connection_const + A1 @ x for x in xs]
+    g = [fixture.metric_const + g1 @ x for x in xs]
+    ptil = np.array([z[k, :2] - A[k].T @ z[k, 2:] for k in range(len(xs))])
+    dptil = grid_derivative(grid, ptil)
+    dxi = grid_derivative(grid, z[:, 2:])
+    res1 = res2 = 0.0
+    for k in range(2, len(xs) - 2):
+        B = (np.einsum("iba->iab", A1) - A1
+             - np.einsum("ijk,ja,kb->iab", fixture.algebra, A[k], A[k]))
+        r1 = (dptil[k] + np.einsum("iab,a,i->b", B, us[k], z[k, 2:])
+              + 0.5 * z0 * np.einsum("acb,a,c->b", g1, us[k], us[k]))
+        r2 = dxi[k] + np.einsum("kij,ib,b,k->j", fixture.algebra, A[k], us[k], z[k, 2:])
+        res1, res2 = max(res1, np.abs(r1).max()), max(res2, np.abs(r2).max())
+    speeds = np.array([u @ gk @ u for u, gk in zip(us, g)])
+    tol = 100 * np.finfo(float).eps / step
+    assert abs(r.momentum_residual - res1) < tol
+    assert abs(r.internal_residual - res2) < tol
+    assert abs(r.speed_drift - np.abs(speeds - speeds[0]).max()) < tol
+
+
 def test_wong_flat_connection_gives_straight_lines():
     flat = WongFixture(so3_structure(), connection_const=np.zeros((3, 2)))
     x0 = np.array([0.1, 0.2])
@@ -152,6 +190,27 @@ def test_classical_reduction_identity_nontrivial_system(rng):
                 rng.normal(size=2), -float(rng.random()))
                for _ in range(25)]
     assert classical_reduction_residual(sys, samples) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3))
+def test_classical_reduction_holds_on_random_control_affine_systems(seed, n, p):
+    """On TR^n the dual transport of f = F(x) u, L = 1/2 u.G(x) u is the
+    textbook adjoint, and the declared form's Jacobians are the central
+    differences of f and L."""
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(p, p))
+    G1 = 0.1 * rng.normal(size=(p, p, n))
+    sys = control_affine(tangent_bundle(n), (rng.normal(size=(n, p)), rng.normal(size=(n, p, n))),
+                         (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)), u_max=10.0)
+    samples = [(rng.normal(size=n), rng.uniform(-2.0, 2.0, size=p), rng.normal(size=n),
+                -float(rng.random())) for _ in range(5)]
+    assert classical_reduction_residual(sys, samples) <= 1e-12
+    for x, u, _, _ in samples:
+        f_fd = finite_difference_jacobian(lambda y: sys.f_at(y, u), x)
+        L_fd = finite_difference_jacobian(lambda y: sys.L_at(y, u), x)[0]
+        assert np.abs(sys.f_jac_at(x, u) - f_fd).max() <= 1e-6
+        assert np.abs(sys.L_grad_at(x, u) - L_fd).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
