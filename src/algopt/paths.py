@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ChartAlgebroid, as_sample_points
 from .errors import AdmissibilityWarning, CompositionError, IntegrationDivergedError
-from .numerics import TimeGrid, _rk4_sampled, grid_derivative
+from .numerics import TimeGrid, _rk4, grid_derivative
 
 __all__ = [
     "EPath",
@@ -102,12 +102,8 @@ def admissibility_residual(alg: ChartAlgebroid, path: EPath) -> float:
     """
     if path.grid.n_nodes < 3:
         raise ValueError("need at least 3 grid nodes")
-    dx = grid_derivative(path.grid, path.base)
-    worst = 0.0
-    for k in range(1, path.grid.n_nodes - 1):
-        rho = alg.anchor_at(path.base[k])
-        worst = max(worst, float(np.linalg.norm(dx[k] - rho @ path.fiber[k])))
-    return worst
+    dx = grid_derivative(path.grid, path.base)[1:-1]
+    return _anchor_defect(_sampler(alg, "anchor")(path.base[1:-1]), dx, path.fiber[1:-1])
 
 
 def compose_paths(p: EPath, q: EPath, tol: float = 1e-9) -> EPath:
@@ -146,7 +142,9 @@ def reparameterize_unit(p: EPath) -> EPath:
 @dataclass(frozen=True)
 class HomotopyField:
     """Two-parameter family over (t, eps): base x, t-direction fiber a, and the
-    infinitesimal-deformation fiber b (may be absent until generated)."""
+    infinitesimal-deformation fiber b (may be absent until generated), each
+    indexed (t node, eps node, component).  Like time nodes, the eps nodes
+    must be at least two and strictly increasing."""
 
     t_grid: TimeGrid
     eps_nodes: np.ndarray       # (E,)
@@ -156,6 +154,8 @@ class HomotopyField:
 
     def __post_init__(self):
         eps = np.asarray(self.eps_nodes, dtype=float)
+        if eps.ndim != 1 or len(eps) < 2 or not np.all(np.diff(eps) > 0):
+            raise ValueError("eps_nodes must be at least two strictly increasing values")
         T, E = self.t_grid.n_nodes, len(eps)
         for name, arr in (("base", self.base), ("a", self.a)):
             arr = np.asarray(arr, dtype=float)
@@ -186,45 +186,47 @@ def _eps_gradient(eps_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.gradient(values, eps_nodes, axis=1, edge_order=edge)
 
 
-def _structure_cache(alg: ChartAlgebroid):
-    """Structure lookup with a fast path for point-based charts (n = 0)."""
-    if alg.base_dim == 0:
-        c0 = alg.structure_at(np.zeros(0))
-        return lambda x: c0
-    return alg.structure_at
+def _sampler(alg: ChartAlgebroid, field: str):
+    """``points -> values`` for the chart field "anchor" or "structure": a
+    (..., n) stack of points maps to (..., n, m) or (..., m, m, m), one
+    evaluation per point.  Over a point base the field is evaluated once,
+    here, and broadcast."""
+    n, m = alg.base_dim, alg.fiber_dim
+    at, shape = (alg.anchor_at, (n, m)) if field == "anchor" else (alg.structure_at, (m, m, m))
+    if n == 0:
+        value = at(np.zeros(0))
+        return lambda points: np.broadcast_to(value, points.shape[:-1] + shape)
+    return lambda points: np.reshape([at(x) for x in points.reshape(-1, n)],
+                                     points.shape[:-1] + shape)
+
+
+def _anchor_defect(rho: np.ndarray, dx: np.ndarray, v: np.ndarray) -> float:
+    """Largest |dx - rho v| over a stack of samples; 0.0 when it is empty."""
+    res = dx - np.einsum("...ai,...i->...a", rho, v)
+    return float(np.linalg.norm(res, axis=-1).max(initial=0.0))
 
 
 def homotopy_residual(alg: ChartAlgebroid, field: HomotopyField) -> HomotopyReport:
     """Residual of  d_t b = d_eps a + c(x)[b, a]  plus the two admissibility defects.
 
     Partials are central differences (segment-wise in t); the maxima run over
-    grid points interior in both directions.
+    grid points interior in both directions, 0.0 when there are none.  The
+    chart is sampled once per interior point, one t node at a time.
     """
     if field.b is None:
         raise ValueError("field has no b component")
-    T, E, m = field.a.shape
-    n = field.base.shape[2]
-    db_dt = grid_derivative(field.t_grid, field.b.reshape(T, E * m)).reshape(T, E, m)
-    da_de = _eps_gradient(field.eps_nodes, field.a)
-    dx_dt = grid_derivative(field.t_grid, field.base.reshape(T, E * n)).reshape(T, E, n)
-    dx_de = _eps_gradient(field.eps_nodes, field.base)
-    structure = _structure_cache(alg)
-
-    eq_worst = 0.0
-    t_adm = 0.0
-    e_adm = 0.0
-    for it in range(1, T - 1):
-        for ie in range(1, E - 1):
-            x = field.base[it, ie]
-            c = structure(x)
-            res = db_dt[it, ie] - da_de[it, ie] - np.einsum("ijk,j,k->i", c, field.b[it, ie],
-                                                            field.a[it, ie])
-            eq_worst = max(eq_worst, float(np.abs(res).max()))
-            if n:
-                rho = alg.anchor_at(x)
-                t_adm = max(t_adm, float(np.linalg.norm(dx_dt[it, ie] - rho @ field.a[it, ie])))
-                e_adm = max(e_adm, float(np.linalg.norm(dx_de[it, ie] - rho @ field.b[it, ie])))
-    return HomotopyReport(eq_worst, t_adm, e_adm)
+    inner = (slice(1, -1), slice(1, -1))
+    x, a, b = field.base[inner], field.a[inner], field.b[inner]
+    res = (grid_derivative(field.t_grid, field.b)[inner]
+           - _eps_gradient(field.eps_nodes, field.a)[inner])
+    structure = _sampler(alg, "structure")
+    for k in range(len(x)):   # structure values of one t node at a time
+        res[k] -= np.einsum("eijk,ej,ek->ei", structure(x[k]), b[k], a[k])
+    rho = _sampler(alg, "anchor")(x)
+    dx_dt = grid_derivative(field.t_grid, field.base)[inner]
+    dx_de = _eps_gradient(field.eps_nodes, field.base)[inner]
+    return HomotopyReport(float(np.abs(res).max(initial=0.0)),
+                          _anchor_defect(rho, dx_dt, a), _anchor_defect(rho, dx_de, b))
 
 
 def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
@@ -234,53 +236,43 @@ def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
     """Integrate  d_t b = d_eps a + c(x)[b, a],  b(t0, eps) = b0(eps).
 
     Requires a t-admissible family a over base x and a rho-admissible b0 over
-    x(t0, .).  Returns the completed field together with the monitor
+    x(t0, .).  Each RK4 step advances every eps at once, one einsum per
+    stage, with the structure sampled once at each node and each midpoint of
+    x (once per call over a point base).  Returns the completed field
+    together with the monitor
 
         chi = max |d_eps x - rho(x) b| ,
 
     which stays at discretization level exactly when the chart is almost Lie;
     a warning is emitted when it exceeds ``warn_threshold``.
     """
-    T, E, m = field.a.shape
-    n = field.base.shape[2]
+    x, a, nodes = field.base, field.a, field.t_grid.nodes
     b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (E, m):
-        raise ValueError(f"b0 has shape {b0.shape}, expected {(E, m)}")
-    da_de = _eps_gradient(field.eps_nodes, field.a)
-    structure = _structure_cache(alg)
-    nodes = field.t_grid.nodes
+    if b0.shape != a.shape[1:]:
+        raise ValueError(f"b0 has shape {b0.shape}, expected {a.shape[1:]}")
+    da_de = _eps_gradient(field.eps_nodes, a)
+    structure = _sampler(alg, "structure")
 
-    def rhs(x_lv, a_lv, da_lv, B):
-        out = np.empty_like(B)
-        for e in range(E):
-            c = structure(x_lv[e])
-            out[e] = da_lv[e] + np.einsum("ijk,j,k->i", c, B[e], a_lv[e])
-        return out
+    def rhs(c, a_lv, da_lv):
+        return lambda B: da_lv + np.einsum("eijk,ej,ek->ei", c, B, a_lv)
 
-    b = np.empty((T, E, m))
-    B = b0.copy()
-    b[0] = B
-    for k in range(T - 1):
-        B = _rk4_sampled(rhs, (field.base[k], field.a[k], da_de[k]),
-                         (field.base[k + 1], field.a[k + 1], da_de[k + 1]),
-                         B, nodes[k + 1] - nodes[k])
-        if not np.all(np.isfinite(B)):
+    b = np.empty_like(a)
+    b[0] = b0
+    c_hi = structure(x[0])
+    for k in range(len(nodes) - 1):
+        c_lo, c_mid, c_hi = c_hi, structure(0.5 * (x[k] + x[k + 1])), structure(x[k + 1])
+        b[k + 1] = _rk4(rhs(c_lo, a[k], da_de[k]),
+                        rhs(c_mid, 0.5 * (a[k] + a[k + 1]), 0.5 * (da_de[k] + da_de[k + 1])),
+                        rhs(c_hi, a[k + 1], da_de[k + 1]), b[k], nodes[k + 1] - nodes[k])
+        if not np.all(np.isfinite(b[k + 1])):
             raise IntegrationDivergedError(nodes[k + 1])
-        b[k + 1] = B
 
-    chi = 0.0
-    if n:
-        dx_de = _eps_gradient(field.eps_nodes, field.base)
-        for it in range(T):
-            for ie in range(E):
-                rho = alg.anchor_at(field.base[it, ie])
-                chi = max(chi, float(np.linalg.norm(dx_de[it, ie] - rho @ b[it, ie])))
+    chi = _anchor_defect(_sampler(alg, "anchor")(x), _eps_gradient(field.eps_nodes, x), b)
     if chi > warn_threshold:
         warnings.warn(f"base-admissibility monitor reached {chi:.3g}; "
                       "the chart may fail the anchor-morphism axiom or the inputs "
                       "may be inadmissible", AdmissibilityWarning)
-    out = replace(field, b=b)
-    return out, chi
+    return replace(field, b=b), chi
 
 
 def shrink_homotopy(alg: ChartAlgebroid, p: EPath, n_t: int = 33,
@@ -311,7 +303,5 @@ def shrink_homotopy(alg: ChartAlgebroid, p: EPath, n_t: int = 33,
 
 def bracket_bound(alg: ChartAlgebroid, points) -> float:
     """Frobenius bound on the bracket: |c[u, v]| <= bound * |u| * |v| on the samples."""
-    worst = 0.0
-    for x in as_sample_points(points, alg.base_dim):
-        worst = max(worst, float(np.sqrt((alg.structure_at(x) ** 2).sum())))
-    return worst
+    c = _sampler(alg, "structure")(as_sample_points(points, alg.base_dim))
+    return float(np.sqrt((c ** 2).sum(axis=(1, 2, 3))).max(initial=0.0))

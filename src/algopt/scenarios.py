@@ -54,6 +54,8 @@ SCHEMA_VERSION = 1
 _MAX_NODES = 1_000_000
 # Largest solver.symbol_samples; each symbol is one needle vector of the cone check.
 _MAX_SYMBOL_SAMPLES = 100_000
+# Largest chart.dim and chart.base_dim; tangent_bundle(n) holds two (n, n, n) tables.
+_MAX_CHART_DIM = 100
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +478,18 @@ def _expect(cfg: dict, key: str, kind, path: str, required: bool = True, default
     return val
 
 
+def _numeric(cfg: dict, key: str, path: str) -> np.ndarray:
+    raw = _expect(cfg, key, list, path)
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(_label(path, key), "expected a numeric array") from None
+
+
 def _array(cfg: dict, key: str, path: str, shape: tuple, required: bool = True):
     if not required and cfg.get(key) is None:
         return None
-    raw = _expect(cfg, key, list, path)
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(_label(path, key), "expected a numeric array") from None
+    arr = _numeric(cfg, key, path)
     if arr.shape != shape:
         raise ConfigError(_label(path, key), f"expected shape {shape}, got {arr.shape}")
     return arr
@@ -556,8 +562,15 @@ def validate_config(config: dict) -> dict:
     return out
 
 
+def _chart_dim(spec: dict, key: str, least: int) -> int:
+    dim = _expect(spec, key, int, "chart")
+    if not least <= dim <= _MAX_CHART_DIM:
+        raise ConfigError(f"chart.{key}", f"must be an integer from {least} to {_MAX_CHART_DIM}")
+    return dim
+
+
 def _structure_table(spec: dict, key: str = "table") -> np.ndarray:
-    table = np.asarray(_expect(spec, key, list, "chart"), dtype=float)
+    table = _numeric(spec, key, "chart")
     if table.ndim != 3 or len(set(table.shape)) != 1:
         raise ConfigError(f"chart.{key}", "expected an (m, m, m) table")
     return table
@@ -579,17 +592,14 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
         except ValueError as exc:
             raise ConfigError("chart.table", str(exc)) from None
     if kind == "tangent":
-        dim = _expect(spec, "dim", int, "chart")
-        if dim < 1:
-            raise ConfigError("chart.dim", "must be a positive integer")
-        return tangent_bundle(dim)
+        return tangent_bundle(_chart_dim(spec, "dim", 1))
     if kind == "atiyah":
-        base_dim = _expect(spec, "base_dim", int, "chart")
+        base_dim = _chart_dim(spec, "base_dim", 0)
         table = _structure_table(spec)
         _array(spec, "connection_const", "chart", (table.shape[0], base_dim), required=False)
         return atiyah_trivial(base_dim, table, name="config-atiyah")
     if kind == "affine-anchor":
-        const = np.asarray(_expect(spec, "anchor_const", list, "chart"), dtype=float)
+        const = _numeric(spec, "anchor_const", "chart")
         if const.ndim != 2:
             raise ConfigError("chart.anchor_const", "expected an (n, m) matrix")
         n, m = const.shape

@@ -7,17 +7,21 @@ Column layouts (all tables row-major, one sample per line):
   trajectory CSV  t, x_1..x_n, a_1..a_m, u_1..u_p
   costate CSV     t, z_1..z_m, z0, H
   frame CSV       t, B_11..B_mm, Bbar_11..Bbar_mm
+
+The readers raise ConfigError naming the file when it is not such a table.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .control import TransportFrame
+from .errors import ConfigError
 from .numerics import TimeGrid
 from .paths import EPath, HomotopyField
 from .pmp import CostatePath
@@ -55,8 +59,8 @@ def _columns(data, prefix: str) -> np.ndarray:
     """The numbered columns prefix1, prefix2, ... of a parsed table, (N, count)."""
     count = sum(1 for c in data.dtype.names if c.startswith(prefix))
     if not count:
-        return np.zeros((np.atleast_1d(data["t"]).size, 0))
-    return np.column_stack([np.atleast_1d(data[name]) for name in _names(prefix, count)])
+        return np.zeros((len(data), 0))
+    return np.column_stack([data[name] for name in _names(prefix, count)])
 
 
 def write_path_csv(file, path: EPath) -> None:
@@ -92,10 +96,31 @@ def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
     _write_rows(file, header, rows)
 
 
+def _read_table(file, fields: tuple[str, ...], breakpoints) -> tuple[np.ndarray, TimeGrid]:
+    """Rows of an artifact CSV and the time grid of its ``t`` column.  Raises
+    ConfigError naming the file unless it has a header holding ``fields``
+    and at least two rows of finite numbers at increasing times (a
+    non-numeric entry parses as NaN)."""
+    try:
+        with warnings.catch_warnings():   # an empty file warns, then fails
+            warnings.simplefilter("ignore")
+            data = np.atleast_1d(np.genfromtxt(file, delimiter=",", names=True))
+    except (ValueError, IndexError):   # ragged rows; an empty file
+        raise ConfigError(str(file), "not a CSV table with one header line") from None
+    for name in fields:
+        if name not in data.dtype.names:
+            raise ConfigError(str(file), f"no column {name!r}")
+    for name in data.dtype.names:
+        if not np.all(np.isfinite(data[name])):
+            raise ConfigError(str(file), f"column {name!r} has a non-numeric or non-finite entry")
+    try:
+        return data, TimeGrid.from_nodes(data["t"], tuple(breakpoints))
+    except ValueError as exc:   # under two rows, times not increasing, a breakpoint off them
+        raise ConfigError(str(file), str(exc)) from None
+
+
 def read_trajectory_csv(file, breakpoints=()) -> tuple[EPath, np.ndarray]:
-    data = np.genfromtxt(file, delimiter=",", names=True)
-    ts = np.atleast_1d(data["t"])
-    grid = TimeGrid.from_nodes(ts, tuple(breakpoints))
+    data, grid = _read_table(file, ("t",), breakpoints)
     path = EPath(grid, _columns(data, "x_"), _columns(data, "a_"))
     return path, _columns(data, "u_")
 
@@ -119,12 +144,8 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 
 
 def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
-    data = np.genfromtxt(file, delimiter=",", names=True)
-    ts = np.atleast_1d(data["t"])
-    z0 = float(np.atleast_1d(data["z0"])[0])
-    h = np.atleast_1d(data["H"])
-    grid = TimeGrid.from_nodes(ts, tuple(breakpoints))
-    return CostatePath(grid, _columns(data, "z_"), z0), h
+    data, grid = _read_table(file, ("t", "z0", "H"), breakpoints)
+    return CostatePath(grid, _columns(data, "z_"), float(data["z0"][0])), data["H"]
 
 
 def write_frame_csv(file, frame: TransportFrame) -> None:

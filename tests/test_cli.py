@@ -217,3 +217,49 @@ def test_bad_u_max_exits_2_with_its_path(tmp_path, capsys, name, u_max):
     path = write_config(tmp_path, cfg)
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("config error: params.u_max: ")
+
+
+def with_entry(text, column, value):
+    """CSV text with the first row's entry in ``column`` replaced by ``value``."""
+    lines = text.splitlines()
+    row = lines[1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    return "\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n"
+
+
+@pytest.mark.parametrize("flag, corrupt", [
+    ("traj", lambda text: "hello\n"),
+    ("costate", lambda text: "hello\n"),
+    ("traj", lambda text: text.splitlines()[0] + "\n"),    # header only
+    ("traj", lambda text: ""),
+    ("costate", lambda text: with_entry(text, "z_1", "nan")),
+    ("traj", lambda text: with_entry(text, "x_1", "abc")),   # genfromtxt reads NaN
+], ids=["traj-hello", "costate-hello", "traj-header-only", "traj-empty",
+        "costate-nan", "traj-non-numeric"])
+def test_audit_names_a_file_that_is_not_an_artifact_table(tmp_path, capsys, flag, corrupt):
+    """A --traj or --costate file that exists but is not an artifact table
+    exits 2 and names the file, instead of a traceback or a passing audit."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    files = {"traj": out_dir / "trajectory.csv", "costate": out_dir / "costate.csv"}
+    files[flag].write_text(corrupt(files[flag].read_text()))
+    capsys.readouterr()
+    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(files["traj"]),
+                 "--costate", str(files["costate"])]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {files[flag]}: ")
+
+
+@pytest.mark.parametrize("chart, field", [
+    ({"kind": "affine-anchor", "anchor_const": [["a"]]}, "chart.anchor_const"),
+    ({"kind": "atiyah", "base_dim": 1, "table": [[["a"]]]}, "chart.table"),
+    ({"kind": "atiyah", "base_dim": -1, "table": [[[0.0]]]}, "chart.base_dim"),
+    ({"kind": "atiyah", "base_dim": 101, "table": [[[0.0]]]}, "chart.base_dim"),
+    ({"kind": "tangent", "dim": 101}, "chart.dim"),
+])
+def test_bad_chart_spec_exits_2_with_its_path(tmp_path, capsys, chart, field):
+    """Non-numeric tables, negative dimensions and dimensions past the cap of
+    100 (tangent_bundle(n) holds two (n, n, n) tables) are config errors."""
+    path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")

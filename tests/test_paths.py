@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from algopt.core import tangent_bundle
+from algopt.core import (ChartAlgebroid, affine_matrix_field, tangent_bundle,
+                         validate_anchor_morphism)
 from algopt.errors import AdmissibilityWarning, CompositionError
-from algopt.numerics import TimeGrid
+from algopt.numerics import TimeGrid, _rk4_sampled
 from algopt.paths import (EPath, HomotopyField, admissibility_residual,
                           bracket_bound, compose_paths,
                           generate_infinitesimal_homotopy, homotopy_residual,
@@ -226,6 +232,111 @@ def test_chi_monitor_flags_non_al_chart():
         _, chi_bad = generate_infinitesimal_homotopy(broken, field, b0)
     assert chi_good < 1e-6
     assert chi_bad > 1e-2
+
+
+def generate_per_eps(alg, field, b0):
+    """Reference generator: one structure evaluation and one einsum per (RK4
+    stage, eps sample), and chi point by point."""
+    T, E, m = field.a.shape
+    edge = 2 if E >= 3 else 1
+    da_de = np.gradient(field.a, field.eps_nodes, axis=1, edge_order=edge)
+
+    def rhs(x_lv, a_lv, da_lv, B):
+        out = np.empty_like(B)
+        for e in range(E):
+            c = alg.structure_at(x_lv[e])
+            out[e] = da_lv[e] + np.einsum("ijk,j,k->i", c, B[e], a_lv[e])
+        return out
+
+    nodes = field.t_grid.nodes
+    b = np.empty((T, E, m))
+    b[0] = b0
+    for k in range(T - 1):
+        b[k + 1] = _rk4_sampled(rhs, (field.base[k], field.a[k], da_de[k]),
+                                (field.base[k + 1], field.a[k + 1], da_de[k + 1]),
+                                b[k], nodes[k + 1] - nodes[k])
+    dx_de = np.gradient(field.base, field.eps_nodes, axis=1, edge_order=edge)
+    chi = max(float(np.linalg.norm(dx_de[t, e] - alg.anchor_at(field.base[t, e]) @ b[t, e]))
+              for t in range(T) for e in range(E))
+    return b, chi
+
+
+@pytest.mark.parametrize("n, m, E, T", [(0, 3, 4, 9), (1, 2, 2, 11), (2, 3, 5, 3),
+                                        (3, 4, 11, 21), (2, 1, 7, 9)])
+def test_generator_matches_a_per_eps_loop(n, m, E, T):
+    """Stepping all eps at once keeps the arithmetic of one einsum per (stage,
+    eps): b is bit for bit the same on x-dependent anchor and structure; chi
+    sums its norms in another order."""
+    rng = np.random.default_rng(n + 10 * m + 100 * E)
+    anchor, anchor_jac = affine_matrix_field(rng.normal(size=(n, m)),
+                                             0.3 * rng.normal(size=(n, m, n)))
+    c0, c1 = rng.normal(size=(m, m, m)), 0.3 * rng.normal(size=(m, m, m, n))
+    c0, c1 = c0 - c0.swapaxes(1, 2), c1 - c1.swapaxes(1, 2)
+    alg = ChartAlgebroid(n, m, anchor, lambda x: c0 + c1 @ x, anchor_jacobian=anchor_jac)
+    grid = TimeGrid.from_nodes(np.sort(np.r_[0.0, 1.0, rng.uniform(0.01, 0.99, T - 2)]))
+    eps = np.sort(np.r_[0.0, rng.uniform(0.05, 1.0, E - 1)])
+    base = 0.1 * rng.normal(size=(T, E, n)) + np.linspace(0.0, 1.0, T)[:, None, None]
+    field = HomotopyField(grid, eps, base, rng.normal(size=(T, E, m)))
+    b0 = rng.normal(size=(E, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdmissibilityWarning)   # the family is not admissible
+        out, chi = generate_infinitesimal_homotopy(alg, field, b0)
+    b_ref, chi_ref = generate_per_eps(alg, field, b0)
+    assert out.b.tobytes() == b_ref.tobytes()
+    assert chi == pytest.approx(chi_ref, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [[0.0], [0.0, 0.5, 0.5, 1.0]])
+def test_homotopy_field_rejects_bad_eps_nodes(eps):
+    """One eps node, or a repeated one, is refused at construction; it used
+    to reach np.gradient (IndexError) or the first RK4 step (divergence)."""
+    T, E = 11, len(eps)
+    with pytest.raises(ValueError, match="eps_nodes"):
+        HomotopyField(TimeGrid(0.0, 1.0, 0.1), eps, np.zeros((T, E, 1)), np.ones((T, E, 1)))
+
+
+UPPER_TRIANGULAR = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                             [[0.0, 1.0], [0.0, 0.0]],
+                             [[0.0, 0.0], [0.0, 1.0]]])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_anchor_morphism_gives_admissible_homotopies(seed):
+    """The upper-triangular 2x2 matrices act linearly on R^2, conjugated by a
+    random P and mixed by a random basis change Q: rho(x) e_j = A_j x and
+    [A_j, A_k] = -c^i_jk A_i.  Along x(t, eps) = expm(t K)(x0 + eps v) with
+    K = a0^i A_i the generated b keeps d_eps x = rho(x) b; with the bracket
+    set to zero the morphism check fails and so does the monitor."""
+    rng = np.random.default_rng(seed)
+    P, Q = rng.normal(size=(2, 2)), rng.normal(size=(3, 3))
+    assume(np.linalg.cond(P) < 10 and np.linalg.cond(Q) < 10)
+    A = np.einsum("ij,iab->jab", Q, P @ UPPER_TRIANGULAR @ np.linalg.inv(P))
+    commutators = A[:, None] @ A[None, :] - A[None, :] @ A[:, None]
+    c = np.linalg.lstsq(A.reshape(3, 4).T, -commutators.reshape(9, 4).T,
+                        rcond=None)[0].reshape(3, 3, 3)
+    anchor, anchor_jac = affine_matrix_field(np.zeros((2, 3)), A.transpose(1, 0, 2))
+
+    T, E = 201, 9
+    grid = TimeGrid(0.0, 1.0, 1.0 / (T - 1))
+    eps = np.linspace(0.0, 1.0, E)
+    a0, x0, v = rng.uniform(-1.0, 1.0, 3), rng.normal(size=2), rng.normal(size=2)
+    flow = expm(grid.nodes[:, None, None] * np.einsum("i,iab->ab", a0, A))
+    x = np.einsum("tab,eb->tea", flow, x0 + eps[:, None] * v)   # linear in eps
+    field = HomotopyField(grid, eps, x, np.tile(a0, (T, E, 1)))
+    b0 = np.stack([np.linalg.lstsq(anchor(x0 + e * v), v, rcond=None)[0] for e in eps])
+    points = x.reshape(-1, 2)[::97]
+
+    al = ChartAlgebroid(2, 3, anchor, lambda x: c, anchor_jacobian=anchor_jac)
+    assert validate_anchor_morphism(al, points, 1e-5, 1e-9).passed
+    _, chi = generate_infinitesimal_homotopy(al, field, b0)
+    assert chi <= 1e-6
+
+    flat = ChartAlgebroid(2, 3, anchor, lambda x: np.zeros((3, 3, 3)), anchor_jacobian=anchor_jac)
+    assert not validate_anchor_morphism(flat, points, 1e-5, 1e-9).passed
+    with pytest.warns(AdmissibilityWarning):
+        _, chi_flat = generate_infinitesimal_homotopy(flat, field, b0)
+    assert chi_flat >= 1e-3
 
 
 # ---------------------------------------------------------------------------
