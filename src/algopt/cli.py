@@ -106,6 +106,14 @@ def _cmd_audit(args) -> int:
     if breakpoints:
         path, u_nodes = read_trajectory_csv(args.traj, breakpoints)
     costate, _ = read_costate_csv(args.costate)   # only its nodes and z are read
+    n, m = sys_.alg.base_dim, sys_.alg.fiber_dim
+    for file, prefix, cols, want in (
+            (args.traj, "x_", path.base, n), (args.traj, "a_", path.fiber, m),
+            (args.traj, "u_", u_nodes, sys_.control_space.dim),
+            (args.costate, "z_", costate.z, m)):
+        if cols.shape[1] != want:
+            raise ConfigError(file, f"has {cols.shape[1]} {prefix} columns; the "
+                                    f"{cfg['scenario']} system needs {want}")
     if not np.array_equal(costate.grid.nodes, path.grid.nodes):
         raise ConfigError(args.costate, "costate times do not match the trajectory's")
     audit = verify_extremal(sys_, path, None, costate, mode=args.mode,

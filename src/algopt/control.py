@@ -90,9 +90,9 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, u) -> bool:
+    def contains(self, u):   # one bool per row of a stack
         u = _as_control(u)
-        return bool(np.all(u >= self.lower - 1e-12) and np.all(u <= self.upper + 1e-12))
+        return np.all((u >= self.lower - 1e-12) & (u <= self.upper + 1e-12), axis=-1)
 
     def clip(self, u) -> np.ndarray:
         return np.clip(_as_control(u), self.lower, self.upper)
@@ -144,6 +144,7 @@ class ControlSystem:
     control_space: ControlSpace
     f_jacobian: Callable | None = None   # (x, u) -> (m, n)
     L_gradient: Callable | None = None   # (x, u) -> (n,)
+    affine: tuple | None = None          # the (F, G) tables of control_affine
 
     def f_at(self, x, u) -> np.ndarray:
         out = self.f(np.asarray(x, dtype=float), _as_control(u))
@@ -168,28 +169,32 @@ class ControlSystem:
 
 
 def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
-    """argmax of b.u - (c/2) u.G u over the box, for c >= 0 and G positive
-    definite.  For c > 0 it is the interior stationary point when that is
-    feasible, else the best feasible stationary point over the 3^p faces of
-    the box (each coordinate free, at its lower or at its upper bound): a
-    concave maximum is the stationary point of the face it lies inside.  For
-    c = 0 it is the sign rule, the upper bound where b_j >= 0."""
+    """argmax of b.u - (c/2) u.G u over the box at each row of b (k, p) and
+    G (k, p, p), for c >= 0 and G positive definite.  For c > 0 it is the
+    interior stationary point when that is feasible, else (rows outside only)
+    the best feasible stationary point over the 3^p faces of the box (each
+    coordinate free, at its lower or at its upper bound): a concave maximum
+    is the stationary point of the face it lies inside.  For c = 0 it is the
+    sign rule, the upper bound where b_j >= 0."""
     if c == 0:
         return np.where(b >= 0, box.upper, box.lower)
-    u = np.linalg.solve(G, b) / c
-    if box.contains(u):
+    u = np.linalg.solve(G, b[..., None])[..., 0] / c
+    out = ~box.contains(u)
+    if not out.any():
         return u
-    best, best_h = None, -np.inf
-    for face in map(np.array, itertools.product((0, 1, 2), repeat=b.size)):
+    b, G = b[out], G[out]
+    best, best_h = u[out], np.full(len(b), -np.inf)
+    for face in map(np.array, itertools.product((0, 1, 2), repeat=b.shape[1])):
         free = face == 2
-        u = np.where(face == 0, box.lower, box.upper)
+        v = np.tile(np.where(face == 0, box.lower, box.upper), (len(b), 1))
         if free.any():
-            rhs = b[free] - c * G[np.ix_(free, ~free)] @ u[~free]
-            u[free] = np.linalg.solve(G[np.ix_(free, free)], rhs) / c
-        h = b @ u - 0.5 * c * (u @ G @ u)
-        if box.contains(u) and h > best_h:
-            best, best_h = u, h
-    return best
+            rhs = b[:, free] - (c * G[:, free][:, :, ~free] @ v[:, ~free, None])[..., 0]
+            v[:, free] = np.linalg.solve(G[:, free][:, :, free], rhs[..., None])[..., 0] / c
+        h = (b[:, None] @ v[..., None] - 0.5 * c * (v[:, None] @ G @ v[..., None]))[:, 0, 0]
+        better = box.contains(v) & (h > best_h)
+        best[better], best_h[better] = v[better], h[better]
+    u[out] = best
+    return u
 
 
 def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
@@ -198,12 +203,13 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
     (const, linear) pairs of :func:`core.affine_matrix_field` (linear may be
     None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
     definite where the system is used.  The box's maximizer of
-    H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`)."""
+    H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`).  The
+    audit reads F and G from ``affine``."""
     F_at, dF = affine_matrix_field(*F)
     G_at, dG = affine_matrix_field(*G)
     p = np.shape(F[0])[1]
-    box = Box(-u_max * np.ones(p), u_max * np.ones(p),
-              maximizer=lambda x, z, z0: _box_qp(F_at(x).T @ z, G_at(x), -z0, box))
+    box = Box(-u_max * np.ones(p), u_max * np.ones(p), maximizer=lambda x, z, z0: _box_qp(
+        (F_at(x).T @ z)[None], G_at(x)[None], -z0, box)[0])
     return ControlSystem(
         alg=alg,
         f=lambda x, u: F_at(x) @ u,
@@ -211,6 +217,7 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
         control_space=box,
         f_jacobian=lambda x, u: np.einsum("iba,b->ia", dF(x), u),
         L_gradient=lambda x, u: 0.5 * np.einsum("acb,a,c->b", dG(x), u, u),
+        affine=(F, G),
     )
 
 
@@ -335,10 +342,10 @@ def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]
 def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,
                 z0: float) -> np.ndarray:
     """zdot_k = -rho^a_k (df^i/dx^a z_i + dL/dx^a z0) + c^i_jk f^j z_i."""
-    dh_dx = None
-    if sys.alg.base_dim:
+    alg, dh_dx = sys.alg, None
+    if alg.base_dim:
         dh_dx = sys.f_jac_at(x, u).T @ z + z0 * sys.L_grad_at(x, u)
-    return _dual_field(sys.alg, x, sys.f_at(x, u), z, dh_dx)
+    return _dual_field(alg.structure_at(x), alg.anchor_at(x), sys.f_at(x, u), z, dh_dx)
 
 
 def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, dual: bool,

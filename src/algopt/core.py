@@ -232,13 +232,15 @@ def _lift_matrix(alg: ChartAlgebroid, x: np.ndarray, f: np.ndarray,
     return jac @ alg.anchor_at(x) + np.einsum("ijk,k->ij", alg.structure_at(x), f)
 
 
-def _dual_field(alg: ChartAlgebroid, x: np.ndarray, v: np.ndarray, z: np.ndarray,
+def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
                 dh_dx: np.ndarray | None) -> np.ndarray:
-    """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a, where v is the
-    fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point."""
-    zdot = np.einsum("ijk,j,i->k", alg.structure_at(x), v, z)
-    if alg.base_dim:
-        zdot -= alg.anchor_at(x).T @ dh_dx
+    """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a from chart
+    values c and rho at a point, or stacked on leading axes (rows keep the
+    bits of one point), where v is the fiber velocity dh/dz; ``dh_dx`` is
+    read only when the base is not a point."""
+    zdot = np.einsum("...ijk,...j,...i->...k", c, v, z)
+    if rho.shape[-2]:
+        zdot -= (np.swapaxes(rho, -1, -2) @ dh_dx[..., None])[..., 0]
     return zdot
 
 
@@ -264,7 +266,8 @@ def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarr
         dh_dx = np.asarray(grad_x(x, xi), dtype=float)
     elif alg.base_dim:
         dh_dx = finite_difference_jacobian(lambda p: h(p, xi), x, fd_step)[0]
-    return alg.anchor_at(x) @ dh_dxi, _dual_field(alg, x, dh_dxi, xi, dh_dx)
+    rho = alg.anchor_at(x)
+    return rho @ dh_dxi, _dual_field(alg.structure_at(x), rho, dh_dxi, xi, dh_dx)
 
 
 @dataclass(frozen=True)

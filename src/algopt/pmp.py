@@ -17,13 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      _flow_rhs, _matrix_rhs, _point_table, _signal_grid, _transport,
+                      _box_qp, _flow_rhs, _matrix_rhs, _point_table, _signal_grid, _transport,
                       costate_rhs, extend_system, simulate_trajectory)
-from .core import ChartAlgebroid, _shaped, _with_unit_direction
+from .core import ChartAlgebroid, _dual_field, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
                        grid_derivative, integrate, integrate_segmented, rk4_step)
-from .paths import EPath
+from .paths import EPath, _sampler
 
 __all__ = [
     "CostatePath",
@@ -53,6 +53,7 @@ _TIE_GAP = 1e-10   # times max(1, |z|): H scales with (z, z0)
 # Steps whose development propagators are built in one batched RK4 step;
 # bounds the (block, d, d) arrays on long paths.
 _DEVELOP_BLOCK = 1024
+_AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
 # Relative forward-difference step of the shooting Jacobian.  Over a point the
 # endpoint depends on z only through the switch times, which bisection
 # localizes to integrate_pmp_flow's switch_tol = 1e-9; the endpoint map is
@@ -380,6 +381,32 @@ def _candidate_controls(sys: ControlSystem, n_samples: int = 9):
     return _box_grid(U, n_samples)
 
 
+def _affine_block(sys: ControlSystem, x, z, z0: float, u, candidates):
+    """At a block of nodes of a :func:`control.control_affine` system: H at u,
+    the two best H over the candidates, H at the exact maximizer and the dual
+    flow, by stacked products whose rows keep the per-node bits (up to the
+    last bit of dL/dx) of hamiltonian, maximize_hamiltonian and costate_rhs."""
+    (F, dF), (G, dG) = ((c, np.zeros(np.shape(c) + (x.shape[1],)) if d is None else d)
+                        for c, d in sys.affine)
+    Fx, Gx = (c + (d @ x[:, None, :, None])[..., 0] for c, d in ((F, dF), (G, dG)))
+
+    def h(w):   # H at controls w (block, k, p) -> (block, k), and f(x, w)
+        f = Fx[:, None] @ w[..., None]
+        L = 0.5 * (w[..., None, :] @ Gx[:, None] @ w[..., None])
+        return (z[:, None, None] @ f + z0 * L)[..., 0, 0], f[..., 0]
+
+    h_u, f = h(u[:, None])
+    b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
+    U = sys.control_space
+    h_star = h(U.clip(_box_qp(b, Gx, -z0, U))[:, None])[0][:, 0]
+    values = np.sort(h(np.asarray(candidates)[None])[0], axis=1)[:, -2:]
+    dh_dx = (np.einsum("iba,kb->kia", dF, u).swapaxes(1, 2) @ z[..., None])[..., 0]
+    dh_dx += z0 * (0.5 * np.einsum("acb,ka,kc->kb", dG, u, u))
+    rhs = _dual_field(_sampler(sys.alg, "structure")(x), _sampler(sys.alg, "anchor")(x),
+                      f[:, 0], z, dh_dx)
+    return h_u[:, 0], values, h_star, rhs
+
+
 def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
                     costate: CostatePath, mode: str = "free-time",
                     tol: float = 1e-5, u_nodes: np.ndarray | None = None) -> ExtremalAudit:
@@ -391,11 +418,11 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     equation (finite-difference residual); (3) |H| <= tol in free-time
     mode, |H - mean H| <= tol in fixed-time mode; (4) z0 <= 0 holds by
     construction and z must be nowhere-vanishing when z0 = 0.  H over the
-    candidates is a (nodes x candidates) table: over a point ``z F.T + z0 L``
-    in one operation, from the per-control table of the candidates and of
-    the rows of ``u_nodes``, with the dual flow ``K(u) z`` at all nodes at
-    once; with a base each node's row comes from :func:`hamiltonian` calls,
-    of which its two best values are kept, and the dual flow from
+    candidates is a (nodes x candidates) table: for a declared control-affine
+    system one array per block of nodes (:func:`_affine_block`); over a point
+    ``z F.T + z0 L`` from the per-control table of the candidates and of the
+    rows of ``u_nodes``, with the dual flow ``K(u) z``; otherwise node by
+    node from :func:`hamiltonian` (two best values kept) and
     :func:`costate_rhs` calls.
     """
     if mode not in ("free-time", "fixed-time"):
@@ -419,7 +446,13 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     U = sys.control_space
     candidates = _candidate_controls(sys)
     c = len(candidates)
-    if sys.alg.base_dim == 0:
+    h_star = -np.inf   # H at the exact maximizer, where the box has one
+    if sys.affine is not None:
+        rows = (slice(s, s + _AUDIT_BLOCK) for s in range(0, N, _AUDIT_BLOCK))
+        blocks = zip(*(_affine_block(sys, x[r], z[r], z0, u_nodes[r], candidates) for r in rows))
+        h_vals, values, h_star, rhs = map(np.concatenate, blocks)
+        values, h_star, rhs = values[keep], h_star[keep], rhs[inner]
+    elif sys.alg.base_dim == 0:
         used, which = np.unique(u_nodes, axis=0, return_inverse=True)
         table = _point_table(sys, [*candidates, *used])
         which = c + which.ravel()
@@ -433,10 +466,9 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
                               [-top:] for k in np.flatnonzero(keep)), (float, top), keep.sum())
         rhs = np.fromiter((costate_rhs(sys, x[k], u_nodes[k], z[k], z0)
                            for k in np.flatnonzero(inner)), (float, z.shape[1]), inner.sum())
-    best = values.max(axis=1)
-    if isinstance(U, Box) and U.maximizer is not None:
-        best = np.maximum(best, [maximize_hamiltonian(sys, z[k], z0, x[k])[1]
-                                 for k in np.flatnonzero(keep)])
+    if sys.affine is None and isinstance(U, Box) and U.maximizer is not None:
+        h_star = [maximize_hamiltonian(sys, z[k], z0, x[k])[1] for k in np.flatnonzero(keep)]
+    best = np.maximum(values.max(axis=1), h_star)
     max_violation = float(np.max(best - h_vals[keep], initial=0.0))
     n_ties = np.count_nonzero(_ties(values, z[keep])) if isinstance(U, FiniteSet) else 0
     if n_ties:

@@ -482,7 +482,7 @@ def _numeric(cfg: dict, key: str, path: str) -> np.ndarray:
     raw = _expect(cfg, key, list, path)
     try:
         return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):   # an integer past the float range
         raise ConfigError(_label(path, key), "expected a numeric array") from None
 
 
@@ -585,6 +585,8 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     energy pipeline), and ``affine-anchor`` (anchor rho(x) given by constant
     and linear coefficient tables, with a constant structure table).
     """
+    if not isinstance(spec, dict):
+        raise ConfigError("chart", f"expected an object, got {type(spec).__name__}")
     kind = _expect(spec, "kind", str, "chart")
     if kind == "lie-algebra":
         try:

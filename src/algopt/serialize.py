@@ -55,12 +55,14 @@ def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{j+1}" for j in range(count)]
 
 
-def _columns(data, prefix: str) -> np.ndarray:
-    """The numbered columns prefix1, prefix2, ... of a parsed table, (N, count)."""
-    count = sum(1 for c in data.dtype.names if c.startswith(prefix))
-    if not count:
-        return np.zeros((len(data), 0))
-    return np.column_stack([data[name] for name in _names(prefix, count)])
+def _columns(data, prefix: str, file) -> np.ndarray:
+    """The numbered columns prefix1, prefix2, ... of a parsed table, (N, count),
+    read by their numbers; raises ConfigError naming the file unless the
+    numbers run from 1 without a gap."""
+    names = _names(prefix, sum(1 for c in data.dtype.names if c.startswith(prefix)))
+    if not set(names) <= set(data.dtype.names):
+        raise ConfigError(str(file), f"{prefix} columns are not numbered 1 to {len(names)}")
+    return np.column_stack([data[name] for name in names]) if names else np.zeros((len(data), 0))
 
 
 def write_path_csv(file, path: EPath) -> None:
@@ -121,8 +123,8 @@ def _read_table(file, fields: tuple[str, ...], breakpoints) -> tuple[np.ndarray,
 
 def read_trajectory_csv(file, breakpoints=()) -> tuple[EPath, np.ndarray]:
     data, grid = _read_table(file, ("t",), breakpoints)
-    path = EPath(grid, _columns(data, "x_"), _columns(data, "a_"))
-    return path, _columns(data, "u_")
+    path = EPath(grid, _columns(data, "x_", file), _columns(data, "a_", file))
+    return path, _columns(data, "u_", file)
 
 
 def infer_breakpoints(ts: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
@@ -145,7 +147,7 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 
 def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
     data, grid = _read_table(file, ("t", "z0", "H"), breakpoints)
-    return CostatePath(grid, _columns(data, "z_"), float(data["z0"][0])), data["H"]
+    return CostatePath(grid, _columns(data, "z_", file), float(data["z0"][0])), data["H"]
 
 
 def write_frame_csv(file, frame: TransportFrame) -> None:

@@ -263,3 +263,47 @@ def test_bad_chart_spec_exits_2_with_its_path(tmp_path, capsys, chart, field):
     path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("made, config", [("classical-tm-lq", "so3-bang-bang"),
+                                          ("so3-bang-bang", "classical-tm-lq")])
+def test_audit_names_artifacts_of_another_system(tmp_path, capsys, made, config):
+    """LQ artifacts audited with the so3 config, and so3 artifacts with the LQ
+    config, exit 2 naming the file instead of a matmul traceback."""
+    out_dir = tmp_path / "artifacts"
+    main(["run", write_config(tmp_path, dict(default_config(made), horizon=1.0), "made.json"),
+          "--out", str(out_dir)])
+    capsys.readouterr()
+    traj = out_dir / "trajectory.csv"
+    assert main(["audit", write_config(tmp_path, default_config(config)), "--traj", str(traj),
+                 "--costate", str(out_dir / "costate.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {traj}: has ")
+
+
+def test_audit_names_a_costate_of_another_fiber(tmp_path, capsys):
+    """A costate CSV whose z columns do not match the fiber exits 2 naming it."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    costate = out_dir / "costate.csv"
+    rows = [line.split(",") for line in costate.read_text().splitlines()]
+    for row in rows:
+        row.insert(2, "0" if row is not rows[0] else "z_2")
+    costate.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    capsys.readouterr()
+    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(costate)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {costate}: has 2 z_ columns")
+
+
+def test_audit_names_a_trajectory_with_a_column_gap(tmp_path, capsys):
+    """The header t,x_2,a_1,u_1 exits 2 naming the file."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    traj = out_dir / "trajectory.csv"
+    traj.write_text(traj.read_text().replace("x_1", "x_2", 1))
+    capsys.readouterr()
+    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(traj),
+                 "--costate", str(out_dir / "costate.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {traj}: x_ columns ")

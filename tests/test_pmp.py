@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet,
-                            simulate_trajectory, transport_Bbar, transport_frame)
-from algopt.core import lie_algebra, so3_structure, tangent_bundle
+from algopt import pmp
+from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, control_affine,
+                            costate_rhs, simulate_trajectory, transport_Bbar, transport_frame)
+from algopt.core import atiyah_trivial, lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
-from algopt.numerics import TimeGrid
+from algopt.numerics import TimeGrid, grid_derivative
 from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
@@ -313,6 +315,90 @@ def test_audit_grid_mismatch_rejected(bang_bang_system):
     with pytest.raises(ValueError):
         verify_extremal(bang_bang_system, flow.path, flow.control,
                         other.costate, u_nodes=flow.u_nodes)
+
+
+def per_node_audit(sys, path, costate, u_nodes, mode, tol):
+    """verify_extremal's numbers, verdicts and notes on a box, from one
+    hamiltonian, maximize_hamiltonian and costate_rhs call per node and
+    candidate."""
+    nodes, x, z, z0 = path.grid.nodes, path.base, costate.z, costate.z0
+    keep = np.flatnonzero(~np.isin(nodes, path.grid.breakpoints))
+    inner = keep[(keep > 0) & (keep < len(nodes) - 1)]
+    U = sys.control_space
+    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(U.lower, U.upper)]
+    candidates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, U.dim)
+    h = np.array([hamiltonian(sys, z[k], z0, x[k], u_nodes[k]) for k in range(len(nodes))])
+    best = [max(maximize_hamiltonian(sys, z[k], z0, x[k])[1],
+                *(hamiltonian(sys, z[k], z0, x[k], v) for v in candidates)) for k in keep]
+    rhs = np.reshape([costate_rhs(sys, x[k], u_nodes[k], z[k], z0) for k in inner],
+                     (-1, z.shape[1]))
+    dz = grid_derivative(path.grid, z)[inner]
+    numbers = {"max_condition_violation": max(0.0, float(np.max(best - h[keep]))),
+               "costate_residual": float(np.abs(dz - rhs).max(initial=0.0)),
+               "h_drift": float(np.abs(h[keep] - (0.0 if mode == "free-time"
+                                                  else h[keep].mean())).max()),
+               "covector_min_norm": float(np.linalg.norm(z, axis=1).min())}
+    verdicts = {"maximum_condition": numbers["max_condition_violation"] <= tol,
+                "costate_flow": numbers["costate_residual"] <= tol,
+                "hamiltonian_profile": numbers["h_drift"] <= tol,
+                "multiplier": z0 != 0.0 or numbers["covector_min_norm"] > tol}
+    notes = () if z0 else ("abnormal multiplier (z0 = 0) accepted; the strict-negativity "
+                           "variant of the transversality statement is not enforced",)
+    return numbers, verdicts, notes, max(1.0, np.abs(h).max(), np.abs(dz).max(initial=0.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
+       atiyah=st.booleans(), z0=st.sampled_from([0.0, -1.0]), active=st.booleans(),
+       block=st.sampled_from([7, 128]), blocks=st.integers(0, 2), rest=st.integers(2, 6),
+       mode=st.sampled_from(["free-time", "fixed-time"]))
+def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active, block,
+                                                  blocks, rest, mode):
+    """On random control-affine systems with x-dependent F and G, over TR^n
+    or an Atiyah chart TR^n x so(3), the audit in node blocks gives the
+    numbers of a per-node loop to 1e-13 of their scale, and the same
+    verdicts and notes.  Node counts are not multiples of the block size;
+    the box is active or not at the random controls and the maximizer."""
+    rng = np.random.default_rng(seed)
+    chart = atiyah_trivial(n, so3_structure()) if atiyah else tangent_bundle(n)
+    m = chart.fiber_dim
+    R = rng.normal(size=(p, p))
+    G1 = 0.1 * rng.normal(size=(p, p, n))
+    u_max = 0.3 if active else 100.0
+    sys = control_affine(chart, (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
+                         (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)), u_max)
+    N = block * min(blocks, 1 if block == 128 else 2) + rest
+    nodes = np.sort(rng.uniform(0.0, 1.0, N))
+    breaks = (nodes[N // 2],) if blocks == 1 else ()
+    grid = TimeGrid.from_nodes(nodes, breaks)
+    path = EPath(grid, rng.uniform(-1.0, 1.0, (N, n)), np.zeros((N, m)))
+    costate = CostatePath(grid, rng.normal(size=(N, m)), z0)
+    u_nodes = rng.uniform(-u_max, u_max, (N, p))
+    tol = 1e-5
+    numbers, verdicts, notes, scale = per_node_audit(sys, path, costate, u_nodes, mode, tol)
+    with patch.object(pmp, "_AUDIT_BLOCK", block):
+        audit = verify_extremal(sys, path, None, costate, mode=mode, tol=tol, u_nodes=u_nodes)
+    for name, value in numbers.items():
+        assert abs(getattr(audit, name) - value) <= 1e-13 * scale, name
+    assert audit.verdicts == verdicts
+    assert audit.notes == notes
+
+
+def test_wong_audit_makes_no_per_node_calls(wong_fixture, monkeypatch):
+    """A declared control-affine system is audited on arrays: verify_extremal
+    calls neither hamiltonian, maximize_hamiltonian nor costate_rhs."""
+    sys = build_wong_system(wong_fixture)
+    flow = integrate_pmp_flow(sys, [0.2, -0.1], [0.8, 0.5, 0.3, -0.2, 0.4], -1.0, 0.0, 0.3,
+                              step=1e-3)
+
+    def forbidden(*args):
+        raise AssertionError("per-node call in the audit")
+
+    for name in ("hamiltonian", "maximize_hamiltonian", "costate_rhs"):
+        monkeypatch.setattr(pmp, name, forbidden)
+    audit = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
+                            u_nodes=flow.u_nodes)
+    assert audit.passed, audit.to_dict()
 
 
 # ---------------------------------------------------------------------------

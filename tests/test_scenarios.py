@@ -306,6 +306,45 @@ def test_validate_config_rejects_non_object_sections(key):
     assert err.value.path == key
 
 
+_AFFINE_ANCHOR = {"kind": "affine-anchor", "anchor_const": [[1.0, 0.0]],
+                  "anchor_linear": [[[0.0], [1.0]]],
+                  "table": [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+_CONFIGS = [*map(default_config, scenarios.SCENARIOS), {"scenario": "custom",
+                                                         "chart": _AFFINE_ANCHOR}]
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -10**400, 1e308, -1e308, 5e-324, 2**63, -2**63 - 1]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_validate_config_raises_only_config_errors_on_random_json(data):
+    """Random JSON values (nested objects and lists, wrong types, huge and
+    non-finite numbers) put in place of, or taken out of, a built-in
+    scenario's keys, a section's keys, or a custom chart spec's keys, either
+    validate or raise ConfigError."""
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(_CONFIGS))))
+    keys = [(k,) for k in cfg] + [(k, j) for k, v in cfg.items() if isinstance(v, dict)
+                                  for j in v]
+    for path in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        section = cfg if len(path) == 1 else cfg.get(path[0])
+        value = data.draw(_JSON | st.sampled_from([_DELETE, float("nan"), float("inf")]))
+        if not isinstance(section, dict):
+            continue
+        if value is _DELETE:
+            section.pop(path[-1], None)
+        else:
+            section[path[-1]] = value
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        pass
+
+
 def test_build_chart_from_config_variants():
     chart = build_chart_from_config({"kind": "tangent", "dim": 2})
     assert chart.base_dim == 2

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from algopt.control import ControlSignal, simulate_trajectory, transport_frame
 from algopt.numerics import TimeGrid
@@ -10,6 +11,7 @@ from algopt.serialize import (infer_breakpoints, read_costate_csv, read_path_csv
                               write_frame_csv, write_homotopy_csv, write_path_csv,
                               write_trajectory_csv)
 from algopt.core import tangent_bundle
+from algopt.errors import ConfigError
 
 
 def test_path_round_trip(tmp_path):
@@ -78,3 +80,25 @@ def test_infer_breakpoints():
     ts = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
     u = np.array([[1.0], [1.0], [-1.0], [-1.0], [1.0]])
     assert infer_breakpoints(ts, u) == (0.2,)
+
+
+def test_numbered_columns_are_read_by_their_numbers(tmp_path):
+    """Columns written out of order are read back by number, not position."""
+    f = tmp_path / "traj.csv"
+    f.write_text("t,a_2,x_1,a_1,u_1\n0,20,1,10,5\n1,21,2,11,6\n")
+    path, u = read_trajectory_csv(f)
+    assert path.base.tolist() == [[1.0], [2.0]]
+    assert path.fiber.tolist() == [[10.0, 20.0], [11.0, 21.0]]
+    assert u.tolist() == [[5.0], [6.0]]
+
+
+@pytest.mark.parametrize("header", ["t,x_2,a_1,u_1", "t,x_0,a_1,u_1", "t,x_1,a_1,a_3,u_1"])
+def test_misnumbered_columns_are_a_config_error_naming_the_file(tmp_path, header):
+    """A gap in the numbers, or numbers not starting at 1, exit 2 with the
+    file's path instead of a KeyError-like traceback."""
+    f = tmp_path / "traj.csv"
+    values = ",".join(["0"] * len(header.split(",")))
+    f.write_text(f"{header}\n{values}\n{values.replace('0', '1', 1)}\n")
+    with pytest.raises(ConfigError) as err:
+        read_trajectory_csv(f)
+    assert err.value.path == str(f)
