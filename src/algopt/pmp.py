@@ -19,7 +19,8 @@ import numpy as np
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       _box_qp, _flow_rhs, _matrix_rhs, _point_table, _signal_grid, _transport,
                       costate_rhs, extend_system, simulate_trajectory)
-from .core import ChartAlgebroid, _dual_field, _shaped, _with_unit_direction
+from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
+                   affine_matrix_field)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
                        grid_derivative, integrate, integrate_segmented, rk4_step)
@@ -217,6 +218,34 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
                      lambda x, v, z: costate_rhs(sys, x, v, z, z0))
 
 
+def _affine_pmp_rhs(sys: ControlSystem, z0: float):
+    """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system,
+    fused: F(x), G(x) and the chart once per stage, ``_box_qp`` only when
+    ``solve(G, b) / -z0`` leaves the box, dh/dx only for a linear part; the
+    same products, so the same bits."""
+    alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
+    (F_at, dF), (G_at, dG) = (affine_matrix_field(*t) for t in sys.affine)
+    _shaped(F_at(np.zeros(n)), (alg.fiber_dim, U.dim), "F has shape")
+    dF, dG, zero = dF(np.zeros(n)), dG(np.zeros(n)), np.zeros(n)
+    linear = any(d is not None for _, d in sys.affine)
+    lo, hi = U.lower - 1e-12, U.upper + 1e-12   # Box.contains, without its wrappers
+
+    def rhs(t, state):
+        x, z = state[:n], state[n:]
+        Fx, Gx = F_at(x), G_at(x)
+        b = Fx.T @ z
+        u = np.where(b >= 0, U.upper, U.lower) if z0 == 0 else np.linalg.solve(Gx, b) / -z0
+        if z0 != 0 and not ((u >= lo) & (u <= hi)).all():
+            u = _box_qp(b[None], Gx[None], -z0, U)[0]
+        u = u.clip(U.lower, U.upper)
+        f, rho = Fx @ u, alg.anchor_at(x)
+        dh_dx = (np.einsum("iba,b->ia", dF, u).T @ z
+                 + z0 * (0.5 * np.einsum("acb,a,c->b", dG, u, u))) if linear else zero
+        return np.concatenate([rho @ f, _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
+
+    return rhs
+
+
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        t1: float, step: float = 1e-3, switch_tol: float = 1e-9,
                        max_switches: int = 10_000) -> PmpFlow:
@@ -226,7 +255,8 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     on the Hamiltonian gap to ``switch_tol`` and inserted as grid breakpoints;
     larger finite sets re-evaluate the argmax at nodes only, and boxes use the
     (typically closed-form) maximizer at every integration stage and keep the
-    control only as ``u_nodes``.  Aborts with :class:`ChatteringError` after
+    control only as ``u_nodes``; a declared control-affine system steps the
+    fused field of :func:`_affine_pmp_rhs` instead.  Aborts with :class:`ChatteringError` after
     ``max_switches`` switches.
     """
     if z0 > 0:
@@ -241,13 +271,20 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     if isinstance(U, Box):
         grid = TimeGrid(t0, t1, step)
         node_list = grid.nodes
-        states = integrate(_pmp_rhs(sys, None, z0), grid, state)
+        affine = sys.affine is not None
+        states = integrate(_affine_pmp_rhs(sys, z0) if affine else _pmp_rhs(sys, None, z0),
+                           grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]
-        u_nodes = np.array([_argmax(sys, zs[k], z0, base[k]) for k in range(len(node_list))])
-        fiber = np.array([sys.f_at(base[k], u_nodes[k]) for k in range(len(node_list))])
-        h_nodes = np.array([hamiltonian(sys, zs[k], z0, base[k], u_nodes[k])
-                            for k in range(len(node_list))])
+        if affine:
+            Gx, b, h = _affine_at(sys, base, zs, z0)
+            u_nodes = U.clip(_box_qp(b, Gx, -z0, U))
+            h_nodes, fiber = (a[:, 0] for a in h(u_nodes[:, None]))
+        else:
+            u_nodes = np.array([_argmax(sys, z, z0, x) for x, z in zip(base, zs)])
+            fiber = np.array([sys.f_at(x, u) for x, u in zip(base, u_nodes)])
+            h_nodes = np.array([hamiltonian(sys, z, z0, x, u)
+                                for x, z, u in zip(base, zs, u_nodes)])
         signal = None
     else:
         _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
@@ -381,25 +418,34 @@ def _candidate_controls(sys: ControlSystem, n_samples: int = 9):
     return _box_grid(U, n_samples)
 
 
+def _affine_at(sys: ControlSystem, x, z, z0: float):
+    """At the rows of x (k, n) and z (k, m) for a :func:`control.control_affine`
+    system: G(x), b = F(x)^T z and ``h(w)``, H and f(x, w) at controls
+    w (k, j, p), as (k, j) and (k, j, m).  Stacked products whose rows keep
+    the bits of F(x), G(x), f_at and hamiltonian at one point."""
+    Fx, Gx = (np.broadcast_to(c, (len(x),) + np.shape(c)) if d is None
+              else c + (d @ x[:, None, :, None])[..., 0] for c, d in sys.affine)
+    b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
+
+    def h(w):
+        f = Fx[:, None] @ w[..., None]
+        L = 0.5 * (w[..., None, :] @ Gx[:, None] @ w[..., None])
+        return (z[:, None, None] @ f + z0 * L)[..., 0, 0], f[..., 0]
+
+    return Gx, b, h
+
+
 def _affine_block(sys: ControlSystem, x, z, z0: float, u, candidates):
     """At a block of nodes of a :func:`control.control_affine` system: H at u,
     the two best H over the candidates, H at the exact maximizer and the dual
     flow, by stacked products whose rows keep the per-node bits (up to the
     last bit of dL/dx) of hamiltonian, maximize_hamiltonian and costate_rhs."""
-    (F, dF), (G, dG) = ((c, np.zeros(np.shape(c) + (x.shape[1],)) if d is None else d)
-                        for c, d in sys.affine)
-    Fx, Gx = (c + (d @ x[:, None, :, None])[..., 0] for c, d in ((F, dF), (G, dG)))
-
-    def h(w):   # H at controls w (block, k, p) -> (block, k), and f(x, w)
-        f = Fx[:, None] @ w[..., None]
-        L = 0.5 * (w[..., None, :] @ Gx[:, None] @ w[..., None])
-        return (z[:, None, None] @ f + z0 * L)[..., 0, 0], f[..., 0]
-
+    Gx, b, h = _affine_at(sys, x, z, z0)
     h_u, f = h(u[:, None])
-    b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
     U = sys.control_space
     h_star = h(U.clip(_box_qp(b, Gx, -z0, U))[:, None])[0][:, 0]
     values = np.sort(h(np.asarray(candidates)[None])[0], axis=1)[:, -2:]
+    dF, dG = (np.zeros(np.shape(c) + (x.shape[1],)) if d is None else d for c, d in sys.affine)
     dh_dx = (np.einsum("iba,kb->kia", dF, u).swapaxes(1, 2) @ z[..., None])[..., 0]
     dh_dx += z0 * (0.5 * np.einsum("acb,ka,kc->kb", dG, u, u))
     rhs = _dual_field(_sampler(sys.alg, "structure")(x), _sampler(sys.alg, "anchor")(x),

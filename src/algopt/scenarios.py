@@ -318,7 +318,8 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
                        horizon: float = 1.0, step: float = 1e-3,
                        tol: float = 1e-5, u_max: float = 10.0) -> ClassicalScenarioResult:
     """LQ pipeline with its hand-solvable oracle: the costate is constant,
-    u = z, and the state moves on a straight line."""
+    u = z / (-z0) clipped to the box (the sign rule at z0 = 0), and the
+    state moves on a straight line."""
     sys = build_lq_system(u_max=u_max)
     flow = integrate_pmp_flow(sys, [float(x0)], [float(z_init)], z0, 0.0, horizon,
                               step=step)
@@ -326,7 +327,8 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
                             mode="fixed-time", tol=tol, u_nodes=flow.u_nodes)
 
     nodes = flow.path.grid.nodes
-    u_star = float(z_init) / (-z0) if z0 < 0 else (u_max if z_init >= 0 else -u_max)
+    u_star = (float(np.clip(float(z_init) / (-z0), -u_max, u_max)) if z0 < 0
+              else (u_max if z_init >= 0 else -u_max))
     x_exact = float(x0) + u_star * nodes
     err = max(float(np.abs(flow.path.base[:, 0] - x_exact).max()),
               float(np.abs(flow.costate.z[:, 0] - float(z_init)).max()),

@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet,
                             costate_rhs, extend_system, pairing_drift,
                             simulate_trajectory, transport_B, transport_Bbar,
                             transport_frame)
-from algopt.core import Section, tangent_bundle, tangent_lift_section
+from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
+                         tangent_lift_section, validate_skew)
 from algopt.numerics import integrate
 from conftest import non_skew_chart, skew_hat
 
@@ -240,6 +245,36 @@ def test_pairing_broken_by_symmetric_bracket():
     drift = pairing_drift(sys, traj, np.array([1.0, 0.0, 0.0]),
                           np.array([1.0, 0.0, 0.0]))
     assert drift > 1e-3
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), base=st.integers(0, 2))
+def test_skew_bracket_preserves_the_pairing(seed, k, base):
+    """On a random skew table, over a point (lie_algebra) or over R^base
+    (atiyah_trivial), validate_skew passes and the transports keep the
+    pairing to 1e-8 (acceptance criterion 2's bound).  A symmetric part of
+    norm 0.5 added to the table, along xi0 (y0 f + f y0) on the algebra
+    block (each of unit length there) so that it moves the pairing at t0,
+    fails validate_skew and breaks the pairing by more than 1e-3."""
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(k, k, k))
+    table = 0.5 * (T - np.swapaxes(T, 1, 2))
+    chart = lie_algebra(table) if base == 0 else atiyah_trivial(base, table)
+    g = slice(base, None)   # the algebra block of the fiber
+    f, y0, xi0 = (v / np.linalg.norm(v[g]) for v in rng.normal(size=(3, chart.fiber_dim)))
+    x0, pts = rng.uniform(-1.0, 1.0, base), rng.uniform(-1.0, 1.0, (10, base))
+    W = np.einsum("i,j,k->ijk", xi0[g], y0[g], f[g])
+    S = np.zeros((chart.fiber_dim,) * 3)
+    S[g, g, g] = 0.5 * (W + np.swapaxes(W, 1, 2)) / np.linalg.norm(W + np.swapaxes(W, 1, 2))
+    c = chart.structure_at(x0)
+    broken = replace(chart, structure=lambda x: c + S)
+    drifts = []
+    for alg in (chart, broken):
+        sys = constant_section_system(alg, f)
+        traj = simulate_trajectory(sys, ControlSignal.constant([0.0], 0.0, 1.0), x0, step=1e-2)
+        drifts.append(pairing_drift(sys, traj, y0, xi0))
+    assert validate_skew(chart, pts, 1e-12).passed and drifts[0] <= 1e-8
+    assert not validate_skew(broken, pts, 1e-6).passed and drifts[1] > 1e-3
 
 
 # ---------------------------------------------------------------------------

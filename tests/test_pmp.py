@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -347,6 +348,21 @@ def per_node_audit(sys, path, costate, u_nodes, mode, tol):
     return numbers, verdicts, notes, max(1.0, np.abs(h).max(), np.abs(dz).max(initial=0.0))
 
 
+def random_control_affine(rng, n, p, chart, active):
+    """A random control_affine system with x-dependent F and G (constant over
+    a point) on TR^n (``chart`` "tangent"), the Atiyah chart TR^n x so(3)
+    ("atiyah") or so(3) ("point", n = 0); G is positive definite near x = 0.
+    The box |u_j| <= 0.3 is active at typical controls, |u_j| <= 100 not."""
+    chart = {"tangent": tangent_bundle, "atiyah": lambda n: atiyah_trivial(n, so3_structure()),
+             "point": lambda n: lie_algebra(so3_structure())}[chart](n)
+    m = chart.fiber_dim
+    R = rng.normal(size=(p, p))
+    G1 = 0.1 * rng.normal(size=(p, p, n))
+    return control_affine(chart, (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
+                          (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)),
+                          0.3 if active else 100.0)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
        atiyah=st.booleans(), z0=st.sampled_from([0.0, -1.0]), active=st.booleans(),
@@ -360,13 +376,8 @@ def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active
     verdicts and notes.  Node counts are not multiples of the block size;
     the box is active or not at the random controls and the maximizer."""
     rng = np.random.default_rng(seed)
-    chart = atiyah_trivial(n, so3_structure()) if atiyah else tangent_bundle(n)
-    m = chart.fiber_dim
-    R = rng.normal(size=(p, p))
-    G1 = 0.1 * rng.normal(size=(p, p, n))
-    u_max = 0.3 if active else 100.0
-    sys = control_affine(chart, (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
-                         (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)), u_max)
+    sys = random_control_affine(rng, n, p, "atiyah" if atiyah else "tangent", active)
+    m, u_max = sys.alg.fiber_dim, sys.control_space.upper[0]
     N = block * min(blocks, 1 if block == 128 else 2) + rest
     nodes = np.sort(rng.uniform(0.0, 1.0, N))
     breaks = (nodes[N // 2],) if blocks == 1 else ()
@@ -399,6 +410,50 @@ def test_wong_audit_makes_no_per_node_calls(wong_fixture, monkeypatch):
     audit = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
                             u_nodes=flow.u_nodes)
     assert audit.passed, audit.to_dict()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
+       chart=st.sampled_from(["tangent", "atiyah", "point"]), z0=st.sampled_from([0.0, -1.0]),
+       active=st.booleans(), constant=st.booleans())
+def test_fused_affine_flow_matches_the_generic_flow(seed, n, p, chart, z0, active, constant):
+    """On random control-affine systems, with or without linear parts, the
+    fused stage field and the stacked node samples give the bits of the
+    generic flow, which maximizes H and calls costate_rhs and f_at at every
+    stage and node."""
+    rng = np.random.default_rng(seed)
+    n = 0 if chart == "point" else n
+    sys = random_control_affine(rng, n, p, chart, active)
+    if constant:
+        sys = control_affine(sys.alg, *((c, None) for c, _ in sys.affine),
+                             sys.control_space.upper[0])
+    x0, z_init = rng.uniform(-0.5, 0.5, n), rng.normal(size=sys.alg.fiber_dim)
+    fused, generic = (integrate_pmp_flow(s, x0, z_init, z0, 0.0, 0.05, step=1e-3)
+                      for s in (sys, replace(sys, affine=None)))
+    for name, a, b in (("base", fused.path.base, generic.path.base),
+                       ("fiber", fused.path.fiber, generic.path.fiber),
+                       ("costate", fused.costate.z, generic.costate.z),
+                       ("u_nodes", fused.u_nodes, generic.u_nodes),
+                       ("h_nodes", fused.h_nodes, generic.h_nodes)):
+        assert np.array_equal(a, b), name
+
+
+def test_wong_flow_makes_no_per_stage_calls(wong_fixture, monkeypatch):
+    """A declared control-affine system is flowed by the fused stage field
+    and sampled at the nodes on arrays: integrate_pmp_flow calls neither
+    costate_rhs, the maximizer, hamiltonian nor f_at."""
+    sys = build_wong_system(wong_fixture)
+
+    def forbidden(*args):
+        raise AssertionError("per-stage call in the flow")
+
+    for name in ("costate_rhs", "_argmax", "hamiltonian"):
+        monkeypatch.setattr(pmp, name, forbidden)
+    monkeypatch.setattr(ControlSystem, "f_at", forbidden)
+    flow = integrate_pmp_flow(sys, [0.2, -0.1], [0.8, 0.5, 0.3, -0.2, 0.4], -1.0, 0.0, 1.0,
+                              step=1e-3)
+    assert flow.u_nodes.shape == (1001, 2)
+    assert np.isfinite(flow.costate.z).all() and np.isfinite(flow.h_nodes).all()
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,18 @@ def test_classical_lq_matches_oracle():
     assert r.audit.passed
 
 
+@pytest.mark.parametrize("z_init", [0.5, -0.5])
+def test_classical_oracle_respects_the_box(tmp_path, z_init):
+    """With an active box the oracle's control is z / (-z0) clipped to
+    +-u_max, as the flow's is, so a correct extremal passes the run."""
+    r = scenario_classical(z_init=z_init, u_max=0.1)
+    assert r.closed_form_error < 1e-6
+    assert np.all(np.abs(r.flow.u_nodes) == 0.1)
+    cfg = default_config("classical-tm-lq")
+    cfg["z_init"], cfg["params"]["u_max"] = [z_init], 0.1
+    assert run_scenario(cfg, tmp_path)["passed"]
+
+
 def test_classical_reduction_identity_nontrivial_system(rng):
     from algopt.control import ControlSystem, FiniteSet
     from algopt.core import tangent_bundle
@@ -400,9 +412,10 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert all(c["passed"] for c in on_disk["checks"])
 
 
-def test_run_scenario_is_bit_reproducible(tmp_path):
-    cfg = default_config("so3-bang-bang")
-    cfg["horizon"] = 2.0
+@pytest.mark.parametrize("name", ["so3-bang-bang", "classical-tm-lq", "wong-so3-r2"])
+def test_run_scenario_is_bit_reproducible(tmp_path, name):
+    cfg = default_config(name)
+    cfg["horizon"] = min(cfg["horizon"], 2.0)   # so3's default of 10 shortened
     run_scenario(cfg, tmp_path / "one")
     run_scenario(cfg, tmp_path / "two")
     for name in ("trajectory.csv", "costate.csv", "invariants.json"):
