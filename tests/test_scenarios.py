@@ -412,9 +412,9 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert all(c["passed"] for c in on_disk["checks"])
 
 
-@pytest.mark.parametrize("name", ["so3-bang-bang", "classical-tm-lq", "wong-so3-r2"])
-def test_run_scenario_is_bit_reproducible(tmp_path, name):
-    cfg = default_config(name)
+@pytest.mark.parametrize("scenario", ["so3-bang-bang", "classical-tm-lq", "wong-so3-r2"])
+def test_run_scenario_is_bit_reproducible(tmp_path, scenario):
+    cfg = default_config(scenario)
     cfg["horizon"] = min(cfg["horizon"], 2.0)   # so3's default of 10 shortened
     run_scenario(cfg, tmp_path / "one")
     run_scenario(cfg, tmp_path / "two")
