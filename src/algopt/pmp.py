@@ -195,8 +195,11 @@ class PmpFlow:
     """Result of closed-loop integration of the maximized Hamiltonian flow.
 
     Over a finite control set ``control`` is the piecewise-constant signal
-    with one segment per switch.  Over a box the control varies continuously
-    and is carried by ``u_nodes`` alone; ``control`` is then None.
+    with one segment per switch.  Over a box the control is carried by
+    ``u_nodes`` alone and ``control`` is None: it varies continuously, or,
+    for a declared control-affine system at z0 = 0, it takes the box's
+    vertices with bisected ``switch_times`` and ``tie_times`` as over a
+    finite set.
     """
 
     path: EPath
@@ -219,10 +222,10 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
 
 
 def _affine_pmp_rhs(sys: ControlSystem, z0: float):
-    """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system,
-    fused: F(x), G(x) and the chart once per stage, ``_box_qp`` only when
-    ``solve(G, b) / -z0`` leaves the box, dh/dx only for a linear part; the
-    same products, so the same bits."""
+    """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system
+    at z0 < 0, fused: F(x), G(x) and the chart once per stage, ``_box_qp``
+    only when ``solve(G, b) / -z0`` leaves the box, dh/dx only for a linear
+    part; the same products, so the same bits."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
     (F_at, dF), (G_at, dG) = (affine_matrix_field(*t) for t in sys.affine)
     _shaped(F_at(np.zeros(n)), (alg.fiber_dim, U.dim), "F has shape")
@@ -234,8 +237,8 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
         x, z = state[:n], state[n:]
         Fx, Gx = F_at(x), G_at(x)
         b = Fx.T @ z
-        u = np.where(b >= 0, U.upper, U.lower) if z0 == 0 else np.linalg.solve(Gx, b) / -z0
-        if z0 != 0 and not ((u >= lo) & (u <= hi)).all():
+        u = np.linalg.solve(Gx, b) / -z0
+        if not ((u >= lo) & (u <= hi)).all():
             u = _box_qp(b[None], Gx[None], -z0, U)[0]
         u = u.clip(U.lower, U.upper)
         f, rho = Fx @ u, alg.anchor_at(x)
@@ -251,13 +254,18 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        max_switches: int = 10_000) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
 
-    For a two-element control set, switching times are localized by bisection
-    on the Hamiltonian gap to ``switch_tol`` and inserted as grid breakpoints;
-    larger finite sets re-evaluate the argmax at nodes only, and boxes use the
-    (typically closed-form) maximizer at every integration stage and keep the
-    control only as ``u_nodes``; a declared control-affine system steps the
-    fused field of :func:`_affine_pmp_rhs` instead.  Aborts with :class:`ChatteringError` after
-    ``max_switches`` switches.
+    Over a finite set each segment holds the best value.  When a step ends
+    with another value best, the switch is localized to ``switch_tol`` by
+    bisection on sigma(s) = H[new](s) - H[current](s), new being the best
+    value at the step's end (and again towards a third value that leads
+    where the shortened step ends), and inserted as a grid breakpoint.  A
+    declared control-affine system at z0 = 0 has H = b.u linear in u, so it
+    runs the same loop over the 2^p vertices of its box, upper bounds listed
+    first so that a tie keeps the sign rule (b_j >= 0 takes the upper
+    bound).  Other boxes use the maximizer at every integration stage and
+    keep the control only as ``u_nodes``; a declared control-affine system
+    steps the fused field of :func:`_affine_pmp_rhs`.  Aborts with
+    :class:`ChatteringError` after ``max_switches`` switches.
     """
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
@@ -266,6 +274,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     z_init = np.asarray(z_init, dtype=float)
     state = np.concatenate([x0, z_init])
     U = sys.control_space
+    box = isinstance(U, Box)
+    if box and sys.affine is not None and z0 == 0:
+        U = FiniteSet(tuple(itertools.product(*zip(U.upper, U.lower))))
     switch_times: list[float] = []
 
     if isinstance(U, Box):
@@ -285,7 +296,6 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             fiber = np.array([sys.f_at(x, u) for x, u in zip(base, u_nodes)])
             h_nodes = np.array([hamiltonian(sys, z, z0, x, u)
                                 for x, z, u in zip(base, zs, u_nodes)])
-        signal = None
     else:
         _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
         table = None if n else _point_table(sys, U.values)   # H and K fixed per control
@@ -298,9 +308,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         def held(i):
             return _pmp_rhs(sys, U.values[i], z0) if n else _matrix_rhs(table.K[i], z_init.shape)
 
-        node_list = [t0]
-        states = [state.copy()]
-        rows = [h_at(state)]            # H over the set at every node
+        node_list, states, rows = [t0], [state.copy()], [h_at(state)]   # rows: H over the set
         i_cur = int(np.argmax(rows[0]))
         seg_values = [U.values[i_cur]]
         t, y = t0, state
@@ -314,49 +322,38 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 raise IntegrationDivergedError(t_next)
             row = h_at(y_next)
             i_new = int(np.argmax(row))
-            if i_new == i_cur:
-                t, y = t_next, y_next
-                node_list.append(t)
-                states.append(y)
-                rows.append(row)
-                continue
-            if len(switch_times) >= max_switches:
-                raise ChatteringError(max_switches, t_next)
-            if len(U.values) == 2:
+            if i_new != i_cur:
+                if len(switch_times) >= max_switches:
+                    raise ChatteringError(max_switches, t_next)
+
                 def sigma(s):
-                    vals = h_at(y if s <= t else rk4_step(rhs, t, y, s - t))
+                    vals = rows[-1] if s <= t else h_at(rk4_step(rhs, t, y, s - t))
                     return vals[i_new] - vals[i_cur]
 
-                lo, hi = t, t_next
-                if sigma(lo) > 0:
-                    hi = min(t_next, lo + max(switch_tol, 1e-12))
-                else:
-                    while hi - lo > switch_tol:
-                        mid = 0.5 * (lo + hi)
-                        if sigma(mid) > 0:
-                            hi = mid
-                        else:
-                            lo = mid
-                s_star = hi
-                y_star = rk4_step(rhs, t, y, s_star - t)
-                row_star = h_at(y_star)
-            else:
-                s_star, y_star, row_star = t_next, y_next, row
-            if t1 - s_star <= 1e-12:
-                # switch localized onto the horizon end: no interior segment left
-                node_list.append(t_next)
-                states.append(y_next)
-                rows.append(row)
-                t = t_next
-                break
-            switch_times.append(s_star)
-            node_list.append(s_star)
-            states.append(y_star)
-            rows.append(row_star)
-            i_cur = i_new
-            rhs = held(i_cur)
-            seg_values.append(U.values[i_cur])
-            t, y = s_star, y_star
+                hi = t_next
+                for _ in U.values:   # bisect, and again towards a third value leading at hi
+                    lo = t
+                    if sigma(lo) > 0:
+                        hi = min(hi, lo + max(switch_tol, 1e-12))
+                    else:
+                        while hi - lo > switch_tol:
+                            mid = 0.5 * (lo + hi)
+                            lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
+                    y_hi = rk4_step(rhs, t, y, hi - t)
+                    row_hi = h_at(y_hi)
+                    lead = int(np.argmax(row_hi))
+                    if lead in (i_cur, i_new):
+                        break
+                    i_new = lead
+                if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
+                    t_next, y_next, row = hi, y_hi, row_hi
+                    switch_times.append(hi)
+                    i_cur, rhs = i_new, held(i_new)
+                    seg_values.append(U.values[i_cur])
+            node_list.append(t_next)
+            states.append(y_next)
+            rows.append(row)
+            t, y = t_next, y_next
 
         states, rows = np.asarray(states), np.asarray(rows)
         base, zs = states[:, :n], states[:, n:]
@@ -366,7 +363,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                  else table.F[idx])
         h_nodes = rows[np.arange(len(idx)), idx]
         tie_times = np.asarray(node_list)[_ties(rows, zs)].tolist()
-        signal = ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
+    signal = None if box else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
     grid = TimeGrid.from_nodes(np.asarray(node_list), tuple(switch_times), step=step)
     return PmpFlow(EPath(grid, base, fiber), signal, CostatePath(grid, zs, z0), u_nodes,

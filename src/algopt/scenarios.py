@@ -1,9 +1,9 @@
 """Built-in scenarios, fixtures, and the config-driven runner.
 
 Each built-in pipeline is registered once, as a :class:`Scenario` in
-``SCENARIOS``: its config defaults, field checks, chart, control system and
-runner.  A config names a registered scenario, or ``custom`` to validate a
-user-supplied chart only.
+``SCENARIOS``: its config defaults, field checks, control system (which
+carries the chart) and runner.  A config names a registered scenario, or
+``custom`` to validate a user-supplied chart only.
 """
 
 from __future__ import annotations
@@ -356,14 +356,14 @@ class Scenario:
 
     ``defaults`` are the scenario-specific config fields; ``fields`` lists the
     arrays to check as (section, key, shape[, required]), with section "" for
-    the top level.  ``run(cfg, z0, step, tol)`` returns the scenario result
-    and its report notes.
+    the top level.  ``system(cfg)`` builds the control system, whose chart
+    :func:`validate_chart` checks.  ``run(cfg, z0, step, tol)`` returns the
+    scenario result and its report notes.
     """
 
     name: str
     defaults: dict
     fields: tuple
-    chart: Callable[[], ChartAlgebroid]
     system: Callable[[dict], ControlSystem]
     run: Callable[[dict, float, float, float], tuple]
 
@@ -410,7 +410,6 @@ SCENARIOS = {s.name: s for s in (
         defaults={"horizon": 10.0, "z_init": [0.0, 1.0, 0.2],
                   "params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}},
         fields=(("params", "a", (3,)), ("params", "b", (3,)), ("", "z_init", (3,))),
-        chart=lambda: so3_algebra(),
         system=lambda cfg: build_so3_bang_bang_system(cfg["params"]["a"], cfg["params"]["b"]),
         run=_run_so3),
     # Scalar linear-quadratic problem on the tangent bundle, with a
@@ -420,7 +419,6 @@ SCENARIOS = {s.name: s for s in (
         defaults={"horizon": 1.0, "z_init": [0.5], "initial_point": [0.0],
                   "params": {"u_max": 10.0}},
         fields=(("", "z_init", (1,)), ("", "initial_point", (1,))),
-        chart=lambda: tangent_bundle(1),
         system=lambda cfg: build_lq_system(u_max=_u_max(cfg)),
         run=_run_classical),
     # Energy-minimizing trajectories on a trivialized Atiyah chart TM x so(3)
@@ -442,7 +440,6 @@ SCENARIOS = {s.name: s for s in (
         fields=(("", "z_init", (5,)), ("", "initial_point", (2,)),
                 ("params", "connection_const", (3, 2)),
                 ("params", "connection_linear", (3, 2, 2), False)),
-        chart=lambda: atiyah_trivial(2, so3_structure()),
         system=lambda cfg: build_wong_system(_wong_fixture(cfg["params"]), u_max=_u_max(cfg)),
         run=_run_wong),
 )}
@@ -621,7 +618,7 @@ def validate_chart(cfg: dict, n_points: int = 100, tol: float = 1e-6) -> dict:
     """AL-axiom validation of the scenario's chart on random sample points."""
     cfg = validate_config(cfg)
     name = cfg["scenario"]
-    chart = (SCENARIOS[name].chart() if name in SCENARIOS
+    chart = (SCENARIOS[name].system(cfg).alg if name in SCENARIOS
              else build_chart_from_config(cfg["chart"]))
     seed = int(cfg.get("solver", {}).get("seed", 0))
     rng = np.random.default_rng(seed)

@@ -13,8 +13,8 @@ The readers raise ConfigError naming the file when it is not such a table.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -41,14 +41,16 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def _write_rows(file, header: list[str], rows) -> None:
+def _write_rows(file, header: list[str], table: np.ndarray) -> None:
+    """The header and the rows of an (N, k) float table, comma-separated with
+    CRLF line ends: the bytes ``csv.writer`` gives for plain names and
+    numbers."""
     path = Path(file)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join([_FMT] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT % v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -79,23 +81,16 @@ def write_homotopy_csv(file, field: HomotopyField) -> None:
     T, E, m = field.a.shape
     n = field.base.shape[2]
     header = ["t", "eps"] + _names("x_", n) + _names("a_", m) + _names("b_", m)
-
-    def rows():
-        for it, t in enumerate(field.t_grid.nodes):
-            for ie, e in enumerate(field.eps_nodes):
-                yield np.concatenate(([t, e], field.base[it, ie],
-                                      field.a[it, ie], field.b[it, ie]))
-
-    _write_rows(file, header, rows())
+    columns = (c.reshape(T * E, c.shape[2]) for c in (field.base, field.a, field.b))
+    _write_rows(file, header, np.column_stack([np.repeat(field.t_grid.nodes, E),
+                                               np.tile(field.eps_nodes, T), *columns]))
 
 
 def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
     u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
     n, m, p = path.base_dim, path.fiber_dim, u_nodes.shape[1]
     header = ["t"] + _names("x_", n) + _names("a_", m) + _names("u_", p)
-    rows = (np.concatenate(([t], path.base[k], path.fiber[k], u_nodes[k]))
-            for k, t in enumerate(path.grid.nodes))
-    _write_rows(file, header, rows)
+    _write_rows(file, header, np.column_stack([path.grid.nodes, path.base, path.fiber, u_nodes]))
 
 
 def _read_table(file, fields: tuple[str, ...], breakpoints) -> tuple[np.ndarray, TimeGrid]:
@@ -140,9 +135,9 @@ def infer_breakpoints(ts: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
 
 def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
     header = ["t"] + _names("z_", costate.fiber_dim) + ["z0", "H"]
-    rows = (np.concatenate(([t], costate.z[k], [costate.z0, h_nodes[k]]))
-            for k, t in enumerate(costate.grid.nodes))
-    _write_rows(file, header, rows)
+    nodes = costate.grid.nodes
+    _write_rows(file, header, np.column_stack([nodes, costate.z, np.full(len(nodes), costate.z0),
+                                               h_nodes]))
 
 
 def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
@@ -154,24 +149,29 @@ def write_frame_csv(file, frame: TransportFrame) -> None:
     m = frame.B.shape[1]
     header = (["t"] + [f"B_{i+1}{j+1}" for i in range(m) for j in range(m)]
               + [f"Bbar_{i+1}{j+1}" for i in range(m) for j in range(m)])
-    rows = (np.concatenate(([t], frame.B[k].ravel(), frame.Bbar[k].ravel()))
-            for k, t in enumerate(frame.grid.nodes))
-    _write_rows(file, header, rows)
+    N = frame.grid.n_nodes
+    _write_rows(file, header, np.column_stack([frame.grid.nodes, frame.B.reshape(N, -1),
+                                               frame.Bbar.reshape(N, -1)]))
 
 
 def write_report_json(file, report: dict) -> None:
+    """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite number,
+    numpy scalars and array entries included, is written as null."""
     path = Path(file)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
+def _plain(obj):
+    """``obj`` with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj

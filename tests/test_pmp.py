@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from dataclasses import replace
@@ -5,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -14,7 +15,7 @@ from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, contro
                             costate_rhs, simulate_trajectory, transport_Bbar, transport_frame)
 from algopt.core import atiyah_trivial, lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
-from algopt.numerics import TimeGrid, grid_derivative
+from algopt.numerics import TimeGrid, grid_derivative, rk4_step
 from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
@@ -206,6 +207,22 @@ def test_flow_rejects_positive_multiplier(bang_bang_system):
     with pytest.raises(ValueError):
         integrate_pmp_flow(bang_bang_system, np.zeros(0), [0.0, 1.0, 0.2], 1.0,
                            0.0, 1.0)
+
+
+def test_a_three_valued_set_bisects_its_switches():
+    """so(3) with u in {-1, 0, 1} and L = 1 + u^2/2 steps down 1 -> 0 -> -1:
+    each switch is bisected onto the crossing of the two best H, which agree
+    there to 1e-8 (the switch tolerance is 1e-9 in time)."""
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    sys = ControlSystem(lie_algebra(so3_structure()), lambda x, u: a + u[0] * b,
+                        lambda x, u: 1.0 + 0.5 * u[0] ** 2, FiniteSet(([-1.0], [0.0], [1.0])))
+    flow = integrate_pmp_flow(sys, np.zeros(0), [0.0, 1.0, 0.2], -1.0, 0.0, 4.0, step=1e-3)
+    assert [v[0] for v in flow.control.values] == [1.0, 0.0, -1.0]
+    at_switch = flow.costate.z[np.isin(flow.path.grid.nodes, flow.switch_times)]
+    H = np.sort([[hamiltonian(sys, z, -1.0, np.zeros(0), v) for v in sys.control_space.values]
+                 for z in at_switch], axis=1)
+    assert len(H) == 2
+    assert np.all(H[:, -1] - H[:, -2] <= 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +429,11 @@ def test_wong_audit_makes_no_per_node_calls(wong_fixture, monkeypatch):
     assert audit.passed, audit.to_dict()
 
 
+def box_vertices(box):
+    """The vertices of a box, upper bounds listed first."""
+    return tuple(itertools.product(*zip(box.upper, box.lower)))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
        chart=st.sampled_from(["tangent", "atiyah", "point"]), z0=st.sampled_from([0.0, -1.0]),
@@ -420,22 +442,62 @@ def test_fused_affine_flow_matches_the_generic_flow(seed, n, p, chart, z0, activ
     """On random control-affine systems, with or without linear parts, the
     fused stage field and the stacked node samples give the bits of the
     generic flow, which maximizes H and calls costate_rhs and f_at at every
-    stage and node."""
+    stage and node.  At z0 = 0 the reference is the same system over the
+    finite set of its box's vertices, upper bounds first."""
     rng = np.random.default_rng(seed)
     n = 0 if chart == "point" else n
     sys = random_control_affine(rng, n, p, chart, active)
     if constant:
         sys = control_affine(sys.alg, *((c, None) for c, _ in sys.affine),
                              sys.control_space.upper[0])
+    reference = replace(sys, affine=None)
+    if z0 == 0.0:
+        reference = replace(reference, control_space=FiniteSet(box_vertices(sys.control_space)))
     x0, z_init = rng.uniform(-0.5, 0.5, n), rng.normal(size=sys.alg.fiber_dim)
     fused, generic = (integrate_pmp_flow(s, x0, z_init, z0, 0.0, 0.05, step=1e-3)
-                      for s in (sys, replace(sys, affine=None)))
+                      for s in (sys, reference))
     for name, a, b in (("base", fused.path.base, generic.path.base),
                        ("fiber", fused.path.fiber, generic.path.fiber),
                        ("costate", fused.costate.z, generic.costate.z),
                        ("u_nodes", fused.u_nodes, generic.u_nodes),
                        ("h_nodes", fused.h_nodes, generic.h_nodes)):
         assert np.array_equal(a, b), name
+    assert fused.switch_times == generic.switch_times
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
+       chart=st.sampled_from(["tangent", "atiyah", "point"]), active=st.booleans())
+def test_abnormal_affine_flow_switches_where_a_switching_function_vanishes(seed, n, p, chart,
+                                                                          active):
+    """At z0 = 0, H = b.u with b = F(x)^T z, so a control-affine flow takes
+    the box's vertices and may switch only where some b_j vanishes.  The
+    control changes exactly at the bisected switch nodes, and before each
+    one some b_j changes sign within two switch tolerances (2e-9), on the
+    RK4 step the flow takes under the control held before the switch.  A
+    sliding mode (a singular arc, which a bang-bang flow cannot follow)
+    ends in ChatteringError; such a draw is rejected, after 300 switches
+    rather than the default 10,000 (about a minute each)."""
+    rng = np.random.default_rng(seed)
+    n = 0 if chart == "point" else n
+    sys = random_control_affine(rng, n, p, chart, active)
+    x0, z_init = rng.uniform(-0.5, 0.5, n), rng.normal(size=sys.alg.fiber_dim)
+    try:
+        flow = integrate_pmp_flow(sys, x0, z_init, 0.0, 0.0, 0.05, step=1e-3, max_switches=300)
+    except ChatteringError:
+        reject()
+    assert flow.control is None
+    vertices = np.array(box_vertices(sys.control_space))
+    assert (flow.u_nodes[:, None] == vertices).all(axis=2).any(axis=1).all()
+    nodes, u = flow.path.grid.nodes, flow.u_nodes
+    assert set(nodes[1:][(u[1:] != u[:-1]).any(axis=1)]) == set(flow.switch_times)
+    x, z = flow.path.base, flow.costate.z
+    for k in np.flatnonzero(np.isin(nodes, flow.switch_times)):
+        h = max(nodes[k] - 2e-9 - nodes[k - 1], 0.0)
+        held = pmp._pmp_rhs(sys, u[k - 1], 0.0)
+        y = rk4_step(held, nodes[k - 1], np.append(x[k - 1], z[k - 1]), h)
+        b = pmp._affine_at(sys, np.array([y[:n], x[k]]), np.array([y[n:], z[k]]), 0.0)[1]
+        assert (np.sign(b[0]) != np.sign(b[1])).any(), nodes[k]
 
 
 def test_wong_flow_makes_no_per_stage_calls(wong_fixture, monkeypatch):

@@ -135,6 +135,22 @@ def test_wong_oracle_matches_a_per_node_loop():
     assert abs(r.speed_drift - np.abs(speeds - speeds[0]).max()) < tol
 
 
+def test_abnormal_wong_flow_bisects_its_vertex_switches(wong_fixture):
+    """At z0 = 0 H is linear in u, so the default Wong extremal is bang-bang
+    over the box's vertices: its 6 switches are bisected and inserted as
+    breakpoints, so the momentum residual shrinks with the step and H stays
+    on its level (with the switches inside RK4 steps the residual read 23.6
+    at both steps and H drifted by 0.18)."""
+    runs = [scenario_wong(wong_fixture, [0.2, -0.1], [0.8, 0.5], [0.3, -0.2, 0.4], z0=0.0,
+                          step=step) for step in (1e-3, 5e-4)]
+    for r in runs:
+        assert r.flow.control is None
+        assert len(r.flow.switch_times) == 6
+        assert np.all(np.abs(r.flow.u_nodes) == 10.0)
+        assert r.audit.verdicts["hamiltonian_profile"], r.audit.to_dict()
+    assert runs[0].momentum_residual >= 3.0 * runs[1].momentum_residual
+
+
 def test_wong_flat_connection_gives_straight_lines():
     flat = WongFixture(so3_structure(), connection_const=np.zeros((3, 2)))
     x0 = np.array([0.1, 0.2])
@@ -421,3 +437,23 @@ def test_run_scenario_is_bit_reproducible(tmp_path, scenario):
     for name in ("trajectory.csv", "costate.csv", "invariants.json"):
         assert ((tmp_path / "one" / name).read_bytes()
                 == (tmp_path / "two" / name).read_bytes()), name
+
+
+def test_reports_are_strict_json_when_a_check_overflows(tmp_path):
+    """A covector of norm 1e200 overflows the Casimir norm: the check values
+    NaN and inf are written as null, so both reports parse under a strict
+    reader (RFC 8259 has no NaN or Infinity), and the run does not pass."""
+    cfg = {"scenario": "so3-bang-bang", "z_init": [1e200, 0.0, 0.0], "horizon": 1.0}
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_scenario(cfg, tmp_path)
+    assert not report["passed"]
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a report")
+
+    for name in ("invariants.json", "audit.json"):
+        on_disk = json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        assert not on_disk["passed"]
+    checks = json.loads((tmp_path / "invariants.json").read_text())["checks"]
+    casimir = next(c for c in checks if c["name"] == "casimir_drift")
+    assert casimir["value"] is None and not casimir["passed"]

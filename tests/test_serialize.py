@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,24 @@ def test_frame_csv(tmp_path):
     assert len(lines) == 1 + frame.grid.n_nodes
     first = np.array([float(v) for v in lines[1].split(",")[1:10]]).reshape(3, 3)
     assert np.array_equal(first, np.eye(3))
+
+
+def test_csv_rows_are_the_bytes_of_csv_writer(tmp_path):
+    """A table is written as csv.writer writes it: the header, then one row
+    per node of %.17g numbers, every line ending in CRLF."""
+    grid = TimeGrid(0.0, 1.0, 0.5)
+    base = np.array([[1.0 / 3.0], [-0.0], [1e300]])
+    fiber = np.array([[2.0 ** -1074, 0.1], [np.nan, -np.inf], [12.5, 7e-5]])
+    u = np.array([[1.0], [-1.0], [0.25]])
+    f = tmp_path / "traj.csv"
+    write_trajectory_csv(f, EPath(grid, base, fiber), u)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["t", "x_1", "a_1", "a_2", "u_1"])
+    for row in np.column_stack([grid.nodes, base, fiber, u]):
+        writer.writerow(["%.17g" % v for v in row])
+    assert f.read_bytes() == reference.getvalue().encode()
+    assert f.read_bytes().startswith(b"t,x_1,a_1,a_2,u_1\r\n0,0.33333333333333331,")
 
 
 def test_infer_breakpoints():
