@@ -275,13 +275,6 @@ def _point_table(sys: ControlSystem, values, x=np.zeros(0)) -> _PointTable:
     return _PointTable(F, np.array([sys.L_at(x, v) for v in values]), np.array(K), np.array(M))
 
 
-def _matrix_rhs(A: np.ndarray, shape: tuple):
-    """``(t, w) -> A w`` for w flattened from ``shape``, as an einsum: BLAS
-    kernels may fuse multiply-adds, while on so(3), whose K entries are
-    single products, this reproduces :func:`costate_rhs` bit for bit."""
-    return lambda t, w: np.einsum("ij,j...->i...", A, w.reshape(shape)).ravel()
-
-
 def _held_segments(sys: ControlSystem, signal: ControlSignal, block=None):
     """Per-segment RHS factory for :func:`integrate_segmented` that holds the
     signal's value at each segment midpoint."""
@@ -353,7 +346,7 @@ def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, dual: bool,
     """Integrate the base under the trajectory's control together with the
     fiber (ydot = M y) or, for ``dual``, the dual (costate_rhs at z0)
     transport of w0, a vector or frame; returns samples (N, *w0.shape).
-    Over a point each held segment applies its K or M from the table."""
+    Over a point each held segment steps its K or M from the table by R(hA)."""
     n, shape, signal = sys.alg.base_dim, w0.shape, traj.control
 
     def flat(x, u, w):
@@ -367,8 +360,7 @@ def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, dual: bool,
         mats = table.K if dual else table.M
 
         def make_rhs(seg, lo, hi):
-            j = np.searchsorted(signal.switch_times, 0.5 * (lo + hi), side="right")
-            return _matrix_rhs(mats[j], shape)
+            return mats[np.searchsorted(signal.switch_times, 0.5 * (lo + hi), side="right")]
     else:
         make_rhs = _held_segments(sys, signal, flat)
     state0 = np.concatenate([traj.path.base[0], w0.ravel()])

@@ -8,7 +8,7 @@ segment-wise between declared breakpoints and never step across one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,6 +135,21 @@ def rk4_step(fn, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return _rk4(lambda v: fn(t, v), lambda v: fn(t_mid, v), lambda v: fn(t + h, v), y, h)
 
 
+def _linear_rk4(A: np.ndarray):
+    """RK4 on y' = A y as a step (t, y, h) -> R(hA) y, t unread: on a linear ODE
+    an RK4 step is its stability polynomial R(X) = I + X + X^2/2 + X^3/6 + X^4/24
+    (Hairer, Norsett and Wanner, *Solving ODEs I*, IV.2).  y is a vector or the
+    columns of a frame flattened row-major; R is formed again only when h changes."""
+    eye = np.eye(len(A))
+
+    @lru_cache(maxsize=1)
+    def R(h):
+        X = h * A
+        return eye + X @ (eye + X @ (eye / 2.0 + X @ (eye / 6.0 + X / 24.0)))
+
+    return lambda t, y, h: (R(h) @ y.reshape(len(A), -1)).ravel()
+
+
 def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
     """One RK4 step of ``y' = fn(*coefficients, y)`` whose coefficients are
     node samples: ``lo`` at the left node and ``hi`` at the right one.  The
@@ -147,9 +162,9 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """RK4 over ``grid``, with a per-segment RHS factory.
 
     ``make_rhs(seg_index, t_lo, t_hi)`` returns the RHS callable used on that
-    segment, so piecewise-defined fields (e.g. held controls) are evaluated on
-    the correct side of each breakpoint, including at the closing stage point.
-    Returns an array of shape (n_nodes, dim).
+    segment (or a matrix A: y' = A y, by :func:`_linear_rk4`), so piecewise
+    fields (e.g. held controls) are evaluated on the correct side of each
+    breakpoint, including at the closing stage point.  Returns (n_nodes, dim).
     """
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -159,9 +174,10 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     out[0] = y
     for seg_index, (i0, i1) in enumerate(grid.segment_bounds):
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
+        advance = _linear_rk4(fn) if isinstance(fn, np.ndarray) else partial(rk4_step, fn)
         for k in range(i0, i1):
             h = nodes[k + 1] - nodes[k]
-            y = rk4_step(fn, nodes[k], y, h)
+            y = advance(nodes[k], y, h)
             if not np.all(np.isfinite(y)):
                 raise IntegrationDivergedError(nodes[k + 1])
             out[k + 1] = y

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      _box_qp, _flow_rhs, _matrix_rhs, _point_table, _signal_grid, _transport,
+                      _box_qp, _flow_rhs, _point_table, _signal_grid, _transport,
                       costate_rhs, extend_system, simulate_trajectory)
 from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
                    affine_matrix_field)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
-                       grid_derivative, integrate, integrate_segmented, rk4_step)
+                       grid_derivative, integrate, integrate_segmented, _linear_rk4, rk4_step)
 from .paths import EPath, _sampler
 
 __all__ = [
@@ -298,26 +299,25 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                                 for x, z, u in zip(base, zs, u_nodes)])
     else:
         _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
-        table = None if n else _point_table(sys, U.values)   # H and K fixed per control
-
-        def h_at(y):
-            if n:
+        if n:   # H over the set at y, and each held value's step (t, y, h) -> y
+            def h_at(y):
                 return np.array([hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values])
-            return _point_hamiltonians(table, y, z0)
-
-        def held(i):
-            return _pmp_rhs(sys, U.values[i], z0) if n else _matrix_rhs(table.K[i], z_init.shape)
+            steps = [partial(rk4_step, _pmp_rhs(sys, v, z0)) for v in U.values]
+        else:   # both fixed per control over a point
+            table = _point_table(sys, U.values)
+            h_at = partial(_point_hamiltonians, table, z0=z0)
+            steps = [_linear_rk4(K) for K in table.K]
 
         node_list, states, rows = [t0], [state.copy()], [h_at(state)]   # rows: H over the set
         i_cur = int(np.argmax(rows[0]))
         seg_values = [U.values[i_cur]]
         t, y = t0, state
-        rhs = held(i_cur)
+        advance = steps[i_cur]
         while t1 - t > 1e-15:
             remaining = t1 - t
             h = step if remaining > step * (1.0 + _STEP_SLACK) else remaining
             t_next = t1 if h == remaining else t + h
-            y_next = rk4_step(rhs, t, y, t_next - t)
+            y_next = advance(t, y, t_next - t)
             if not np.all(np.isfinite(y_next)):
                 raise IntegrationDivergedError(t_next)
             row = h_at(y_next)
@@ -327,7 +327,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                     raise ChatteringError(max_switches, t_next)
 
                 def sigma(s):
-                    vals = rows[-1] if s <= t else h_at(rk4_step(rhs, t, y, s - t))
+                    vals = rows[-1] if s <= t else h_at(advance(t, y, s - t))
                     return vals[i_new] - vals[i_cur]
 
                 hi = t_next
@@ -339,7 +339,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                         while hi - lo > switch_tol:
                             mid = 0.5 * (lo + hi)
                             lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
-                    y_hi = rk4_step(rhs, t, y, hi - t)
+                    y_hi = advance(t, y, hi - t)
                     row_hi = h_at(y_hi)
                     lead = int(np.argmax(row_hi))
                     if lead in (i_cur, i_new):
@@ -348,7 +348,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
                     t_next, y_next, row = hi, y_hi, row_hi
                     switch_times.append(hi)
-                    i_cur, rhs = i_new, held(i_new)
+                    i_cur, advance = i_new, steps[i_new]
                     seg_values.append(U.values[i_cur])
             node_list.append(t_next)
             states.append(y_next)
@@ -611,10 +611,10 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
 
     Over a point the extension's one base coordinate, the accrued cost, is
     read by nothing (see :func:`extend_system`), so its per-control table
-    holds: one pass steps cost and frame Y at each segment's constant rate
-    rho f(u) = L(u) and ``M(u) @ Y``, the fiber transport's own product,
-    with the table's f(v) as fiber samples; bit for bit what the two passes
-    that a real base needs (trajectory, then transport) give.
+    holds: each segment steps the frame by R(hM(u)), and the cost adds the
+    RK4 increments h ((r + 2r + 2r + r) / 6) of its rate r = rho f(u) = L(u),
+    bit for bit the cost of :func:`simulate_trajectory`; the table's f(v)
+    are the fiber samples.
     """
     esys, ext = extend_system(sys)
     xx0 = ext.embed_base(0.0, x0)
@@ -624,16 +624,13 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
         return NeedleContext(sys, esys, etraj, _transport(esys, etraj, np.eye(me), False))
     grid = _signal_grid(esys, control, None, None, step)
     table = _point_table(esys, control.values, xx0)
-    rates = table.F @ esys.alg.anchor_at(xx0).T
-
-    def make_rhs(seg, lo, hi):
-        rate, M = rates[seg], table.M[seg]
-        return lambda t, state: np.concatenate([rate, (M @ state[1:].reshape(me, me)).ravel()])
-
-    out = integrate_segmented(make_rhs, grid, np.concatenate([xx0, np.eye(me).ravel()]))
-    fiber = table.F[np.searchsorted(control.switch_times, grid.nodes, side="right")]
-    etraj = Trajectory(EPath(grid, out[:, :1].copy(), fiber), control)
-    return NeedleContext(sys, esys, etraj, out[:, 1:].reshape(-1, me, me))
+    frame = integrate_segmented(lambda seg, lo, hi: table.M[seg], grid, np.eye(me).ravel())
+    seg = np.searchsorted(control.switch_times, grid.nodes, side="right")
+    r = (table.F @ esys.alg.anchor_at(xx0).T)[seg[:-1]]
+    cost = np.cumsum(np.concatenate([xx0[None], np.diff(grid.nodes)[:, None]
+                                     * ((r + 2.0 * r + 2.0 * r + r) / 6.0)]), axis=0)
+    etraj = Trajectory(EPath(grid, cost, table.F[seg]), control)
+    return NeedleContext(sys, esys, etraj, frame.reshape(-1, me, me))
 
 
 def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
@@ -703,10 +700,6 @@ class ConeSupportReport:
     tol: float
     passed: bool
     n_needles: int
-
-    def to_dict(self) -> dict:
-        return {"max_pairing": self.max_pairing, "tol": self.tol,
-                "passed": self.passed, "n_needles": self.n_needles}
 
 
 def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray,

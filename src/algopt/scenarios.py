@@ -670,15 +670,14 @@ def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
     needles = [needle_vector(ctx, s) for s in symbols]
     k = int(np.searchsorted(nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
-    rep = cone_support_check(needles, z_ext, tol=1e-6)
-    return {"name": "cone_support", "value": rep.max_pairing,
-            "tolerance": rep.tol, "passed": rep.passed}
+    return _check("cone_support", cone_support_check(needles, z_ext).max_pairing, 1e-6)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(config: dict, out_dir) -> dict:
     """Validate the chart, run the configured pipeline, write artifacts
     (trajectory.csv, costate.csv, switches.csv, audit.json, invariants.json),
-    and return the invariant report."""
+    and return the invariant report; overflow fails a check, unwarned."""
     cfg = validate_config(config)
     name = cfg["scenario"]
     out = Path(out_dir)
@@ -713,8 +712,7 @@ def run_scenario(config: dict, out_dir) -> dict:
     n_symbols = int(cfg["solver"].get("symbol_samples", 0))
     if n_symbols > 0 and flow.control is not None:   # needles need a switching control
         checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))
-    checks.append({"name": "extremal_audit", "value": 0.0 if result.audit.passed else 1.0,
-                   "tolerance": 0.0, "passed": result.audit.passed})
+    checks.append(_check("extremal_audit", 0.0 if result.audit.passed else 1.0, 0.0))
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": name,

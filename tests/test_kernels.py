@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, costate_rhs,
                             simulate_trajectory, transport_frame)
-from algopt.core import lie_algebra, so3_algebra
+from algopt.core import lie_algebra, so3_algebra, so3_structure
 from algopt.numerics import TimeGrid
 from algopt.paths import EPath
 from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
@@ -94,9 +94,41 @@ def test_develop_to_group_matches_stepwise_rk4(seed, n_nodes, every, skew):
     assert np.abs(g - reference_development(path, rep, every, skew)).max() <= 1e-12
 
 
+def reference_so3_switch_times(a, b, z, horizon, step, switch_tol=1e-9):
+    """Switch times of the so(3) bang-bang extremal by step-by-step RK4 whose
+    stages are einsums of the dual flow zdot_k = c^i_jk (a + u b)^j z_i, with
+    u = sgn(z.b) held on each step (-1 on a tie, the first listed value) and
+    each sign change bisected to ``switch_tol`` as integrate_pmp_flow does."""
+    c = so3_structure()
+
+    def rk4(u, z, h):
+        K = np.einsum("ijk,j->ki", c, a + u * b)
+        k1 = np.einsum("ki,i->k", K, z)
+        k2 = np.einsum("ki,i->k", K, z + (h / 2.0) * k1)
+        k3 = np.einsum("ki,i->k", K, z + (h / 2.0) * k2)
+        k4 = np.einsum("ki,i->k", K, z + h * k3)
+        return z + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+    t, u, switches = 0.0, 1.0 if z @ b > 0 else -1.0, []
+    while horizon - t > 1e-15:
+        remaining = horizon - t
+        t_next = t + step if remaining > step * (1.0 + 1e-9) else horizon
+        z_next = rk4(u, z, t_next - t)
+        if u * (z_next @ b) < 0:
+            lo, hi = t, t_next
+            while hi - lo > switch_tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if u * (rk4(u, z, mid - t) @ b) < 0 else (mid, hi)
+            if horizon - hi > 1e-12:
+                t_next, z_next, u = hi, rk4(u, z, hi - t), -u
+                switches.append(hi)
+        t, z = t_next, z_next
+    return switches
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(seed=SEEDS)
-def test_so3_flow_keeps_casimir_and_zero_hamiltonian(seed):
+@given(seed=SEEDS, horizon=st.floats(0.5, 5.0))
+def test_so3_flow_keeps_casimir_and_zero_hamiltonian(seed, horizon):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=3), rng.normal(size=3)
     while True:   # a covector on the level z.a + |z.b| = 1, that is H = 0 at z0 = -1
@@ -106,10 +138,13 @@ def test_so3_flow_keeps_casimir_and_zero_hamiltonian(seed):
             break
     z = z / level
     sys = build_so3_bang_bang_system(a, b)
-    flow = integrate_pmp_flow(sys, np.zeros(0), z, -1.0, 0.0, 2.0, step=2e-3)
+    flow = integrate_pmp_flow(sys, np.zeros(0), z, -1.0, 0.0, horizon, step=2e-3)
     norms = np.linalg.norm(flow.costate.z, axis=1)
-    assert np.abs(norms - norms[0]).max() <= 1e-8
+    assert np.abs(norms - norms[0]).max() <= 1e-10
     assert np.abs(flow.h_nodes).max() <= 1e-6
+    reference = reference_so3_switch_times(a, b, z, horizon, 2e-3)
+    assert len(flow.switch_times) == len(reference)
+    assert np.abs(np.subtract(flow.switch_times, reference)).max(initial=0.0) <= 1e-10
 
 
 def random_signal(rng, values, n_switches, t1):
@@ -182,11 +217,13 @@ def test_needle_frame_and_accrued_cost_over_a_point(seed, m, n_switches):
     assert np.abs(ctx.etraj.path.fiber - expected_fiber).max() <= 1e-15 * np.abs(
         expected_fiber).max()
 
-    # and the one pass reproduces the two separate passes bit for bit
+    # and the one pass reproduces the trajectory of the generic passes bit for
+    # bit, and their frame (generic stages on the cost extension) to rounding
     etraj = simulate_trajectory(ctx.esys, signal, np.zeros(1), step=step)
     assert np.array_equal(ctx.etraj.path.base, etraj.path.base)
     assert np.array_equal(ctx.etraj.path.fiber, etraj.path.fiber)
-    assert np.array_equal(ctx.frame_B, transport_frame(ctx.esys, etraj).B)
+    frame = transport_frame(ctx.esys, etraj).B
+    assert np.abs(ctx.frame_B - frame).max() <= 1e-13 * np.abs(frame).max()
 
 
 @PROPERTY

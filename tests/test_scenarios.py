@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -442,9 +443,11 @@ def test_run_scenario_is_bit_reproducible(tmp_path, scenario):
 def test_reports_are_strict_json_when_a_check_overflows(tmp_path):
     """A covector of norm 1e200 overflows the Casimir norm: the check values
     NaN and inf are written as null, so both reports parse under a strict
-    reader (RFC 8259 has no NaN or Infinity), and the run does not pass."""
+    reader (RFC 8259 has no NaN or Infinity), and the run does not pass.
+    The run warns about nothing: a warning here is an error."""
     cfg = {"scenario": "so3-bang-bang", "z_init": [1e200, 0.0, 0.0], "horizon": 1.0}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = run_scenario(cfg, tmp_path)
     assert not report["passed"]
 
