@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -229,24 +230,18 @@ class Trajectory:
     control: ControlSignal
 
 
-def _flow_rhs(sys: ControlSystem, u, block=None):
+def _flow_rhs(sys: ControlSystem, u, block):
     """RHS ``(t, state) -> dstate`` of the base flow xdot = rho(x) f(x, u) on
-    the state (x, w), with wdot = block(x, u, w) appended when ``block`` is
-    given.  ``u`` is a held control value, or a callable (x, w) -> u that is
-    evaluated at every stage.  Every stage evaluates the chart and the
-    block; flows whose coefficients do not read the base read the
-    per-control table of :func:`_point_table` instead.
-    """
+    the state (x, w), with wdot = block(x, u, w) appended.  ``u`` is a held
+    control value, or a callable (x, w) -> u; every stage evaluates u, the
+    chart and the block."""
     n = sys.alg.base_dim
     pick = u if callable(u) else (lambda x, w: u)
 
     def rhs(t, state):
         x, w = state[:n], state[n:]
         v = pick(x, w)
-        xdot = sys.alg.anchor_at(x) @ sys.f_at(x, v)
-        if block is None:
-            return xdot
-        return np.concatenate([xdot, block(x, v, w)])
+        return np.concatenate([sys.alg.anchor_at(x) @ sys.f_at(x, v), block(x, v, w)])
 
     return rhs
 
@@ -254,11 +249,11 @@ def _flow_rhs(sys: ControlSystem, u, block=None):
 @dataclass(frozen=True)
 class _PointTable:
     """What holding a control fixes when no coefficient reads the base point:
-    over a point, and on the cost extension of a point system, whose one base
-    coordinate (the accrued cost) nothing reads.  Row i is for the control
-    value v_i: F[i] = f(v_i), L[i] = L(v_i), the dual transport zdot = K[i] z
-    (columns of costate_rhs; its z0 term z0 dL/dx vanishes) and the complete
-    lift ydot = M[i] y."""
+    over a point, and on the cost extension of a point system (``point`` of
+    :func:`_held_pass`), whose one base coordinate, the accrued cost, nothing
+    reads.  Row i is for the control value v_i: F[i] = f(v_i), L[i] = L(v_i),
+    the dual transport zdot = K[i] z (columns of costate_rhs; its z0 term
+    z0 dL/dx vanishes) and the complete lift ydot = M[i] y."""
 
     F: np.ndarray  # (k, m)
     L: np.ndarray  # (k,)
@@ -275,12 +270,6 @@ def _point_table(sys: ControlSystem, values, x=np.zeros(0)) -> _PointTable:
     return _PointTable(F, np.array([sys.L_at(x, v) for v in values]), np.array(K), np.array(M))
 
 
-def _held_segments(sys: ControlSystem, signal: ControlSignal, block=None):
-    """Per-segment RHS factory for :func:`integrate_segmented` that holds the
-    signal's value at each segment midpoint."""
-    return lambda seg, lo, hi: _flow_rhs(sys, signal.value(0.5 * (lo + hi)), block)
-
-
 def _signal_grid(sys: ControlSystem, signal: ControlSignal, t0, t1, step: float) -> TimeGrid:
     """The grid on [t0, t1] (the signal's interval by default) with the
     signal's switch times as breakpoints; raises unless every control value
@@ -293,14 +282,56 @@ def _signal_grid(sys: ControlSystem, signal: ControlSignal, t0, t1, step: float)
     return TimeGrid(t0, t1, step, tuple(s for s in signal.switch_times if t0 < s < t1))
 
 
+def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0=None,
+               dual: bool = False, z0: float = 0.0, point: bool = False):
+    """(base, fiber samples f(x, u), w samples or None) on ``grid``, each
+    segment holding the signal's value at its midpoint; w is the fiber
+    transport ydot = M y of the vector or frame w0, or for ``dual`` its dual
+    transport (costate_rhs at z0).  Where no coefficient reads the base, a
+    segment holds a row of :func:`_point_table` at x0: the base adds the RK4
+    increments of its constant rate rho f(v), and w steps by R(hA).  With a
+    base one RK4 pass carries both; the dual field reads a frame's columns
+    as contiguous copies, which keeps the bits of vector passes."""
+    n, m, nodes, times = sys.alg.base_dim, sys.alg.fiber_dim, grid.nodes, signal.switch_times
+    x0, y0 = np.asarray(x0, dtype=float), np.ravel(() if w0 is None else w0)
+    held = [np.searchsorted(times, 0.5 * (nodes[i] + nodes[j]), side="right")
+            for i, j in grid.segment_bounds]
+    at_node = np.searchsorted(times, nodes, side="right")
+    if point or not n:
+        table = _point_table(sys, signal.values, x0)
+        r = table.F @ sys.alg.anchor_at(x0).T
+        steps = np.diff(nodes)[:, None] * ((r + 2.0 * r + 2.0 * r + r) / 6.0)[at_node[:-1]]
+        base, fiber = np.cumsum(np.concatenate([x0[None], steps]), axis=0), table.F[at_node]
+        mats = table.K if dual else table.M
+        w = integrate_segmented(lambda seg, lo, hi: mats[held[seg]], grid, y0) if y0.size else y0
+    else:
+        def rhs(t, state, u):
+            x, w = state[:n], state[n:]
+            f = sys.f_at(x, u)
+            xdot = sys.alg.anchor_at(x) @ f
+            if w0 is None:
+                return xdot
+            if dual:
+                cols = np.ascontiguousarray(w.reshape(m, -1).T)
+                wdot = np.column_stack([costate_rhs(sys, x, u, z, z0) for z in cols])
+            else:
+                wdot = _lift_matrix(sys.alg, x, f, sys.f_jac_at(x, u)) @ w.reshape(w0.shape)
+            return np.concatenate([xdot, wdot.ravel()])
+
+        w = integrate_segmented(lambda seg, lo, hi: partial(rhs, u=signal.values[held[seg]]),
+                                grid, np.concatenate([x0, y0]))
+        base, w = np.ascontiguousarray(w[:, :n]), w[:, n:]
+        fiber = np.array([sys.f_at(x, signal.values[i]) for x, i in zip(base, at_node)])
+    return base, fiber, None if w0 is None else w.reshape((-1,) + w0.shape)
+
+
 def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
                         t0: float | None = None, t1: float | None = None,
                         step: float = 1e-3) -> Trajectory:
-    """Integrate xdot = rho(x) f(x, u(t)) and attach fiber samples a = f(x, u)."""
+    """Integrate xdot = rho(x) f(x, u(t)) and attach fiber samples a = f(x, u)
+    (by :func:`_held_pass`; over a point, the table's f(v) on an (N, 0) base)."""
     grid = _signal_grid(sys, signal, t0, t1, step)
-    base = integrate_segmented(_held_segments(sys, signal), grid, np.asarray(x0, dtype=float))
-    fiber = np.array([sys.f_at(base[k], signal.value(tk))
-                      for k, tk in enumerate(grid.nodes)])
+    base, fiber, _ = _held_pass(sys, signal, grid, x0)
     return Trajectory(EPath(grid, base, fiber), signal)
 
 
@@ -343,28 +374,8 @@ def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,
 
 def _transport(sys: ControlSystem, traj: Trajectory, w0: np.ndarray, dual: bool,
                z0: float = 0.0) -> np.ndarray:
-    """Integrate the base under the trajectory's control together with the
-    fiber (ydot = M y) or, for ``dual``, the dual (costate_rhs at z0)
-    transport of w0, a vector or frame; returns samples (N, *w0.shape).
-    Over a point each held segment steps its K or M from the table by R(hA)."""
-    n, shape, signal = sys.alg.base_dim, w0.shape, traj.control
-
-    def flat(x, u, w):
-        if dual:
-            return costate_rhs(sys, x, u, w, z0)
-        return (_lift_matrix(sys.alg, x, sys.f_at(x, u), sys.f_jac_at(x, u))
-                @ w.reshape(shape)).ravel()
-
-    if n == 0:
-        table = _point_table(sys, signal.values)
-        mats = table.K if dual else table.M
-
-        def make_rhs(seg, lo, hi):
-            return mats[np.searchsorted(signal.switch_times, 0.5 * (lo + hi), side="right")]
-    else:
-        make_rhs = _held_segments(sys, signal, flat)
-    state0 = np.concatenate([traj.path.base[0], w0.ravel()])
-    return integrate_segmented(make_rhs, traj.path.grid, state0)[:, n:].reshape((-1,) + shape)
+    """Samples (N, *w0.shape) of :func:`_held_pass`'s transport of w0 along traj."""
+    return _held_pass(sys, traj.control, traj.path.grid, traj.path.base[0], w0, dual, z0)[2]
 
 
 def transport_B(sys: ControlSystem, traj: Trajectory, y0: np.ndarray) -> np.ndarray:
@@ -397,11 +408,11 @@ class TransportFrame:
 
 
 def transport_frame(sys: ControlSystem, traj: Trajectory) -> TransportFrame:
-    """Materialize both transports by flowing full bases along the trajectory;
-    column j of Bbar is the dual transport of the basis covector e_j."""
+    """Both transports of the identity frame, one pass each; column j of Bbar
+    is the dual transport of the basis covector e_j (bit for bit with a base,
+    to rounding over a point, where R(hK) acts on the whole frame)."""
     eye = np.eye(sys.alg.fiber_dim)
-    Bbar = np.stack([transport_Bbar(sys, traj, (e, 0.0))[0] for e in eye], axis=-1)
-    return TransportFrame(traj.path.grid, _transport(sys, traj, eye, False), Bbar)
+    return TransportFrame(traj.path.grid, *(_transport(sys, traj, eye, d) for d in (False, True)))
 
 
 def pairing_drift(sys: ControlSystem, traj: Trajectory, y0: np.ndarray,

@@ -18,13 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      _box_qp, _flow_rhs, _point_table, _signal_grid, _transport,
-                      costate_rhs, extend_system, simulate_trajectory)
+                      _box_qp, _flow_rhs, _held_pass, _point_table, _signal_grid,
+                      costate_rhs, extend_system)
 from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
                    affine_matrix_field)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
-                       grid_derivative, integrate, integrate_segmented, _linear_rk4, rk4_step)
+                       grid_derivative, integrate, _linear_rk4, rk4_step)
 from .paths import EPath, _sampler
 
 __all__ = [
@@ -606,31 +606,16 @@ class NeedleContext:
 
 def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
                         step: float = 1e-3) -> NeedleContext:
-    """Cost-extended trajectory under ``control`` and its fiber transport B;
-    needle directions never read the dual transport, so it is not built.
-
-    Over a point the extension's one base coordinate, the accrued cost, is
-    read by nothing (see :func:`extend_system`), so its per-control table
-    holds: each segment steps the frame by R(hM(u)), and the cost adds the
-    RK4 increments h ((r + 2r + 2r + r) / 6) of its rate r = rho f(u) = L(u),
-    bit for bit the cost of :func:`simulate_trajectory`; the table's f(v)
-    are the fiber samples.
-    """
+    """Cost-extended trajectory under ``control`` and its fiber transport B,
+    by one :func:`control._held_pass` (needle directions never read the dual
+    transport).  The extension of a point system takes the pass's table
+    route, since nothing reads its one base coordinate, the accrued cost:
+    bit for bit the cost of :func:`control.simulate_trajectory`."""
     esys, ext = extend_system(sys)
-    xx0 = ext.embed_base(0.0, x0)
-    me = esys.alg.fiber_dim
-    if sys.alg.base_dim:
-        etraj = simulate_trajectory(esys, control, xx0, step=step)
-        return NeedleContext(sys, esys, etraj, _transport(esys, etraj, np.eye(me), False))
     grid = _signal_grid(esys, control, None, None, step)
-    table = _point_table(esys, control.values, xx0)
-    frame = integrate_segmented(lambda seg, lo, hi: table.M[seg], grid, np.eye(me).ravel())
-    seg = np.searchsorted(control.switch_times, grid.nodes, side="right")
-    r = (table.F @ esys.alg.anchor_at(xx0).T)[seg[:-1]]
-    cost = np.cumsum(np.concatenate([xx0[None], np.diff(grid.nodes)[:, None]
-                                     * ((r + 2.0 * r + 2.0 * r + r) / 6.0)]), axis=0)
-    etraj = Trajectory(EPath(grid, cost, table.F[seg]), control)
-    return NeedleContext(sys, esys, etraj, frame.reshape(-1, me, me))
+    base, fiber, frame = _held_pass(esys, control, grid, ext.embed_base(0.0, x0),
+                                    np.eye(esys.alg.fiber_dim), point=not sys.alg.base_dim)
+    return NeedleContext(sys, esys, Trajectory(EPath(grid, base, fiber), control), frame)
 
 
 def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,

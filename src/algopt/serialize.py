@@ -155,13 +155,15 @@ def write_frame_csv(file, frame: TransportFrame) -> None:
 
 
 def write_report_json(file, report: dict) -> None:
+    """The report as :func:`_report_text`, with a final newline."""
+    Path(file).parent.mkdir(parents=True, exist_ok=True)
+    Path(file).write_text(_report_text(report) + "\n")
+
+
+def _report_text(report: dict) -> str:
     """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite number,
     numpy scalars and array entries included, is written as null."""
-    path = Path(file)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        json.dump(_plain(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    return json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _plain(obj):

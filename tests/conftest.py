@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from algopt.core import ChartAlgebroid, so3_algebra, so3_structure
+from algopt.control import ControlSignal, control_affine
+from algopt.core import (ChartAlgebroid, atiyah_trivial, lie_algebra, so3_algebra,
+                         so3_structure, tangent_bundle)
 from algopt.scenarios import WongFixture, build_so3_bang_bang_system, default_config
 
 
@@ -65,3 +67,29 @@ def wong_fixture():
     return WongFixture(so3_structure(),
                        np.asarray(params["connection_const"], dtype=float),
                        np.asarray(params["connection_linear"], dtype=float))
+
+
+def random_control_affine(rng, n, p, chart, active):
+    """A random control_affine system with x-dependent F and G (constant over
+    a point) on TR^n (``chart`` "tangent"), the Atiyah chart TR^n x so(3)
+    ("atiyah") or so(3) ("point", n = 0); G is positive definite near x = 0.
+    The box |u_j| <= 0.3 is active at typical controls, |u_j| <= 100 not."""
+    chart = {"tangent": tangent_bundle, "atiyah": lambda n: atiyah_trivial(n, so3_structure()),
+             "point": lambda n: lie_algebra(so3_structure())}[chart](n)
+    m = chart.fiber_dim
+    R = rng.normal(size=(p, p))
+    G1 = 0.1 * rng.normal(size=(p, p, n))
+    return control_affine(chart, (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
+                          (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)),
+                          0.3 if active else 100.0)
+
+
+def box_signal(rng, box, n_switches, t1):
+    """A ControlSignal on [0, t1] with values drawn inside the box and
+    switches at least 0.05 apart, away from the ends."""
+    while True:
+        switches = np.sort(rng.uniform(0.05, t1 - 0.05, size=n_switches))
+        if np.all(np.diff(switches) > 0.05):
+            break
+    values = box.lower + (box.upper - box.lower) * rng.random((n_switches + 1, box.dim))
+    return ControlSignal(0.0, t1, tuple(switches), tuple(values))

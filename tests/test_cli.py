@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -307,3 +308,40 @@ def test_audit_names_a_trajectory_with_a_column_gap(tmp_path, capsys):
     assert main(["audit", path, "--mode", "fixed-time", "--traj", str(traj),
                  "--costate", str(out_dir / "costate.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {traj}: x_ columns ")
+
+
+def overflowing_so3_run(tmp_path, capsys):
+    """Config path and artifacts of a so3 run from a covector of norm 1e200,
+    whose checks overflow (the run exits 1)."""
+    path = write_config(tmp_path, {"scenario": "so3-bang-bang", "horizon": 1,
+                                   "z_init": [1e200, 0, 0]})
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 1
+    capsys.readouterr()
+    return path, ["--traj", str(out_dir / "trajectory.csv"),
+                  "--costate", str(out_dir / "costate.csv")]
+
+
+def test_audit_prints_the_strict_json_it_writes(tmp_path, capsys):
+    """The overflowing checks print as null, never as NaN or Infinity, and
+    stdout is the audit.json written beside it."""
+    path, files = overflowing_so3_run(tmp_path, capsys)
+    assert main(["audit", path, *files, "--out", str(tmp_path / "audit")]) == 1
+    printed = capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} on stdout")
+
+    report = json.loads(printed, parse_constant=reject)
+    assert report["covector_min_norm"] is None and not report["passed"]
+    assert printed == (tmp_path / "audit" / "audit.json").read_text()
+
+
+def test_audit_of_an_overflowing_run_warns_nothing(tmp_path, capsys):
+    """As ``run``, the audit fails the overflowing checks without numpy's
+    overflow warnings: a warning here is an error."""
+    path, files = overflowing_so3_run(tmp_path, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", path, *files]) == 1
+    assert capsys.readouterr().err == ""

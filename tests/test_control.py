@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet,
+from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, control_affine,
                             costate_rhs, extend_system, pairing_drift,
                             simulate_trajectory, transport_B, transport_Bbar,
                             transport_frame)
 from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
                          tangent_lift_section, validate_skew)
 from algopt.numerics import integrate
-from conftest import non_skew_chart, skew_hat
+from conftest import box_signal, non_skew_chart, random_control_affine, skew_hat
 
 
 def constant_section_system(alg, v):
@@ -317,6 +317,40 @@ def test_frame_starts_at_identity_and_matches_vector_transport(so3):
     assert np.abs(frame.B[-1] @ y0 - ys[-1]).max() < 1e-10
     zs, _ = transport_Bbar(sys, traj, (y0, 0.0))
     assert np.abs(frame.Bbar[-1] @ y0 - zs[-1]).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), chart=st.sampled_from(["point", "tangent", "atiyah"]),
+       n=st.integers(1, 3), p=st.integers(1, 3), n_switches=st.integers(0, 3))
+def test_frame_bbar_columns_are_the_dual_vector_transports(seed, chart, n, p, n_switches):
+    """Column j of transport_frame's Bbar is transport_Bbar of e_j: bit for
+    bit with a base, and to 1e-13 relative over a point, where one R(hK)
+    acts on the whole frame.  Over a point (a random skew table on R^(n+1))
+    the trajectory's base has shape (N, 0) and its fiber samples are f(v) of
+    each segment's value v exactly."""
+    rng = np.random.default_rng(seed)
+    if chart == "point":
+        c = rng.normal(size=(n + 1,) * 3)
+        R = rng.normal(size=(p, p))
+        sys = control_affine(lie_algebra(c - np.swapaxes(c, 1, 2)),
+                             (rng.normal(size=(n + 1, p)), None), (R @ R.T + np.eye(p), None), 0.3)
+    else:
+        sys = random_control_affine(rng, n, p, chart, True)
+    signal = box_signal(rng, sys.control_space, n_switches, 1.0)
+    x0 = rng.uniform(-0.5, 0.5, sys.alg.base_dim)
+    traj = simulate_trajectory(sys, signal, x0, step=float(rng.uniform(5e-3, 2e-2)))
+    frame = transport_frame(sys, traj)
+    for j, e in enumerate(np.eye(sys.alg.fiber_dim)):
+        column = transport_Bbar(sys, traj, (e, 0.0))[0]
+        if chart == "point":
+            assert np.abs(frame.Bbar[:, :, j] - column).max() <= 1e-13 * np.abs(column).max()
+        else:
+            assert np.array_equal(frame.Bbar[:, :, j], column)
+    if chart == "point":
+        nodes = traj.path.grid.nodes
+        assert traj.path.base.shape == (len(nodes), 0)
+        assert np.array_equal(traj.path.fiber, np.array(
+            [sys.f_at(np.zeros(0), signal.value(t)) for t in nodes]))
 
 
 def test_transport_is_flow_of_tangent_lift(so3):

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 from algopt import pmp
 from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, control_affine,
                             costate_rhs, simulate_trajectory, transport_Bbar, transport_frame)
-from algopt.core import atiyah_trivial, lie_algebra, so3_structure, tangent_bundle
+from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
 from algopt.numerics import TimeGrid, grid_derivative, rk4_step
 from algopt.paths import EPath, reparameterize_unit
@@ -24,7 +24,7 @@ from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol
                         shoot_endpoint, time_dependence_audit, verify_extremal)
 from algopt.scenarios import (WongFixture, build_lq_system, build_so3_bang_bang_system,
                               build_wong_system)
-from conftest import skew_hat
+from conftest import box_signal, random_control_affine, skew_hat
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +365,6 @@ def per_node_audit(sys, path, costate, u_nodes, mode, tol):
     return numbers, verdicts, notes, max(1.0, np.abs(h).max(), np.abs(dz).max(initial=0.0))
 
 
-def random_control_affine(rng, n, p, chart, active):
-    """A random control_affine system with x-dependent F and G (constant over
-    a point) on TR^n (``chart`` "tangent"), the Atiyah chart TR^n x so(3)
-    ("atiyah") or so(3) ("point", n = 0); G is positive definite near x = 0.
-    The box |u_j| <= 0.3 is active at typical controls, |u_j| <= 100 not."""
-    chart = {"tangent": tangent_bundle, "atiyah": lambda n: atiyah_trivial(n, so3_structure()),
-             "point": lambda n: lie_algebra(so3_structure())}[chart](n)
-    m = chart.fiber_dim
-    R = rng.normal(size=(p, p))
-    G1 = 0.1 * rng.normal(size=(p, p, n))
-    return control_affine(chart, (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
-                          (R @ R.T + np.eye(p), G1 + np.swapaxes(G1, 0, 1)),
-                          0.3 if active else 100.0)
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
        atiyah=st.booleans(), z0=st.sampled_from([0.0, -1.0]), active=st.booleans(),
@@ -579,6 +564,74 @@ def test_needle_rejects_discontinuity_times(needle_setup):
     bad = flow.switch_times[0]
     with pytest.raises(ValueError):
         needle_vector(ctx, VariationSymbol((bad,), ([1.0],), 3.0, (0.5,), 0.0))
+
+
+def reference_extended_pass(sys, signal, grid, x0):
+    """Step-by-step RK4 of the cost-extended base (cost, x) and its complete
+    lift Y' = M Y from the identity, from the declared tables F(x) = F0 + F1 x
+    and G(x) = G0 + G1 x of a control_affine system: cost' = u.G(x) u / 2,
+    x' = rho(x) F(x) u, and M has the row (0, dL/dx rho) above the block
+    (0, df/dx rho + c[., f]).  Returns rows (cost, x, Y flattened)."""
+    (F0, F1), (G0, G1) = sys.affine
+    alg, n, m = sys.alg, sys.alg.base_dim, sys.alg.fiber_dim
+
+    def field(u, s):
+        x, Y = s[1:n + 1], s[n + 1:].reshape(m + 1, m + 1)
+        f, rho = (F0 + F1 @ x) @ u, alg.anchor_at(x)
+        M = np.zeros((m + 1, m + 1))
+        M[0, 1:] = 0.5 * np.einsum("i,ija,j->a", u, G1, u) @ rho
+        M[1:, 1:] = (np.einsum("iba,b->ia", F1, u) @ rho
+                     + np.einsum("ijk,k->ij", alg.structure_at(x), f))
+        return np.concatenate([[0.5 * u @ (G0 + G1 @ x) @ u], rho @ f, (M @ Y).ravel()])
+
+    s, nodes = np.concatenate([[0.0], x0, np.eye(m + 1).ravel()]), grid.nodes
+    out = [s]
+    for k in range(len(nodes) - 1):
+        h, u = nodes[k + 1] - nodes[k], signal.value(0.5 * (nodes[k] + nodes[k + 1]))
+        k1 = field(u, s)
+        k2 = field(u, s + 0.5 * h * k1)
+        k3 = field(u, s + 0.5 * h * k2)
+        k4 = field(u, s + h * k3)
+        s = s + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        out.append(s)
+    return np.array(out)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
+       atiyah=st.booleans(), n_switches=st.integers(1, 3))
+def test_needle_context_with_a_base_is_the_joint_rk4_pass(seed, n, p, atiyah, n_switches):
+    """On random control-affine systems over TR^n or an Atiyah chart
+    TR^n x so(3), under a signal of 1-3 switches inside the box, the needle
+    context's cost, base and frame are a step-by-step RK4 of the joint
+    cost, base and lift field to 1e-13 of their scale; its fiber samples
+    are (L, f) at each node; and the accrued cost is the integral of L: the
+    trapezoid rule on the held steps, whose O(h^2) error stays within
+    1e-2 h^2 of the cost's scale (6.5e-4 h^2 at most over 150 draws)."""
+    rng = np.random.default_rng(seed)
+    sys = random_control_affine(rng, n, p, "atiyah" if atiyah else "tangent", True)
+    t1, step = float(rng.uniform(0.5, 1.5)), float(rng.uniform(5e-3, 2e-2))
+    signal = box_signal(rng, sys.control_space, n_switches, t1)
+    x0 = rng.uniform(-0.5, 0.5, n)
+    ctx = make_needle_context(sys, signal, x0, step=step)
+
+    nodes = ctx.grid.nodes
+    assert np.array_equal(nodes, TimeGrid(0.0, t1, step, signal.switch_times).nodes)
+    ref = reference_extended_pass(sys, signal, ctx.grid, x0)
+    for got, want in ((ctx.etraj.path.base, ref[:, :n + 1]),
+                      (ctx.frame_B, ref[:, n + 1:].reshape(ctx.frame_B.shape))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    cost, x = ctx.etraj.path.base[:, 0], ctx.etraj.path.base[:, 1:]
+    expected = np.array([np.concatenate(([sys.L_at(xk, u)], sys.f_at(xk, u)))
+                         for xk, u in zip(x, map(signal.value, nodes))])
+    assert np.abs(ctx.etraj.path.fiber - expected).max() <= 1e-13 * np.abs(expected).max()
+    held = [signal.value(0.5 * (a + b)) for a, b in zip(nodes[:-1], nodes[1:])]
+    trapezoid = np.concatenate([[0.0], np.cumsum(
+        [0.5 * (b - a) * (sys.L_at(xa, u) + sys.L_at(xb, u))
+         for a, b, xa, xb, u in zip(nodes[:-1], nodes[1:], x[:-1], x[1:], held)])])
+    assert np.abs(cost - trapezoid).max() <= 1e-2 * step**2 * max(1.0, cost[-1])
 
 
 def test_cone_zero_needle_always_supported():
