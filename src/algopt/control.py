@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -287,41 +286,46 @@ def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0
     """(base, fiber samples f(x, u), w samples or None) on ``grid``, each
     segment holding the signal's value at its midpoint; w is the fiber
     transport ydot = M y of the vector or frame w0, or for ``dual`` its dual
-    transport (costate_rhs at z0).  Where no coefficient reads the base, a
-    segment holds a row of :func:`_point_table` at x0: the base adds the RK4
-    increments of its constant rate rho f(v), and w steps by R(hA).  With a
-    base one RK4 pass carries both; the dual field reads a frame's columns
-    as contiguous copies, which keeps the bits of vector passes."""
-    n, m, nodes, times = sys.alg.base_dim, sys.alg.fiber_dim, grid.nodes, signal.switch_times
-    x0, y0 = np.asarray(x0, dtype=float), np.ravel(() if w0 is None else w0)
-    held = [np.searchsorted(times, 0.5 * (nodes[i] + nodes[j]), side="right")
-            for i, j in grid.segment_bounds]
-    at_node = np.searchsorted(times, nodes, side="right")
+    transport (costate_rhs at z0).  Where no coefficient reads the base
+    (over a point, or ``point``), a segment holds a row of
+    :func:`_point_table` at x0: the base adds the RK4 increments of its
+    constant rate rho f(v), and w steps by R(hA).  With a base one
+    :func:`_flow_rhs` pass carries both; the dual block reads a frame's
+    columns as contiguous copies, which keeps the bits of vector passes."""
+    n = sys.alg.base_dim
+    m = sys.alg.fiber_dim
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.zeros(0) if w0 is None else np.ravel(w0)
+    at_node = np.searchsorted(signal.switch_times, grid.nodes, side="right")
     if point or not n:
         table = _point_table(sys, signal.values, x0)
-        r = table.F @ sys.alg.anchor_at(x0).T
-        steps = np.diff(nodes)[:, None] * ((r + 2.0 * r + 2.0 * r + r) / 6.0)[at_node[:-1]]
-        base, fiber = np.cumsum(np.concatenate([x0[None], steps]), axis=0), table.F[at_node]
         mats = table.K if dual else table.M
-        w = integrate_segmented(lambda seg, lo, hi: mats[held[seg]], grid, y0) if y0.size else y0
+        r = (table.F @ sys.alg.anchor_at(x0).T)[at_node[:-1]]
+        steps = np.diff(grid.nodes)[:, None] * ((r + 2.0 * r + 2.0 * r + r) / 6.0)
+        base = np.cumsum(np.concatenate([x0[None], steps]), axis=0)
+        fiber = table.F[at_node]
+
+        def held(seg, lo, hi):
+            return mats[np.searchsorted(signal.switch_times, 0.5 * (lo + hi), side="right")]
+
+        w = None if w0 is None else integrate_segmented(held, grid, y0)
     else:
-        def rhs(t, state, u):
-            x, w = state[:n], state[n:]
-            f = sys.f_at(x, u)
-            xdot = sys.alg.anchor_at(x) @ f
+        def block(x, v, w):
             if w0 is None:
-                return xdot
+                return w
             if dual:
                 cols = np.ascontiguousarray(w.reshape(m, -1).T)
-                wdot = np.column_stack([costate_rhs(sys, x, u, z, z0) for z in cols])
-            else:
-                wdot = _lift_matrix(sys.alg, x, f, sys.f_jac_at(x, u)) @ w.reshape(w0.shape)
-            return np.concatenate([xdot, wdot.ravel()])
+                return np.column_stack([costate_rhs(sys, x, v, z, z0) for z in cols]).ravel()
+            M = _lift_matrix(sys.alg, x, sys.f_at(x, v), sys.f_jac_at(x, v))
+            return (M @ w.reshape(w0.shape)).ravel()
 
-        w = integrate_segmented(lambda seg, lo, hi: partial(rhs, u=signal.values[held[seg]]),
-                                grid, np.concatenate([x0, y0]))
-        base, w = np.ascontiguousarray(w[:, :n]), w[:, n:]
-        fiber = np.array([sys.f_at(x, signal.values[i]) for x, i in zip(base, at_node)])
+        def held(seg, lo, hi):
+            return _flow_rhs(sys, signal.value(0.5 * (lo + hi)), block)
+
+        state = integrate_segmented(held, grid, np.concatenate([x0, y0]))
+        base = np.ascontiguousarray(state[:, :n])
+        w = state[:, n:]
+        fiber = np.array([sys.f_at(x, signal.values[k]) for x, k in zip(base, at_node)])
     return base, fiber, None if w0 is None else w.reshape((-1,) + w0.shape)
 
 
@@ -412,7 +416,9 @@ def transport_frame(sys: ControlSystem, traj: Trajectory) -> TransportFrame:
     is the dual transport of the basis covector e_j (bit for bit with a base,
     to rounding over a point, where R(hK) acts on the whole frame)."""
     eye = np.eye(sys.alg.fiber_dim)
-    return TransportFrame(traj.path.grid, *(_transport(sys, traj, eye, d) for d in (False, True)))
+    B = _transport(sys, traj, eye, False)
+    Bbar = _transport(sys, traj, eye, True)
+    return TransportFrame(traj.path.grid, B, Bbar)
 
 
 def pairing_drift(sys: ControlSystem, traj: Trajectory, y0: np.ndarray,
