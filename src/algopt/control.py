@@ -41,8 +41,9 @@ __all__ = [
     "pairing_drift",
 ]
 
-def _as_control(u) -> np.ndarray:
-    return np.atleast_1d(np.asarray(u, dtype=float))
+def _as_control(u) -> np.ndarray:   # held values, 1-D float arrays already, pass as they are
+    return (u if type(u) is np.ndarray and u.ndim == 1 and u.dtype == float
+            else np.atleast_1d(np.asarray(u, dtype=float)))
 
 
 @dataclass(frozen=True)

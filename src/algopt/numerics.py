@@ -7,8 +7,9 @@ segment-wise between declared breakpoints and never step across one.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,13 +159,31 @@ def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
     return _rk4(lambda v: fn(*lo, v), lambda v: fn(*mid, v), lambda v: fn(*hi, v), y, h)
 
 
+def _held_steps(advance, nodes, y) -> np.ndarray:
+    """The states at ``nodes[1:]`` stepped from y by ``advance`` (t, y, h) -> y,
+    stacked, up to the first non-finite one, which raises if it is the first.
+    Later steps run under an errstate raising on overflow and invalid values;
+    a flagged one ends the states, so the next call takes it first and warns
+    as the caller's errstate says, as in a node-by-node loop."""
+    ys = [advance(nodes[0], y, nodes[1] - nodes[0])]
+    with suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
+        for k in range(1, len(nodes) - 1):
+            ys.append(advance(nodes[k], ys[-1], nodes[k + 1] - nodes[k]))
+    ys = np.array(ys)
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite[0]:
+        raise IntegrationDivergedError(nodes[1])
+    return ys if finite.all() else ys[:finite.argmin()]
+
+
 def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """RK4 over ``grid``, with a per-segment RHS factory.
 
     ``make_rhs(seg_index, t_lo, t_hi)`` returns the RHS callable used on that
     segment (or a matrix A: y' = A y, by :func:`_linear_rk4`), so piecewise
     fields (e.g. held controls) are evaluated on the correct side of each
-    breakpoint, including at the closing stage point.  Returns (n_nodes, dim).
+    breakpoint, including at the closing stage point.  A matrix segment goes
+    by :func:`_held_steps`, a callable node by node.  Returns (n_nodes, dim).
     """
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -174,10 +193,16 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     out[0] = y
     for seg_index, (i0, i1) in enumerate(grid.segment_bounds):
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
-        advance = _linear_rk4(fn) if isinstance(fn, np.ndarray) else partial(rk4_step, fn)
+        if isinstance(fn, np.ndarray):
+            advance = _linear_rk4(fn)
+            while i0 < i1:   # once, unless the states end early
+                ys = _held_steps(advance, nodes[i0:i1 + 1], y)
+                out[i0 + 1:i0 + 1 + len(ys)] = ys
+                i0, y = i0 + len(ys), ys[-1]
+            continue
         for k in range(i0, i1):
             h = nodes[k + 1] - nodes[k]
-            y = advance(nodes[k], y, h)
+            y = rk4_step(fn, nodes[k], y, h)
             if not np.all(np.isfinite(y)):
                 raise IntegrationDivergedError(nodes[k + 1])
             out[k + 1] = y

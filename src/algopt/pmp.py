@@ -23,8 +23,8 @@ from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
 from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
                    affine_matrix_field)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (_STEP_SLACK, TimeGrid, _rk4_sampled, finite_difference_jacobian,
-                       grid_derivative, integrate, _linear_rk4, rk4_step)
+from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_sampled,
+                       finite_difference_jacobian, grid_derivative, integrate, rk4_step)
 from .paths import EPath, _sampler
 
 __all__ = [
@@ -55,6 +55,8 @@ _TIE_GAP = 1e-10   # times max(1, |z|): H scales with (z, z0)
 # Steps whose development propagators are built in one batched RK4 step;
 # bounds the (block, d, d) arrays on long paths.
 _DEVELOP_BLOCK = 1024
+# Nodes a held value steps ahead over a point before one H table checks them.
+_FLOW_BLOCK = 64
 _AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
 # Relative forward-difference step of the shooting Jacobian.  Over a point the
 # endpoint depends on z only through the switch times, which bisection
@@ -255,17 +257,20 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        max_switches: int = 10_000) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
 
-    Over a finite set each segment holds the best value.  When a step ends
-    with another value best, the switch is localized to ``switch_tol`` by
-    bisection on sigma(s) = H[new](s) - H[current](s), new being the best
-    value at the step's end (and again towards a third value that leads
-    where the shortened step ends), and inserted as a grid breakpoint.  A
-    declared control-affine system at z0 = 0 has H = b.u linear in u, so it
-    runs the same loop over the 2^p vertices of its box, upper bounds listed
-    first so that a tie keeps the sign rule (b_j >= 0 takes the upper
-    bound).  Other boxes use the maximizer at every integration stage and
-    keep the control only as ``u_nodes``; a declared control-affine system
-    steps the fused field of :func:`_affine_pmp_rhs`.  Aborts with
+    Over a finite set each segment holds the best value.  The held value
+    steps up to ``_FLOW_BLOCK`` nodes ahead over a point (one with a base) by
+    :func:`numerics._held_steps`, and one H table over them finds the first
+    node with another value best; the nodes before it pass.  From there the
+    switch is localized to ``switch_tol`` by bisection on sigma(s) =
+    H[new](s) - H[current](s), new being the best value at the step's end
+    (and again towards a third value that leads where the shortened step
+    ends), and inserted as a grid breakpoint.  A declared control-affine
+    system at z0 = 0 has H = b.u linear in u, so it runs the same loop over
+    the 2^p vertices of its box, upper bounds listed first so that a tie
+    keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
+    the maximizer at every integration stage and keep the control only as
+    ``u_nodes``; a declared control-affine system steps the fused field of
+    :func:`_affine_pmp_rhs`.  Aborts with
     :class:`ChatteringError` after ``max_switches`` switches.
     """
     if z0 > 0:
@@ -299,35 +304,46 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                                 for x, z, u in zip(base, zs, u_nodes)])
     else:
         _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
-        if n:   # H over the set at y, and each held value's step (t, y, h) -> y
-            def h_at(y):
-                return np.array([hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values])
+        if n:   # rows: H over the set at each state, and each held value's step (t, y, h) -> y
+            def h_at(ys):
+                return np.array([[hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values]
+                                 for y in ys])
             steps = [partial(rk4_step, _pmp_rhs(sys, v, z0)) for v in U.values]
         else:   # both fixed per control over a point
             table = _point_table(sys, U.values)
             h_at = partial(_point_hamiltonians, table, z0=z0)
             steps = [_linear_rk4(K) for K in table.K]
 
-        node_list, states, rows = [t0], [state.copy()], [h_at(state)]   # rows: H over the set
+        node_list, states, rows = [t0], [state.copy()], list(h_at(state[None]))
         i_cur = int(np.argmax(rows[0]))
         seg_values = [U.values[i_cur]]
-        t, y = t0, state
         advance = steps[i_cur]
-        while t1 - t > 1e-15:
-            remaining = t1 - t
-            h = step if remaining > step * (1.0 + _STEP_SLACK) else remaining
-            t_next = t1 if h == remaining else t + h
-            y_next = advance(t, y, t_next - t)
-            if not np.all(np.isfinite(y_next)):
-                raise IntegrationDivergedError(t_next)
-            row = h_at(y_next)
+        while t1 - node_list[-1] > 1e-15:
+            # A block of held steps (one with a base), checked by one H table; its
+            # nodes pass up to its first new argmax, which is checked as one step.
+            ts = [node_list[-1]]
+            while len(ts) <= (1 if n else _FLOW_BLOCK) and t1 - ts[-1] > 1e-15:
+                ts.append(ts[-1] + step if t1 - ts[-1] > step * (1.0 + _STEP_SLACK) else t1)
+            ys = _held_steps(advance, ts, states[-1])
+            try:   # where H flags, it is evaluated (and warns) at the next node alone
+                with np.errstate(over="raise", invalid="raise"):
+                    block_rows = h_at(ys)
+            except FloatingPointError:
+                ys, block_rows = ys[:1], h_at(ys[:1])
+            moved = block_rows.argmax(axis=1) != i_cur
+            j = int(moved.argmax()) if moved.any() else len(ys) - 1
+            node_list += ts[1:j + 1]
+            states += list(ys[:j])
+            rows += list(block_rows[:j])
+            t, y = node_list[-1], states[-1]
+            t_next, y_next, row = ts[j + 1], ys[j], block_rows[j]
             i_new = int(np.argmax(row))
             if i_new != i_cur:
                 if len(switch_times) >= max_switches:
                     raise ChatteringError(max_switches, t_next)
 
                 def sigma(s):
-                    vals = rows[-1] if s <= t else h_at(advance(t, y, s - t))
+                    vals = rows[-1] if s <= t else h_at(advance(t, y, s - t)[None])[0]
                     return vals[i_new] - vals[i_cur]
 
                 hi = t_next
@@ -340,7 +356,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                             mid = 0.5 * (lo + hi)
                             lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
                     y_hi = advance(t, y, hi - t)
-                    row_hi = h_at(y_hi)
+                    row_hi = h_at(y_hi[None])[0]
                     lead = int(np.argmax(row_hi))
                     if lead in (i_cur, i_new):
                         break
@@ -353,7 +369,6 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             node_list.append(t_next)
             states.append(y_next)
             rows.append(row)
-            t, y = t_next, y_next
 
         states, rows = np.asarray(states), np.asarray(rows)
         base, zs = states[:, :n], states[:, n:]

@@ -1,16 +1,23 @@
 """Property tests of the per-segment linear kernels over a point: the held
 control's constant matrix, the fixed Hamiltonian table of a finite set,
 development by composed step propagators, the cost-extended needle frame
-with its interpolation, and the extremal audit against a per-node loop."""
+with its interpolation, the extremal audit against a per-node loop, and the
+blocks of held steps against node-by-node stepping."""
+
+import warnings
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, costate_rhs,
-                            simulate_trajectory, transport_frame)
+from algopt import pmp
+from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, _point_table,
+                            costate_rhs, simulate_trajectory, transport_frame)
 from algopt.core import lie_algebra, so3_algebra, so3_structure
-from algopt.numerics import TimeGrid
+from algopt.errors import IntegrationDivergedError
+from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
 from algopt.paths import EPath
 from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
                         verify_extremal)
@@ -311,3 +318,87 @@ def test_verify_extremal_matches_a_per_node_loop(seed, m, z0, mode, degenerate):
         np.abs(a).max() + 2.0 * np.abs(b).max() + 1.0) + 2.0 * cost.sum())
     assert np.abs(np.subtract(got, expected)).max() <= 1e-13 * scale
     assert audit.notes == notes
+
+
+def planar_point_system(rng, m, k):
+    """A skew table over a point and k control values in the plane, with
+    f(u) = a + u_1 b + u_2 d and L(u) = cost + |u|^2 / 2, so that any of the
+    values can lead."""
+    c = rng.normal(size=(m, m, m))
+    c = c - np.swapaxes(c, 1, 2)
+    a, b, d = rng.normal(size=(3, m))
+    cost = float(rng.uniform(0.5, 2.0))
+    values = tuple(rng.uniform(-2.0, 2.0, size=(k, 2)))
+    return ControlSystem(lie_algebra(c), lambda x, u: a + u[0] * b + u[1] * d,
+                         lambda x, u: cost + 0.5 * float(u @ u), FiniteSet(values))
+
+
+def flow_bits(flow):
+    return (flow.costate.z.tobytes(), flow.h_nodes.tobytes(), flow.u_nodes.tobytes(),
+            flow.path.grid.nodes.tobytes(), flow.switch_times, flow.tie_times)
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(2, 4), k=st.integers(2, 3), z0=st.sampled_from([0.0, -1.0]))
+def test_flow_blocks_are_bit_identical_to_node_by_node_steps(seed, m, k, z0):
+    rng = np.random.default_rng(seed)
+    sys = planar_point_system(rng, m, k)
+    z = rng.normal(size=m) * rng.uniform(0.5, 3.0)
+    horizon, step = float(rng.uniform(0.5, 3.0)), float(rng.uniform(2e-3, 2e-2))
+
+    def flow(block):
+        with mock.patch.object(pmp, "_FLOW_BLOCK", block):
+            return integrate_pmp_flow(sys, np.zeros(0), z, z0, 0.0, horizon, step=step)
+
+    reference = flow(1)
+    blocks = [pmp._FLOW_BLOCK]
+    if reference.switch_times:   # the first switch on the last node of a block, and on the first
+        first = int(np.searchsorted(reference.path.grid.nodes, reference.switch_times[0]))
+        blocks += [first, max(first - 1, 1)]
+    for block in blocks:
+        assert flow_bits(flow(block)) == flow_bits(reference)
+
+
+@PROPERTY
+@given(seed=SEEDS, m=st.integers(2, 4), n_breaks=st.integers(0, 3), frame=st.booleans())
+def test_matrix_segments_are_bit_identical_to_node_by_node_steps(seed, m, n_breaks, frame):
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(n_breaks + 1, m, m)) * rng.uniform(0.5, 3.0)
+    t1 = float(rng.uniform(0.5, 3.0))
+    grid = TimeGrid(0.0, t1, float(rng.uniform(2e-3, 5e-2)),
+                    tuple(np.linspace(0.0, t1, n_breaks + 2)[1:-1] + rng.uniform(-0.01, 0.01)))
+    y0 = np.eye(m).ravel() if frame else rng.normal(size=m)
+    nodes, y, expected = grid.nodes, y0, [y0]
+    for seg, (i0, i1) in enumerate(grid.segment_bounds):
+        advance = _linear_rk4(mats[seg])
+        for i in range(i0, i1):
+            y = advance(nodes[i], y, nodes[i + 1] - nodes[i])
+            expected.append(y)
+    got = integrate_segmented(lambda seg, lo, hi: mats[seg], grid, y0)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("mode, error, messages", [
+    ("warn", IntegrationDivergedError, {"overflow encountered in matmul"}),
+    ("ignore", IntegrationDivergedError, set()),
+    ("raise", FloatingPointError, set())])
+@pytest.mark.parametrize("run", ["flow", "vector", "frame"])
+def test_divergence_stops_at_the_first_non_finite_node(run, mode, error, messages):
+    """A held so(3) rotation stepped far past RK4's stability bound grows by a
+    fixed factor per step and overflows at t = 1400.  Blocks stop there, with
+    the warnings of a node-by-node loop under the caller's errstate: a block
+    stepping on from an overflowed state would add "invalid value" ones."""
+    sys = build_so3_bang_bang_system((1, 0, 0), (0, 0, 0))
+    z = np.array([0.2, 0.9, 1.1])
+    K = _point_table(sys, sys.control_space.values).K[0]
+    grid = TimeGrid(0.0, 2000.0, 4.0, (1000.0,))
+    call = {"flow": lambda: integrate_pmp_flow(sys, np.zeros(0), z, -1.0, 0.0, 2000.0, step=4.0),
+            "vector": lambda: integrate_segmented(lambda seg, lo, hi: K, grid, z),
+            "frame": lambda: integrate_segmented(lambda seg, lo, hi: K, grid, np.eye(3).ravel())}
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        with pytest.raises(error) as raised:
+            call[run]()
+    if error is IntegrationDivergedError:
+        assert raised.value.t == 1400.0
+    assert {str(w.message) for w in caught} == messages
