@@ -195,7 +195,7 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
         if isinstance(fn, np.ndarray):
             advance = _linear_rk4(fn)
-            while i0 < i1:   # once, unless the states end early
+            while i0 < i1:   # once: a pass starting at the step that ended one raises
                 ys = _held_steps(advance, nodes[i0:i1 + 1], y)
                 out[i0 + 1:i0 + 1 + len(ys)] = ys
                 i0, y = i0 + len(ys), ys[-1]

@@ -402,3 +402,31 @@ def test_divergence_stops_at_the_first_non_finite_node(run, mode, error, message
     if error is IntegrationDivergedError:
         assert raised.value.t == 1400.0
     assert {str(w.message) for w in caught} == messages
+
+
+def test_blocks_warn_only_where_node_by_node_steps_do():
+    """[e1, e2] = eps e2 with f(u) = (u B, A) over {+1, -1}: the covector's
+    second entry grows under u = +1 and shrinks under u = -1.  Started near
+    the overflow of H = u B z1 + A z2, the flow switches to -1 just before H
+    would overflow under +1, so a block that kept the H table of the nodes
+    it steps past the switch would warn of an overflow never met."""
+    eps, A, B, step = 1e-3, 1e6, 10.0, 0.5
+    c = np.zeros((2, 2, 2))
+    c[1, 0, 1], c[1, 1, 0] = eps, -eps
+    a, b = np.array([0.0, A]), np.array([B, 0.0])
+    sys = ControlSystem(lie_algebra(c), lambda x, u: a + u[0] * b, lambda x, u: 0.0,
+                        FiniteSet(([1.0], [-1.0])))
+    s = 0.9 * np.finfo(float).max / A
+    z = np.array([eps * A * s * 10 * step, s])   # z1 reaches 0 near the tenth node
+
+    def run(block):
+        with mock.patch.object(pmp, "_FLOW_BLOCK", block), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            flow = integrate_pmp_flow(sys, np.zeros(0), z, 0.0, 0.0, 40 * step, step=step)
+        return flow, {str(w.message) for w in caught}
+
+    (flow, messages), (reference, reference_messages) = run(pmp._FLOW_BLOCK), run(1)
+    assert len(reference.switch_times) == 1
+    assert flow_bits(flow) == flow_bits(reference)
+    assert messages == reference_messages
