@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,16 +193,15 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     out[0] = y
     for seg_index, (i0, i1) in enumerate(grid.segment_bounds):
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
-        if isinstance(fn, np.ndarray):
-            advance = _linear_rk4(fn)
-            while i0 < i1:   # once: a pass starting at the step that ended one raises
-                ys = _held_steps(advance, nodes[i0:i1 + 1], y)
-                out[i0 + 1:i0 + 1 + len(ys)] = ys
-                i0, y = i0 + len(ys), ys[-1]
-            continue
+        advance = _linear_rk4(fn) if isinstance(fn, np.ndarray) else partial(rk4_step, fn)
+        # A matrix segment in one pass (a second one raises), a callable node by node.
+        while isinstance(fn, np.ndarray) and i0 < i1:
+            ys = _held_steps(advance, nodes[i0:i1 + 1], y)
+            out[i0 + 1:i0 + 1 + len(ys)] = ys
+            i0, y = i0 + len(ys), ys[-1]
         for k in range(i0, i1):
             h = nodes[k + 1] - nodes[k]
-            y = rk4_step(fn, nodes[k], y, h)
+            y = advance(nodes[k], y, h)
             if not np.all(np.isfinite(y)):
                 raise IntegrationDivergedError(nodes[k + 1])
             out[k + 1] = y
