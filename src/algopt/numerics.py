@@ -38,14 +38,16 @@ class TimeGrid:
     unit-rate integration reproduces node times bitwise.  The final interval
     of each segment may be shorter than ``step``.  ``nodes_override`` carries
     explicit nodes for grids obtained by path composition, where spacing is
-    no longer uniform; ``step`` is then the nominal (maximal) spacing.
+    no longer uniform; ``step`` is then the nominal (maximal) spacing.  An
+    array given there is owned by the grid, which makes it read-only.
     """
 
     t0: float
     t1: float
     step: float
     breakpoints: tuple[float, ...] = ()
-    nodes_override: tuple[float, ...] | None = field(default=None, repr=False, compare=False)
+    nodes_override: tuple[float, ...] | np.ndarray | None = field(default=None, repr=False,
+                                                                  compare=False)
 
     def __post_init__(self):
         if not (self.t0 < self.t1):
@@ -136,18 +138,19 @@ def rk4_step(fn, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return _rk4(lambda v: fn(t, v), lambda v: fn(t_mid, v), lambda v: fn(t + h, v), y, h)
 
 
+def _rk4_matrix(X: np.ndarray) -> np.ndarray:
+    """R(X) = I + X + X^2/2 + X^3/6 + X^4/24, the stability polynomial of RK4:
+    on a linear ODE y' = A y an RK4 step of length h is y -> R(hA) y
+    (Hairer, Norsett and Wanner, *Solving ODEs I*, IV.2)."""
+    eye = np.eye(X.shape[-1])
+    return eye + X @ (eye + X @ (eye / 2.0 + X @ (eye / 6.0 + X / 24.0)))
+
+
 def _linear_rk4(A: np.ndarray):
-    """RK4 on y' = A y as a step (t, y, h) -> R(hA) y, t unread: on a linear ODE
-    an RK4 step is its stability polynomial R(X) = I + X + X^2/2 + X^3/6 + X^4/24
-    (Hairer, Norsett and Wanner, *Solving ODEs I*, IV.2).  y is a vector or the
-    columns of a frame flattened row-major; R is formed again only when h changes."""
-    eye = np.eye(len(A))
-
-    @lru_cache(maxsize=1)
-    def R(h):
-        X = h * A
-        return eye + X @ (eye + X @ (eye / 2.0 + X @ (eye / 6.0 + X / 24.0)))
-
+    """RK4 on y' = A y as a step (t, y, h) -> R(hA) y, t unread (:func:`_rk4_matrix`).
+    y is a vector or the columns of a frame flattened row-major; R is formed
+    again only when h changes."""
+    R = lru_cache(maxsize=1)(lambda h: _rk4_matrix(h * A))
     return lambda t, y, h: (R(h) @ y.reshape(len(A), -1)).ravel()
 
 

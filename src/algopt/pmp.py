@@ -23,8 +23,9 @@ from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
 from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
                    affine_matrix_field)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_sampled,
-                       finite_difference_jacobian, grid_derivative, integrate, rk4_step)
+from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_matrix,
+                       _rk4_sampled, finite_difference_jacobian, grid_derivative, integrate,
+                       rk4_step)
 from .paths import EPath, _sampler
 
 __all__ = [
@@ -58,13 +59,17 @@ _DEVELOP_BLOCK = 1024
 # Nodes a held value steps ahead over a point before one H table checks them.
 _FLOW_BLOCK = 64
 _AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
-# Relative forward-difference step of the shooting Jacobian.  Over a point the
-# endpoint depends on z only through the switch times, which bisection
-# localizes to integrate_pmp_flow's switch_tol = 1e-9; the endpoint map is
-# piecewise constant on that scale.  At a step of sqrt(switch_tol) that
-# quantization is about 3e-5 of each difference; at scipy's default step of
-# 1.5e-8 the Jacobian would be mostly quantization noise.
+# Relative forward-difference step of the shooting Jacobian where it does not
+# come from the switch times.  Where the endpoint depends on z only through
+# switch times, bisection localizes them to integrate_pmp_flow's
+# switch_tol = 1e-9, and the endpoint map is piecewise constant on that scale.
+# At a step of sqrt(switch_tol) that quantization is about 3e-5 of each
+# difference; at scipy's default step of 1.5e-8 the Jacobian would be mostly
+# quantization noise.
 _SHOOT_DIFF_STEP = np.sqrt(1e-9)
+# A switch whose rate sigma' = dF.K z_s has a cosine below this to the costate
+# velocity grazes: its time is no smooth function of z_init there.
+_GRAZE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,13 @@ def _ties(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     runner-up within _TIE_GAP max(1, |z|); a single value never ties."""
     top = np.sort(values, axis=-1)
     gap = top[..., -1] - top[..., -2] if top.shape[-1] > 1 else np.inf
-    return gap <= _TIE_GAP * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+    # |z| of z scaled by a power of two, which is exact: the bits of the plain
+    # norm, whose squares overflow above |z| of about 1.3e154; small entries
+    # may underflow when scaled, which moves no bit of the sum.
+    _, e = np.frexp(np.abs(z).max(axis=-1))
+    with np.errstate(under="ignore"):
+        size = np.ldexp(np.linalg.norm(np.ldexp(z, -e[..., None]), axis=-1), e)
+    return gap <= _TIE_GAP * np.maximum(1.0, size)
 
 
 def _golden_section(fn, lo: float, hi: float, iters: int = 48) -> float:
@@ -314,8 +325,10 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             h_at = partial(_point_hamiltonians, table, z0=z0)
             steps = [_linear_rk4(K) for K in table.K]
 
-        node_list, states, rows = [t0], [state.copy()], list(h_at(state[None]))
-        i_cur = int(np.argmax(rows[0]))
+        # The nodes, and the states and H rows as per-block arrays; y and row are the last node's.
+        node_list, y, row = [t0], state.copy(), h_at(state[None])[0]
+        states, rows = [y[None]], [row[None]]
+        i_cur = int(np.argmax(row))
         seg_values = [U.values[i_cur]]
         advance = steps[i_cur]
         while t1 - node_list[-1] > 1e-15:
@@ -324,7 +337,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             ts = [node_list[-1]]
             while len(ts) <= (1 if n else _FLOW_BLOCK) and t1 - ts[-1] > 1e-15:
                 ts.append(ts[-1] + step if t1 - ts[-1] > step * (1.0 + _STEP_SLACK) else t1)
-            ys = _held_steps(advance, ts, states[-1])
+            ys = _held_steps(advance, ts, y)
             try:   # where H flags, it is evaluated (and warns) at the next node alone
                 with np.errstate(over="raise", invalid="raise"):
                     block_rows = h_at(ys)
@@ -332,18 +345,20 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 ys, block_rows = ys[:1], h_at(ys[:1])
             moved = block_rows.argmax(axis=1) != i_cur
             j = int(moved.argmax()) if moved.any() else len(ys) - 1
-            node_list += ts[1:j + 1]
-            states += list(ys[:j])
-            rows += list(block_rows[:j])
-            t, y = node_list[-1], states[-1]
-            t_next, y_next, row = ts[j + 1], ys[j], block_rows[j]
-            i_new = int(np.argmax(row))
+            if j:
+                node_list += ts[1:j + 1]
+                states.append(ys[:j])
+                rows.append(block_rows[:j])
+                y, row = ys[j - 1], block_rows[j - 1]
+            t = node_list[-1]
+            t_next, y_next, row_next = ts[j + 1], ys[j], block_rows[j]
+            i_new = int(np.argmax(row_next))
             if i_new != i_cur:
                 if len(switch_times) >= max_switches:
                     raise ChatteringError(max_switches, t_next)
 
                 def sigma(s):
-                    vals = rows[-1] if s <= t else h_at(advance(t, y, s - t)[None])[0]
+                    vals = row if s <= t else h_at(advance(t, y, s - t)[None])[0]
                     return vals[i_new] - vals[i_cur]
 
                 hi = t_next
@@ -362,15 +377,16 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                         break
                     i_new = lead
                 if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
-                    t_next, y_next, row = hi, y_hi, row_hi
+                    t_next, y_next, row_next = hi, y_hi, row_hi
                     switch_times.append(hi)
                     i_cur, advance = i_new, steps[i_new]
                     seg_values.append(U.values[i_cur])
             node_list.append(t_next)
-            states.append(y_next)
-            rows.append(row)
+            y, row = y_next, row_next
+            states.append(y[None])
+            rows.append(row[None])
 
-        states, rows = np.asarray(states), np.asarray(rows)
+        states, rows = np.concatenate(states), np.concatenate(rows)
         base, zs = states[:, :n], states[:, n:]
         idx = rows.argmax(axis=1)
         u_nodes = np.array(U.values)[idx]
@@ -380,7 +396,10 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         tie_times = np.asarray(node_list)[_ties(rows, zs)].tolist()
     signal = None if box else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
-    grid = TimeGrid.from_nodes(np.asarray(node_list), tuple(switch_times), step=step)
+    # The flow's own nodes, increasing, with each switch among them: not validated again.
+    nodes = np.array(node_list, dtype=float)
+    grid = TimeGrid(float(nodes[0]), float(nodes[-1]), step, tuple(switch_times),
+                    nodes_override=nodes)
     return PmpFlow(EPath(grid, base, fiber), signal, CostatePath(grid, zs, z0), u_nodes,
                    h_nodes, tuple(switch_times), tuple(tie_times))
 
@@ -773,6 +792,54 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     return g
 
 
+def _segment_propagator(X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The product of the RK4 steps R(h_k X) of a segment whose steps are h:
+    all but the last have the length h[0] (the steps commute)."""
+    return np.linalg.matrix_power(_rk4_matrix(h[0] * X), len(h) - 1) @ _rk4_matrix(h[-1] * X)
+
+
+def _switch_jacobian(table, mats: np.ndarray, flow: PmpFlow, z0: float) -> np.ndarray | None:
+    """d g(t1) / d z_init, shape (d, d, m), for the development g of a flow
+    over a point with a finite set whose per-control table is ``table`` and
+    whose rep(e_k) are ``mats``; None at a grazing switch.
+
+    Over a point the dual transport is linear, so z_init moves the endpoint
+    only through the switch times.  One walk over the arcs carries
+    S = dz/dz_init and T = dg/dz_init.  On an arc held at value i, S is
+    left-multiplied by the arc's propagator of zdot = K_i z and T
+    right-multiplied by that of gdot = g A_i, A_i = rep(F_i): products of the
+    RK4 steps R(hK_i) and R(hA_i).  At a switch i -> j at t_s, where the flow
+    holds z_s, sigma = H_j - H_i vanishes, so with dF = F_j - F_i
+
+        dt_s = -(dF S) / (dF K_i z_s),   S += (K_i - K_j) z_s dt_s,
+        T += g(t_s) (A_i - A_j) dt_s
+
+    (the jump terms of Hiskens and Pai, IEEE TCAS-I 47, 2000).  A switch is
+    grazing when |dF K_i z_s| <= _GRAZE |dF| |K_i z_s|.
+    """
+    grid, z = flow.path.grid, flow.costate.z
+    bounds = grid.segment_bounds
+    held = _point_hamiltonians(table, z[[i0 for i0, _ in bounds]], z0).argmax(axis=1)
+    A = np.tensordot(table.F, mats, axes=(1, 0))
+    S, g = np.eye(z.shape[1]), np.eye(mats.shape[1])
+    T = np.zeros(g.shape + (z.shape[1],))
+    for k, (i0, i1) in enumerate(bounds):
+        i, h = held[k], np.diff(grid.nodes[i0:i1 + 1])
+        P = _segment_propagator(A[i], h)
+        g, T = g @ P, np.einsum("abk,bc->ack", T, P)
+        if k + 1 == len(bounds):
+            return T
+        j, z_s = held[k + 1], z[i1]
+        dF, dz = table.F[j] - table.F[i], table.K[i] @ z_s
+        rate = dF @ dz
+        if abs(rate) <= _GRAZE * np.linalg.norm(dF) * np.linalg.norm(dz):
+            return None
+        S = _segment_propagator(table.K[i], h) @ S
+        dt_s = -(dF @ S) / rate
+        S = S + np.outer((table.K[i] - table.K[j]) @ z_s, dt_s)
+        T = T + (g @ (A[i] - A[j]))[..., None] * dt_s
+
+
 @dataclass(frozen=True)
 class ShootingResult:
     z_init: np.ndarray
@@ -790,16 +857,26 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     extremal develops to the target group element.
 
     Indirect shooting by trust-region least squares (``scipy.optimize.
-    least_squares``, method ``trf`` with the regularized ``lsmr``
-    subproblem solver) on the endpoint residual
-    ``(g - target).ravel()`` over z, plus the duration in free time.  The
-    Jacobian is taken by forward differences with relative step
-    ``_SHOOT_DIFF_STEP``.  A chattering or diverged flow counts as a residual
-    of 1e6.  ``residual`` is the Frobenius norm at the returned point, from one
-    more flow; the result is flagged not-converged when it is not below
-    ``residual_tol``.  ``n_evaluations`` counts every flow the shot ran,
-    Jacobian columns and that last flow included; ``max_evals`` bounds it
-    (at least one Jacobian is always taken).
+    least_squares``, method ``trf`` with the ``lsmr`` subproblem solver) over
+    z, plus the duration in free time, on the endpoint residual
+    ``(g - target).ravel()`` and rows that every solution satisfies:
+
+    - in free time, the transversality row H(z_init) = 0;
+    - in fixed time, |z|^2 = |z_guess|^2, where the maximizing control does
+      not change under z -> s z for s > 0: at z0 = 0, or over a finite set
+      on which L takes a single value.  There the endpoint does not depend
+      on |z|, and the row removes that flat direction; elsewhere it would
+      contradict reachable targets.
+
+    Over a finite set the endpoint's Jacobian comes from the flow already
+    run (:func:`_switch_jacobian`), plus g(t1) rep(f) for the duration in
+    free time.  Over a box, and for an evaluation with a grazing switch, it
+    is taken by forward differences with relative step
+    ``_SHOOT_DIFF_STEP``.  A chattering or diverged flow counts as a
+    residual of 1e6.  ``residual`` is the Frobenius norm of the endpoint
+    residual at the returned point and the result is flagged not-converged
+    when it is not below ``residual_tol``.  ``n_evaluations`` counts every
+    flow the shot ran, difference columns included; ``max_evals`` bounds it.
 
     Raises ``ValueError`` before any flow when ``target`` does not have the
     shape of ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or
@@ -812,7 +889,8 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     m = sys.alg.fiber_dim
     target = np.asarray(target, dtype=float)
     z_guess = np.asarray(z_guess, dtype=float)
-    shape = np.shape(rep(np.eye(m)[0]))
+    mats = np.array([rep(e) for e in np.eye(m)], dtype=float)
+    shape = mats.shape[1:]
     if target.shape != shape:
         raise ValueError(f"target has shape {target.shape}, rep's matrices {shape}")
     if z_guess.shape != (m,):
@@ -822,38 +900,75 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
         raise ValueError("target, z_guess and duration_guess must be finite")
     free_time = t1 is None
     x0 = np.zeros(0)
+    U = sys.control_space
+    table = _point_table(sys, U.values) if isinstance(U, FiniteSet) else None
+    norm_row = not free_time and (z0 == 0 or (table is not None and np.ptp(table.L) == 0))
     failed = np.zeros(target.size)
     failed[0] = 1e6   # residual of a chattering or diverged flow
     n_flows = 0
 
-    def residual_vector(params):
+    def endpoint(params):
+        """The endpoint residual at params, and its Jacobian, or None where
+        that needs differences."""
         nonlocal n_flows
-        z = params[:m]
+        z, jac = params[:m], np.zeros((target.size, len(params)))
         duration = abs(params[m]) if free_time else (t1 - t0)
-        if duration <= 1e-9:
-            return (np.eye(shape[0]) - target).ravel()
-        n_flows += 1
-        try:
-            flow = integrate_pmp_flow(sys, x0, z, z0, t0, t0 + duration,
-                                      step=min(step, duration / 4.0))
-        except (ChatteringError, IntegrationDivergedError):
-            return failed
-        return (develop_to_group(sys.alg, flow.path, rep) - target).ravel()
+        if duration <= 1e-9:   # no flow: g(t) = I + t rep(f(u)) + O(t^2)
+            g, f = np.eye(shape[0]), sys.f_at(x0, _argmax(sys, z, z0, x0))
+        else:
+            if n_flows >= max_evals:
+                return failed, None
+            n_flows += 1
+            try:
+                flow = integrate_pmp_flow(sys, x0, z, z0, t0, t0 + duration,
+                                          step=min(step, duration / 4.0))
+            except (ChatteringError, IntegrationDivergedError):
+                return failed, None
+            g, f = develop_to_group(sys.alg, flow.path, rep), flow.path.fiber[-1]
+            T = None if table is None else _switch_jacobian(table, mats, flow, z0)
+            if T is None:
+                return (g - target).ravel(), None
+            jac[:, :m] = T.reshape(target.size, m)
+        if free_time:   # d g(t1) / d t1 = g(t1) rep(f(t1))
+            jac[:, m] = np.sign(params[m]) * (g @ np.tensordot(f, mats, axes=1)).ravel()
+        return (g - target).ravel(), jac
+
+    def level(params):
+        """The level rows at params and their gradients."""
+        z = params[:m]
+        if free_time:
+            u = _argmax(sys, z, z0, x0)
+            return [hamiltonian(sys, z, z0, x0, u)], [np.append(sys.f_at(x0, u), 0.0)]
+        if norm_row:
+            return [z @ z - z_guess @ z_guess], [2.0 * z]
+        return [], []
+
+    last = {}   # the last evaluation: params, endpoint residual and Jacobian
+
+    def fun(params):
+        r, jac = endpoint(params)
+        last.update(x=params.copy(), r=r, jac=jac)
+        return np.concatenate([r, level(params)[0]])
+
+    def jacobian(params):
+        if not np.array_equal(last.get("x"), params):
+            fun(params)
+        jac = last["jac"]
+        if jac is None:   # forward differences, or a zero Jacobian, which stops the solver
+            n = len(params)
+            if n_flows + n > max_evals:
+                return np.zeros((target.size + len(level(params)[0]), n))
+            h = _SHOOT_DIFF_STEP * np.where(params >= 0, 1.0, -1.0) * np.maximum(1.0, abs(params))
+            h = (params + h) - params
+            jac = np.column_stack([(endpoint(params + hk * e)[0] - last["r"]) / hk
+                                   for hk, e in zip(h, np.eye(n))])
+        return np.vstack([jac, *level(params)[1]])
 
     params0 = np.append(z_guess, duration_guess) if free_time else z_guess
-    # Each solver evaluation may add a Jacobian of len(params0) flows; one
-    # more flow re-evaluates the returned point.
-    max_nfev = max(1, (max_evals - 1) // (len(params0) + 1))
-    # The endpoint can be flat along some directions of z (on so(3) bang-bang
-    # it depends on z only through the switch times, so not on |z|); there
-    # the Jacobian's singular values are quantization noise.  The exact
-    # subproblem solver inverts them into long useless steps; lsmr's
-    # regularized subproblem damps them.
-    res = least_squares(residual_vector, params0, method="trf", jac="2-point",
-                        diff_step=_SHOOT_DIFF_STEP, max_nfev=max_nfev,
+    res = least_squares(fun, params0, jac=jacobian, method="trf", max_nfev=max(1, max_evals),
                         tr_solver="lsmr")
     best = res.x
-    residual = float(np.linalg.norm(residual_vector(best)))
+    residual = float(np.linalg.norm(res.fun[:target.size]))
     t1_best = (t0 + abs(best[m])) if free_time else t1
     return ShootingResult(best[:m], float(t1_best), residual,
                           residual < residual_tol, n_flows)

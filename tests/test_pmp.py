@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from algopt import pmp
-from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, control_affine,
-                            costate_rhs, simulate_trajectory, transport_Bbar, transport_frame)
+from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _point_table,
+                            control_affine, costate_rhs, simulate_trajectory, transport_Bbar,
+                            transport_frame)
 from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
 from algopt.numerics import TimeGrid, grid_derivative, rk4_step
@@ -324,6 +325,18 @@ def test_tie_count_is_invariant_under_scaling_the_covector():
     assert ties == [202, 202]
     assert notes[0] == notes[1] == ("maximizer tie at 201 node(s); singular arcs are "
                                     "flagged, not resolved",)
+
+
+def test_no_ties_on_a_covector_whose_squares_overflow():
+    """At z0 = 0 the extremal does not depend on the scale of z.  From
+    |z| ~ 1e160 the squares of a plain norm overflow, which made every node
+    a tie (101 of 101); the tie gap's |z| must stay finite and quiet."""
+    sys = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with np.errstate(all="raise"):
+        flow = integrate_pmp_flow(sys, np.zeros(0), 1e160 * np.array([0.3, 1.0, 0.2]), 0.0,
+                                  0.0, 1.0, step=1e-2)
+    assert flow.path.grid.n_nodes == 101
+    assert flow.tie_times == ()
 
 
 def test_audit_grid_mismatch_rejected(bang_bang_system):
@@ -831,7 +844,7 @@ def test_shoot_counts_every_flow(flow_counter):
     res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
                          t0=0.0, t1=2.0, step=1e-2)
     assert res.converged
-    assert res.n_evaluations == len(flow_counter) > 4
+    assert res.n_evaluations == len(flow_counter) >= 2
     del flow_counter[:]
     capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
                             t0=0.0, t1=2.0, step=1e-2, max_evals=8)
@@ -860,6 +873,84 @@ def test_shoot_converges_on_switching_targets(z_a, z_3, sign, direction):
     assert res.converged
     assert res.residual < 1e-4
     assert res.n_evaluations <= 40
+
+
+# The band of test_shoot_converges_on_switching_targets: z* on H = 0 whose
+# flow switches before t = 2, and a direction for a guess 0.05 away.
+switching_band = dict(
+    z_a=st.floats(-0.5, -0.1), z_3=st.floats(0.2, 0.6), sign=st.sampled_from([-1.0, 1.0]),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1))
+
+
+def band_case(z_a, z_3, sign, direction):
+    z_star = np.array([z_a, sign * (1.0 - z_a), -sign * z_3])
+    system, flow, target = switching_case(z_star)
+    assert flow.switch_times
+    return system, z_star, target, z_star + 0.05 * np.asarray(direction) / np.linalg.norm(direction)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(horizon=st.sampled_from([2.0, 6.0]), **switching_band)
+def test_switch_time_jacobian_matches_central_differences(horizon, z_a, z_3, sign, direction):
+    """The Jacobian of the endpoint from the flow's switch times matches
+    central differences, and annihilates z: over a point the endpoint does not
+    depend on |z| when L takes one value.  At t1 = 6 the flows switch twice,
+    so the first switch also moves the second."""
+    system, z_star, _, _ = band_case(z_a, z_3, sign, direction)
+    table = _point_table(system, system.control_space.values)
+    mats = np.array([skew_hat(e) for e in np.eye(3)])
+
+    def endpoint(z):
+        flow = integrate_pmp_flow(system, np.zeros(0), z, -1.0, 0.0, horizon, step=1e-2)
+        return develop_to_group(system.alg, flow.path, skew_hat), flow
+
+    J = pmp._switch_jacobian(table, mats, endpoint(z_star)[1], -1.0).reshape(9, 3)
+    h = 1e-5
+    C = np.column_stack([(endpoint(z_star + h * e)[0] - endpoint(z_star - h * e)[0]).ravel()
+                         / (2.0 * h) for e in np.eye(3)])
+    assert np.abs(J - C).max() <= 1e-3 * np.abs(C).max()
+    assert np.linalg.norm(J @ z_star) <= 1e-8 * np.linalg.norm(J) * np.linalg.norm(z_star)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(**switching_band)
+def test_fixed_time_shot_stays_on_the_guess_level(z_a, z_3, sign, direction):
+    """The row |z|^2 = |z_guess|^2 removes the flat direction of the scale of
+    z, and the switch-time Jacobian makes a shot a few flows long."""
+    system, _, target, guess = band_case(z_a, z_3, sign, direction)
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                         t0=0.0, t1=2.0, step=1e-2)
+    assert res.converged
+    assert res.n_evaluations <= 6
+    assert abs(np.linalg.norm(res.z_init) / np.linalg.norm(guess) - 1.0) <= 1e-9
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(**switching_band)
+def test_free_time_shot_lands_on_the_zero_level(z_a, z_3, sign, direction):
+    """In free time the transversality row H(z_init) = 0 is met with the endpoint."""
+    system, _, target, guess = band_case(z_a, z_3, sign, direction)
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0, t0=0.0,
+                         t1=None, duration_guess=2.05, step=1e-2)
+    assert res.converged
+    assert abs(maximize_hamiltonian(system, res.z_init, -1.0, np.zeros(0))[1]) <= 1e-9
+
+
+def test_shoot_differences_a_grazing_switch_within_the_budget(flow_counter, monkeypatch):
+    """An evaluation with a grazing switch takes its Jacobian by forward
+    differences, one flow per column, and max_evals still bounds the flows."""
+    monkeypatch.setattr(pmp, "_GRAZE", np.inf)   # every switch grazes
+    system, _, target = switching_case(np.array([-0.3, 1.3, -0.4]))
+    guess = np.array([-0.27, 1.27, -0.43])
+    del flow_counter[:]
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                         t0=0.0, t1=2.0, step=1e-2)
+    assert res.converged
+    assert res.n_evaluations == len(flow_counter) > 4
+    del flow_counter[:]
+    capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                            t0=0.0, t1=2.0, step=1e-2, max_evals=8)
+    assert capped.n_evaluations == len(flow_counter) <= 8
 
 
 # ---------------------------------------------------------------------------
