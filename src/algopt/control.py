@@ -73,7 +73,7 @@ class FiniteSet:
 class Box:
     """Axis-aligned box of controls, with an optional exact maximizer
     ``maximizer(x, z, z0) -> u`` of H over the box, as :func:`control_affine`
-    registers; without one, H is maximized on a refined grid."""
+    registers; without one, maximizing H over it raises UnsupportedDimensionError."""
 
     lower: np.ndarray
     upper: np.ndarray

@@ -9,8 +9,8 @@ class IntegrationDivergedError(AlgoptError):
     """Raised when an ODE state becomes non-finite during integration."""
 
     def __init__(self, t: float):
-        super().__init__(f"integration produced a non-finite state at t={t!r}")
-        self.t = t
+        self.t = float(t)   # a plain float, so the message holds no numpy repr
+        super().__init__(f"integration produced a non-finite state at t={self.t!r}")
 
 
 class CompositionError(AlgoptError):
@@ -25,13 +25,13 @@ class ChatteringError(AlgoptError):
     """Raised when closed-loop integration detects an implausible number of switches."""
 
     def __init__(self, n_switches: int, t: float):
-        super().__init__(f"more than {n_switches} control switches by t={t!r}; aborting")
         self.n_switches = n_switches
-        self.t = t
+        self.t = float(t)
+        super().__init__(f"more than {n_switches} control switches by t={self.t!r}; aborting")
 
 
 class UnsupportedDimensionError(AlgoptError):
-    """Raised when numeric maximization is requested over a box of dimension > 3."""
+    """Raised when H is to be maximized over a box without a registered maximizer."""
 
 
 class ConfigError(AlgoptError):

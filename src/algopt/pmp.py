@@ -121,59 +121,10 @@ def _ties(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     return gap <= _TIE_GAP * np.maximum(1.0, size)
 
 
-def _golden_section(fn, lo: float, hi: float, iters: int = 48) -> float:
-    """Deterministic golden-section maximization of a scalar function."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def _box_grid(box: Box, n: int) -> list[np.ndarray]:
     """The controls of an n-per-axis grid over the box."""
     axes = [np.linspace(box.lower[j], box.upper[j], n) for j in range(box.dim)]
     return [np.array(combo) for combo in itertools.product(*axes)]
-
-
-def _box_argmax(sys: ControlSystem, z, z0, x, box: Box, n_grid: int = 33,
-                sweeps: int = 2) -> np.ndarray:
-    p = box.dim
-    if p > 3:
-        raise UnsupportedDimensionError(
-            f"numeric maximization over a {p}-dimensional box needs a registered maximizer")
-    best_u, best_h = None, -np.inf
-    for u in _box_grid(box, n_grid):
-        h = hamiltonian(sys, z, z0, x, u)
-        if h > best_h:
-            best_u, best_h = u, h
-    cell = np.array([(box.upper[j] - box.lower[j]) / (n_grid - 1) if n_grid > 1 else 0.0
-                     for j in range(p)])
-    u = best_u.copy()
-    for _ in range(sweeps):
-        for j in range(p):
-            lo = max(box.lower[j], u[j] - cell[j])
-            hi = min(box.upper[j], u[j] + cell[j])
-            if hi <= lo:
-                continue
-
-            def fn(s, j=j):
-                trial = u.copy()
-                trial[j] = s
-                return hamiltonian(sys, z, z0, x, trial)
-
-            u[j] = _golden_section(fn, lo, hi)
-    return u
 
 
 def _argmax(sys: ControlSystem, z, z0, x) -> np.ndarray:
@@ -181,9 +132,9 @@ def _argmax(sys: ControlSystem, z, z0, x) -> np.ndarray:
     U = sys.control_space
     if isinstance(U, FiniteSet):
         return U.values[int(np.argmax([hamiltonian(sys, z, z0, x, v) for v in U.values]))]
-    if U.maximizer is not None:
-        return U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
-    return _box_argmax(sys, z, z0, x, U)
+    if U.maximizer is None:
+        raise UnsupportedDimensionError("this box needs a registered maximizer of H")
+    return U.clip(U.maximizer(np.asarray(x, dtype=float), np.asarray(z, dtype=float), z0))
 
 
 def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, float]:
@@ -193,8 +144,7 @@ def maximize_hamiltonian(sys: ControlSystem, z, z0, x) -> tuple[np.ndarray, floa
     index.  Boxes use their registered maximizer when present, clipped to the
     box: the exact one of :func:`control.control_affine` (the interior
     solution, else the best stationary point over the box faces), or a
-    scenario's own.  Other boxes use a 33-per-axis grid with golden-section
-    refinement (up to three control dimensions).
+    scenario's own; a box without one raises :class:`UnsupportedDimensionError`.
     """
     u = _argmax(sys, z, z0, x)
     return u, hamiltonian(sys, z, z0, x, u)
@@ -736,6 +686,20 @@ def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray,
 # Group development and endpoint shooting
 # ---------------------------------------------------------------------------
 
+def _rep_matrices(alg: ChartAlgebroid, rep, bracket_tol: float = 1e-10) -> np.ndarray:
+    """rep(e_k) on the fiber basis, (m, d, d), checked as :func:`develop_to_group` states."""
+    basis = np.eye(alg.fiber_dim)
+    mats = np.array([np.asarray(rep(e), dtype=float) for e in basis])
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("rep must produce square matrices")
+    x = np.zeros(alg.base_dim)
+    for i, j in itertools.product(range(len(basis)), repeat=2):
+        lhs = np.tensordot(alg.bracket(x, basis[i], basis[j]), mats, axes=(0, 0))
+        if np.abs(lhs - (mats[i] @ mats[j] - mats[j] @ mats[i])).max() > bracket_tol:
+            raise ValueError("rep is not bracket-compatible on the basis")
+    return mats
+
+
 def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
                      bracket_tol: float = 1e-10,
                      reorthonormalize_every: int = 100) -> np.ndarray:
@@ -755,18 +719,7 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
-    m = alg.fiber_dim
-    basis = np.eye(m)
-    mats = np.array([np.asarray(rep(basis[i]), dtype=float) for i in range(m)])
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("rep must produce square matrices")
-    x = np.zeros(0)
-    for i in range(m):
-        for j in range(m):
-            lhs = np.tensordot(alg.bracket(x, basis[i], basis[j]), mats, axes=(0, 0))
-            rhs = mats[i] @ mats[j] - mats[j] @ mats[i]
-            if np.abs(lhs - rhs).max() > bracket_tol:
-                raise ValueError("rep is not bracket-compatible on the basis")
+    mats = _rep_matrices(alg, rep, bracket_tol)
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
     nodes = path.grid.nodes
@@ -878,9 +831,10 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     when it is not below ``residual_tol``.  ``n_evaluations`` counts every
     flow the shot ran, difference columns included; ``max_evals`` bounds it.
 
-    Raises ``ValueError`` before any flow when ``target`` does not have the
-    shape of ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or
-    when ``target``, ``z_guess`` or ``duration_guess`` is not finite.
+    Raises ``ValueError`` before any flow when ``rep`` fails the checks of
+    :func:`develop_to_group`, when ``target`` does not have the shape of
+    ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or when
+    ``target``, ``z_guess`` or ``duration_guess`` is not finite.
     """
     from scipy.optimize import least_squares   # the only user; keeps `import algopt` light
 
@@ -889,7 +843,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     m = sys.alg.fiber_dim
     target = np.asarray(target, dtype=float)
     z_guess = np.asarray(z_guess, dtype=float)
-    mats = np.array([rep(e) for e in np.eye(m)], dtype=float)
+    mats = _rep_matrices(sys.alg, rep)
     shape = mats.shape[1:]
     if target.shape != shape:
         raise ValueError(f"target has shape {target.shape}, rep's matrices {shape}")

@@ -345,3 +345,12 @@ def test_audit_of_an_overflowing_run_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["audit", path, *files]) == 1
     assert capsys.readouterr().err == ""
+
+
+def test_diverged_run_prints_its_time_as_a_plain_float(tmp_path, capsys):
+    """An initial point of 1e200 diverges at the first step; the error line
+    gives t as a float, not as a numpy scalar's repr."""
+    path = write_config(tmp_path, {"scenario": "wong-so3-r2",
+                                   "initial_point": [1e200, 1e200]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: integration produced a non-finite state at t=0.001\n"

@@ -132,20 +132,16 @@ def test_box_maximizer_beats_a_fine_grid_on_non_diagonal_metrics(seed, p):
     assert h >= grid_h.max() - 1e-12
 
 
-def test_box_without_maximizer_uses_refined_grid():
-    tb = tangent_bundle(1)
-    sys = ControlSystem(tb, lambda x, u: u.copy(), lambda x, u: 0.5 * float(u @ u),
-                        Box([-10.0], [10.0]))
-    u, _ = maximize_hamiltonian(sys, np.array([0.7]), -1.0, np.zeros(1))
-    assert abs(u[0] - 0.7) < 1e-6
-
-
-def test_box_dimension_limit():
-    tb = tangent_bundle(4)
-    sys = ControlSystem(tb, lambda x, u: u.copy(), lambda x, u: 0.0,
-                        Box(-np.ones(4), np.ones(4)))
+@pytest.mark.parametrize("p", [1, 4])
+def test_box_without_maximizer_is_not_maximized(p):
+    """H over a box is maximized only by a registered maximizer: without one,
+    at a point and at a flow's first stage alike, whatever the dimension."""
+    sys = ControlSystem(tangent_bundle(p), lambda x, u: u.copy(),
+                        lambda x, u: 0.5 * float(u @ u), Box(-np.ones(p), np.ones(p)))
     with pytest.raises(UnsupportedDimensionError):
-        maximize_hamiltonian(sys, np.ones(4), -1.0, np.zeros(4))
+        maximize_hamiltonian(sys, np.full(p, 0.7), -1.0, np.zeros(p))
+    with pytest.raises(UnsupportedDimensionError):
+        integrate_pmp_flow(sys, np.zeros(p), np.full(p, 0.7), -1.0, 0.0, 0.1, step=1e-2)
 
 
 def test_costate_path_rejects_positive_multiplier():
@@ -819,19 +815,20 @@ def switching_case(z_star, t1=2.0, step=1e-2):
     return system, flow, develop_to_group(system.alg, flow.path, skew_hat)
 
 
-@pytest.mark.parametrize("target, z_guess, duration_guess", [
-    (np.zeros(3), [0.1, 0.5, 0.1], 1.0),
-    (np.eye(2), [0.1, 0.5, 0.1], 1.0),
-    (np.eye(3), [np.nan, 0.5, 0.1], 1.0),
-    (np.full((3, 3), np.inf), [0.1, 0.5, 0.1], 1.0),
-    (np.eye(3), [0.1, 0.5, 0.1], np.nan),
-    (np.eye(3), [0.1, 0.5], 1.0),
+@pytest.mark.parametrize("target, z_guess, duration_guess, rep", [
+    (np.zeros(3), [0.1, 0.5, 0.1], 1.0, skew_hat),
+    (np.eye(2), [0.1, 0.5, 0.1], 1.0, skew_hat),
+    (np.eye(3), [np.nan, 0.5, 0.1], 1.0, skew_hat),
+    (np.full((3, 3), np.inf), [0.1, 0.5, 0.1], 1.0, skew_hat),
+    (np.eye(3), [0.1, 0.5, 0.1], np.nan, skew_hat),
+    (np.eye(3), [0.1, 0.5], 1.0, skew_hat),
+    (np.eye(3), [0.1, 0.5, 0.1], 1.0, np.diag),   # commutators vanish
 ], ids=["target-vector", "target-2x2", "nan-guess", "inf-target", "nan-duration",
-        "short-guess"])
+        "short-guess", "diag-rep"])
 def test_shoot_rejects_bad_input_before_any_flow(bang_bang_system, flow_counter,
-                                                 target, z_guess, duration_guess):
+                                                 target, z_guess, duration_guess, rep):
     with pytest.raises(ValueError):
-        shoot_endpoint(bang_bang_system, skew_hat, target, z_guess=np.array(z_guess),
+        shoot_endpoint(bang_bang_system, rep, target, z_guess=np.array(z_guess),
                        z0=-1.0, t0=0.0, t1=None, duration_guess=duration_guess,
                        step=1e-2)
     assert flow_counter == []
