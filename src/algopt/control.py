@@ -205,10 +205,12 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
     None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
     definite where the system is used.  The box's maximizer of
     H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`).  The
-    audit reads F and G from ``affine``."""
+    audit reads F and G from ``affine``, an all-zero linear part as None."""
+    F, G = ((c, None if d is None or not np.any(d) else d) for c, d in (F, G))
     F_at, dF = affine_matrix_field(*F)
     G_at, dG = affine_matrix_field(*G)
-    p = np.shape(F[0])[1]
+    (m, p), n = np.shape(F[0]), alg.base_dim
+    dF_u = np.moveaxis(dF(np.zeros(n)), 1, 2).reshape(m * n, p)
     box = Box(-u_max * np.ones(p), u_max * np.ones(p), maximizer=lambda x, z, z0: _box_qp(
         (F_at(x).T @ z)[None], G_at(x)[None], -z0, box)[0])
     return ControlSystem(
@@ -216,7 +218,7 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
         f=lambda x, u: F_at(x) @ u,
         L=lambda x, u: 0.5 * float(u @ G_at(x) @ u),
         control_space=box,
-        f_jacobian=lambda x, u: np.einsum("iba,b->ia", dF(x), u),
+        f_jacobian=lambda x, u: (dF_u @ u).reshape(m, n),
         L_gradient=lambda x, u: 0.5 * np.einsum("acb,a,c->b", dG(x), u, u),
         affine=(F, G),
     )

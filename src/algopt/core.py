@@ -235,13 +235,16 @@ def _lift_matrix(alg: ChartAlgebroid, x: np.ndarray, f: np.ndarray,
 def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
                 dh_dx: np.ndarray | None) -> np.ndarray:
     """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a from chart
-    values c and rho at a point, or stacked on leading axes (rows keep the
-    bits of one point), where v is the fiber velocity dh/dz; ``dh_dx`` is
-    read only when the base is not a point."""
-    zdot = np.einsum("...ijk,...j,...i->...k", c, v, z)
-    if rho.shape[-2]:
-        zdot -= (np.swapaxes(rho, -1, -2) @ dh_dx[..., None])[..., 0]
-    return zdot
+    values c and rho at a point, or stacked on a leading axis, where v is the
+    fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point.
+    Each term is vector-matrix products (z c, then v (z c)), which a stacked
+    row takes as one point does, so rows keep the bits of one point."""
+    m, n = c.shape[-1], rho.shape[-2]
+    if c.ndim == 3:
+        zdot = v @ (z @ c.reshape(m, m * m)).reshape(m, m)
+        return zdot - rho.T @ dh_dx if n else zdot
+    zdot = (v[:, None] @ (z[:, None] @ c.reshape(-1, m, m * m)).reshape(-1, m, m))[:, 0]
+    return zdot - (np.swapaxes(rho, 1, 2) @ dh_dx[:, :, None])[:, :, 0] if n else zdot
 
 
 def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarray,

@@ -185,8 +185,8 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     ``make_rhs(seg_index, t_lo, t_hi)`` returns the RHS callable used on that
     segment (or a matrix A: y' = A y, by :func:`_linear_rk4`), so piecewise
     fields (e.g. held controls) are evaluated on the correct side of each
-    breakpoint, including at the closing stage point.  A matrix segment goes
-    by :func:`_held_steps`, a callable node by node.  Returns (n_nodes, dim).
+    breakpoint, including at the closing stage point.  Each segment goes by
+    :func:`_held_steps`, in as many passes as it flags steps.  Returns (n_nodes, dim).
     """
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -197,17 +197,10 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     for seg_index, (i0, i1) in enumerate(grid.segment_bounds):
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
         advance = _linear_rk4(fn) if isinstance(fn, np.ndarray) else partial(rk4_step, fn)
-        # A matrix segment in one pass (a second one raises), a callable node by node.
-        while isinstance(fn, np.ndarray) and i0 < i1:
+        while i0 < i1:
             ys = _held_steps(advance, nodes[i0:i1 + 1], y)
             out[i0 + 1:i0 + 1 + len(ys)] = ys
             i0, y = i0 + len(ys), ys[-1]
-        for k in range(i0, i1):
-            h = nodes[k + 1] - nodes[k]
-            y = advance(nodes[k], y, h)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationDivergedError(nodes[k + 1])
-            out[k + 1] = y
     return out
 
 

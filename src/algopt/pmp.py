@@ -188,13 +188,13 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
 def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system
     at z0 < 0, fused: F(x), G(x) and the chart once per stage, ``_box_qp``
-    only when ``solve(G, b) / -z0`` leaves the box, dh/dx only for a linear
-    part; the same products, so the same bits."""
+    only when ``solve(G, b) / -z0`` leaves the box, each term of dh/dx only for
+    a linear part of F or G, both by costate_rhs's own calls, so the same bits."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
-    (F_at, dF), (G_at, dG) = (affine_matrix_field(*t) for t in sys.affine)
+    F_at, G_at = (affine_matrix_field(*t)[0] for t in sys.affine)
     _shaped(F_at(np.zeros(n)), (alg.fiber_dim, U.dim), "F has shape")
-    dF, dG, zero = dF(np.zeros(n)), dG(np.zeros(n)), np.zeros(n)
-    linear = any(d is not None for _, d in sys.affine)
+    f_linear, cost_linear = (d is not None for _, d in sys.affine)
+    zero = np.zeros(n)
     lo, hi = U.lower - 1e-12, U.upper + 1e-12   # Box.contains, without its wrappers
 
     def rhs(t, state):
@@ -206,8 +206,9 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
             u = _box_qp(b[None], Gx[None], -z0, U)[0]
         u = u.clip(U.lower, U.upper)
         f, rho = Fx @ u, alg.anchor_at(x)
-        dh_dx = (np.einsum("iba,b->ia", dF, u).T @ z
-                 + z0 * (0.5 * np.einsum("acb,a,c->b", dG, u, u))) if linear else zero
+        dh_dx = sys.f_jac_at(x, u).T @ z if f_linear else zero
+        if cost_linear:
+            dh_dx = dh_dx + z0 * sys.L_grad_at(x, u)
         return np.concatenate([rho @ f, _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
 
     return rhs
@@ -719,7 +720,11 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
-    mats = _rep_matrices(alg, rep, bracket_tol)
+    return _develop(_rep_matrices(alg, rep, bracket_tol), path, reorthonormalize_every)
+
+
+def _develop(mats: np.ndarray, path: EPath, reorthonormalize_every: int = 100) -> np.ndarray:
+    """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``."""
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
     nodes = path.grid.nodes
@@ -878,7 +883,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
                                           step=min(step, duration / 4.0))
             except (ChatteringError, IntegrationDivergedError):
                 return failed, None
-            g, f = develop_to_group(sys.alg, flow.path, rep), flow.path.fiber[-1]
+            g, f = _develop(mats, flow.path), flow.path.fiber[-1]
             T = None if table is None else _switch_jacobian(table, mats, flow, z0)
             if T is None:
                 return (g - target).ravel(), None

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from algopt import pmp
 from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, _point_table,
-                            costate_rhs, simulate_trajectory, transport_frame)
-from algopt.core import lie_algebra, so3_algebra, so3_structure
+                            control_affine, costate_rhs, simulate_trajectory, transport_frame)
+from algopt.core import _dual_field, lie_algebra, so3_algebra, so3_structure, tangent_bundle
 from algopt.errors import IntegrationDivergedError
 from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
 from algopt.paths import EPath
@@ -54,6 +54,18 @@ def test_segment_matrix_matches_costate_rhs(seed, m, z0):
             scale = np.einsum("ijk,j,i->k", np.abs(c), np.abs(f), np.abs(z)).max()
             expected = costate_rhs(sys, x, u, z, z0)
             assert np.abs(rhs(0.0, z) - expected).max() <= 1e-13 * scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(0, 3), k=st.integers(1, 40))
+def test_stacked_dual_transport_rows_keep_the_bits_of_one_point(seed, m, n, k):
+    """_dual_field on rows stacked on a leading axis gives, row by row, the
+    bits of its call at one point (the block audit relies on it)."""
+    rng = np.random.default_rng(seed)
+    c, rho = rng.normal(size=(k, m, m, m)), rng.normal(size=(k, n, m))
+    v, z, dh_dx = rng.normal(size=(k, m)), rng.normal(size=(k, m)), rng.normal(size=(k, n))
+    rows = [_dual_field(c[i], rho[i], v[i], z[i], dh_dx[i]) for i in range(k)]
+    assert np.array_equal(_dual_field(c, rho, v, z, dh_dx), np.array(rows))
 
 
 def affine_line_algebra():
@@ -401,6 +413,27 @@ def test_divergence_stops_at_the_first_non_finite_node(run, mode, error, message
             call[run]()
     if error is IntegrationDivergedError:
         assert raised.value.t == 1400.0
+    assert {str(w.message) for w in caught} == messages
+
+
+@pytest.mark.parametrize("mode, error, messages", [
+    ("warn", IntegrationDivergedError, {"overflow encountered in matmul",
+                                        "overflow encountered in add",
+                                        "invalid value encountered in subtract"}),
+    ("ignore", IntegrationDivergedError, set()),
+    ("raise", FloatingPointError, set())])
+def test_box_flow_divergence_stops_at_the_first_non_finite_node(mode, error, messages):
+    """f = (1 + x) u on TR with L = u^2/2 over |u| <= 1: from x = 1e303 the
+    maximizer sits on the bound u = 1, so x grows by RK4's factor 2.708 per
+    unit step and overflows at t = 11, inside the one callable segment of the
+    box flow.  The time and the warnings are those of a node-by-node loop."""
+    sys = control_affine(tangent_bundle(1), ([[1.0]], [[[1.0]]]), ([[1.0]], None), 1.0)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        with pytest.raises(error) as raised:
+            integrate_pmp_flow(sys, [1e303], [1.0], -1.0, 0.0, 20.0, step=1.0)
+    if error is IntegrationDivergedError:
+        assert raised.value.t == 11.0
     assert {str(w.message) for w in caught} == messages
 
 

@@ -512,6 +512,22 @@ def test_wong_flow_makes_no_per_stage_calls(wong_fixture, monkeypatch):
     assert np.isfinite(flow.costate.z).all() and np.isfinite(flow.h_nodes).all()
 
 
+def test_wong_flow_makes_no_einsum_calls(wong_fixture, monkeypatch):
+    """The Wong metric has no linear part, so the system keeps none, and the
+    flow's stages (df/dx, the dual transport) and node samples are plain
+    products: integrate_pmp_flow calls no einsum."""
+    sys = build_wong_system(wong_fixture)
+    assert not wong_fixture.metric_linear.any() and sys.affine[1][1] is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("einsum in the flow")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    flow = integrate_pmp_flow(sys, [0.2, -0.1], [0.8, 0.5, 0.3, -0.2, 0.4], -1.0, 0.0, 1.0,
+                              step=1e-3)
+    assert np.isfinite(flow.costate.z).all() and np.isfinite(flow.h_nodes).all()
+
+
 # ---------------------------------------------------------------------------
 # needle variations and the cone
 # ---------------------------------------------------------------------------
