@@ -172,14 +172,14 @@ class ControlSystem:
 def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
     """argmax of b.u - (c/2) u.G u over the box at each row of b (k, p) and
     G (k, p, p), for c >= 0 and G positive definite.  For c > 0 it is the
-    interior stationary point when that is feasible, else (rows outside only)
-    the best feasible stationary point over the 3^p faces of the box (each
+    interior point G^-1 b / c when feasible, else (rows outside only) the
+    best feasible stationary point over the 3^p faces of the box (each
     coordinate free, at its lower or at its upper bound): a concave maximum
     is the stationary point of the face it lies inside.  For c = 0 it is the
     sign rule, the upper bound where b_j >= 0."""
     if c == 0:
         return np.where(b >= 0, box.upper, box.lower)
-    u = np.linalg.solve(G, b[..., None])[..., 0] / c
+    u = (np.linalg.inv(G) @ b[..., None])[..., 0] / c
     out = ~box.contains(u)
     if not out.any():
         return u
@@ -205,7 +205,7 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
     None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
     definite where the system is used.  The box's maximizer of
     H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`).  The
-    audit reads F and G from ``affine``, an all-zero linear part as None."""
+    audit and the fused flow read F and G from ``affine``, zero linear parts as None."""
     F, G = ((c, None if d is None or not np.any(d) else d) for c, d in (F, G))
     F_at, dF = affine_matrix_field(*F)
     G_at, dG = affine_matrix_field(*G)

@@ -20,8 +20,7 @@ import numpy as np
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       _box_qp, _flow_rhs, _held_pass, _point_table, _signal_grid,
                       costate_rhs, extend_system)
-from .core import (ChartAlgebroid, _dual_field, _shaped, _with_unit_direction,
-                   affine_matrix_field)
+from .core import ChartAlgebroid, _dual_field, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_matrix,
                        _rk4_sampled, finite_difference_jacobian, grid_derivative, integrate,
@@ -187,28 +186,29 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
 
 def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system
-    at z0 < 0, fused: F(x), G(x) and the chart once per stage, ``_box_qp``
-    only when ``solve(G, b) / -z0`` leaves the box, each term of dh/dx only for
-    a linear part of F or G, both by costate_rhs's own calls, so the same bits."""
+    at z0 < 0, fused from its tables read once per flow: F(x) = F0 + F1 x,
+    u = G^-1 b / -z0 (b = F(x)^T z; G^-1 formed once where G is constant), as
+    ``_box_qp``, which runs only when u leaves the box, and dh/dx only for a
+    linear part of F or G, by the system's own Jacobians: costate_rhs's bits."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
-    F_at, G_at = (affine_matrix_field(*t)[0] for t in sys.affine)
-    _shaped(F_at(np.zeros(n)), (alg.fiber_dim, U.dim), "F has shape")
-    f_linear, cost_linear = (d is not None for _, d in sys.affine)
+    (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
+    _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
+    G_inv = np.linalg.inv(G0) if G1 is None else None
     zero = np.zeros(n)
     lo, hi = U.lower - 1e-12, U.upper + 1e-12   # Box.contains, without its wrappers
 
     def rhs(t, state):
         x, z = state[:n], state[n:]
-        Fx, Gx = F_at(x), G_at(x)
-        b = Fx.T @ z
-        u = np.linalg.solve(Gx, b) / -z0
+        Fx = F0 if F1 is None else F0 + F1 @ x
+        Gx, b = G0 if G1 is None else G0 + G1 @ x, Fx.T @ z
+        u = (np.linalg.inv(Gx) if G_inv is None else G_inv) @ b / -z0
         if not ((u >= lo) & (u <= hi)).all():
             u = _box_qp(b[None], Gx[None], -z0, U)[0]
         u = u.clip(U.lower, U.upper)
         f, rho = Fx @ u, alg.anchor_at(x)
-        dh_dx = sys.f_jac_at(x, u).T @ z if f_linear else zero
-        if cost_linear:
-            dh_dx = dh_dx + z0 * sys.L_grad_at(x, u)
+        dh_dx = zero if F1 is None else sys.f_jacobian(x, u).T @ z
+        if G1 is not None:
+            dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
         return np.concatenate([rho @ f, _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
 
     return rhs

@@ -21,7 +21,7 @@ from .control import ControlSystem, FiniteSet, control_affine, costate_rhs
 from .core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial,
                    lie_algebra, so3_algebra, so3_structure, tangent_bundle,
                    validate_anchor_morphism, validate_skew)
-from .errors import ConfigError
+from .errors import ChatteringError, ConfigError, IntegrationDivergedError
 from .numerics import _rk4_sampled, grid_derivative
 from .pmp import (ExtremalAudit, PmpFlow, cone_support_check, integrate_pmp_flow,
                   make_needle_context, needle_vector, sample_symbols, verify_extremal)
@@ -677,7 +677,9 @@ def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
 def run_scenario(config: dict, out_dir) -> dict:
     """Validate the chart, run the configured pipeline, write artifacts
     (trajectory.csv, costate.csv, switches.csv, audit.json, invariants.json),
-    and return the invariant report; overflow fails a check, unwarned."""
+    and return the invariant report; overflow fails a check, unwarned.  A
+    flow that diverges or chatters writes invariants.json with a failed
+    ``flow`` check (the error's name and time) before its error propagates."""
     cfg = validate_config(config)
     name = cfg["scenario"]
     out = Path(out_dir)
@@ -698,7 +700,15 @@ def run_scenario(config: dict, out_dir) -> dict:
         return report
 
     scenario = SCENARIOS[name]
-    result, notes = scenario.run(cfg, z0, step, tol)
+    head = {"schema_version": SCHEMA_VERSION, "scenario": name,
+            "config": {k: v for k, v in cfg.items() if k != "params"}}
+    try:
+        result, notes = scenario.run(cfg, z0, step, tol)
+    except (IntegrationDivergedError, ChatteringError) as exc:   # report the failed flow
+        flow_check = {"name": "flow", "error": type(exc).__name__, "t": exc.t, "passed": False}
+        write_report_json(out / "invariants.json", {
+            **head, "checks": list(chart_report["checks"]) + [flow_check], "passed": False})
+        raise
     flow = result.flow
     write_trajectory_csv(out / "trajectory.csv", flow.path, flow.u_nodes)
     write_costate_csv(out / "costate.csv", flow.costate, flow.h_nodes)
@@ -713,13 +723,6 @@ def run_scenario(config: dict, out_dir) -> dict:
     if n_symbols > 0 and flow.control is not None:   # needles need a switching control
         checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))
     checks.append(_check("extremal_audit", 0.0 if result.audit.passed else 1.0, 0.0))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "scenario": name,
-        "config": {k: v for k, v in cfg.items() if k != "params"},
-        "checks": checks,
-        "notes": notes,
-        "passed": all(c["passed"] for c in checks),
-    }
+    report = {**head, "checks": checks, "notes": notes, "passed": all(c["passed"] for c in checks)}
     write_report_json(out / "invariants.json", report)
     return report

@@ -1,9 +1,11 @@
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from algopt.cli import main
+from algopt.errors import ChatteringError
 from algopt.scenarios import SCENARIOS, default_config
 
 
@@ -354,3 +356,35 @@ def test_diverged_run_prints_its_time_as_a_plain_float(tmp_path, capsys):
                                    "initial_point": [1e200, 1e200]})
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: integration produced a non-finite state at t=0.001\n"
+
+
+def chatter(cfg, z0, step, tol):
+    raise ChatteringError(10_000, 0.25)
+
+
+@pytest.mark.parametrize("error, line, t", [
+    ("IntegrationDivergedError", "integration produced a non-finite state at t=0.001", 0.001),
+    ("ChatteringError", "more than 10000 control switches by t=0.25; aborting", 0.25)],
+    ids=["diverged", "chattering"])
+def test_failed_flow_writes_its_report_before_the_error(tmp_path, capsys, monkeypatch, error,
+                                                        line, t):
+    """A Wong flow from 1e200 diverges at its first step, and a patched run
+    chatters: each leaves invariants.json with a failed flow check naming the
+    error and its time as a plain float, strict JSON, and no other artifact,
+    while the CLI prints its one error line and exits 1 as before."""
+    if error == "ChatteringError":
+        wong = replace(SCENARIOS["wong-so3-r2"], run=chatter)
+        monkeypatch.setitem(SCENARIOS, "wong-so3-r2", wong)
+    path = write_config(tmp_path, {"scenario": "wong-so3-r2", "initial_point": [1e200, 1e200]})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert [p.name for p in out.iterdir()] == ["invariants.json"]
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = json.loads((out / "invariants.json").read_text(), parse_constant=reject)
+    assert report["passed"] is False and report["scenario"] == "wong-so3-r2"
+    assert report["checks"][-1] == {"name": "flow", "error": error, "t": t, "passed": False}
+    assert all(c["passed"] for c in report["checks"][:-1])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, control_affine,
-                            costate_rhs, extend_system, pairing_drift,
+from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _box_qp,
+                            control_affine, costate_rhs, extend_system, pairing_drift,
                             simulate_trajectory, transport_B, transport_Bbar,
                             transport_frame)
 from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
@@ -370,3 +370,24 @@ def test_transport_is_flow_of_tangent_lift(so3):
     direct = integrate(lift_rhs, traj.path.grid, y0)
     via_transport = transport_B(sys, traj, y0)
     assert np.abs(direct - via_transport).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), k=st.integers(1, 20),
+       log_cond=st.floats(0.0, 3.0))
+def test_box_qp_interior_point_is_the_solution_of_g(seed, p, k, log_cond):
+    """On rows whose maximizer is inside the box, _box_qp's G^-1 b / c is
+    the solution of G u = b / c to 1e-12 relative, for random symmetric
+    positive definite G (p <= 3) of condition number up to 1e3."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(k, p, p)))[0]
+    scale = np.exp(rng.uniform(-3.0, 3.0, size=(k, 1)))
+    eig = scale * 10.0 ** (log_cond * np.linspace(0.0, 1.0, p))
+    G = Q @ (eig[..., None] * np.swapaxes(Q, 1, 2))
+    G = 0.5 * (G + np.swapaxes(G, 1, 2))
+    b, c = rng.normal(size=(k, p)), rng.uniform(0.1, 10.0)
+    reference = np.linalg.solve(G, b[..., None])[..., 0] / c
+    bound = 2.0 * np.abs(reference).max()
+    u = _box_qp(b, G, c, Box(-bound * np.ones(p), bound * np.ones(p)))
+    error = np.linalg.norm(u - reference, axis=1)
+    assert (error <= 1e-12 * np.linalg.norm(reference, axis=1)).all(), error.max()

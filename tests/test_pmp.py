@@ -23,8 +23,8 @@ from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol
                         hamiltonian, integrate_pmp_flow, make_needle_context,
                         maximize_hamiltonian, needle_vector, sample_symbols,
                         shoot_endpoint, time_dependence_audit, verify_extremal)
-from algopt.scenarios import (WongFixture, build_lq_system, build_so3_bang_bang_system,
-                              build_wong_system)
+from algopt.scenarios import (SCENARIOS, WongFixture, build_lq_system,
+                              build_so3_bang_bang_system, build_wong_system, default_config)
 from conftest import box_signal, random_control_affine, skew_hat
 
 
@@ -525,6 +525,26 @@ def test_wong_flow_makes_no_einsum_calls(wong_fixture, monkeypatch):
     monkeypatch.setattr(np, "einsum", forbidden)
     flow = integrate_pmp_flow(sys, [0.2, -0.1], [0.8, 0.5, 0.3, -0.2, 0.4], -1.0, 0.0, 1.0,
                               step=1e-3)
+    assert np.isfinite(flow.costate.z).all() and np.isfinite(flow.h_nodes).all()
+
+
+@pytest.mark.parametrize("name", ["wong-so3-r2", "classical-tm-lq"])
+def test_constant_metric_flow_makes_no_solve_calls(name, monkeypatch):
+    """G has no linear part in the default Wong and LQ systems, so the fused
+    stage forms G^-1 once per flow and the node samples take _box_qp's
+    interior point G^-1 b / c: with the boxes inactive, integrate_pmp_flow
+    calls no np.linalg.solve."""
+    cfg = default_config(name)
+    sys = SCENARIOS[name].system(cfg)
+    assert sys.affine[1][1] is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.solve in the flow")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    flow = integrate_pmp_flow(sys, cfg["initial_point"], cfg["z_init"], -1.0, 0.0,
+                              cfg["horizon"], step=cfg["solver"]["step"])
+    assert len(flow.u_nodes) == 1001
     assert np.isfinite(flow.costate.z).all() and np.isfinite(flow.h_nodes).all()
 
 
