@@ -6,10 +6,10 @@ with the zero-anchor so(3) bang-bang problem and the reduced Atiyah-chart
 energy problem as built-in scenarios.
 """
 
-from .core import (ChartAlgebroid, ExtendedAlgebroid, Section, anchor_apply,
-                   atiyah_trivial, hamiltonian_vector_field, lie_algebra,
-                   product_with_time, so3_algebra, so3_structure, tangent_bundle,
-                   tangent_lift_section, validate_anchor_morphism, validate_skew)
+from .core import (ChartAlgebroid, Section, anchor_apply, atiyah_trivial,
+                   hamiltonian_vector_field, lie_algebra, product_with_time, so3_algebra,
+                   so3_structure, tangent_bundle, tangent_lift_section,
+                   validate_anchor_morphism, validate_skew)
 from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       TransportFrame, extend_system, pairing_drift,
                       simulate_trajectory, transport_B, transport_Bbar,
@@ -17,8 +17,7 @@ from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
 from .errors import (AdmissibilityWarning, AlgoptError, ChatteringError,
                      CompositionError, ConfigError, IntegrationDivergedError,
                      UnsupportedDimensionError)
-from .numerics import (OdeRhs, TimeGrid, finite_difference_jacobian, integrate,
-                       integrate_segmented)
+from .numerics import TimeGrid, finite_difference_jacobian, integrate, integrate_segmented
 from .paths import (EPath, HomotopyField, admissibility_residual, compose_paths,
                     generate_infinitesimal_homotopy, homotopy_residual, null_path,
                     reparameterize_unit, shrink_homotopy)

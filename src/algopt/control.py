@@ -19,8 +19,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (_DEFAULT_FD_STEP, ChartAlgebroid, ExtendedAlgebroid, _dual_field,
-                   _lift_matrix, _shaped, affine_matrix_field, product_with_time)
+from .core import (ChartAlgebroid, _dual_field, _lift_matrix, _shaped, affine_matrix_field,
+                   product_with_time)
 from .numerics import TimeGrid, finite_difference_jacobian, integrate_segmented
 from .paths import EPath
 
@@ -40,6 +40,9 @@ __all__ = [
     "transport_frame",
     "pairing_drift",
 ]
+
+_BOX_SLACK = 1e-12   # of Box.contains, and of the in-box test of pmp._affine_pmp_rhs
+
 
 def _as_control(u) -> np.ndarray:   # held values, 1-D float arrays already, pass as they are
     return (u if type(u) is np.ndarray and u.ndim == 1 and u.dtype == float
@@ -93,7 +96,7 @@ class Box:
 
     def contains(self, u):   # one bool per row of a stack
         u = _as_control(u)
-        return np.all((u >= self.lower - 1e-12) & (u <= self.upper + 1e-12), axis=-1)
+        return np.all((u >= self.lower - _BOX_SLACK) & (u <= self.upper + _BOX_SLACK), axis=-1)
 
     def clip(self, u) -> np.ndarray:
         return np.clip(_as_control(u), self.lower, self.upper)
@@ -154,19 +157,19 @@ class ControlSystem:
     def L_at(self, x, u) -> float:
         return float(self.L(np.asarray(x, dtype=float), _as_control(u)))
 
-    def f_jac_at(self, x, u, fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
+    def f_jac_at(self, x, u) -> np.ndarray:
         if self.f_jacobian is not None:
             return np.asarray(self.f_jacobian(np.asarray(x, dtype=float), _as_control(u)),
                               dtype=float)
         u = _as_control(u)
-        return finite_difference_jacobian(lambda p: self.f_at(p, u), x, fd_step)
+        return finite_difference_jacobian(lambda p: self.f_at(p, u), x)
 
-    def L_grad_at(self, x, u, fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
+    def L_grad_at(self, x, u) -> np.ndarray:
         if self.L_gradient is not None:
             return np.asarray(self.L_gradient(np.asarray(x, dtype=float), _as_control(u)),
                               dtype=float)
         u = _as_control(u)
-        return finite_difference_jacobian(lambda p: self.L_at(p, u), x, fd_step)[0]
+        return finite_difference_jacobian(lambda p: self.L_at(p, u), x)[0]
 
 
 def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
@@ -175,8 +178,10 @@ def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
     interior point G^-1 b / c when feasible, else (rows outside only) the
     best feasible stationary point over the 3^p faces of the box (each
     coordinate free, at its lower or at its upper bound): a concave maximum
-    is the stationary point of the face it lies inside.  For c = 0 it is the
-    sign rule, the upper bound where b_j >= 0."""
+    is the stationary point of the face it lies inside.  H is formed only on
+    the rows whose face point lies in the box, so an infeasible face point
+    far outside it cannot overflow.  For c = 0 it is the sign rule, the
+    upper bound where b_j >= 0."""
     if c == 0:
         return np.where(b >= 0, box.upper, box.lower)
     u = (np.linalg.inv(G) @ b[..., None])[..., 0] / c
@@ -191,8 +196,10 @@ def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
         if free.any():
             rhs = b[:, free] - (c * G[:, free][:, :, ~free] @ v[:, ~free, None])[..., 0]
             v[:, free] = np.linalg.solve(G[:, free][:, :, free], rhs[..., None])[..., 0] / c
-        h = (b[:, None] @ v[..., None] - 0.5 * c * (v[:, None] @ G @ v[..., None]))[:, 0, 0]
-        better = box.contains(v) & (h > best_h)
+        ok, h = box.contains(v), np.full(len(b), -np.inf)
+        w, Gw = v[ok], G[ok]
+        h[ok] = (b[ok, None] @ w[..., None] - 0.5 * c * (w[:, None] @ Gw @ w[..., None]))[:, 0, 0]
+        better = h > best_h
         best[better], best_h[better] = v[better], h[better]
     u[out] = best
     return u
@@ -342,11 +349,11 @@ def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarra
     return Trajectory(EPath(grid, base, fiber), signal)
 
 
-def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]:
-    """Absorb the cost: on the time-extended chart the control map becomes
-    (L(x, u), f(x, u)), the extra base coordinate integrates the running cost,
-    and the cost of the extended system is identically zero."""
-    ext = product_with_time(sys.alg)
+def extend_system(sys: ControlSystem) -> ControlSystem:
+    """Absorb the cost: on the time-extended chart (:func:`core.product_with_time`)
+    the control map becomes (L(x, u), f(x, u)), the extra base coordinate
+    integrates the running cost, and the cost of the extended system is
+    identically zero."""
     n, m = sys.alg.base_dim, sys.alg.fiber_dim
 
     def f_ext(xx, u):
@@ -361,13 +368,13 @@ def extend_system(sys: ControlSystem) -> tuple[ControlSystem, ExtendedAlgebroid]
         return out
 
     return ControlSystem(
-        alg=ext.inner,
+        alg=product_with_time(sys.alg),
         f=f_ext,
         L=lambda xx, u: 0.0,
         control_space=sys.control_space,
         f_jacobian=f_jac_ext,
         L_gradient=lambda xx, u: np.zeros(n + 1),
-    ), ext
+    )
 
 
 def costate_rhs(sys: ControlSystem, x: np.ndarray, u: np.ndarray, z: np.ndarray,

@@ -24,7 +24,6 @@ from .numerics import finite_difference_jacobian
 __all__ = [
     "ChartAlgebroid",
     "Section",
-    "ExtendedAlgebroid",
     "ValidationReport",
     "anchor_apply",
     "validate_skew",
@@ -41,9 +40,6 @@ __all__ = [
     "atiyah_trivial",
     "affine_matrix_field",
 ]
-
-_DEFAULT_FD_STEP = 1e-5
-
 
 def _shaped(value, shape: tuple, what: str) -> np.ndarray:
     """``value`` as a float array; raises unless it has ``shape``.  ``what``
@@ -87,12 +83,12 @@ class ChartAlgebroid:
         """[u, v]^i = c^i_jk u^j v^k at the point x."""
         return np.einsum("ijk,j,k->i", self.structure_at(x), u, v)
 
-    def anchor_jacobian_at(self, x: np.ndarray, fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
+    def anchor_jacobian_at(self, x: np.ndarray) -> np.ndarray:
         if self.anchor_jacobian is not None:
             jac = self.anchor_jacobian(np.asarray(x, dtype=float))
             return _shaped(jac, (self.base_dim, self.fiber_dim, self.base_dim),
                            "anchor jacobian returned shape")
-        flat = finite_difference_jacobian(lambda p: self.anchor_at(p).ravel(), x, fd_step)
+        flat = finite_difference_jacobian(lambda p: self.anchor_at(p).ravel(), x)
         return flat.reshape(self.base_dim, self.fiber_dim, self.base_dim)
 
 
@@ -106,10 +102,10 @@ class Section:
     def value(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
 
-    def jacobian_at(self, x: np.ndarray, fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
+    def jacobian_at(self, x: np.ndarray) -> np.ndarray:
         if self.jacobian is not None:
             return np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
-        return finite_difference_jacobian(lambda p: self.value(p), x, fd_step)
+        return finite_difference_jacobian(lambda p: self.value(p), x)
 
     @classmethod
     def constant(cls, v: np.ndarray) -> "Section":
@@ -186,11 +182,10 @@ def validate_skew(alg: ChartAlgebroid, sample_points, tol: float) -> ValidationR
     return _sampled_report("skew_symmetry", alg, sample_points, tol, residual)
 
 
-def morphism_residual(alg: ChartAlgebroid, x: np.ndarray,
-                      fd_step: float = _DEFAULT_FD_STEP) -> np.ndarray:
+def morphism_residual(alg: ChartAlgebroid, x: np.ndarray) -> np.ndarray:
     """Pointwise residual (d_b rho^a_k) rho^b_j - (d_b rho^a_j) rho^b_k - rho^a_i c^i_jk."""
     rho = alg.anchor_at(x)
-    drho = alg.anchor_jacobian_at(x, fd_step)
+    drho = alg.anchor_jacobian_at(x)
     c = alg.structure_at(x)
     res = np.einsum("akb,bj->ajk", drho, rho)
     res -= np.einsum("ajb,bk->ajk", drho, rho)
@@ -198,13 +193,12 @@ def morphism_residual(alg: ChartAlgebroid, x: np.ndarray,
     return res
 
 
-def validate_anchor_morphism(alg: ChartAlgebroid, sample_points, fd_step: float,
-                             tol: float) -> ValidationReport:
+def validate_anchor_morphism(alg: ChartAlgebroid, sample_points, tol: float) -> ValidationReport:
     """Check that the anchor is a bracket morphism on the sample points."""
-    if not (fd_step > 0 and tol > 0):
-        raise ValueError("fd_step and tol must be positive")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     return _sampled_report("anchor_morphism", alg, sample_points, tol,
-                           lambda x: morphism_residual(alg, x, fd_step))
+                           lambda x: morphism_residual(alg, x))
 
 
 def tangent_lift_section(alg: ChartAlgebroid, f: Section, x: np.ndarray,
@@ -248,45 +242,28 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
 
 
 def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarray,
-                             grad_x=None, grad_xi=None,
-                             fd_step: float = _DEFAULT_FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+                             grad_x=None, grad_xi=None) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian vector field of h(x, xi) on the dual bundle chart.
 
         xdot^b  = rho^b_i dh/dxi_i ,
         xidot_j = c^k_ij xi_k dh/dxi_i - rho^a_j dh/dx^a .
 
     Partials come from ``grad_x`` / ``grad_xi`` when given, otherwise from
-    central differences with step ``fd_step``.
+    :func:`numerics.finite_difference_jacobian` at its step.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if grad_xi is not None:
         dh_dxi = np.asarray(grad_xi(x, xi), dtype=float)
     else:
-        dh_dxi = finite_difference_jacobian(lambda p: h(x, p), xi, fd_step)[0]
+        dh_dxi = finite_difference_jacobian(lambda p: h(x, p), xi)[0]
     dh_dx = None   # not read over a point base
     if grad_x is not None:
         dh_dx = np.asarray(grad_x(x, xi), dtype=float)
     elif alg.base_dim:
-        dh_dx = finite_difference_jacobian(lambda p: h(p, xi), x, fd_step)[0]
+        dh_dx = finite_difference_jacobian(lambda p: h(p, xi), x)[0]
     rho = alg.anchor_at(x)
     return rho @ dh_dxi, _dual_field(alg.structure_at(x), rho, dh_dxi, xi, dh_dx)
-
-
-@dataclass(frozen=True)
-class ExtendedAlgebroid:
-    """Product of the trivial line algebroid with a chart.
-
-    Base coordinate 0 is the extra real coordinate, fiber coordinate 0 the
-    extra rate direction; its anchor block is the 1x1 identity and structure
-    slices touching index 0 vanish.
-    """
-
-    inner: ChartAlgebroid
-    original: ChartAlgebroid
-
-    def embed_base(self, x0: float, x: np.ndarray) -> np.ndarray:
-        return np.concatenate(([float(x0)], np.asarray(x, dtype=float)))
 
 
 def _with_unit_direction(alg: ChartAlgebroid, first: bool, name: str) -> ChartAlgebroid:
@@ -320,10 +297,12 @@ def _with_unit_direction(alg: ChartAlgebroid, first: bool, name: str) -> ChartAl
                           name=f"{name}({alg.name})" if alg.name else name)
 
 
-def product_with_time(alg: ChartAlgebroid) -> ExtendedAlgebroid:
-    """Prepend a trivial real direction to both base and fiber."""
-    return ExtendedAlgebroid(inner=_with_unit_direction(alg, True, "time-extended"),
-                             original=alg)
+def product_with_time(alg: ChartAlgebroid) -> ChartAlgebroid:
+    """The product of the trivial line algebroid with ``alg``: base coordinate 0
+    is the extra real coordinate, fiber coordinate 0 the extra rate direction,
+    whose anchor block is the 1x1 identity; structure slices touching index 0
+    vanish.  The point x of ``alg`` at extra coordinate s is ``np.append(s, x)``."""
+    return _with_unit_direction(alg, True, "time-extended")
 
 
 # ---------------------------------------------------------------------------

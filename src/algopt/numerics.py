@@ -10,7 +10,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import IntegrationDivergedError
 
 __all__ = [
     "TimeGrid",
-    "OdeRhs",
     "integrate",
     "integrate_segmented",
     "rk4_step",
@@ -110,14 +109,6 @@ class TimeGrid:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class OdeRhs:
-    """Right-hand side of an ODE, smooth on each inter-breakpoint segment."""
-
-    dimension: int
-    eval: Callable[[float, np.ndarray], np.ndarray]
-
-
 def _rk4(f_lo, f_mid, f_hi, y, h: float):
     """The classical RK4 stage formula, with the field at the left end, the
     midpoint and the right end of the step given as ``y -> dy`` callables.
@@ -205,16 +196,10 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
 
 
 def integrate(rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
-    """RK4 integration of ``rhs`` at every node of ``grid``.
-
-    ``rhs`` is an :class:`OdeRhs` or a plain callable ``(t, y) -> dy``.  It is
-    evaluated segment-wise and must be well defined at segment closures.
-    """
-    fn = rhs.eval if isinstance(rhs, OdeRhs) else rhs
-    dim = rhs.dimension if isinstance(rhs, OdeRhs) else np.asarray(y0).size
-    if np.asarray(y0, dtype=float).size != dim:
-        raise ValueError(f"state dimension {np.asarray(y0).size} does not match rhs dimension {dim}")
-    return integrate_segmented(lambda seg, lo, hi: fn, grid, y0)
+    """RK4 integration of ``rhs``, a callable ``(t, y) -> dy``, at every node
+    of ``grid``.  It is evaluated segment-wise and must be well defined at
+    segment closures."""
+    return integrate_segmented(lambda seg, lo, hi: rhs, grid, y0)
 
 
 def finite_difference_jacobian(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

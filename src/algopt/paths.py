@@ -230,9 +230,7 @@ def homotopy_residual(alg: ChartAlgebroid, field: HomotopyField) -> HomotopyRepo
 
 
 def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
-                                    b0: np.ndarray,
-                                    warn_threshold: float = 1e-3
-                                    ) -> tuple[HomotopyField, float]:
+                                    b0: np.ndarray) -> tuple[HomotopyField, float]:
     """Integrate  d_t b = d_eps a + c(x)[b, a],  b(t0, eps) = b0(eps).
 
     Requires a t-admissible family a over base x and a rho-admissible b0 over
@@ -244,7 +242,7 @@ def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
         chi = max |d_eps x - rho(x) b| ,
 
     which stays at discretization level exactly when the chart is almost Lie;
-    a warning is emitted when it exceeds ``warn_threshold``.
+    a warning is emitted when it exceeds 1e-3.
     """
     x, a, nodes = field.base, field.a, field.t_grid.nodes
     b0 = np.asarray(b0, dtype=float)
@@ -268,7 +266,7 @@ def generate_infinitesimal_homotopy(alg: ChartAlgebroid, field: HomotopyField,
             raise IntegrationDivergedError(nodes[k + 1])
 
     chi = _anchor_defect(_sampler(alg, "anchor")(x), _eps_gradient(field.eps_nodes, x), b)
-    if chi > warn_threshold:
+    if chi > 1e-3:
         warnings.warn(f"base-admissibility monitor reached {chi:.3g}; "
                       "the chart may fail the anchor-morphism axiom or the inputs "
                       "may be inadmissible", AdmissibilityWarning)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
+from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       _box_qp, _flow_rhs, _held_pass, _point_table, _signal_grid,
                       costate_rhs, extend_system)
 from .core import ChartAlgebroid, _dual_field, _shaped, _with_unit_direction
@@ -58,14 +58,18 @@ _DEVELOP_BLOCK = 1024
 # Nodes a held value steps ahead over a point before one H table checks them.
 _FLOW_BLOCK = 64
 _AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
+# Width to which integrate_pmp_flow's bisection localizes a switch time.
+_SWITCH_TOL = 1e-9
 # Relative forward-difference step of the shooting Jacobian where it does not
 # come from the switch times.  Where the endpoint depends on z only through
-# switch times, bisection localizes them to integrate_pmp_flow's
-# switch_tol = 1e-9, and the endpoint map is piecewise constant on that scale.
-# At a step of sqrt(switch_tol) that quantization is about 3e-5 of each
-# difference; at scipy's default step of 1.5e-8 the Jacobian would be mostly
-# quantization noise.
-_SHOOT_DIFF_STEP = np.sqrt(1e-9)
+# switch times, they are localized to _SWITCH_TOL, and the endpoint map is
+# piecewise constant on that scale.  At a step of sqrt(_SWITCH_TOL) that
+# quantization is about 3e-5 of each difference; at scipy's default step of
+# 1.5e-8 the Jacobian would be mostly quantization noise.
+_SHOOT_DIFF_STEP = np.sqrt(_SWITCH_TOL)
+# Least distance from a switch of sample_symbols' spike times and of the cone
+# check's observation time (scenarios._observation_time).
+_SPIKE_GUARD = 1e-6
 # A switch whose rate sigma' = dF.K z_s has a cosine below this to the costate
 # velocity grazes: its time is no smooth function of z_init there.
 _GRAZE = 1e-6
@@ -195,7 +199,7 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
     G_inv = np.linalg.inv(G0) if G1 is None else None
     zero = np.zeros(n)
-    lo, hi = U.lower - 1e-12, U.upper + 1e-12   # Box.contains, without its wrappers
+    lo, hi = U.lower - _BOX_SLACK, U.upper + _BOX_SLACK   # Box.contains, without its wrappers
 
     def rhs(t, state):
         x, z = state[:n], state[n:]
@@ -215,15 +219,14 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
-                       t1: float, step: float = 1e-3, switch_tol: float = 1e-9,
-                       max_switches: int = 10_000) -> PmpFlow:
+                       t1: float, step: float = 1e-3, max_switches: int = 10_000) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
 
     Over a finite set each segment holds the best value.  The held value
     steps up to ``_FLOW_BLOCK`` nodes ahead over a point (one with a base) by
     :func:`numerics._held_steps`, and one H table over them finds the first
     node with another value best; the nodes before it pass.  From there the
-    switch is localized to ``switch_tol`` by bisection on sigma(s) =
+    switch is localized to ``_SWITCH_TOL`` by bisection on sigma(s) =
     H[new](s) - H[current](s), new being the best value at the step's end
     (and again towards a third value that leads where the shortened step
     ends), and inserted as a grid breakpoint.  A declared control-affine
@@ -316,9 +319,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 for _ in U.values:   # bisect, and again towards a third value leading at hi
                     lo = t
                     if sigma(lo) > 0:
-                        hi = min(hi, lo + max(switch_tol, 1e-12))
+                        hi = min(hi, lo + _SWITCH_TOL)
                     else:
-                        while hi - lo > switch_tol:
+                        while hi - lo > _SWITCH_TOL:
                             mid = 0.5 * (lo + hi)
                             lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
                     y_hi = advance(t, y, hi - t)
@@ -391,13 +394,13 @@ class ExtremalAudit:
         }
 
 
-def _candidate_controls(sys: ControlSystem, n_samples: int = 9):
+def _candidate_controls(sys: ControlSystem):
     U = sys.control_space
     if isinstance(U, FiniteSet):
         return list(U.values)
     if U.dim > 3:
         return [0.5 * (U.lower + U.upper)]
-    return _box_grid(U, n_samples)
+    return _box_grid(U, 9)
 
 
 def _affine_at(sys: ControlSystem, x, z, z0: float):
@@ -596,16 +599,15 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     transport).  The extension of a point system takes the pass's table
     route, since nothing reads its one base coordinate, the accrued cost:
     bit for bit the cost of :func:`control.simulate_trajectory`."""
-    esys, ext = extend_system(sys)
+    esys = extend_system(sys)
     grid = _signal_grid(esys, control, None, None, step)
-    base, fiber, frame = _held_pass(esys, control, grid, ext.embed_base(0.0, x0),
+    base, fiber, frame = _held_pass(esys, control, grid, np.append(0.0, x0),
                                     np.eye(esys.alg.fiber_dim), point=not sys.alg.base_dim)
     return NeedleContext(sys, esys, Trajectory(EPath(grid, base, fiber), control), frame)
 
 
 def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
-                  c_init: np.ndarray | None = None,
-                  continuity_guard: float = 1e-9) -> np.ndarray:
+                  c_init: np.ndarray | None = None) -> np.ndarray:
     """First-order endpoint direction of the needle variation, in the
     cost-extended fiber over the trajectory point at the observation time:
 
@@ -619,7 +621,7 @@ def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
     for s in (*symbol.taus, symbol.tau):
         if s <= grid.t0:
             raise ValueError("spike times must lie strictly inside the interval")
-        if any(abs(s - b) <= continuity_guard for b in control.switch_times):
+        if any(abs(s - b) <= 1e-9 for b in control.switch_times):
             raise ValueError(f"time {s} is a discontinuity point of the control")
     xx_tau = ctx.base_at(symbol.tau)
     u_tau = control.value(symbol.tau)
@@ -638,21 +640,22 @@ def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
 
 
 def sample_symbols(rng: np.random.Generator, ctx: NeedleContext, tau: float,
-                   n: int, max_spikes: int = 3, guard: float = 1e-6) -> list[VariationSymbol]:
-    """Random variation symbols with spike times drawn from grid nodes."""
+                   n: int) -> list[VariationSymbol]:
+    """Random variation symbols of one to three spikes, with spike times drawn
+    from the grid nodes more than _SPIKE_GUARD from every switch."""
     control = ctx.etraj.control
     grid = ctx.grid
     nodes = grid.nodes
     ok = (nodes > grid.t0) & (nodes < tau)
     for b in control.switch_times:
-        ok &= np.abs(nodes - b) > guard
+        ok &= np.abs(nodes - b) > _SPIKE_GUARD
     pool = nodes[ok]
     if pool.size == 0:
         raise ValueError("no admissible spike times below the observation time")
     U = ctx.sys.control_space
     out = []
     for _ in range(n):
-        s = int(rng.integers(1, max_spikes + 1))
+        s = int(rng.integers(1, 4))
         taus = np.sort(pool[rng.integers(0, pool.size, size=s)])
         if isinstance(U, FiniteSet):
             vs = [U.values[int(rng.integers(0, len(U.values)))] for _ in range(s)]
@@ -687,7 +690,7 @@ def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray,
 # Group development and endpoint shooting
 # ---------------------------------------------------------------------------
 
-def _rep_matrices(alg: ChartAlgebroid, rep, bracket_tol: float = 1e-10) -> np.ndarray:
+def _rep_matrices(alg: ChartAlgebroid, rep) -> np.ndarray:
     """rep(e_k) on the fiber basis, (m, d, d), checked as :func:`develop_to_group` states."""
     basis = np.eye(alg.fiber_dim)
     mats = np.array([np.asarray(rep(e), dtype=float) for e in basis])
@@ -696,19 +699,18 @@ def _rep_matrices(alg: ChartAlgebroid, rep, bracket_tol: float = 1e-10) -> np.nd
     x = np.zeros(alg.base_dim)
     for i, j in itertools.product(range(len(basis)), repeat=2):
         lhs = np.tensordot(alg.bracket(x, basis[i], basis[j]), mats, axes=(0, 0))
-        if np.abs(lhs - (mats[i] @ mats[j] - mats[j] @ mats[i])).max() > bracket_tol:
+        if np.abs(lhs - (mats[i] @ mats[j] - mats[j] @ mats[i])).max() > 1e-10:
             raise ValueError("rep is not bracket-compatible on the basis")
     return mats
 
 
 def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
-                     bracket_tol: float = 1e-10,
                      reorthonormalize_every: int = 100) -> np.ndarray:
     """Development of a fiber path over a point into the matrix group:
     solves gdot = g rep(a(t)) from the identity and returns g(t1).
 
     ``rep`` maps fiber vectors linearly to square matrices and must intertwine
-    the bracket with the commutator on basis pairs (checked to ``bracket_tol``).
+    the bracket with the commutator on basis pairs (checked to 1e-10).
     The equation is linear in g, so each RK4 step is g -> g P_k with P_k the
     same step applied to the identity; the propagators of a block of steps
     come from one batched step and are then composed in order.  A breakpoint
@@ -720,7 +722,7 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
-    return _develop(_rep_matrices(alg, rep, bracket_tol), path, reorthonormalize_every)
+    return _develop(_rep_matrices(alg, rep), path, reorthonormalize_every)
 
 
 def _develop(mats: np.ndarray, path: EPath, reorthonormalize_every: int = 100) -> np.ndarray:
@@ -948,15 +950,15 @@ class TimeDependentControlSystem:
     f_time_derivative: Callable | None = None  # (x, t, u) -> (m,)
     L_time_derivative: Callable | None = None  # (x, t, u) -> float
 
-    def f_t_at(self, x, t, u, fd_step: float = 1e-6) -> np.ndarray:
+    def f_t_at(self, x, t, u) -> np.ndarray:
         if self.f_time_derivative is not None:
             return np.asarray(self.f_time_derivative(x, t, u), dtype=float)
-        return finite_difference_jacobian(lambda s: self.f(x, s[0], u), [t], fd_step)[:, 0]
+        return finite_difference_jacobian(lambda s: self.f(x, s[0], u), [t], 1e-6)[:, 0]
 
-    def L_t_at(self, x, t, u, fd_step: float = 1e-6) -> float:
+    def L_t_at(self, x, t, u) -> float:
         if self.L_time_derivative is not None:
             return float(self.L_time_derivative(x, t, u))
-        return float(finite_difference_jacobian(lambda s: self.L(x, s[0], u), [t], fd_step)[0, 0])
+        return float(finite_difference_jacobian(lambda s: self.L(x, s[0], u), [t], 1e-6)[0, 0])
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def test_criterion_1_al_axiom_validation():
         pts = rng.uniform(-1.0, 1.0, size=(100, alg.base_dim))
         t0 = time.perf_counter()
         skew = validate_skew(alg, pts, 1e-6)
-        morph = validate_anchor_morphism(alg, pts, 1e-5, 1e-6)
+        morph = validate_anchor_morphism(alg, pts, 1e-6)
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
         all_pass &= skew.passed and morph.passed
@@ -53,7 +53,7 @@ def test_criterion_1_al_axiom_validation():
     bad_skew = validate_skew(non_skew_chart(), np.zeros((100, 0)), 1e-6)
     broken, _ = scaled_anchor_pair()
     pts1 = rng.uniform(-1.0, 1.0, size=(100, 1))
-    bad_morph = validate_anchor_morphism(broken, pts1, 1e-5, 1e-6)
+    bad_morph = validate_anchor_morphism(broken, pts1, 1e-6)
     crafted_fail = (not bad_skew.passed and bad_skew.max_violation > 1e-3
                     and not bad_morph.passed and bad_morph.max_violation > 1e-3)
     ok = all_pass and crafted_fail and worst_time < 1.0

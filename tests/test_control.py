@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _box_q
 from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
                          tangent_lift_section, validate_skew)
 from algopt.numerics import integrate
+from algopt.pmp import integrate_pmp_flow
 from conftest import box_signal, non_skew_chart, random_control_affine, skew_hat
 
 
@@ -103,9 +105,9 @@ def test_simulate_rejects_control_outside_space():
 
 def test_extension_accumulates_unit_cost(so3):
     sys = so3_two_axis([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])  # L == 1
-    esys, ext = extend_system(sys)
+    esys = extend_system(sys)
     traj = simulate_trajectory(esys, ControlSignal.constant([1.0], 0.0, 2.5),
-                               ext.embed_base(0.0, np.zeros(0)), step=1e-3)
+                               np.append(0.0, np.zeros(0)), step=1e-3)
     assert abs(traj.path.base[-1, 0] - 2.5) < 1e-10
     assert esys.L_at(traj.path.base[-1], [1.0]) == 0.0
 
@@ -114,9 +116,9 @@ def test_extension_zero_cost():
     tb = tangent_bundle(1)
     sys = ControlSystem(tb, lambda x, u: u.copy(), lambda x, u: 0.0,
                         Box([-2.0], [2.0]))
-    esys, ext = extend_system(sys)
+    esys = extend_system(sys)
     traj = simulate_trajectory(esys, ControlSignal.constant([1.0], 0.0, 1.0),
-                               ext.embed_base(0.0, [0.0]), step=1e-2)
+                               np.append(0.0, [0.0]), step=1e-2)
     assert np.abs(traj.path.base[:, 0]).max() == 0.0
 
 
@@ -125,10 +127,10 @@ def test_extension_matches_trapezoid_quadrature():
     sys = ControlSystem(tb, lambda x, u: u.copy(),
                         lambda x, u: float(x[0] ** 2 + u[0]),
                         Box([-2.0], [2.0]))
-    esys, ext = extend_system(sys)
+    esys = extend_system(sys)
     step = 1e-3
     sig = ControlSignal(0.0, 1.0, (0.3,), ([1.0], [-0.5]))
-    traj = simulate_trajectory(esys, sig, ext.embed_base(0.0, [0.2]), step=step)
+    traj = simulate_trajectory(esys, sig, np.append(0.0, [0.2]), step=step)
     ts = traj.path.grid.nodes
     quad = 0.0
     for seg, (i0, i1) in enumerate(traj.path.grid.segment_bounds):
@@ -391,3 +393,57 @@ def test_box_qp_interior_point_is_the_solution_of_g(seed, p, k, log_cond):
     u = _box_qp(b, G, c, Box(-bound * np.ones(p), bound * np.ones(p)))
     error = np.linalg.norm(u - reference, axis=1)
     assert (error <= 1e-12 * np.linalg.norm(reference, axis=1)).all(), error.max()
+
+
+def reference_box_qp(b, G, c, box):
+    """_box_qp as first written: the same face search, but with H formed on
+    every face point, inside the box or not."""
+    u = (np.linalg.inv(G) @ b[..., None])[..., 0] / c
+    out = ~box.contains(u)
+    if not out.any():
+        return u
+    b, G = b[out], G[out]
+    best, best_h = u[out], np.full(len(b), -np.inf)
+    for face in map(np.array, itertools.product((0, 1, 2), repeat=b.shape[1])):
+        free = face == 2
+        v = np.tile(np.where(face == 0, box.lower, box.upper), (len(b), 1))
+        if free.any():
+            rhs = b[:, free] - (c * G[:, free][:, :, ~free] @ v[:, ~free, None])[..., 0]
+            v[:, free] = np.linalg.solve(G[:, free][:, :, free], rhs[..., None])[..., 0] / c
+        h = (b[:, None] @ v[..., None] - 0.5 * c * (v[:, None] @ G @ v[..., None]))[:, 0, 0]
+        better = box.contains(v) & (h > best_h)
+        best[better], best_h[better] = v[better], h[better]
+    u[out] = best
+    return u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), k=st.integers(1, 20),
+       shrink=st.floats(0.05, 0.95))
+def test_box_qp_scoring_only_feasible_faces_moves_no_choice(seed, p, k, shrink):
+    """_box_qp forms H only on face points inside the box; on finite rows
+    with symmetric positive definite G (non-diagonal for p >= 2), c > 0 and
+    a box that the interior point leaves on at least one row, it picks the
+    bits of the search that scores every face."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(k, p, p)))[0]
+    G = Q @ (rng.uniform(0.1, 10.0, size=(k, p, 1)) * np.swapaxes(Q, 1, 2))
+    G = 0.5 * (G + np.swapaxes(G, 1, 2))
+    b, c = rng.normal(size=(k, p)), rng.uniform(0.1, 10.0)
+    interior = np.linalg.solve(G, b[..., None])[..., 0] / c
+    reach = shrink * np.abs(interior).max()
+    box = Box(-reach * rng.uniform(0.2, 1.0, p), reach * rng.uniform(0.2, 1.0, p))
+    assert not box.contains(interior).all()
+    assert np.array_equal(_box_qp(b, G, c, box), reference_box_qp(b, G, c, box))
+
+
+def test_box_flow_from_a_huge_state_forms_no_infeasible_h():
+    """f = (1 + x) u on TR with L = u^2/2 over |u| <= 1, from x = 1e303: b is
+    about 1e303, so the free face's point b / c lies far outside the box, and
+    H there would overflow.  With H formed only inside the box the flow stays
+    on the bound u = 1 with finite states, under an errstate that raises."""
+    sys = control_affine(tangent_bundle(1), ([[1.0]], [[[1.0]]]), ([[1.0]], None), 1.0)
+    with np.errstate(all="raise"):
+        flow = integrate_pmp_flow(sys, [1e303], [1.0], -1.0, 0.0, 10.0, step=1.0)
+    assert np.isfinite(flow.path.base).all() and np.isfinite(flow.costate.z).all()
+    assert (flow.u_nodes == 1.0).all()

@@ -417,9 +417,7 @@ def test_divergence_stops_at_the_first_non_finite_node(run, mode, error, message
 
 
 @pytest.mark.parametrize("mode, error, messages", [
-    ("warn", IntegrationDivergedError, {"overflow encountered in matmul",
-                                        "overflow encountered in add",
-                                        "invalid value encountered in subtract"}),
+    ("warn", IntegrationDivergedError, {"overflow encountered in add"}),
     ("ignore", IntegrationDivergedError, set()),
     ("raise", FloatingPointError, set())])
 def test_box_flow_divergence_stops_at_the_first_non_finite_node(mode, error, messages):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from algopt.errors import IntegrationDivergedError
-from algopt.numerics import (OdeRhs, TimeGrid, finite_difference_jacobian,
-                             grid_derivative, integrate, integrate_segmented)
+from algopt.numerics import (TimeGrid, finite_difference_jacobian, grid_derivative,
+                             integrate, integrate_segmented)
 
 
 def test_grid_rejects_bad_intervals():
@@ -41,7 +41,7 @@ def test_integrate_zero_field_is_exact():
 
 def test_integrate_exponential():
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    ys = integrate(OdeRhs(1, lambda t, y: y), grid, np.array([1.0]))
+    ys = integrate(lambda t, y: y, grid, np.array([1.0]))
     assert abs(ys[-1, 0] - np.e) < 1e-9
 
 
@@ -82,11 +82,6 @@ def test_divergence_reports_time():
         with pytest.raises(IntegrationDivergedError) as err:
             integrate(lambda t, y: y * y, grid, np.array([5.0]))
     assert 0.0 < err.value.t <= 2.0
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        integrate(OdeRhs(2, lambda t, y: y), TimeGrid(0, 1, 0.1), np.array([1.0]))
 
 
 def test_fd_jacobian_identity():

@@ -203,6 +203,21 @@ def test_classical_oracle_respects_the_box(tmp_path, z_init):
     assert run_scenario(cfg, tmp_path)["passed"]
 
 
+def test_wong_speed_oracle_judges_only_the_free_nodes(tmp_path):
+    """With u_max = 0.85 the default Wong extremal is free on its first 690
+    of 1,001 nodes and on the box from there to the end.  g(u, u) = 2H is
+    conserved only where the box is inactive, and only those nodes are
+    judged, so the correct extremal passes every check."""
+    cfg = default_config("wong-so3-r2")
+    cfg["params"]["u_max"] = 0.85
+    report = run_scenario(cfg, tmp_path)
+    us = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, -2:]
+    free = (np.abs(us) < 0.85).all(axis=1)
+    assert len(free) == 1001 and free[:690].all() and not free[690:].any()
+    speed = next(c for c in report["checks"] if c["name"] == "speed_drift")
+    assert speed["value"] <= 1e-6 and report["passed"]
+
+
 def test_classical_reduction_identity_nontrivial_system(rng):
     from algopt.control import ControlSystem, FiniteSet
     from algopt.core import tangent_bundle
