@@ -193,22 +193,29 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     at z0 < 0, fused from its tables read once per flow: F(x) = F0 + F1 x,
     u = G^-1 b / -z0 (b = F(x)^T z; G^-1 formed once where G is constant), as
     ``_box_qp``, which runs only when u leaves the box, and dh/dx only for a
-    linear part of F or G, by the system's own Jacobians: costate_rhs's bits."""
+    linear part of F or G, by the system's own Jacobians: costate_rhs's bits.
+    u is tested against the box on Python floats: strictly inside it needs no
+    clip, within ``_BOX_SLACK`` of it only the clip, and outside (or NaN)
+    ``_box_qp`` first.  Without linear parts dh/dx is zero and the anchor term
+    is left out (``_dual_field`` with None), which moves no bit."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
     _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
     G_inv = np.linalg.inv(G0) if G1 is None else None
-    zero = np.zeros(n)
-    lo, hi = U.lower - _BOX_SLACK, U.upper + _BOX_SLACK   # Box.contains, without its wrappers
+    zero = None if F1 is None and G1 is None else np.zeros(n)   # None: no anchor term
+    box = list(zip(U.lower.tolist(), U.upper.tolist()))
+    slack = list(zip((U.lower - _BOX_SLACK).tolist(), (U.upper + _BOX_SLACK).tolist()))
 
     def rhs(t, state):
         x, z = state[:n], state[n:]
         Fx = F0 if F1 is None else F0 + F1 @ x
         Gx, b = G0 if G1 is None else G0 + G1 @ x, Fx.T @ z
         u = (np.linalg.inv(Gx) if G_inv is None else G_inv) @ b / -z0
-        if not ((u >= lo) & (u <= hi)).all():
-            u = _box_qp(b[None], Gx[None], -z0, U)[0]
-        u = u.clip(U.lower, U.upper)
+        ul = u.tolist()
+        if not all([lo < v < hi for (lo, hi), v in zip(box, ul)]):
+            if not all([lo <= v <= hi for (lo, hi), v in zip(slack, ul)]):
+                u = _box_qp(b[None], Gx[None], -z0, U)[0]
+            u = u.clip(U.lower, U.upper)
         f, rho = Fx @ u, alg.anchor_at(x)
         dh_dx = zero if F1 is None else sys.f_jacobian(x, u).T @ z
         if G1 is not None:
@@ -407,14 +414,18 @@ def _affine_at(sys: ControlSystem, x, z, z0: float):
     """At the rows of x (k, n) and z (k, m) for a :func:`control.control_affine`
     system: G(x), b = F(x)^T z and ``h(w)``, H and f(x, w) at controls
     w (k, j, p), as (k, j) and (k, j, m).  Stacked products whose rows keep
-    the bits of F(x), G(x), f_at and hamiltonian at one point."""
+    the bits of F(x), G(x), f_at and hamiltonian at one point.  Where G is
+    constant, L is formed once per control: controls shared by the rows
+    (j, p) cost one L each, not one per row."""
     Fx, Gx = (np.broadcast_to(c, (len(x),) + np.shape(c)) if d is None
               else c + (d @ x[:, None, :, None])[..., 0] for c, d in sys.affine)
     b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
+    G0, G1 = sys.affine[1]
+    G = np.asarray(G0) if G1 is None else Gx[:, None]
 
     def h(w):
         f = Fx[:, None] @ w[..., None]
-        L = 0.5 * (w[..., None, :] @ Gx[:, None] @ w[..., None])
+        L = 0.5 * (w[..., None, :] @ G @ w[..., None])
         return (z[:, None, None] @ f + z0 * L)[..., 0, 0], f[..., 0]
 
     return Gx, b, h

@@ -378,16 +378,20 @@ def per_node_audit(sys, path, costate, u_nodes, mode, tol):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
        atiyah=st.booleans(), z0=st.sampled_from([0.0, -1.0]), active=st.booleans(),
        block=st.sampled_from([7, 128]), blocks=st.integers(0, 2), rest=st.integers(2, 6),
-       mode=st.sampled_from(["free-time", "fixed-time"]))
+       mode=st.sampled_from(["free-time", "fixed-time"]), constant=st.booleans())
 def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active, block,
-                                                  blocks, rest, mode):
-    """On random control-affine systems with x-dependent F and G, over TR^n
-    or an Atiyah chart TR^n x so(3), the audit in node blocks gives the
-    numbers of a per-node loop to 1e-13 of their scale, and the same
-    verdicts and notes.  Node counts are not multiples of the block size;
-    the box is active or not at the random controls and the maximizer."""
+                                                  blocks, rest, mode, constant):
+    """On random control-affine systems, with x-dependent F and G or with
+    constant ones, over TR^n or an Atiyah chart TR^n x so(3), the audit in
+    node blocks gives the numbers of a per-node loop to 1e-13 of their
+    scale, and the same verdicts and notes.  Node counts are not multiples
+    of the block size; the box is active or not at the random controls and
+    the maximizer."""
     rng = np.random.default_rng(seed)
     sys = random_control_affine(rng, n, p, "atiyah" if atiyah else "tangent", active)
+    if constant:
+        sys = control_affine(sys.alg, *((c, None) for c, _ in sys.affine),
+                             sys.control_space.upper[0])
     m, u_max = sys.alg.fiber_dim, sys.control_space.upper[0]
     N = block * min(blocks, 1 if block == 128 else 2) + rest
     nodes = np.sort(rng.uniform(0.0, 1.0, N))
@@ -457,6 +461,35 @@ def test_fused_affine_flow_matches_the_generic_flow(seed, n, p, chart, z0, activ
                        ("h_nodes", fused.h_nodes, generic.h_nodes)):
         assert np.array_equal(a, b), name
     assert fused.switch_times == generic.switch_times
+
+
+@pytest.mark.parametrize("past", [0.0, 5e-13, 1e-6])
+@pytest.mark.parametrize("p", [1, 2])
+def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
+    """The fused stage tests u = G^-1 b / c against the box three ways:
+    strictly inside (no clip), within _BOX_SLACK of it (clip only) and past
+    it (_box_qp, then clip).  On TR^p with constant F and G the costate is
+    constant, so u lands at every stage on u_max, 5e-13 past it or 1e-6 past
+    it, in its first coordinate.  Each case gives the generic flow's bits,
+    and only the last calls _box_qp at the stages (the one other call
+    maximizes at the nodes)."""
+    u_max = 0.5
+    F, G = np.eye(p), np.diag([2.0, 4.0][:p])   # powers of 2: G^-1 (G u) is u exactly
+    sys = control_affine(tangent_bundle(p), (F, None), (G, None), u_max)
+    u = np.array([u_max + past, -0.25][:p])
+    z_init = G @ u
+    assert np.array_equal(np.linalg.inv(G) @ (F.T @ z_init), u)
+    with patch.object(pmp, "_box_qp", wraps=pmp._box_qp) as qp:
+        fused = integrate_pmp_flow(sys, np.zeros(p), z_init, -1.0, 0.0, 0.05, step=1e-2)
+    generic = integrate_pmp_flow(replace(sys, affine=None), np.zeros(p), z_init, -1.0,
+                                 0.0, 0.05, step=1e-2)
+    assert qp.call_count == (1 + 4 * 5 if past > 1e-12 else 1)
+    for name, a, b in (("base", fused.path.base, generic.path.base),
+                       ("costate", fused.costate.z, generic.costate.z),
+                       ("u_nodes", fused.u_nodes, generic.u_nodes),
+                       ("h_nodes", fused.h_nodes, generic.h_nodes)):
+        assert np.array_equal(a, b), name
+    assert np.all(fused.u_nodes[:, 0] == u_max)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
