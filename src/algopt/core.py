@@ -230,12 +230,10 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
                 dh_dx: np.ndarray | None) -> np.ndarray:
     """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a from chart
     values c and rho at a point, or stacked on a leading axis, where v is the
-    fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point.
-    Unstacked, it may be None for dh/dx identically zero: the anchor term
-    is then left out, which keeps the bits, as zdot - rho^T 0 is zdot for a
-    finite rho.  Each term is vector-matrix products (z c, then v (z c)),
-    which a stacked row takes as one point does, so rows keep the bits of
-    one point."""
+    fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point,
+    and unstacked None means dh/dx = 0 (for a finite rho, zdot - rho^T 0 is zdot).
+    Each term is vector-matrix products (z c, then v (z c)), which a stacked
+    row takes as one point does, so rows keep the bits of one point."""
     m, n = c.shape[-1], rho.shape[-2]
     if c.ndim == 3:
         zdot = v @ (z @ c.reshape(m, m * m)).reshape(m, m)

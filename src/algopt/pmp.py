@@ -194,10 +194,9 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     u = G^-1 b / -z0 (b = F(x)^T z; G^-1 formed once where G is constant), as
     ``_box_qp``, which runs only when u leaves the box, and dh/dx only for a
     linear part of F or G, by the system's own Jacobians: costate_rhs's bits.
-    u is tested against the box on Python floats: strictly inside it needs no
-    clip, within ``_BOX_SLACK`` of it only the clip, and outside (or NaN)
-    ``_box_qp`` first.  Without linear parts dh/dx is zero and the anchor term
-    is left out (``_dual_field`` with None), which moves no bit."""
+    u is tested on Python floats: strictly inside the box it is kept, within
+    ``_BOX_SLACK`` clipped, past it (or NaN) sent to ``_box_qp`` and clipped.
+    Without linear parts the anchor term (zero) is left out."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
     _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
@@ -414,9 +413,8 @@ def _affine_at(sys: ControlSystem, x, z, z0: float):
     """At the rows of x (k, n) and z (k, m) for a :func:`control.control_affine`
     system: G(x), b = F(x)^T z and ``h(w)``, H and f(x, w) at controls
     w (k, j, p), as (k, j) and (k, j, m).  Stacked products whose rows keep
-    the bits of F(x), G(x), f_at and hamiltonian at one point.  Where G is
-    constant, L is formed once per control: controls shared by the rows
-    (j, p) cost one L each, not one per row."""
+    the bits of F(x), G(x), f_at and hamiltonian at one point; a constant G
+    forms L once per control shared by the rows (w of shape (1, j, p)), not per row."""
     Fx, Gx = (np.broadcast_to(c, (len(x),) + np.shape(c)) if d is None
               else c + (d @ x[:, None, :, None])[..., 0] for c, d in sys.affine)
     b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
