@@ -6,14 +6,12 @@ with the zero-anchor so(3) bang-bang problem and the reduced Atiyah-chart
 energy problem as built-in scenarios.
 """
 
-from .core import (ChartAlgebroid, Section, anchor_apply, atiyah_trivial,
-                   hamiltonian_vector_field, lie_algebra, product_with_time, so3_algebra,
-                   so3_structure, tangent_bundle, tangent_lift_section,
-                   validate_anchor_morphism, validate_skew)
-from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
-                      TransportFrame, extend_system, pairing_drift,
-                      simulate_trajectory, transport_B, transport_Bbar,
-                      transport_frame)
+from .core import (ChartAlgebroid, Section, atiyah_trivial, hamiltonian_vector_field,
+                   lie_algebra, product_with_time, so3_algebra, so3_structure,
+                   tangent_bundle, tangent_lift_section, validate_anchor_morphism,
+                   validate_skew)
+from .control import (Box, ControlSignal, ControlSystem, FiniteSet, Trajectory, extend_system,
+                      pairing_drift, simulate_trajectory, transport_B, transport_Bbar)
 from .errors import (AdmissibilityWarning, AlgoptError, ChatteringError,
                      CompositionError, ConfigError, IntegrationDivergedError,
                      UnsupportedDimensionError)

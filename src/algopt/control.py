@@ -32,12 +32,10 @@ __all__ = [
     "ControlSystem",
     "control_affine",
     "Trajectory",
-    "TransportFrame",
     "simulate_trajectory",
     "extend_system",
     "transport_B",
     "transport_Bbar",
-    "transport_frame",
     "pairing_drift",
 ]
 
@@ -212,21 +210,31 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
     None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
     definite where the system is used.  The box's maximizer of
     H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`).  The
-    audit and the fused flow read F and G from ``affine``, zero linear parts as None."""
+    audit and the fused flow read F and G from ``affine``, zero linear parts as None,
+    and dh/dx from the Jacobians, which take one control or a stack of them."""
     F, G = ((c, None if d is None or not np.any(d) else d) for c, d in (F, G))
     F_at, dF = affine_matrix_field(*F)
     G_at, dG = affine_matrix_field(*G)
     (m, p), n = np.shape(F[0]), alg.base_dim
     dF_u = np.moveaxis(dF(np.zeros(n)), 1, 2).reshape(m * n, p)
+    dG_u = dG(np.zeros(n)).reshape(p, p * n)
     box = Box(-u_max * np.ones(p), u_max * np.ones(p), maximizer=lambda x, z, z0: _box_qp(
         (F_at(x).T @ z)[None], G_at(x)[None], -z0, box)[0])
+
+    def f_jacobian(x, u):   # (m, n), or (k, m, n) for a stack u (k, p), row by row the same bits
+        return (dF_u @ u[..., None]).reshape(u.shape[:-1] + (m, n))
+
+    def L_gradient(x, u):   # (n,), or (k, n) for a stack u (k, p), row by row the same bits
+        row = u[..., None, :]
+        return 0.5 * (row @ (row @ dG_u).reshape(u.shape[:-1] + (p, n)))[..., 0, :]
+
     return ControlSystem(
         alg=alg,
         f=lambda x, u: F_at(x) @ u,
         L=lambda x, u: 0.5 * float(u @ G_at(x) @ u),
         control_space=box,
-        f_jacobian=lambda x, u: (dF_u @ u).reshape(m, n),
-        L_gradient=lambda x, u: 0.5 * np.einsum("acb,a,c->b", dG(x), u, u),
+        f_jacobian=f_jacobian,
+        L_gradient=L_gradient,
         affine=(F, G),
     )
 
@@ -295,15 +303,13 @@ def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0
                dual: bool = False, z0: float = 0.0, point: bool = False):
     """(base, fiber samples f(x, u), w samples or None) on ``grid``, each
     segment holding the signal's value at its midpoint; w is the fiber
-    transport ydot = M y of the vector or frame w0, or for ``dual`` its dual
-    transport (costate_rhs at z0).  Where no coefficient reads the base
-    (over a point, or ``point``), a segment holds a row of
+    transport ydot = M y of the vector or frame w0, or for ``dual`` the dual
+    transport (costate_rhs at z0) of the vector w0.  Where no coefficient
+    reads the base (over a point, or ``point``), a segment holds a row of
     :func:`_point_table` at x0: the base adds the RK4 increments of its
     constant rate rho f(v), and w steps by R(hA).  With a base one
-    :func:`_flow_rhs` pass carries both; the dual block reads a frame's
-    columns as contiguous copies, which keeps the bits of vector passes."""
+    :func:`_flow_rhs` pass carries both."""
     n = sys.alg.base_dim
-    m = sys.alg.fiber_dim
     x0 = np.asarray(x0, dtype=float)
     y0 = np.zeros(0) if w0 is None else np.ravel(w0)
     at_node = np.searchsorted(signal.switch_times, grid.nodes, side="right")
@@ -324,8 +330,7 @@ def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0
             if w0 is None:
                 return w
             if dual:
-                cols = np.ascontiguousarray(w.reshape(m, -1).T)
-                return np.column_stack([costate_rhs(sys, x, v, z, z0) for z in cols]).ravel()
+                return costate_rhs(sys, x, v, w, z0)
             M = _lift_matrix(sys.alg, x, sys.f_at(x, v), sys.f_jac_at(x, v))
             return (M @ w.reshape(w0.shape)).ravel()
 
@@ -409,26 +414,6 @@ def transport_Bbar(sys: ControlSystem, traj: Trajectory, z0_pair) -> tuple[np.nd
     z_init = _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
     z0 = float(z0)
     return _transport(sys, traj, z_init, True, z0), z0
-
-
-@dataclass(frozen=True)
-class TransportFrame:
-    """Linear transport maps from t0 to every grid node, for the fiber flow (B)
-    and the dual flow at z0 = 0 (Bbar); B[0] and Bbar[0] are identities."""
-
-    grid: TimeGrid
-    B: np.ndarray     # (N, m, m)
-    Bbar: np.ndarray  # (N, m, m)
-
-
-def transport_frame(sys: ControlSystem, traj: Trajectory) -> TransportFrame:
-    """Both transports of the identity frame, one pass each; column j of Bbar
-    is the dual transport of the basis covector e_j (bit for bit with a base,
-    to rounding over a point, where R(hK) acts on the whole frame)."""
-    eye = np.eye(sys.alg.fiber_dim)
-    B = _transport(sys, traj, eye, False)
-    Bbar = _transport(sys, traj, eye, True)
-    return TransportFrame(traj.path.grid, B, Bbar)
 
 
 def pairing_drift(sys: ControlSystem, traj: Trajectory, y0: np.ndarray,

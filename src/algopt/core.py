@@ -25,7 +25,6 @@ __all__ = [
     "ChartAlgebroid",
     "Section",
     "ValidationReport",
-    "anchor_apply",
     "validate_skew",
     "as_sample_points",
     "validate_anchor_morphism",
@@ -150,13 +149,6 @@ def as_sample_points(points, base_dim: int) -> np.ndarray:
     return np.atleast_2d(arr.reshape(-1, base_dim))
 
 
-def anchor_apply(alg: ChartAlgebroid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Base velocity rho^a_i(x) y^i of the fiber vector y at x."""
-    x = _shaped(x, (alg.base_dim,), "base point has shape")
-    y = _shaped(y, (alg.fiber_dim,), "fiber vector has shape")
-    return alg.anchor_at(x) @ y
-
-
 def _sampled_report(check: str, alg: ChartAlgebroid, sample_points, tol: float,
                     residual) -> ValidationReport:
     """Largest |residual(x)| entry over the sample points; passes iff <= tol."""
@@ -231,7 +223,7 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
     """Dual transport zdot_k = c^i_jk v^j z_i - rho^a_k dh/dx^a from chart
     values c and rho at a point, or stacked on a leading axis, where v is the
     fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point,
-    and unstacked None means dh/dx = 0 (for a finite rho, zdot - rho^T 0 is zdot).
+    and None means dh/dx = 0 (for a finite rho, zdot - rho^T 0 is zdot).
     Each term is vector-matrix products (z c, then v (z c)), which a stacked
     row takes as one point does, so rows keep the bits of one point."""
     m, n = c.shape[-1], rho.shape[-2]
@@ -239,7 +231,9 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
         zdot = v @ (z @ c.reshape(m, m * m)).reshape(m, m)
         return zdot - rho.T @ dh_dx if n and dh_dx is not None else zdot
     zdot = (v[:, None] @ (z[:, None] @ c.reshape(-1, m, m * m)).reshape(-1, m, m))[:, 0]
-    return zdot - (np.swapaxes(rho, 1, 2) @ dh_dx[:, :, None])[:, :, 0] if n else zdot
+    if not n or dh_dx is None:
+        return zdot
+    return zdot - (np.swapaxes(rho, 1, 2) @ dh_dx[:, :, None])[:, :, 0]
 
 
 def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarray,

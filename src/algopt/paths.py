@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartAlgebroid, as_sample_points
+from .core import ChartAlgebroid
 from .errors import AdmissibilityWarning, CompositionError, IntegrationDivergedError
 from .numerics import TimeGrid, _rk4, grid_derivative
 
@@ -29,7 +29,6 @@ __all__ = [
     "homotopy_residual",
     "generate_infinitesimal_homotopy",
     "shrink_homotopy",
-    "bracket_bound",
 ]
 
 
@@ -298,8 +297,3 @@ def shrink_homotopy(alg: ChartAlgebroid, p: EPath, n_t: int = 33,
     b_field = tt[..., None] * a_s
     return HomotopyField(t_grid, eps, x_s, a_field, b_field)
 
-
-def bracket_bound(alg: ChartAlgebroid, points) -> float:
-    """Frobenius bound on the bracket: |c[u, v]| <= bound * |u| * |v| on the samples."""
-    c = _sampler(alg, "structure")(as_sample_points(points, alg.base_dim))
-    return float(np.sqrt((c ** 2).sum(axis=(1, 2, 3))).max(initial=0.0))

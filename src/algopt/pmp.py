@@ -432,16 +432,19 @@ def _affine_at(sys: ControlSystem, x, z, z0: float):
 def _affine_block(sys: ControlSystem, x, z, z0: float, u, candidates):
     """At a block of nodes of a :func:`control.control_affine` system: H at u,
     the two best H over the candidates, H at the exact maximizer and the dual
-    flow, by stacked products whose rows keep the per-node bits (up to the
-    last bit of dL/dx) of hamiltonian, maximize_hamiltonian and costate_rhs."""
+    flow, by stacked products whose rows keep the per-node bits of
+    hamiltonian, maximize_hamiltonian and costate_rhs; dh/dx comes from the
+    system's own Jacobians, with a term left out where its linear part is None."""
     Gx, b, h = _affine_at(sys, x, z, z0)
     h_u, f = h(u[:, None])
     U = sys.control_space
     h_star = h(U.clip(_box_qp(b, Gx, -z0, U))[:, None])[0][:, 0]
     values = np.sort(h(np.asarray(candidates)[None])[0], axis=1)[:, -2:]
-    dF, dG = (np.zeros(np.shape(c) + (x.shape[1],)) if d is None else d for c, d in sys.affine)
-    dh_dx = (np.einsum("iba,kb->kia", dF, u).swapaxes(1, 2) @ z[..., None])[..., 0]
-    dh_dx += z0 * (0.5 * np.einsum("acb,ka,kc->kb", dG, u, u))
+    (_, F1), (_, G1) = sys.affine
+    zero = None if F1 is None and G1 is None else np.zeros(x.shape)   # None: no anchor term
+    dh_dx = zero if F1 is None else (sys.f_jacobian(x, u).swapaxes(1, 2) @ z[..., None])[..., 0]
+    if G1 is not None:
+        dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
     rhs = _dual_field(_sampler(sys.alg, "structure")(x), _sampler(sys.alg, "anchor")(x),
                       f[:, 0], z, dh_dx)
     return h_u[:, 0], values, h_star, rhs

@@ -521,12 +521,16 @@ def validate_config(config: dict) -> dict:
         if config.get(key) is not None and not isinstance(config[key], dict):
             raise ConfigError(key, f"expected an object, got {type(config[key]).__name__}")
     out = default_config(name) if name != "custom" else {"scenario": "custom"}
+    known = {"": set(out) if name != "custom" else {"scenario", "chart", "solver", "z0_mode"},
+             "params": set(out.get("params", ())),
+             "solver": {"step", "tol", "seed", "symbol_samples"}}
+    for path, keys in known.items():
+        for key in sorted(set((config.get(path) or {}) if path else config) - keys):
+            raise ConfigError(_label(path, key), "unknown field; known: " + ", ".join(sorted(keys)))
     out.update({k: v for k, v in config.items() if k not in ("solver", "params")})
-    solver = dict(out.get("solver", _SOLVER_DEFAULTS))
-    solver.update(config.get("solver", {}) or {})
-    params = dict(out.get("params", {}))
-    params.update(config.get("params", {}) or {})
-    out["solver"], out["params"] = solver, params
+    out["solver"] = solver = {**out.get("solver", _SOLVER_DEFAULTS), **(config.get("solver") or {})}
+    if name != "custom":
+        out["params"] = params = {**out["params"], **(config.get("params") or {})}
 
     step = _expect(solver, "step", float, "solver", required=False, default=1e-3)
     if not step > 0:

@@ -2,11 +2,8 @@
 
 Column layouts (all tables row-major, one sample per line):
 
-  path CSV        t, x_1..x_n, a_1..a_m
-  homotopy CSV    t, eps, x_1..x_n, a_1..a_m, b_1..b_m
   trajectory CSV  t, x_1..x_n, a_1..a_m, u_1..u_p
   costate CSV     t, z_1..z_m, z0, H
-  frame CSV       t, B_11..B_mm, Bbar_11..Bbar_mm
 
 The readers raise ConfigError naming the file when it is not such a table.
 """
@@ -20,21 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import TransportFrame
 from .errors import ConfigError
 from .numerics import TimeGrid
-from .paths import EPath, HomotopyField
+from .paths import EPath
 from .pmp import CostatePath
 
 __all__ = [
-    "write_path_csv",
-    "read_path_csv",
-    "write_homotopy_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_costate_csv",
     "read_costate_csv",
-    "write_frame_csv",
     "write_report_json",
 ]
 
@@ -65,25 +57,6 @@ def _columns(data, prefix: str, file) -> np.ndarray:
     if not set(names) <= set(data.dtype.names):
         raise ConfigError(str(file), f"{prefix} columns are not numbered 1 to {len(names)}")
     return np.column_stack([data[name] for name in names]) if names else np.zeros((len(data), 0))
-
-
-def write_path_csv(file, path: EPath) -> None:
-    write_trajectory_csv(file, path, np.zeros((path.grid.n_nodes, 0)))
-
-
-def read_path_csv(file, breakpoints=()) -> EPath:
-    return read_trajectory_csv(file, breakpoints)[0]
-
-
-def write_homotopy_csv(file, field: HomotopyField) -> None:
-    if field.b is None:
-        raise ValueError("homotopy field has no b component")
-    T, E, m = field.a.shape
-    n = field.base.shape[2]
-    header = ["t", "eps"] + _names("x_", n) + _names("a_", m) + _names("b_", m)
-    columns = (c.reshape(T * E, c.shape[2]) for c in (field.base, field.a, field.b))
-    _write_rows(file, header, np.column_stack([np.repeat(field.t_grid.nodes, E),
-                                               np.tile(field.eps_nodes, T), *columns]))
 
 
 def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
@@ -143,15 +116,6 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
     data, grid = _read_table(file, ("t", "z0", "H"), breakpoints)
     return CostatePath(grid, _columns(data, "z_", file), float(data["z0"][0])), data["H"]
-
-
-def write_frame_csv(file, frame: TransportFrame) -> None:
-    m = frame.B.shape[1]
-    header = (["t"] + [f"B_{i+1}{j+1}" for i in range(m) for j in range(m)]
-              + [f"Bbar_{i+1}{j+1}" for i in range(m) for j in range(m)])
-    N = frame.grid.n_nodes
-    _write_rows(file, header, np.column_stack([frame.grid.nodes, frame.B.reshape(N, -1),
-                                               frame.Bbar.reshape(N, -1)]))
 
 
 def write_report_json(file, report: dict) -> None:

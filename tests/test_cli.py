@@ -106,6 +106,11 @@ def test_audit_detects_corrupted_costate(tmp_path, capsys):
     ({"solver": {"seed": -1}}, "solver.seed"),
     ({"solver": {"symbol_samples": "many"}}, "solver.symbol_samples"),
     ({"solver": {"symbol_samples": True}}, "solver.symbol_samples"),
+    ({"symbol_samples": -1}, "symbol_samples"),   # a solver key at the top level
+    ({"solver": {"stpe": 0.01}}, "solver.stpe"),
+    ({"params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": 1.0}}, "params.c"),
+    ({"scenario": "wong-so3-r2", "params": {"metric_linear": [[0.0]]}}, "params.metric_linear"),
+    ({"scenario": "custom", "chart": {"kind": "tangent", "dim": 1}}, "horizon"),
 ])
 def test_bad_input_exits_2_with_field_path(tmp_path, capsys, change, field):
     path = write_config(tmp_path, dict(default_config("so3-bang-bang"), **change))

@@ -9,13 +9,12 @@ from scipy.linalg import expm
 
 from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _box_qp,
                             control_affine, costate_rhs, extend_system, pairing_drift,
-                            simulate_trajectory, transport_B, transport_Bbar,
-                            transport_frame)
+                            simulate_trajectory, transport_B, transport_Bbar)
 from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
                          tangent_lift_section, validate_skew)
 from algopt.numerics import integrate
 from algopt.pmp import integrate_pmp_flow
-from conftest import box_signal, non_skew_chart, random_control_affine, skew_hat
+from conftest import non_skew_chart, skew_hat
 
 
 def constant_section_system(alg, v):
@@ -72,7 +71,9 @@ def test_simulate_zero_anchor_keeps_base(so3):
     sys = so3_two_axis(a, b)
     sig = ControlSignal(0.0, 1.0, (0.5,), ([1.0], [-1.0]))
     traj = simulate_trajectory(sys, sig, np.zeros(0), step=1e-2)
-    assert traj.path.base.shape[1] == 0
+    nodes = traj.path.grid.nodes
+    assert traj.path.base.shape == (len(nodes), 0)
+    assert np.array_equal(traj.path.fiber, [sys.f_at(np.zeros(0), sig.value(t)) for t in nodes])
     k = np.searchsorted(traj.path.grid.nodes, 0.5)
     assert traj.path.grid.nodes[k] == 0.5
     assert np.allclose(traj.path.fiber[k - 1], a + b)   # left side of the jump
@@ -305,54 +306,6 @@ def test_transport_restart_invariance(so3):
     second = transport_B(sys, simulate_trajectory(
         sys, ControlSignal.constant([0.0], 0.5, 1.0), np.zeros(0), step=1e-3), first[-1])
     assert np.abs(second[-1] - full[-1]).max() < 1e-9
-
-
-def test_frame_starts_at_identity_and_matches_vector_transport(so3):
-    sys = so3_two_axis([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    traj = simulate_trajectory(sys, ControlSignal.constant([1.0], 0.0, 1.0),
-                               np.zeros(0), step=1e-2)
-    frame = transport_frame(sys, traj)
-    assert np.array_equal(frame.B[0], np.eye(3))
-    assert np.array_equal(frame.Bbar[0], np.eye(3))
-    y0 = np.array([0.2, -0.4, 0.6])
-    ys = transport_B(sys, traj, y0)
-    assert np.abs(frame.B[-1] @ y0 - ys[-1]).max() < 1e-10
-    zs, _ = transport_Bbar(sys, traj, (y0, 0.0))
-    assert np.abs(frame.Bbar[-1] @ y0 - zs[-1]).max() < 1e-10
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), chart=st.sampled_from(["point", "tangent", "atiyah"]),
-       n=st.integers(1, 3), p=st.integers(1, 3), n_switches=st.integers(0, 3))
-def test_frame_bbar_columns_are_the_dual_vector_transports(seed, chart, n, p, n_switches):
-    """Column j of transport_frame's Bbar is transport_Bbar of e_j: bit for
-    bit with a base, and to 1e-13 relative over a point, where one R(hK)
-    acts on the whole frame.  Over a point (a random skew table on R^(n+1))
-    the trajectory's base has shape (N, 0) and its fiber samples are f(v) of
-    each segment's value v exactly."""
-    rng = np.random.default_rng(seed)
-    if chart == "point":
-        c = rng.normal(size=(n + 1,) * 3)
-        R = rng.normal(size=(p, p))
-        sys = control_affine(lie_algebra(c - np.swapaxes(c, 1, 2)),
-                             (rng.normal(size=(n + 1, p)), None), (R @ R.T + np.eye(p), None), 0.3)
-    else:
-        sys = random_control_affine(rng, n, p, chart, True)
-    signal = box_signal(rng, sys.control_space, n_switches, 1.0)
-    x0 = rng.uniform(-0.5, 0.5, sys.alg.base_dim)
-    traj = simulate_trajectory(sys, signal, x0, step=float(rng.uniform(5e-3, 2e-2)))
-    frame = transport_frame(sys, traj)
-    for j, e in enumerate(np.eye(sys.alg.fiber_dim)):
-        column = transport_Bbar(sys, traj, (e, 0.0))[0]
-        if chart == "point":
-            assert np.abs(frame.Bbar[:, :, j] - column).max() <= 1e-13 * np.abs(column).max()
-        else:
-            assert np.array_equal(frame.Bbar[:, :, j], column)
-    if chart == "point":
-        nodes = traj.path.grid.nodes
-        assert traj.path.base.shape == (len(nodes), 0)
-        assert np.array_equal(traj.path.fiber, np.array(
-            [sys.f_at(np.zeros(0), signal.value(t)) for t in nodes]))
 
 
 def test_transport_is_flow_of_tangent_lift(so3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from algopt.core import (ChartAlgebroid, Section, anchor_apply, atiyah_trivial,
+from algopt.core import (ChartAlgebroid, Section, atiyah_trivial,
                          hamiltonian_vector_field, lie_algebra, morphism_residual,
                          product_with_time, so3_algebra, so3_structure,
                          tangent_bundle, tangent_lift_section,
@@ -14,32 +14,35 @@ def sample_points(rng, n, count=100):
 
 
 # ---------------------------------------------------------------------------
-# anchor_apply
+# the anchor
 # ---------------------------------------------------------------------------
 
 def test_anchor_identity():
     tb = tangent_bundle(2)
-    assert np.allclose(anchor_apply(tb, np.zeros(2), [1.0, 2.0]), [1.0, 2.0])
+    assert np.allclose(tb.anchor_at(np.zeros(2)) @ [1.0, 2.0], [1.0, 2.0])
 
 
 def test_anchor_zero_on_lie_algebra(so3):
-    out = anchor_apply(so3, np.zeros(0), [3.0, -1.0, 2.0])
+    out = so3.anchor_at(np.zeros(0)) @ [3.0, -1.0, 2.0]
     assert out.shape == (0,)
 
 
 def test_anchor_diagonal_example():
     alg = ChartAlgebroid(2, 2, lambda x: np.diag([x[0], 1.0]),
                          lambda x: np.zeros((2, 2, 2)))
-    out = anchor_apply(alg, np.array([2.0, 0.0]), np.array([3.0, 4.0]))
+    out = alg.anchor_at(np.array([2.0, 0.0])) @ np.array([3.0, 4.0])
     assert np.allclose(out, [6.0, 4.0])
 
 
 def test_anchor_dimension_mismatch():
+    """A fiber vector of the wrong length, and an anchor field of the wrong
+    shape, raise ValueError."""
     tb = tangent_bundle(2)
     with pytest.raises(ValueError):
-        anchor_apply(tb, np.zeros(2), np.ones(3))
-    with pytest.raises(ValueError):
-        anchor_apply(tb, np.zeros(3), np.ones(2))
+        tb.anchor_at(np.zeros(2)) @ np.ones(3)
+    wrong = ChartAlgebroid(2, 2, lambda x: np.eye(3), lambda x: np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="anchor returned shape"):
+        wrong.anchor_at(np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +139,14 @@ def test_lift_scalar_tangent_bundle():
     assert abs(ydot[0] - 2.0) < 1e-12
 
 
-def test_lift_base_component_is_anchor_apply(rng):
+def test_lift_base_component_is_the_anchor_image(rng):
     alg = atiyah_trivial(2, so3_structure())
     f = Section.constant(rng.normal(size=5))
     for _ in range(5):
         x = rng.normal(size=2)
         y = rng.normal(size=5)
         xdot, _ = tangent_lift_section(alg, f, x, y)
-        assert np.array_equal(xdot, anchor_apply(alg, x, f.value(x)))
+        assert np.array_equal(xdot, alg.anchor_at(x) @ f.value(x))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from algopt import pmp
 from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, _point_table,
-                            control_affine, costate_rhs, simulate_trajectory, transport_frame)
+                            _transport, control_affine, costate_rhs, simulate_trajectory)
 from algopt.core import _dual_field, lie_algebra, so3_algebra, so3_structure, tangent_bundle
 from algopt.errors import IntegrationDivergedError
 from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
@@ -241,7 +241,7 @@ def test_needle_frame_and_accrued_cost_over_a_point(seed, m, n_switches):
     etraj = simulate_trajectory(ctx.esys, signal, np.zeros(1), step=step)
     assert np.array_equal(ctx.etraj.path.base, etraj.path.base)
     assert np.array_equal(ctx.etraj.path.fiber, etraj.path.fiber)
-    frame = transport_frame(ctx.esys, etraj).B
+    frame = _transport(ctx.esys, etraj, np.eye(ctx.esys.alg.fiber_dim), False)
     assert np.abs(ctx.frame_B - frame).max() <= 1e-13 * np.abs(frame).max()
 
 

@@ -10,8 +10,7 @@ from algopt.core import (ChartAlgebroid, affine_matrix_field, tangent_bundle,
                          validate_anchor_morphism)
 from algopt.errors import AdmissibilityWarning, CompositionError
 from algopt.numerics import TimeGrid, _rk4_sampled
-from algopt.paths import (EPath, HomotopyField, admissibility_residual,
-                          bracket_bound, compose_paths,
+from algopt.paths import (EPath, HomotopyField, admissibility_residual, compose_paths,
                           generate_infinitesimal_homotopy, homotopy_residual,
                           null_path, reparameterize_unit, shrink_homotopy)
 from conftest import scaled_anchor_pair, skew_hat
@@ -209,7 +208,8 @@ def test_generate_gronwall_bound(so3):
     out1, _ = generate_infinitesimal_homotopy(so3, field, b0)
     out2, _ = generate_infinitesimal_homotopy(so3, field, b0 + delta)
     diff = np.abs(out2.b - out1.b).max()
-    c_norm = bracket_bound(so3, np.zeros((1, 0)))
+    c = so3.structure_at(np.zeros(0))
+    c_norm = np.sqrt((c ** 2).sum())   # |[u, v]| <= c_norm |u| |v|
     a_max = float(np.linalg.norm(v))
     bound = delta * np.sqrt(3) * np.exp(c_norm * a_max * 1.0)
     assert diff <= bound

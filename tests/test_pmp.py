@@ -12,8 +12,8 @@ from scipy.linalg import expm
 
 from algopt import pmp
 from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _point_table,
-                            control_affine, costate_rhs, simulate_trajectory, transport_Bbar,
-                            transport_frame)
+                            _transport, control_affine, costate_rhs, simulate_trajectory,
+                            transport_Bbar)
 from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
 from algopt.numerics import TimeGrid, grid_derivative, rk4_step
@@ -386,7 +386,7 @@ def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active
     node blocks gives the numbers of a per-node loop to 1e-13 of their
     scale, and the same verdicts and notes.  Node counts are not multiples
     of the block size; the box is active or not at the random controls and
-    the maximizer."""
+    the maximizer.  The block's dual field is costate_rhs's, bit for bit."""
     rng = np.random.default_rng(seed)
     sys = random_control_affine(rng, n, p, "atiyah" if atiyah else "tangent", active)
     if constant:
@@ -408,6 +408,10 @@ def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active
         assert abs(getattr(audit, name) - value) <= 1e-13 * scale, name
     assert audit.verdicts == verdicts
     assert audit.notes == notes
+    rhs = pmp._affine_block(sys, path.base, costate.z, z0, u_nodes,
+                            pmp._candidate_controls(sys))[3]
+    assert np.array_equal(rhs, [costate_rhs(sys, x, u, z, z0)
+                                for x, u, z in zip(path.base, u_nodes, costate.z)])
 
 
 def test_wong_audit_makes_no_per_node_calls(wong_fixture, monkeypatch):
@@ -596,7 +600,7 @@ def needle_setup():
 
 def test_needle_frame_is_the_fiber_transport_frame(needle_setup):
     _, _, ctx = needle_setup
-    frame = transport_frame(ctx.esys, ctx.etraj).B
+    frame = _transport(ctx.esys, ctx.etraj, np.eye(ctx.esys.alg.fiber_dim), False)
     assert np.abs(ctx.frame_B - frame).max() <= 1e-13 * np.abs(frame).max()
 
 

@@ -4,28 +4,26 @@ import io
 import numpy as np
 import pytest
 
-from algopt.control import ControlSignal, simulate_trajectory, transport_frame
 from algopt.numerics import TimeGrid
-from algopt.paths import EPath, shrink_homotopy
+from algopt.paths import EPath
 from algopt.pmp import CostatePath
-from algopt.scenarios import build_so3_bang_bang_system
-from algopt.serialize import (infer_breakpoints, read_costate_csv, read_path_csv,
-                              read_trajectory_csv, write_costate_csv,
-                              write_frame_csv, write_homotopy_csv, write_path_csv,
-                              write_trajectory_csv)
-from algopt.core import tangent_bundle
+from algopt.serialize import (infer_breakpoints, read_costate_csv, read_trajectory_csv,
+                              write_costate_csv, write_trajectory_csv)
 from algopt.errors import ConfigError
 
 
 def test_path_round_trip(tmp_path):
+    """A path with a base and a breakpoint, and no control columns, comes back
+    from the trajectory CSV bit for bit."""
     grid = TimeGrid(0.0, 1.0, 0.125, (0.5,))
     ts = grid.nodes
     base = np.column_stack([np.sin(ts), ts])
     fiber = np.column_stack([np.cos(ts)])
     p = EPath(grid, base, fiber)
     f = tmp_path / "path.csv"
-    write_path_csv(f, p)
-    q = read_path_csv(f, breakpoints=(0.5,))
+    write_trajectory_csv(f, p, np.zeros((grid.n_nodes, 0)))
+    q, u = read_trajectory_csv(f, breakpoints=(0.5,))
+    assert u.shape == (grid.n_nodes, 0)
     assert np.array_equal(q.grid.nodes, p.grid.nodes)
     assert np.array_equal(q.base, p.base)
     assert np.array_equal(q.fiber, p.fiber)
@@ -50,33 +48,6 @@ def test_trajectory_and_costate_round_trip(tmp_path):
     assert np.array_equal(c2.z, costate.z)
     assert c2.z0 == -1.0
     assert np.array_equal(h2, h)
-
-
-def test_homotopy_csv_shape(tmp_path):
-    tb = tangent_bundle(1)
-    grid = TimeGrid(0.0, 1.0, 0.1)
-    ts = grid.nodes
-    p = EPath(grid, ts[:, None] ** 2, 2 * ts[:, None])
-    field = shrink_homotopy(tb, p, n_t=5, n_eps=4)
-    f = tmp_path / "homotopy.csv"
-    write_homotopy_csv(f, field)
-    lines = f.read_text().splitlines()
-    assert lines[0] == "t,eps,x_1,a_1,b_1"
-    assert len(lines) == 1 + 5 * 4
-
-
-def test_frame_csv(tmp_path):
-    sys = build_so3_bang_bang_system([1, 0, 0], [0, 1, 0])
-    traj = simulate_trajectory(sys, ControlSignal.constant([1.0], 0.0, 0.1),
-                               np.zeros(0), step=0.05)
-    frame = transport_frame(sys, traj)
-    f = tmp_path / "frame.csv"
-    write_frame_csv(f, frame)
-    lines = f.read_text().splitlines()
-    assert lines[0].startswith("t,B_11,")
-    assert len(lines) == 1 + frame.grid.n_nodes
-    first = np.array([float(v) for v in lines[1].split(",")[1:10]]).reshape(3, 3)
-    assert np.array_equal(first, np.eye(3))
 
 
 def test_csv_rows_are_the_bytes_of_csv_writer(tmp_path):
