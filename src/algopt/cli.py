@@ -117,8 +117,8 @@ def _cmd_audit(args) -> int:
     if not np.array_equal(costate.grid.nodes, path.grid.nodes):
         raise ConfigError(args.costate, "costate times do not match the trajectory's")
     with np.errstate(over="ignore", invalid="ignore"):   # as run_scenario: overflow fails a check
-        audit = verify_extremal(sys_, path, None, costate, mode=args.mode,
-                                tol=float(cfg["solver"]["tol"]), u_nodes=u_nodes)
+        audit = verify_extremal(sys_, path, costate, u_nodes, mode=args.mode,
+                                tol=float(cfg["solver"]["tol"]))
     report = audit.to_dict()
     if args.out:
         write_report_json(Path(args.out) / "audit.json", report)

@@ -132,9 +132,6 @@ class ControlSignal:
         idx = int(np.searchsorted(self.switch_times, t, side="right"))
         return self.values[idx]
 
-    def segment_value(self, seg_index: int) -> np.ndarray:
-        return self.values[seg_index]
-
 
 @dataclass(frozen=True)
 class ControlSystem:

@@ -55,6 +55,7 @@ _TIE_GAP = 1e-10   # times max(1, |z|): H scales with (z, z0)
 # Steps whose development propagators are built in one batched RK4 step;
 # bounds the (block, d, d) arrays on long paths.
 _DEVELOP_BLOCK = 1024
+_REORTHONORMALIZE_EVERY = 100   # steps between orthogonal re-projections of a skew development
 # Nodes a held value steps ahead over a point before one H table checks them.
 _FLOW_BLOCK = 64
 _AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
@@ -122,12 +123,6 @@ def _ties(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         size = np.ldexp(np.linalg.norm(np.ldexp(z, -e[..., None]), axis=-1), e)
     return gap <= _TIE_GAP * np.maximum(1.0, size)
-
-
-def _box_grid(box: Box, n: int) -> list[np.ndarray]:
-    """The controls of an n-per-axis grid over the box."""
-    axes = [np.linspace(box.lower[j], box.upper[j], n) for j in range(box.dim)]
-    return [np.array(combo) for combo in itertools.product(*axes)]
 
 
 def _argmax(sys: ControlSystem, z, z0, x) -> np.ndarray:
@@ -378,7 +373,6 @@ class ExtremalAudit:
     costate_residual: float
     h_drift: float
     covector_min_norm: float
-    hamiltonian_values: np.ndarray
     verdicts: dict
     notes: tuple[str, ...]
 
@@ -406,7 +400,8 @@ def _candidate_controls(sys: ControlSystem):
         return list(U.values)
     if U.dim > 3:
         return [0.5 * (U.lower + U.upper)]
-    return _box_grid(U, 9)
+    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(U.lower, U.upper)]
+    return [np.array(combo) for combo in itertools.product(*axes)]
 
 
 def _affine_at(sys: ControlSystem, x, z, z0: float):
@@ -450,9 +445,9 @@ def _affine_block(sys: ControlSystem, x, z, z0: float, u, candidates):
     return h_u[:, 0], values, h_star, rhs
 
 
-def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
-                    costate: CostatePath, mode: str = "free-time",
-                    tol: float = 1e-5, u_nodes: np.ndarray | None = None) -> ExtremalAudit:
+def verify_extremal(sys: ControlSystem, path: EPath, costate: CostatePath,
+                    u_nodes: np.ndarray, mode: str = "free-time",
+                    tol: float = 1e-5) -> ExtremalAudit:
     """Audit the maximum-principle conditions along sampled curves.
 
     At every non-breakpoint node: (1) H(z, u) must dominate H(z, v) for the
@@ -476,9 +471,6 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
     N = len(nodes)
     z, z0, x = costate.z, costate.z0, path.base
     notes: list[str] = []
-
-    if u_nodes is None:
-        u_nodes = np.array(control.values)[np.searchsorted(control.switch_times, nodes, "right")]
     u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
     if u_nodes.shape[0] != N:
         raise ValueError("u_nodes rows do not match grid nodes")
@@ -535,7 +527,7 @@ def verify_extremal(sys: ControlSystem, path: EPath, control: ControlSignal,
         "multiplier": bool(z0 != 0.0 or covector_min > tol),
     }
     return ExtremalAudit(mode, tol, max_violation, costate_residual, h_drift,
-                         covector_min, h_vals, verdicts, tuple(notes))
+                         covector_min, verdicts, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +610,11 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     return NeedleContext(sys, esys, Trajectory(EPath(grid, base, fiber), control), frame)
 
 
-def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
-                  c_init: np.ndarray | None = None) -> np.ndarray:
+def needle_vector(ctx: NeedleContext, symbol: VariationSymbol) -> np.ndarray:
     """First-order endpoint direction of the needle variation, in the
     cost-extended fiber over the trajectory point at the observation time:
 
-        d = fext(x(tau), u(tau)) dt + B_{tau t0} c_init
+        d = fext(x(tau), u(tau)) dt
             + sum_i B_{tau tau_i} [fext(x(tau_i), v_i) - fext(x(tau_i), u(tau_i))] dt_i .
     """
     control = ctx.etraj.control
@@ -639,8 +630,6 @@ def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
     u_tau = control.value(symbol.tau)
     d = symbol.dt * ctx.esys.f_at(xx_tau, u_tau)
     F_tau = ctx.frame_at(symbol.tau)
-    if c_init is not None:
-        d = d + F_tau @ np.asarray(c_init, dtype=float)
     for s, v, w in zip(symbol.taus, symbol.vs, symbol.dts):
         if w == 0.0:
             continue
@@ -651,17 +640,20 @@ def needle_vector(ctx: NeedleContext, symbol: VariationSymbol,
     return d
 
 
+def _off_switches(times, switch_times) -> np.ndarray:
+    """Whether each of ``times`` lies more than _SPIKE_GUARD from every switch."""
+    bounds = np.concatenate(([-np.inf], switch_times, [np.inf]))
+    i = np.searchsorted(bounds, times)   # bounds[i - 1] < t <= bounds[i]: the nearest two
+    return np.minimum(times - bounds[i - 1], bounds[i] - times) > _SPIKE_GUARD
+
+
 def sample_symbols(rng: np.random.Generator, ctx: NeedleContext, tau: float,
                    n: int) -> list[VariationSymbol]:
     """Random variation symbols of one to three spikes, with spike times drawn
     from the grid nodes more than _SPIKE_GUARD from every switch."""
-    control = ctx.etraj.control
-    grid = ctx.grid
-    nodes = grid.nodes
-    ok = (nodes > grid.t0) & (nodes < tau)
-    for b in control.switch_times:
-        ok &= np.abs(nodes - b) > _SPIKE_GUARD
-    pool = nodes[ok]
+    nodes = ctx.grid.nodes
+    pool = nodes[(nodes > ctx.grid.t0) & (nodes < tau)
+                 & _off_switches(nodes, ctx.etraj.control.switch_times)]
     if pool.size == 0:
         raise ValueError("no admissible spike times below the observation time")
     U = ctx.sys.control_space
@@ -716,8 +708,7 @@ def _rep_matrices(alg: ChartAlgebroid, rep) -> np.ndarray:
     return mats
 
 
-def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
-                     reorthonormalize_every: int = 100) -> np.ndarray:
+def develop_to_group(alg: ChartAlgebroid, path: EPath, rep) -> np.ndarray:
     """Development of a fiber path over a point into the matrix group:
     solves gdot = g rep(a(t)) from the identity and returns g(t1).
 
@@ -730,14 +721,14 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep,
     holds its start sample instead of blending across the jump; otherwise the
     endpoint would jump by O(step) as a switch crosses a grid node.  For
     skew-symmetric representations the running product is re-projected onto
-    the orthogonal group every ``reorthonormalize_every`` steps.
+    the orthogonal group every ``_REORTHONORMALIZE_EVERY`` steps.
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
-    return _develop(_rep_matrices(alg, rep), path, reorthonormalize_every)
+    return _develop(_rep_matrices(alg, rep), path)
 
 
-def _develop(mats: np.ndarray, path: EPath, reorthonormalize_every: int = 100) -> np.ndarray:
+def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
     """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``."""
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
@@ -755,7 +746,7 @@ def _develop(mats: np.ndarray, path: EPath, reorthonormalize_every: int = 100) -
         P = _rk4_sampled(lambda A, y: y @ A, (R0,), (R1,), eye, h)
         for k in range(lo, hi):
             g = g @ P[k - lo]
-            if skew and (k + 1) % reorthonormalize_every == 0:
+            if skew and (k + 1) % _REORTHONORMALIZE_EVERY == 0:
                 uu, _, vv = np.linalg.svd(g)
                 g = uu @ vv
     if skew:
@@ -959,17 +950,11 @@ class TimeDependentControlSystem:
     f: Callable
     L: Callable
     control_space: object
-    f_time_derivative: Callable | None = None  # (x, t, u) -> (m,)
-    L_time_derivative: Callable | None = None  # (x, t, u) -> float
 
     def f_t_at(self, x, t, u) -> np.ndarray:
-        if self.f_time_derivative is not None:
-            return np.asarray(self.f_time_derivative(x, t, u), dtype=float)
         return finite_difference_jacobian(lambda s: self.f(x, s[0], u), [t], 1e-6)[:, 0]
 
     def L_t_at(self, x, t, u) -> float:
-        if self.L_time_derivative is not None:
-            return float(self.L_time_derivative(x, t, u))
         return float(finite_difference_jacobian(lambda s: self.L(x, s[0], u), [t], 1e-6)[0, 0])
 
 

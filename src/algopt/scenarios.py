@@ -23,7 +23,7 @@ from .core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial,
                    validate_anchor_morphism, validate_skew)
 from .errors import ChatteringError, ConfigError, IntegrationDivergedError
 from .numerics import _rk4_sampled, grid_derivative
-from .pmp import (_SPIKE_GUARD, ExtremalAudit, PmpFlow, cone_support_check,
+from .pmp import (ExtremalAudit, PmpFlow, _off_switches, cone_support_check,
                   integrate_pmp_flow, make_needle_context, needle_vector, sample_symbols,
                   verify_extremal)
 from .serialize import (write_costate_csv, write_report_json, write_trajectory_csv)
@@ -108,8 +108,8 @@ def scenario_so3_bang_bang(a, b, z_init, z0: float = -1.0, horizon: float = 10.0
     b = np.asarray(b, dtype=float)
     sys = build_so3_bang_bang_system(a, b)
     flow = integrate_pmp_flow(sys, np.zeros(0), z_init, z0, 0.0, horizon, step=step)
-    audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
-                            mode="free-time", tol=tol, u_nodes=flow.u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
+                            mode="free-time", tol=tol)
 
     nodes, z, u = flow.path.grid.nodes, flow.costate.z, flow.u_nodes[:, 0]
     sigma = z @ b
@@ -249,8 +249,8 @@ def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
     z_init = np.concatenate([np.asarray(p_init, dtype=float),
                              np.asarray(xi_init, dtype=float)])
     flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, horizon, step=step)
-    audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
-                            mode="fixed-time", tol=tol, u_nodes=flow.u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
+                            mode="fixed-time", tol=tol)
 
     xs, us = flow.path.base, flow.u_nodes
     ps, xis = flow.costate.z[:, :d], flow.costate.z[:, d:]
@@ -325,8 +325,8 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
     sys = build_lq_system(u_max=u_max)
     flow = integrate_pmp_flow(sys, [float(x0)], [float(z_init)], z0, 0.0, horizon,
                               step=step)
-    audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
-                            mode="fixed-time", tol=tol, u_nodes=flow.u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
+                            mode="fixed-time", tol=tol)
 
     nodes = flow.path.grid.nodes
     u_star = (float(np.clip(float(z_init) / (-z0), -u_max, u_max)) if z0 < 0
@@ -496,6 +496,11 @@ def _array(cfg: dict, key: str, path: str, shape: tuple, required: bool = True):
     return arr
 
 
+def _reject_unknown(section: dict, path: str, keys) -> None:
+    for key in sorted(set(section) - set(keys)):
+        raise ConfigError(_label(path, key), "unknown field; known: " + ", ".join(sorted(keys)))
+
+
 def _check_finite(value, path: str) -> None:
     """Reject NaN and infinities anywhere in a parsed JSON value; the JSON
     reader accepts ``NaN`` and ``Infinity``."""
@@ -525,8 +530,7 @@ def validate_config(config: dict) -> dict:
              "params": set(out.get("params", ())),
              "solver": {"step", "tol", "seed", "symbol_samples"}}
     for path, keys in known.items():
-        for key in sorted(set((config.get(path) or {}) if path else config) - keys):
-            raise ConfigError(_label(path, key), "unknown field; known: " + ", ".join(sorted(keys)))
+        _reject_unknown((config.get(path) or {}) if path else config, path, keys)
     out.update({k: v for k, v in config.items() if k not in ("solver", "params")})
     out["solver"] = solver = {**out.get("solver", _SOLVER_DEFAULTS), **(config.get("solver") or {})}
     if name != "custom":
@@ -574,25 +578,29 @@ def _chart_dim(spec: dict, key: str, least: int) -> int:
     return dim
 
 
-def _structure_table(spec: dict, key: str = "table") -> np.ndarray:
-    table = _numeric(spec, key, "chart")
+def _structure_table(spec: dict) -> np.ndarray:
+    table = _numeric(spec, "table", "chart")
     if table.ndim != 3 or len(set(table.shape)) != 1:
-        raise ConfigError(f"chart.{key}", "expected an (m, m, m) table")
+        raise ConfigError("chart.table", "expected an (m, m, m) table")
     return table
 
 
 def build_chart_from_config(spec: dict) -> ChartAlgebroid:
-    """Chart from a config spec.
-
-    Supported kinds: ``lie-algebra`` (structure-constant table over a point),
-    ``tangent`` (dimension), ``atiyah`` (base dimension plus algebra table,
-    optionally carrying connection/metric polynomial coefficients for the
-    energy pipeline), and ``affine-anchor`` (anchor rho(x) given by constant
-    and linear coefficient tables, with a constant structure table).
-    """
+    """Chart from a config spec: a structure-constant ``table`` over a point
+    (``lie-algebra``), TR^dim (``tangent``), an Atiyah chart of ``base_dim``
+    and an algebra ``table``, whose ``connection_const`` is shape-checked
+    (``atiyah``), or an anchor rho(x) from ``anchor_const`` and
+    ``anchor_linear`` with a constant ``table`` (``affine-anchor``).  A key
+    that the kind does not read is a ConfigError with its path."""
     if not isinstance(spec, dict):
         raise ConfigError("chart", f"expected an object, got {type(spec).__name__}")
     kind = _expect(spec, "kind", str, "chart")
+    keys = {"lie-algebra": ("table",), "tangent": ("dim",),
+            "atiyah": ("base_dim", "table", "connection_const"),
+            "affine-anchor": ("anchor_const", "anchor_linear", "table")}
+    if kind not in keys:
+        raise ConfigError("chart.kind", f"unknown chart kind {kind!r}")
+    _reject_unknown(spec, "chart", ("kind", *keys[kind]))
     if kind == "lie-algebra":
         try:
             return lie_algebra(_structure_table(spec), name="config-lie-algebra")
@@ -605,19 +613,17 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
         table = _structure_table(spec)
         _array(spec, "connection_const", "chart", (table.shape[0], base_dim), required=False)
         return atiyah_trivial(base_dim, table, name="config-atiyah")
-    if kind == "affine-anchor":
-        const = _numeric(spec, "anchor_const", "chart")
-        if const.ndim != 2:
-            raise ConfigError("chart.anchor_const", "expected an (n, m) matrix")
-        n, m = const.shape
-        linear = _array(spec, "anchor_linear", "chart", (n, m, n), required=False)
-        table = _structure_table(spec)
-        if table.shape[0] != m:
-            raise ConfigError("chart.table", "table size does not match the anchor")
-        anchor, anchor_jac = affine_matrix_field(const, linear)
-        return ChartAlgebroid(n, m, anchor, lambda x: table,
-                              anchor_jacobian=anchor_jac, name="config-affine-anchor")
-    raise ConfigError("chart.kind", f"unknown chart kind {kind!r}")
+    const = _numeric(spec, "anchor_const", "chart")   # affine-anchor
+    if const.ndim != 2:
+        raise ConfigError("chart.anchor_const", "expected an (n, m) matrix")
+    n, m = const.shape
+    linear = _array(spec, "anchor_linear", "chart", (n, m, n), required=False)
+    table = _structure_table(spec)
+    if table.shape[0] != m:
+        raise ConfigError("chart.table", "table size does not match the anchor")
+    anchor, anchor_jac = affine_matrix_field(const, linear)
+    return ChartAlgebroid(n, m, anchor, lambda x: table,
+                          anchor_jacobian=anchor_jac, name="config-affine-anchor")
 
 
 def validate_chart(cfg: dict) -> dict:
@@ -642,21 +648,15 @@ def validate_chart(cfg: dict) -> dict:
 def _observation_time(nodes: np.ndarray, spike_nodes: np.ndarray, switch_times) -> float:
     """The cone check's observation time: the middle flow node, else the node
     five after it, else the nearest later node, else the nearest earlier one.
-    It must lie strictly inside the horizon, more than _SPIKE_GUARD from every
+    It must lie strictly inside the horizon, more than pmp._SPIKE_GUARD from every
     switch, and above at least one spike node that is too (as
     :func:`sample_symbols` draws them); raises ConfigError when no node does.
     """
-    bounds = np.concatenate(([-np.inf], switch_times, [np.inf]))
-
-    def off_switches(t):
-        i = np.searchsorted(bounds, t)
-        return np.minimum(t - bounds[i - 1], bounds[i] - t) > _SPIKE_GUARD
-
-    inner = spike_nodes[(spike_nodes > nodes[0]) & off_switches(spike_nodes)]
+    inner = spike_nodes[(spike_nodes > nodes[0]) & _off_switches(spike_nodes, switch_times)]
     first_spike = inner[0] if inner.size else np.inf
     mid, last = len(nodes) // 2, len(nodes) - 1
     for k in itertools.chain((mid, mid + 5), range(mid + 1, last), range(mid - 1, 0, -1)):
-        if k < last and nodes[k] > first_spike and off_switches(nodes[k]):
+        if k < last and nodes[k] > first_spike and _off_switches(nodes[k], switch_times):
             return nodes[k]
     raise ConfigError("solver.symbol_samples",
                       "the grid has no observation time for the cone check (a node off "

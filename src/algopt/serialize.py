@@ -113,8 +113,8 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
                                                h_nodes]))
 
 
-def read_costate_csv(file, breakpoints=()) -> tuple[CostatePath, np.ndarray]:
-    data, grid = _read_table(file, ("t", "z0", "H"), breakpoints)
+def read_costate_csv(file) -> tuple[CostatePath, np.ndarray]:
+    data, grid = _read_table(file, ("t", "z0", "H"), ())
     return CostatePath(grid, _columns(data, "z_", file), float(data["z0"][0])), data["H"]
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from algopt.cli import main
+from algopt.core import so3_structure
 from algopt.errors import ChatteringError
 from algopt.scenarios import SCENARIOS, default_config
 
@@ -189,6 +190,24 @@ def test_audit_reads_the_switches_that_run_wrote(tmp_path, capsys):
     assert report == written
 
 
+def test_audit_infers_the_switch_without_a_switches_file(tmp_path, capsys):
+    """Without switches.csv the audit takes the node where u changes as the
+    breakpoint, one node in 3,001 here, and gives the audit that run wrote."""
+    cfg = default_config("so3-bang-bang")
+    cfg["horizon"] = 3.0   # one switch
+    path = write_config(tmp_path, cfg)
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    assert len((out_dir / "switches.csv").read_text().split()) == 2
+    (out_dir / "switches.csv").unlink()
+    capsys.readouterr()
+    code = main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(out_dir / "costate.csv")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["passed"]
+    assert report == json.loads((out_dir / "audit.json").read_text())
+
+
 @pytest.mark.parametrize("text", ["t\nnot-a-time\n", "t\n1.2345\n"])
 def test_audit_rejects_a_bad_switches_file(tmp_path, capsys, text):
     path, out_dir = coarse_so3_run(tmp_path)
@@ -264,10 +283,17 @@ def test_audit_names_a_file_that_is_not_an_artifact_table(tmp_path, capsys, flag
     ({"kind": "atiyah", "base_dim": -1, "table": [[[0.0]]]}, "chart.base_dim"),
     ({"kind": "atiyah", "base_dim": 101, "table": [[[0.0]]]}, "chart.base_dim"),
     ({"kind": "tangent", "dim": 101}, "chart.dim"),
+    ({"kind": "tangent", "dim": 2, "base_dim": 5, "tabel": 1}, "chart.base_dim"),
+    ({"kind": "lie-algebra", "table": [[[0.0]]], "dim": 1}, "chart.dim"),
+    ({"kind": "atiyah", "base_dim": 1, "table": [[[0.0]]], "anchor_const": [[1.0]]},
+     "chart.anchor_const"),
+    ({"kind": "affine-anchor", "anchor_const": [[1.0]], "table": [[[0.0]]],
+      "connection_const": [[0.0]]}, "chart.connection_const"),
 ])
 def test_bad_chart_spec_exits_2_with_its_path(tmp_path, capsys, chart, field):
-    """Non-numeric tables, negative dimensions and dimensions past the cap of
-    100 (tangent_bundle(n) holds two (n, n, n) tables) are config errors."""
+    """Non-numeric tables, negative dimensions, dimensions past the cap of
+    100 (tangent_bundle(n) holds two (n, n, n) tables) and keys that the
+    kind does not read are config errors."""
     path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
@@ -393,3 +419,26 @@ def test_failed_flow_writes_its_report_before_the_error(tmp_path, capsys, monkey
     assert report["passed"] is False and report["scenario"] == "wong-so3-r2"
     assert report["checks"][-1] == {"name": "flow", "error": error, "t": t, "passed": False}
     assert all(c["passed"] for c in report["checks"][:-1])
+
+
+def test_run_on_a_custom_chart_writes_only_its_chart_checks(tmp_path, capsys):
+    """A custom config has no flow: run validates its chart and writes
+    invariants.json alone, with the two axiom checks."""
+    path = write_config(tmp_path, {"scenario": "custom", "chart": {"kind": "tangent", "dim": 2}})
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    assert [p.name for p in out_dir.iterdir()] == ["invariants.json"]
+    report = json.loads((out_dir / "invariants.json").read_text())
+    assert report["scenario"] == "custom" and report["passed"]
+    assert [c["name"] for c in report["checks"]] == ["skew_symmetry", "anchor_morphism"]
+
+
+def test_validate_builds_an_atiyah_chart_from_config(tmp_path, capsys):
+    """TR^2 x so(3) from a config: base_dim, the so(3) table and a connection
+    of shape (3, 2) build a chart that passes the axiom checks."""
+    chart = {"kind": "atiyah", "base_dim": 2, "table": so3_structure().tolist(),
+             "connection_const": [[0.1, 0.0], [0.0, 0.2], [0.3, 0.0]]}
+    path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
+    assert main(["validate", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["chart"] == "config-atiyah" and report["passed"]

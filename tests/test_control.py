@@ -135,7 +135,7 @@ def test_extension_matches_trapezoid_quadrature():
     ts = traj.path.grid.nodes
     quad = 0.0
     for seg, (i0, i1) in enumerate(traj.path.grid.segment_bounds):
-        u_seg = sig.segment_value(seg)
+        u_seg = sig.values[seg]
         L_vals = np.array([sys.L_at(traj.path.base[k, 1:], u_seg)
                            for k in range(i0, i1 + 1)])
         quad += np.trapezoid(L_vals, ts[i0:i1 + 1])

@@ -109,7 +109,8 @@ def test_develop_to_group_matches_stepwise_rk4(seed, n_nodes, every, skew):
     nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(1e-3, 2e-2, size=n_nodes - 1)]))
     fiber = rng.uniform(-2.0, 2.0, size=(n_nodes, alg.fiber_dim))
     path = EPath(TimeGrid.from_nodes(nodes), np.zeros((n_nodes, 0)), fiber)
-    g = develop_to_group(alg, path, rep, reorthonormalize_every=every)
+    with mock.patch.object(pmp, "_REORTHONORMALIZE_EVERY", every):
+        g = develop_to_group(alg, path, rep)
     assert np.abs(g - reference_development(path, rep, every, skew)).max() <= 1e-12
 
 
@@ -321,8 +322,7 @@ def test_verify_extremal_matches_a_per_node_loop(seed, m, z0, mode, degenerate):
     flow = integrate_pmp_flow(sys, np.zeros(0), rng.normal(size=m), z0, 0.0,
                               float(rng.uniform(0.5, 1.5)), step=float(rng.uniform(5e-3, 2e-2)))
     u_nodes = np.array(values)[rng.integers(0, 2, size=flow.path.grid.n_nodes)]
-    audit = verify_extremal(sys, flow.path, flow.control, flow.costate, mode=mode,
-                            u_nodes=u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, u_nodes, mode=mode)
     expected, notes = reference_audit(sys, c, flow, u_nodes, mode)
     got = (audit.max_condition_violation, audit.costate_residual, audit.h_drift,
            audit.covector_min_norm)

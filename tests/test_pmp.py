@@ -188,8 +188,8 @@ def test_box_flow_keeps_its_control_as_node_samples():
 def test_flow_zero_covector_flagged(bang_bang_system):
     flow = integrate_pmp_flow(bang_bang_system, np.zeros(0), np.zeros(3), 0.0,
                               0.0, 1.0, step=1e-2)
-    audit = verify_extremal(bang_bang_system, flow.path, flow.control,
-                            flow.costate, mode="free-time", u_nodes=flow.u_nodes)
+    audit = verify_extremal(bang_bang_system, flow.path, flow.costate, flow.u_nodes,
+                            mode="free-time")
     assert not audit.verdicts["multiplier"]
     assert audit.covector_min_norm == 0.0
 
@@ -233,18 +233,16 @@ def so3_extremal(system, horizon=4.0, step=1e-3):
 
 def test_audit_passes_on_constructed_extremal(bang_bang_system):
     flow = so3_extremal(bang_bang_system)
-    audit = verify_extremal(bang_bang_system, flow.path, flow.control,
-                            flow.costate, mode="free-time", tol=1e-5,
-                            u_nodes=flow.u_nodes)
+    audit = verify_extremal(bang_bang_system, flow.path, flow.costate, flow.u_nodes,
+                            mode="free-time", tol=1e-5)
     assert audit.passed, audit.to_dict()
 
 
 def test_audit_detects_flipped_control(bang_bang_system):
     flow = so3_extremal(bang_bang_system)
     flipped = -flow.u_nodes
-    audit = verify_extremal(bang_bang_system, flow.path, flow.control,
-                            flow.costate, mode="free-time", tol=1e-5,
-                            u_nodes=flipped)
+    audit = verify_extremal(bang_bang_system, flow.path, flow.costate, flipped,
+                            mode="free-time", tol=1e-5)
     assert audit.max_condition_violation > 1e-3
     assert not audit.verdicts["maximum_condition"]
 
@@ -257,10 +255,9 @@ def test_audit_invariant_under_positive_scaling(bang_bang_system):
                             0.0, 4.0, step=1e-3)
     assert np.array_equal(f1.u_nodes, f2.u_nodes)
     assert np.allclose(f2.switch_times, f1.switch_times, atol=1e-8)
-    a1 = verify_extremal(bang_bang_system, f1.path, f1.control, f1.costate,
-                         mode="free-time", u_nodes=f1.u_nodes)
-    a2 = verify_extremal(bang_bang_system, f2.path, f2.control, f2.costate,
-                         mode="free-time", tol=lam * 1e-5, u_nodes=f2.u_nodes)
+    a1 = verify_extremal(bang_bang_system, f1.path, f1.costate, f1.u_nodes, mode="free-time")
+    a2 = verify_extremal(bang_bang_system, f2.path, f2.costate, f2.u_nodes,
+                         mode="free-time", tol=lam * 1e-5)
     assert a1.verdicts == a2.verdicts
     assert np.abs(f2.h_nodes - lam * f1.h_nodes).max() < 1e-9
 
@@ -274,8 +271,8 @@ def test_audit_costate_flow_fails_on_a_costate_of_the_wrong_structure(bang_bang_
                             lambda x, u: 1.0, FiniteSet(([-1.0], [1.0])))
     wrong = integrate_pmp_flow(flipped, np.zeros(0), [0.0, 1.0, 0.2], -1.0, 0.0, 4.0,
                                step=1e-3)
-    audit = verify_extremal(bang_bang_system, wrong.path, wrong.control, wrong.costate,
-                            mode="free-time", tol=1e-5, u_nodes=wrong.u_nodes)
+    audit = verify_extremal(bang_bang_system, wrong.path, wrong.costate, wrong.u_nodes,
+                            mode="free-time", tol=1e-5)
     assert audit.costate_residual > 0.1
     assert audit.verdicts == {"maximum_condition": True, "costate_flow": False,
                               "hamiltonian_profile": True, "multiplier": True}
@@ -284,11 +281,9 @@ def test_audit_costate_flow_fails_on_a_costate_of_the_wrong_structure(bang_bang_
 def test_box_audit_flags_perturbed_controls():
     sys = build_lq_system()
     flow = integrate_pmp_flow(sys, [0.0], [0.5], -1.0, 0.0, 1.0, step=1e-2)
-    good = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
-                           u_nodes=flow.u_nodes)
+    good = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
     assert good.passed, good.to_dict()
-    bad = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
-                          u_nodes=flow.u_nodes + 0.1)
+    bad = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes + 0.1, mode="fixed-time")
     # H(u) = 0.5 u - u^2 / 2 peaks at u = 0.5 with 0.125; H(0.6) = 0.12
     assert abs(bad.max_condition_violation - 0.005) < 1e-12
     assert not bad.verdicts["maximum_condition"]
@@ -298,8 +293,7 @@ def test_box_audit_flags_perturbed_controls():
 def test_audit_notes_ties_on_a_degenerate_two_valued_set():
     sys = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])   # u moves nothing
     flow = integrate_pmp_flow(sys, np.zeros(0), [0.0, 0.0, 1.0], -1.0, 0.0, 1.0, step=1e-2)
-    audit = verify_extremal(sys, flow.path, flow.control, flow.costate, mode="fixed-time",
-                            u_nodes=flow.u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
     n = flow.path.grid.n_nodes
     assert len(flow.tie_times) == n == 101
     assert audit.notes == (f"maximizer tie at {n} node(s); singular arcs are flagged, "
@@ -314,8 +308,7 @@ def test_tie_count_is_invariant_under_scaling_the_covector():
     for lam in (1.0, 100.0):
         flow = integrate_pmp_flow(sys, np.zeros(0), lam * np.array([0.0, 1.0, 0.2]), -lam,
                                   0.0, 2.0, step=1e-2)
-        audit = verify_extremal(sys, flow.path, flow.control, flow.costate,
-                                mode="free-time", u_nodes=flow.u_nodes)
+        audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="free-time")
         ties.append(len(flow.tie_times))
         notes.append(audit.notes)
     assert ties == [202, 202]
@@ -340,8 +333,7 @@ def test_audit_grid_mismatch_rejected(bang_bang_system):
     other = integrate_pmp_flow(bang_bang_system, np.zeros(0), [0.0, 1.0, 0.2],
                                -1.0, 0.0, 1.0, step=2e-3)
     with pytest.raises(ValueError):
-        verify_extremal(bang_bang_system, flow.path, flow.control,
-                        other.costate, u_nodes=flow.u_nodes)
+        verify_extremal(bang_bang_system, flow.path, other.costate, flow.u_nodes)
 
 
 def per_node_audit(sys, path, costate, u_nodes, mode, tol):
@@ -384,9 +376,11 @@ def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active
     """On random control-affine systems, with x-dependent F and G or with
     constant ones, over TR^n or an Atiyah chart TR^n x so(3), the audit in
     node blocks gives the numbers of a per-node loop to 1e-13 of their
-    scale, and the same verdicts and notes.  Node counts are not multiples
-    of the block size; the box is active or not at the random controls and
-    the maximizer.  The block's dual field is costate_rhs's, bit for bit."""
+    scale, and the same verdicts and notes; so does the node-by-node audit of
+    the same system without its declared tables.  Node counts are not
+    multiples of the block size; the box is active or not at the random
+    controls and the maximizer.  The block's dual field is costate_rhs's,
+    bit for bit."""
     rng = np.random.default_rng(seed)
     sys = random_control_affine(rng, n, p, "atiyah" if atiyah else "tangent", active)
     if constant:
@@ -402,12 +396,13 @@ def test_block_audit_matches_a_per_node_reference(seed, n, p, atiyah, z0, active
     u_nodes = rng.uniform(-u_max, u_max, (N, p))
     tol = 1e-5
     numbers, verdicts, notes, scale = per_node_audit(sys, path, costate, u_nodes, mode, tol)
-    with patch.object(pmp, "_AUDIT_BLOCK", block):
-        audit = verify_extremal(sys, path, None, costate, mode=mode, tol=tol, u_nodes=u_nodes)
-    for name, value in numbers.items():
-        assert abs(getattr(audit, name) - value) <= 1e-13 * scale, name
-    assert audit.verdicts == verdicts
-    assert audit.notes == notes
+    for audited in (sys, replace(sys, affine=None)):   # in blocks, then node by node
+        with patch.object(pmp, "_AUDIT_BLOCK", block):
+            audit = verify_extremal(audited, path, costate, u_nodes, mode=mode, tol=tol)
+        for name, value in numbers.items():
+            assert abs(getattr(audit, name) - value) <= 1e-13 * scale, name
+        assert audit.verdicts == verdicts
+        assert audit.notes == notes
     rhs = pmp._affine_block(sys, path.base, costate.z, z0, u_nodes,
                             pmp._candidate_controls(sys))[3]
     assert np.array_equal(rhs, [costate_rhs(sys, x, u, z, z0)
@@ -426,8 +421,7 @@ def test_wong_audit_makes_no_per_node_calls(wong_fixture, monkeypatch):
 
     for name in ("hamiltonian", "maximize_hamiltonian", "costate_rhs"):
         monkeypatch.setattr(pmp, name, forbidden)
-    audit = verify_extremal(sys, flow.path, None, flow.costate, mode="fixed-time",
-                            u_nodes=flow.u_nodes)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
     assert audit.passed, audit.to_dict()
 
 
