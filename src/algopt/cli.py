@@ -1,11 +1,13 @@
 """Command-line entry point.
 
     algopt list-scenarios
-    algopt validate <config.json>
+    algopt validate <config.json> [--seed N]
     algopt run <config.json> [--out DIR] [--step S] [--tol T] [--seed N]
                              [--z0 {normal,abnormal}]
     algopt audit <config.json> --traj trajectory.csv --costate costate.csv
-                             [--tol T] [--mode {free-time,fixed-time}]
+                             [--out DIR] [--tol T]
+
+An audit takes its grid and z0 from the CSVs and its mode from the scenario.
 
 Exit status 0 when every enabled check passes, 1 on audit failure, 2 on
 configuration errors.
@@ -23,8 +25,7 @@ import numpy as np
 from .errors import AlgoptError, ConfigError
 from .pmp import verify_extremal
 from .scenarios import SCENARIOS, run_scenario, validate_chart, validate_config
-from .serialize import (_report_text, infer_breakpoints, read_costate_csv,
-                        read_trajectory_csv, write_report_json)
+from .serialize import _report_text, read_costate_csv, read_trajectory_csv, write_report_json
 
 
 def _load_config(path: str) -> dict:
@@ -38,19 +39,15 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
+    """``cfg`` with the set flags: --step, --tol, --seed in solver, --z0 as z0_mode."""
     if not isinstance(cfg, dict) or not isinstance(cfg.get("solver") or {}, dict):
         return cfg   # left for validate_config to reject with a field path
-    cfg = dict(cfg)
+    flags = {k: v for k, v in vars(args).items() if v is not None}
     solver = dict(cfg.get("solver") or {})
-    if args.step is not None:
-        solver["step"] = args.step
-    if getattr(args, "tol", None) is not None:
-        solver["tol"] = args.tol
-    if args.seed is not None:
-        solver["seed"] = args.seed
-    cfg["solver"] = solver
-    if getattr(args, "z0", None) is not None:
-        cfg["z0_mode"] = args.z0
+    solver.update({k: flags[k] for k in ("step", "tol", "seed") if k in flags})
+    cfg = dict(cfg, solver=solver)
+    if "z0" in flags:
+        cfg["z0_mode"] = flags["z0"]
     return cfg
 
 
@@ -78,33 +75,16 @@ def _cmd_run(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _switch_times(written: Path, path, u_nodes) -> tuple[float, ...]:
-    """The switch times ``run`` wrote beside the trajectory; without them, the
-    nodes where the control changes, unless at over 5% of the nodes."""
-    if not written.is_file():
-        guess = infer_breakpoints(path.grid.nodes, u_nodes)
-        return guess if len(guess) <= 0.05 * path.grid.n_nodes else ()
-    try:
-        times = tuple(float(t) for t in written.read_text().split()[1:])
-    except ValueError:
-        times = (np.nan,)
-    if not set(times) <= set(path.grid.nodes):
-        raise ConfigError(str(written), "expected a header, then one node time per line")
-    return times
-
-
 def _cmd_audit(args) -> int:
     cfg = validate_config(_apply_overrides(_load_config(args.config), args))
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError("scenario", "auditing requires a built-in scenario")
-    sys_ = SCENARIOS[cfg["scenario"]].system(cfg)
+    scenario = SCENARIOS[cfg["scenario"]]
+    sys_ = scenario.system(cfg)
     for file in (args.traj, args.costate):
         if not Path(file).is_file():
             raise ConfigError(file, "file not found")
-    path, u_nodes = read_trajectory_csv(args.traj)
-    breakpoints = _switch_times(Path(args.traj).with_name("switches.csv"), path, u_nodes)
-    if breakpoints:
-        path, u_nodes = read_trajectory_csv(args.traj, breakpoints)
+    path, u_nodes = read_trajectory_csv(args.traj, Path(args.traj).with_name("switches.csv"))
     costate, _ = read_costate_csv(args.costate)   # only its nodes and z are read
     n, m = sys_.alg.base_dim, sys_.alg.fiber_dim
     for file, prefix, cols, want in (
@@ -117,7 +97,7 @@ def _cmd_audit(args) -> int:
     if not np.array_equal(costate.grid.nodes, path.grid.nodes):
         raise ConfigError(args.costate, "costate times do not match the trajectory's")
     with np.errstate(over="ignore", invalid="ignore"):   # as run_scenario: overflow fails a check
-        audit = verify_extremal(sys_, path, costate, u_nodes, mode=args.mode,
+        audit = verify_extremal(sys_, path, costate, u_nodes, mode=scenario.mode,
                                 tol=float(cfg["solver"]["tol"]))
     report = audit.to_dict()
     if args.out:
@@ -135,24 +115,22 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check the chart axioms only")
     p_val.add_argument("config")
+    p_val.add_argument("--seed", type=int)
 
     p_run = sub.add_parser("run", help="run a scenario and write artifacts")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
+    p_run.add_argument("--step", type=float)
+    p_run.add_argument("--tol", type=float)
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--z0", choices=("normal", "abnormal"))
 
     p_audit = sub.add_parser("audit", help="audit trajectory/costate CSVs")
     p_audit.add_argument("config")
     p_audit.add_argument("--traj", required=True)
     p_audit.add_argument("--costate", required=True)
-    p_audit.add_argument("--mode", choices=("free-time", "fixed-time"),
-                         default="free-time")
-    p_audit.add_argument("--out", default=None)
-
-    for p in (p_val, p_run, p_audit):
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--z0", choices=("normal", "abnormal"), default=None)
+    p_audit.add_argument("--out")
+    p_audit.add_argument("--tol", type=float)
     return parser
 
 

@@ -236,27 +236,21 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
     return zdot - (np.swapaxes(rho, 1, 2) @ dh_dx[:, :, None])[:, :, 0]
 
 
-def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray, xi: np.ndarray,
-                             grad_x=None, grad_xi=None) -> tuple[np.ndarray, np.ndarray]:
+def hamiltonian_vector_field(alg: ChartAlgebroid, h, x: np.ndarray,
+                             xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian vector field of h(x, xi) on the dual bundle chart.
 
         xdot^b  = rho^b_i dh/dxi_i ,
         xidot_j = c^k_ij xi_k dh/dxi_i - rho^a_j dh/dx^a .
 
-    Partials come from ``grad_x`` / ``grad_xi`` when given, otherwise from
-    :func:`numerics.finite_difference_jacobian` at its step.
+    The partials come from :func:`numerics.finite_difference_jacobian` at its
+    step.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if grad_xi is not None:
-        dh_dxi = np.asarray(grad_xi(x, xi), dtype=float)
-    else:
-        dh_dxi = finite_difference_jacobian(lambda p: h(x, p), xi)[0]
-    dh_dx = None   # not read over a point base
-    if grad_x is not None:
-        dh_dx = np.asarray(grad_x(x, xi), dtype=float)
-    elif alg.base_dim:
-        dh_dx = finite_difference_jacobian(lambda p: h(p, xi), x)[0]
+    dh_dxi = finite_difference_jacobian(lambda p: h(x, p), xi)[0]
+    dh_dx = (finite_difference_jacobian(lambda p: h(p, xi), x)[0]
+             if alg.base_dim else None)   # not read over a point base
     rho = alg.anchor_at(x)
     return rho @ dh_dxi, _dual_field(alg.structure_at(x), rho, dh_dxi, xi, dh_dx)
 

@@ -26,7 +26,8 @@ from .numerics import _rk4_sampled, grid_derivative
 from .pmp import (ExtremalAudit, PmpFlow, _off_switches, cone_support_check,
                   integrate_pmp_flow, make_needle_context, needle_vector, sample_symbols,
                   verify_extremal)
-from .serialize import (write_costate_csv, write_report_json, write_trajectory_csv)
+from .serialize import (write_costate_csv, write_report_json, write_switch_times,
+                        write_trajectory_csv)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -109,7 +110,7 @@ def scenario_so3_bang_bang(a, b, z_init, z0: float = -1.0, horizon: float = 10.0
     sys = build_so3_bang_bang_system(a, b)
     flow = integrate_pmp_flow(sys, np.zeros(0), z_init, z0, 0.0, horizon, step=step)
     audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode="free-time", tol=tol)
+                            mode=SCENARIOS["so3-bang-bang"].mode, tol=tol)
 
     nodes, z, u = flow.path.grid.nodes, flow.costate.z, flow.u_nodes[:, 0]
     sigma = z @ b
@@ -250,7 +251,7 @@ def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
                              np.asarray(xi_init, dtype=float)])
     flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, horizon, step=step)
     audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode="fixed-time", tol=tol)
+                            mode=SCENARIOS["wong-so3-r2"].mode, tol=tol)
 
     xs, us = flow.path.base, flow.u_nodes
     ps, xis = flow.costate.z[:, :d], flow.costate.z[:, d:]
@@ -326,7 +327,7 @@ def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
     flow = integrate_pmp_flow(sys, [float(x0)], [float(z_init)], z0, 0.0, horizon,
                               step=step)
     audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode="fixed-time", tol=tol)
+                            mode=SCENARIOS["classical-tm-lq"].mode, tol=tol)
 
     nodes = flow.path.grid.nodes
     u_star = (float(np.clip(float(z_init) / (-z0), -u_max, u_max)) if z0 < 0
@@ -356,14 +357,16 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 class Scenario:
     """A built-in pipeline.
 
-    ``defaults`` are the scenario-specific config fields; ``fields`` lists the
-    arrays to check as (section, key, shape[, required]), with section "" for
-    the top level.  ``system(cfg)`` builds the control system, whose chart
-    :func:`validate_chart` checks.  ``run(cfg, z0, step, tol)`` returns the
-    scenario result and its report notes.
+    ``mode`` is the problem's PMP mode: "free-time" (H = 0) or "fixed-time"
+    (H constant).  ``defaults`` are the scenario-specific config fields;
+    ``fields`` lists the arrays to check as (section, key, shape[, required]),
+    with section "" for the top level.  ``system(cfg)`` builds the control
+    system, whose chart :func:`validate_chart` checks.  ``run(cfg, z0, step,
+    tol)`` returns the scenario result and its report notes.
     """
 
     name: str
+    mode: str
     defaults: dict
     fields: tuple
     system: Callable[[dict], ControlSystem]
@@ -409,6 +412,7 @@ SCENARIOS = {s.name: s for s in (
     # zero-anchor so(3) chart.
     Scenario(
         name="so3-bang-bang",
+        mode="free-time",
         defaults={"horizon": 10.0, "z_init": [0.0, 1.0, 0.2],
                   "params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}},
         fields=(("params", "a", (3,)), ("params", "b", (3,)), ("", "z_init", (3,))),
@@ -418,6 +422,7 @@ SCENARIOS = {s.name: s for s in (
     # closed-form oracle.
     Scenario(
         name="classical-tm-lq",
+        mode="fixed-time",
         defaults={"horizon": 1.0, "z_init": [0.5], "initial_point": [0.0],
                   "params": {"u_max": 10.0}},
         fields=(("", "z_init", (1,)), ("", "initial_point", (1,))),
@@ -428,6 +433,7 @@ SCENARIOS = {s.name: s for s in (
     # momentum/internal-momentum equations.
     Scenario(
         name="wong-so3-r2",
+        mode="fixed-time",
         defaults={"horizon": 1.0, "z_init": [0.8, 0.5, 0.3, -0.2, 0.4],
                   "initial_point": [0.2, -0.1],
                   "params": {
@@ -462,11 +468,9 @@ def _label(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _expect(cfg: dict, key: str, kind, path: str, required: bool = True, default=None):
+def _expect(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
-        if required:
-            raise ConfigError(_label(path, key), "missing required field")
-        return default
+        raise ConfigError(_label(path, key), "missing required field")
     val = cfg[key]
     if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
         try:
@@ -515,7 +519,10 @@ def _check_finite(value, path: str) -> None:
 
 
 def validate_config(config: dict) -> dict:
-    """Normalize a scenario config, raising ConfigError with a field path."""
+    """Normalize a scenario config, raising ConfigError with a field path.  A
+    ``custom`` run only validates the chart, so it reads ``chart`` and
+    ``solver.seed`` alone; the cone check's ``solver.symbol_samples`` is read
+    where the control space is a finite set (needles need its switches)."""
     if not isinstance(config, dict):
         raise ConfigError("", "config must be a JSON object")
     _check_finite(config, "")
@@ -525,49 +532,49 @@ def validate_config(config: dict) -> dict:
     for key in ("solver", "params"):
         if config.get(key) is not None and not isinstance(config[key], dict):
             raise ConfigError(key, f"expected an object, got {type(config[key]).__name__}")
-    out = default_config(name) if name != "custom" else {"scenario": "custom"}
-    known = {"": set(out) if name != "custom" else {"scenario", "chart", "solver", "z0_mode"},
+    custom = name == "custom"
+    out = {"scenario": name, "solver": {"seed": 0}} if custom else default_config(name)
+    known = {"": {*out, "chart"} if custom else set(out),
              "params": set(out.get("params", ())),
-             "solver": {"step", "tol", "seed", "symbol_samples"}}
+             "solver": set(out["solver"]) if custom else {*out["solver"], "symbol_samples"}}
     for path, keys in known.items():
         _reject_unknown((config.get(path) or {}) if path else config, path, keys)
     out.update({k: v for k, v in config.items() if k not in ("solver", "params")})
-    out["solver"] = solver = {**out.get("solver", _SOLVER_DEFAULTS), **(config.get("solver") or {})}
-    if name != "custom":
-        out["params"] = params = {**out["params"], **(config.get("params") or {})}
-
-    step = _expect(solver, "step", float, "solver", required=False, default=1e-3)
-    if not step > 0:
-        raise ConfigError("solver.step", "must be positive")
-    tol = _expect(solver, "tol", float, "solver", required=False, default=1e-5)
-    if not tol > 0:
-        raise ConfigError("solver.tol", "must be positive")
-    for key in ("seed", "symbol_samples"):
-        if _expect(solver, key, int, "solver", required=False, default=0) < 0:
+    out["solver"] = solver = {**out["solver"], **(config.get("solver") or {})}
+    for key in sorted({"seed", "symbol_samples"} & set(solver)):
+        if _expect(solver, key, int, "solver") < 0:
             raise ConfigError(f"solver.{key}", "must be a non-negative integer")
     if solver.get("symbol_samples", 0) > _MAX_SYMBOL_SAMPLES:
         raise ConfigError("solver.symbol_samples",
                           f"above the limit of {_MAX_SYMBOL_SAMPLES} symbols")
-    mode = _expect(out, "z0_mode", str, "", required=False, default="normal")
-    if mode not in ("normal", "abnormal"):
-        raise ConfigError("z0_mode", "must be 'normal' or 'abnormal'")
-
-    if name == "custom":
+    if custom:
         if "chart" not in out:
             raise ConfigError("chart", "custom scenarios must supply a chart spec")
         build_chart_from_config(out["chart"])
         return out
+
+    out["params"] = params = {**out["params"], **(config.get("params") or {})}
+    step = _expect(solver, "step", float, "solver")
+    if not step > 0:
+        raise ConfigError("solver.step", "must be positive")
+    if not _expect(solver, "tol", float, "solver") > 0:
+        raise ConfigError("solver.tol", "must be positive")
+    if _expect(out, "z0_mode", str, "") not in ("normal", "abnormal"):
+        raise ConfigError("z0_mode", "must be 'normal' or 'abnormal'")
     for section, key, shape, *required in SCENARIOS[name].fields:
         _array(out[section] if section else out, key, section, shape, *required)
     if "u_max" in SCENARIOS[name].defaults["params"]:   # the bound of a box
         if not _expect(params, "u_max", float, "params") > 0:
             raise ConfigError("params.u_max", "must be positive")
-    horizon = _expect(out, "horizon", float, "", required=False, default=1.0)
+    horizon = _expect(out, "horizon", float, "")
     if not horizon > 0:
         raise ConfigError("horizon", "must be positive")
     if horizon / step > _MAX_NODES:
         raise ConfigError("horizon", f"horizon / solver.step is {horizon / step:.3g}, "
                                      f"above the limit of {_MAX_NODES} nodes")
+    if ("symbol_samples" in solver
+            and not isinstance(SCENARIOS[name].system(out).control_space, FiniteSet)):
+        _reject_unknown(solver, "solver", _SOLVER_DEFAULTS)
     return out
 
 
@@ -588,15 +595,15 @@ def _structure_table(spec: dict) -> np.ndarray:
 def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     """Chart from a config spec: a structure-constant ``table`` over a point
     (``lie-algebra``), TR^dim (``tangent``), an Atiyah chart of ``base_dim``
-    and an algebra ``table``, whose ``connection_const`` is shape-checked
-    (``atiyah``), or an anchor rho(x) from ``anchor_const`` and
-    ``anchor_linear`` with a constant ``table`` (``affine-anchor``).  A key
-    that the kind does not read is a ConfigError with its path."""
+    and an algebra ``table`` (``atiyah``), or an anchor rho(x) from
+    ``anchor_const`` and ``anchor_linear`` with a constant ``table``
+    (``affine-anchor``).  A key that the kind does not read is a ConfigError
+    with its path."""
     if not isinstance(spec, dict):
         raise ConfigError("chart", f"expected an object, got {type(spec).__name__}")
     kind = _expect(spec, "kind", str, "chart")
     keys = {"lie-algebra": ("table",), "tangent": ("dim",),
-            "atiyah": ("base_dim", "table", "connection_const"),
+            "atiyah": ("base_dim", "table"),
             "affine-anchor": ("anchor_const", "anchor_linear", "table")}
     if kind not in keys:
         raise ConfigError("chart.kind", f"unknown chart kind {kind!r}")
@@ -609,10 +616,8 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     if kind == "tangent":
         return tangent_bundle(_chart_dim(spec, "dim", 1))
     if kind == "atiyah":
-        base_dim = _chart_dim(spec, "base_dim", 0)
-        table = _structure_table(spec)
-        _array(spec, "connection_const", "chart", (table.shape[0], base_dim), required=False)
-        return atiyah_trivial(base_dim, table, name="config-atiyah")
+        return atiyah_trivial(_chart_dim(spec, "base_dim", 0), _structure_table(spec),
+                              name="config-atiyah")
     const = _numeric(spec, "anchor_const", "chart")   # affine-anchor
     if const.ndim != 2:
         raise ConfigError("chart.anchor_const", "expected an (n, m) matrix")
@@ -632,8 +637,7 @@ def validate_chart(cfg: dict) -> dict:
     name = cfg["scenario"]
     chart = (SCENARIOS[name].system(cfg).alg if name in SCENARIOS
              else build_chart_from_config(cfg["chart"]))
-    seed = int(cfg.get("solver", {}).get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["solver"]["seed"])
     pts = rng.uniform(-1.0, 1.0, size=(100, chart.base_dim))
     skew = validate_skew(chart, pts, 1e-6)
     morph = validate_anchor_morphism(chart, pts, 1e-6)
@@ -670,7 +674,7 @@ def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
     ctx = make_needle_context(sys, flow.control, flow.path.base[0], step=step)
     nodes = flow.path.grid.nodes
     tau = _observation_time(nodes, ctx.grid.nodes, flow.switch_times)
-    rng = np.random.default_rng(int(cfg["solver"].get("seed", 0)))
+    rng = np.random.default_rng(cfg["solver"]["seed"])
     symbols = sample_symbols(rng, ctx, tau, n_symbols)
     needles = [needle_vector(ctx, s) for s in symbols]
     k = int(np.searchsorted(nodes, tau))
@@ -689,10 +693,6 @@ def run_scenario(config: dict, out_dir) -> dict:
     name = cfg["scenario"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    step = float(cfg["solver"]["step"])
-    tol = float(cfg["solver"]["tol"])
-    z0 = 0.0 if cfg.get("z0_mode", "normal") == "abnormal" else -1.0
-
     chart_report = validate_chart(cfg)
     if name == "custom":
         report = {
@@ -705,6 +705,9 @@ def run_scenario(config: dict, out_dir) -> dict:
         return report
 
     scenario = SCENARIOS[name]
+    step = float(cfg["solver"]["step"])
+    tol = float(cfg["solver"]["tol"])
+    z0 = 0.0 if cfg["z0_mode"] == "abnormal" else -1.0
     head = {"schema_version": SCHEMA_VERSION, "scenario": name,
             "config": {k: v for k, v in cfg.items() if k != "params"}}
     try:
@@ -718,14 +721,11 @@ def run_scenario(config: dict, out_dir) -> dict:
     write_trajectory_csv(out / "trajectory.csv", flow.path, flow.u_nodes)
     write_costate_csv(out / "costate.csv", flow.costate, flow.h_nodes)
     write_report_json(out / "audit.json", result.audit.to_dict())
-    with (out / "switches.csv").open("w") as fh:
-        fh.write("t\n")
-        for s in flow.switch_times:
-            fh.write("%.17g\n" % s)
+    write_switch_times(out / "switches.csv", flow.switch_times)
 
     checks = list(chart_report["checks"]) + result.checks(tol)
     n_symbols = int(cfg["solver"].get("symbol_samples", 0))
-    if n_symbols > 0 and flow.control is not None:   # needles need a switching control
+    if n_symbols > 0:
         checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))
     checks.append(_check("extremal_audit", 0.0 if result.audit.passed else 1.0, 0.0))
     report = {**head, "checks": checks, "notes": notes, "passed": all(c["passed"] for c in checks)}

@@ -4,6 +4,7 @@ Column layouts (all tables row-major, one sample per line):
 
   trajectory CSV  t, x_1..x_n, a_1..a_m, u_1..u_p
   costate CSV     t, z_1..z_m, z0, H
+  switches CSV    t, then one control-switch time per line (LF line ends)
 
 The readers raise ConfigError naming the file when it is not such a table.
 """
@@ -27,6 +28,7 @@ __all__ = [
     "read_trajectory_csv",
     "write_costate_csv",
     "read_costate_csv",
+    "write_switch_times",
     "write_report_json",
 ]
 
@@ -66,7 +68,7 @@ def write_trajectory_csv(file, path: EPath, u_nodes: np.ndarray) -> None:
     _write_rows(file, header, np.column_stack([path.grid.nodes, path.base, path.fiber, u_nodes]))
 
 
-def _read_table(file, fields: tuple[str, ...], breakpoints) -> tuple[np.ndarray, TimeGrid]:
+def _read_table(file, fields: tuple[str, ...]) -> tuple[np.ndarray, TimeGrid]:
     """Rows of an artifact CSV and the time grid of its ``t`` column.  Raises
     ConfigError naming the file unless it has a header holding ``fields``
     and at least two rows of finite numbers at increasing times (a
@@ -83,27 +85,52 @@ def _read_table(file, fields: tuple[str, ...], breakpoints) -> tuple[np.ndarray,
     for name in data.dtype.names:
         if not np.all(np.isfinite(data[name])):
             raise ConfigError(str(file), f"column {name!r} has a non-numeric or non-finite entry")
+    return data, _grid(file, data["t"], ())
+
+
+def _grid(file, nodes, breakpoints) -> TimeGrid:
     try:
-        return data, TimeGrid.from_nodes(data["t"], tuple(breakpoints))
+        return TimeGrid.from_nodes(nodes, tuple(breakpoints))
     except ValueError as exc:   # under two rows, times not increasing, a breakpoint off them
         raise ConfigError(str(file), str(exc)) from None
 
 
-def read_trajectory_csv(file, breakpoints=()) -> tuple[EPath, np.ndarray]:
-    data, grid = _read_table(file, ("t",), breakpoints)
-    path = EPath(grid, _columns(data, "x_", file), _columns(data, "a_", file))
-    return path, _columns(data, "u_", file)
+def read_trajectory_csv(file, switches=None) -> tuple[EPath, np.ndarray]:
+    """The path and the control samples of a trajectory CSV.  Given the path
+    of a switches CSV, the grid breaks at the times :func:`_switch_times`
+    reads from it."""
+    data, grid = _read_table(file, ("t",))
+    base, fiber, u_nodes = (_columns(data, prefix, file) for prefix in ("x_", "a_", "u_"))
+    if switches is not None:
+        grid = _grid(file, grid.nodes, _switch_times(Path(switches), grid.nodes, u_nodes))
+    return EPath(grid, base, fiber), u_nodes
 
 
 def infer_breakpoints(ts: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
     """Interior node times where the sampled control changes value; used to
     reconstruct segment structure when auditing CSV artifacts."""
     u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
-    out = []
-    for k in range(1, len(ts) - 1):
-        if not np.array_equal(u_nodes[k], u_nodes[k - 1]):
-            out.append(float(ts[k]))
-    return tuple(out)
+    changed = (u_nodes[1:-1] != u_nodes[:-2]).any(axis=1)
+    return tuple(float(t) for t in np.asarray(ts)[1:-1][changed])
+
+
+def write_switch_times(file, times) -> None:
+    Path(file).write_text("t\n" + "".join(_FMT % t + "\n" for t in times))
+
+
+def _switch_times(file: Path, nodes: np.ndarray, u_nodes: np.ndarray) -> tuple[float, ...]:
+    """The node times in a switches CSV; without the file, the nodes where the
+    control changes, unless at over 5% of the nodes."""
+    if not file.is_file():
+        guess = infer_breakpoints(nodes, u_nodes)
+        return guess if len(guess) <= 0.05 * len(nodes) else ()
+    try:
+        times = tuple(float(t) for t in file.read_text().split()[1:])
+    except ValueError:
+        times = (np.nan,)
+    if not set(times) <= set(nodes[1:-1]):
+        raise ConfigError(str(file), "expected a header, then one interior node time per line")
+    return times
 
 
 def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
@@ -114,7 +141,7 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 
 
 def read_costate_csv(file) -> tuple[CostatePath, np.ndarray]:
-    data, grid = _read_table(file, ("t", "z0", "H"), ())
+    data, grid = _read_table(file, ("t", "z0", "H"))
     return CostatePath(grid, _columns(data, "z_", file), float(data["z0"][0])), data["H"]
 
 

@@ -72,8 +72,7 @@ def test_audit_round_trip(tmp_path, capsys):
     capsys.readouterr()
     code = main(["audit", path,
                  "--traj", str(out_dir / "trajectory.csv"),
-                 "--costate", str(out_dir / "costate.csv"),
-                 "--mode", "free-time"])
+                 "--costate", str(out_dir / "costate.csv")])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["passed"]
@@ -127,19 +126,19 @@ def test_non_object_config_exits_2_without_an_empty_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_then_audit_round_trip(tmp_path, capsys, name):
-    cfg = default_config(name)
-    cfg["horizon"] = min(cfg["horizon"], 3.0)   # so3 still switches once by t = 3
-    mode = "free-time" if name == "so3-bang-bang" else "fixed-time"
-    path = write_config(tmp_path, cfg)
+    """The audit of a default run's CSVs, with no flag, takes its mode from
+    the scenario, passes, and prints the audit.json that the run wrote."""
+    path = write_config(tmp_path, default_config(name))
     out_dir = tmp_path / "artifacts"
     assert main(["run", path, "--out", str(out_dir)]) == 0
     capsys.readouterr()
-    code = main(["audit", path, "--mode", mode,
-                 "--traj", str(out_dir / "trajectory.csv"),
+    code = main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
                  "--costate", str(out_dir / "costate.csv")])
-    report = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    report = json.loads(printed)
     assert code == 0
     assert report["verdicts"] and all(report["verdicts"].values())
+    assert printed == (out_dir / "audit.json").read_text()
 
 
 @pytest.mark.parametrize("horizon, step", [(0.002, 0.001), (0.001, 0.001), (0.003, 0.002)])
@@ -208,7 +207,7 @@ def test_audit_infers_the_switch_without_a_switches_file(tmp_path, capsys):
     assert report == json.loads((out_dir / "audit.json").read_text())
 
 
-@pytest.mark.parametrize("text", ["t\nnot-a-time\n", "t\n1.2345\n"])
+@pytest.mark.parametrize("text", ["t\nnot-a-time\n", "t\n1.2345\n", "t\n0\n"])
 def test_audit_rejects_a_bad_switches_file(tmp_path, capsys, text):
     path, out_dir = coarse_so3_run(tmp_path)
     (out_dir / "switches.csv").write_text(text)
@@ -272,7 +271,7 @@ def test_audit_names_a_file_that_is_not_an_artifact_table(tmp_path, capsys, flag
     files = {"traj": out_dir / "trajectory.csv", "costate": out_dir / "costate.csv"}
     files[flag].write_text(corrupt(files[flag].read_text()))
     capsys.readouterr()
-    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(files["traj"]),
+    assert main(["audit", path, "--traj", str(files["traj"]),
                  "--costate", str(files["costate"])]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {files[flag]}: ")
 
@@ -289,11 +288,14 @@ def test_audit_names_a_file_that_is_not_an_artifact_table(tmp_path, capsys, flag
      "chart.anchor_const"),
     ({"kind": "affine-anchor", "anchor_const": [[1.0]], "table": [[[0.0]]],
       "connection_const": [[0.0]]}, "chart.connection_const"),
+    ({"kind": "atiyah", "base_dim": 2, "table": so3_structure().tolist(),
+      "connection_const": [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]]}, "chart.connection_const"),
 ])
 def test_bad_chart_spec_exits_2_with_its_path(tmp_path, capsys, chart, field):
     """Non-numeric tables, negative dimensions, dimensions past the cap of
     100 (tangent_bundle(n) holds two (n, n, n) tables) and keys that the
-    kind does not read are config errors."""
+    kind does not read, an atiyah chart's connection among them, are config
+    errors."""
     path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
@@ -325,7 +327,7 @@ def test_audit_names_a_costate_of_another_fiber(tmp_path, capsys):
         row.insert(2, "0" if row is not rows[0] else "z_2")
     costate.write_text("\n".join(",".join(row) for row in rows) + "\n")
     capsys.readouterr()
-    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(out_dir / "trajectory.csv"),
+    assert main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
                  "--costate", str(costate)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {costate}: has 2 z_ columns")
 
@@ -338,7 +340,7 @@ def test_audit_names_a_trajectory_with_a_column_gap(tmp_path, capsys):
     traj = out_dir / "trajectory.csv"
     traj.write_text(traj.read_text().replace("x_1", "x_2", 1))
     capsys.readouterr()
-    assert main(["audit", path, "--mode", "fixed-time", "--traj", str(traj),
+    assert main(["audit", path, "--traj", str(traj),
                  "--costate", str(out_dir / "costate.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {traj}: x_ columns ")
 
@@ -434,11 +436,76 @@ def test_run_on_a_custom_chart_writes_only_its_chart_checks(tmp_path, capsys):
 
 
 def test_validate_builds_an_atiyah_chart_from_config(tmp_path, capsys):
-    """TR^2 x so(3) from a config: base_dim, the so(3) table and a connection
-    of shape (3, 2) build a chart that passes the axiom checks."""
-    chart = {"kind": "atiyah", "base_dim": 2, "table": so3_structure().tolist(),
-             "connection_const": [[0.1, 0.0], [0.0, 0.2], [0.3, 0.0]]}
+    """TR^2 x so(3) from a config: base_dim and the so(3) table build a chart
+    that passes the axiom checks."""
+    chart = {"kind": "atiyah", "base_dim": 2, "table": so3_structure().tolist()}
     path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
     assert main(["validate", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["chart"] == "config-atiyah" and report["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--step", "1e-3"],
+    ["validate", "--tol", "1e-5"],
+    ["validate", "--z0", "normal"],
+    ["audit", "--step", "1e-3"],
+    ["audit", "--seed", "1"],
+    ["audit", "--z0", "normal"],
+    ["audit", "--mode", "fixed-time"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    """validate reads only --seed, and audit only --traj, --costate, --out
+    and --tol: its grid and z0 come from the CSVs and its mode from the
+    scenario."""
+    command, *flag = argv
+    files = ["--traj", "t.csv", "--costate", "c.csv"] if command == "audit" else []
+    with pytest.raises(SystemExit) as exit_:
+        main([command, write_config(tmp_path, default_config("classical-tm-lq")), *files, *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+CUSTOM = {"scenario": "custom", "chart": {"kind": "tangent", "dim": 1}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(CUSTOM, z0_mode="normal"), "z0_mode"),
+    (dict(CUSTOM, solver={"step": 1e-3}), "solver.step"),
+    (dict(CUSTOM, solver={"tol": 1e-5}), "solver.tol"),
+    (dict(CUSTOM, solver={"symbol_samples": 5}), "solver.symbol_samples"),
+    ({"scenario": "classical-tm-lq", "solver": {"symbol_samples": 5}}, "solver.symbol_samples"),
+    ({"scenario": "wong-so3-r2", "solver": {"symbol_samples": 5}}, "solver.symbol_samples"),
+], ids=["custom-z0_mode", "custom-step", "custom-tol", "custom-symbol_samples",
+        "lq-symbol_samples", "wong-symbol_samples"])
+def test_a_key_the_run_does_not_read_exits_2_with_its_path(tmp_path, capsys, cfg, field):
+    """A custom run only validates its chart, and the cone check's needles
+    need a finite control set."""
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: unknown field")
+
+
+@pytest.mark.parametrize("flag, key, value", [("--seed", "seed", 7),
+                                               ("--z0", "z0_mode", "abnormal")])
+def test_run_flags_reach_the_config(tmp_path, flag, key, value):
+    """run's --seed and --z0 set solver.seed and z0_mode, as the config block
+    of invariants.json shows; the abnormal LQ extremal passes its checks."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir), flag, str(value)]) == 0
+    config = json.loads((out_dir / "invariants.json").read_text())["config"]
+    assert (config["solver"] if key == "seed" else config)[key] == value
+
+
+def test_config_that_is_not_json_exits_2_with_its_path(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("{scenario: so3-bang-bang")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON: ")
+
+
+def test_audit_of_a_custom_config_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, CUSTOM)
+    assert main(["audit", path, "--traj", "t.csv", "--costate", "c.csv"]) == 2
+    assert capsys.readouterr().err == ("config error: scenario: auditing requires a "
+                                       "built-in scenario\n")

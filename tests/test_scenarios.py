@@ -192,6 +192,16 @@ def test_classical_lq_matches_oracle():
 
 
 @pytest.mark.parametrize("z_init", [0.5, -0.5])
+def test_abnormal_classical_lq_takes_the_sign_rule(z_init):
+    """At z0 = 0 the oracle's control is u_max for z >= 0 and -u_max below,
+    and the flow's matches it."""
+    r = scenario_classical(z_init=z_init, z0=0.0, u_max=2.0)
+    assert r.closed_form_error < 1e-6
+    assert np.all(r.flow.u_nodes == (2.0 if z_init > 0 else -2.0))
+    assert r.audit.passed
+
+
+@pytest.mark.parametrize("z_init", [0.5, -0.5])
 def test_classical_oracle_respects_the_box(tmp_path, z_init):
     """With an active box the oracle's control is z / (-z0) clipped to
     +-u_max, as the flow's is, so a correct extremal passes the run."""

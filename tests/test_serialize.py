@@ -8,13 +8,13 @@ from algopt.numerics import TimeGrid
 from algopt.paths import EPath
 from algopt.pmp import CostatePath
 from algopt.serialize import (infer_breakpoints, read_costate_csv, read_trajectory_csv,
-                              write_costate_csv, write_trajectory_csv)
+                              write_costate_csv, write_switch_times, write_trajectory_csv)
 from algopt.errors import ConfigError
 
 
 def test_path_round_trip(tmp_path):
     """A path with a base and a breakpoint, and no control columns, comes back
-    from the trajectory CSV bit for bit."""
+    from the trajectory CSV and its switches CSV bit for bit."""
     grid = TimeGrid(0.0, 1.0, 0.125, (0.5,))
     ts = grid.nodes
     base = np.column_stack([np.sin(ts), ts])
@@ -22,7 +22,9 @@ def test_path_round_trip(tmp_path):
     p = EPath(grid, base, fiber)
     f = tmp_path / "path.csv"
     write_trajectory_csv(f, p, np.zeros((grid.n_nodes, 0)))
-    q, u = read_trajectory_csv(f, breakpoints=(0.5,))
+    write_switch_times(tmp_path / "switches.csv", grid.breakpoints)
+    assert (tmp_path / "switches.csv").read_bytes() == b"t\n0.5\n"
+    q, u = read_trajectory_csv(f, tmp_path / "switches.csv")
     assert u.shape == (grid.n_nodes, 0)
     assert np.array_equal(q.grid.nodes, p.grid.nodes)
     assert np.array_equal(q.base, p.base)
