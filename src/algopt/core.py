@@ -224,12 +224,12 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
     values c and rho at a point, or stacked on a leading axis, where v is the
     fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point,
     and None means dh/dx = 0 (for a finite rho, zdot - rho^T 0 is zdot).
-    Each term is vector-matrix products (z c, then v (z c)), which a stacked
-    row takes as one point does, so rows keep the bits of one point."""
+    Terms are vector-matrix products (z c, then v (z c)): ``dot`` at one point
+    (2-D matmul's BLAS bits) and matmul on stacked rows, which keep its bits."""
     m, n = c.shape[-1], rho.shape[-2]
     if c.ndim == 3:
-        zdot = v @ (z @ c.reshape(m, m * m)).reshape(m, m)
-        return zdot - rho.T @ dh_dx if n and dh_dx is not None else zdot
+        zdot = v.dot(z.dot(c.reshape(m, m * m)).reshape(m, m))
+        return zdot - dh_dx.dot(rho) if n and dh_dx is not None else zdot
     zdot = (v[:, None] @ (z[:, None] @ c.reshape(-1, m, m * m)).reshape(-1, m, m))[:, 0]
     if not n or dh_dx is None:
         return zdot

@@ -203,18 +203,18 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     def rhs(t, state):
         x, z = state[:n], state[n:]
         Fx = F0 if F1 is None else F0 + F1 @ x
-        Gx, b = G0 if G1 is None else G0 + G1 @ x, Fx.T @ z
-        u = (np.linalg.inv(Gx) if G_inv is None else G_inv) @ b / -z0
+        Gx, b = G0 if G1 is None else G0 + G1 @ x, z.dot(Fx)
+        u = (np.linalg.inv(Gx) if G_inv is None else G_inv).dot(b) / -z0
         ul = u.tolist()
         if not all([lo < v < hi for (lo, hi), v in zip(box, ul)]):
             if not all([lo <= v <= hi for (lo, hi), v in zip(slack, ul)]):
                 u = _box_qp(b[None], Gx[None], -z0, U)[0]
             u = u.clip(U.lower, U.upper)
-        f, rho = Fx @ u, alg.anchor_at(x)
-        dh_dx = zero if F1 is None else sys.f_jacobian(x, u).T @ z
+        f, rho = Fx.dot(u), alg.anchor_at(x)
+        dh_dx = zero if F1 is None else z.dot(sys.f_jacobian(x, u))
         if G1 is not None:
             dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
-        return np.concatenate([rho @ f, _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
+        return np.concatenate([rho.dot(f), _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
 
     return rhs
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algopt import pmp
-from algopt.control import (ControlSignal, ControlSystem, FiniteSet, _flow_rhs, _point_table,
-                            _transport, control_affine, costate_rhs, simulate_trajectory)
+from algopt.control import (_BOX_SLACK, ControlSignal, ControlSystem, FiniteSet, _box_qp,
+                            _flow_rhs, _point_table, _transport, control_affine, costate_rhs,
+                            simulate_trajectory)
 from algopt.core import _dual_field, lie_algebra, so3_algebra, so3_structure, tangent_bundle
 from algopt.errors import IntegrationDivergedError
 from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
@@ -22,7 +23,7 @@ from algopt.paths import EPath
 from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
                         verify_extremal)
 from algopt.scenarios import build_so3_bang_bang_system
-from conftest import skew_hat
+from conftest import random_control_affine, skew_hat
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -66,6 +67,82 @@ def test_stacked_dual_transport_rows_keep_the_bits_of_one_point(seed, m, n, k):
     v, z, dh_dx = rng.normal(size=(k, m)), rng.normal(size=(k, m)), rng.normal(size=(k, n))
     rows = [_dual_field(c[i], rho[i], v[i], z[i], dh_dx[i]) for i in range(k)]
     assert np.array_equal(_dual_field(c, rho, v, z, dh_dx), np.array(rows))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, m=st.integers(1, 6), n=st.integers(0, 3), with_dh=st.booleans())
+def test_dual_field_at_one_point_keeps_the_matmul_bits(seed, m, n, with_dh):
+    """_dual_field at one point, whose products are ndarray.dot calls, gives
+    the bytes of the same products taken by matmul."""
+    rng = np.random.default_rng(seed)
+    c, rho = rng.normal(size=(m, m, m)), rng.normal(size=(n, m))
+    v, z = rng.normal(size=m), rng.normal(size=m)
+    dh_dx = rng.normal(size=n) if with_dh else None
+    expected = v @ (z @ c.reshape(m, m * m)).reshape(m, m)
+    if n and dh_dx is not None:
+        expected = expected - rho.T @ dh_dx
+    assert same_bytes(_dual_field(c, rho, v, z, dh_dx), expected)
+
+
+def reference_affine_stage(sys, z0):
+    """pmp._affine_pmp_rhs with every product taken by matmul, as first
+    written, and _dual_field's one-point branch inlined the same way."""
+    alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
+    (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
+    G_inv = np.linalg.inv(G0) if G1 is None else None
+    zero = None if F1 is None and G1 is None else np.zeros(n)
+
+    def rhs(t, state):
+        x, z = state[:n], state[n:]
+        Fx = F0 if F1 is None else F0 + F1 @ x
+        Gx, b = G0 if G1 is None else G0 + G1 @ x, Fx.T @ z
+        u = (np.linalg.inv(Gx) if G_inv is None else G_inv) @ b / -z0
+        if not ((U.lower < u) & (u < U.upper)).all():
+            if not ((U.lower - _BOX_SLACK <= u) & (u <= U.upper + _BOX_SLACK)).all():
+                u = _box_qp(b[None], Gx[None], -z0, U)[0]
+            u = u.clip(U.lower, U.upper)
+        f, rho = Fx @ u, alg.anchor_at(x)
+        dh_dx = zero if F1 is None else sys.f_jacobian(x, u).T @ z
+        if G1 is not None:
+            dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
+        m = len(z)
+        zdot = f @ (z @ alg.structure_at(x).reshape(m, m * m)).reshape(m, m)
+        if n and dh_dx is not None:
+            zdot = zdot - rho.T @ dh_dx
+        return np.concatenate([rho @ f, zdot])
+
+    return rhs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, n=st.integers(1, 3), p=st.integers(1, 3),
+       chart=st.sampled_from(["tangent", "atiyah", "point"]),
+       linear_F=st.booleans(), linear_G=st.booleans())
+def test_fused_affine_stage_keeps_the_matmul_bits(seed, n, p, chart, linear_F, linear_G):
+    """The fused stage, whose one-point products are ndarray.dot calls, gives
+    the bytes of the same stage with every product taken by matmul: on
+    control-affine systems with and without linear parts of F and G, at
+    z0 < 0, with the box's bound at twice, once and half the largest |u_j|
+    of u = G^-1 b / -z0, so that u lies inside the box, on its bound (the
+    clip within the slack) or outside it (_box_qp)."""
+    rng = np.random.default_rng(seed)
+    n = 0 if chart == "point" else n
+    drawn = random_control_affine(rng, n, p, chart, False)
+    (F0, F1), (G0, G1) = drawn.affine
+    F1, G1 = (F1 if linear_F else None), (G1 if linear_G else None)
+    x, z = rng.uniform(-0.5, 0.5, n), rng.normal(size=drawn.alg.fiber_dim)
+    z0 = -float(rng.uniform(0.1, 3.0))
+    Fx = F0 if F1 is None else F0 + F1 @ x
+    Gx = G0 if G1 is None else G0 + G1 @ x
+    reach, y = np.abs(np.linalg.inv(Gx) @ (Fx.T @ z) / -z0).max(), np.concatenate([x, z])
+    for scale in (2.0, 1.0, 0.5):
+        sys = control_affine(drawn.alg, (F0, F1), (G0, G1), scale * reach)
+        assert same_bytes(pmp._affine_pmp_rhs(sys, z0)(0.0, y),
+                          reference_affine_stage(sys, z0)(0.0, y)), scale
 
 
 def affine_line_algebra():
