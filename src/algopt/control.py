@@ -284,16 +284,13 @@ def _point_table(sys: ControlSystem, values, x=np.zeros(0)) -> _PointTable:
     return _PointTable(F, np.array([sys.L_at(x, v) for v in values]), np.array(K), np.array(M))
 
 
-def _signal_grid(sys: ControlSystem, signal: ControlSignal, t0, t1, step: float) -> TimeGrid:
-    """The grid on [t0, t1] (the signal's interval by default) with the
-    signal's switch times as breakpoints; raises unless every control value
-    lies in the control space."""
+def _signal_grid(sys: ControlSystem, signal: ControlSignal, step: float) -> TimeGrid:
+    """The grid on the signal's interval with its switch times as
+    breakpoints; raises unless every control value lies in the control space."""
     for v in signal.values:
         if not sys.control_space.contains(v):
             raise ValueError(f"control value {v} outside the control space")
-    t0 = signal.t0 if t0 is None else t0
-    t1 = signal.t1 if t1 is None else t1
-    return TimeGrid(t0, t1, step, tuple(s for s in signal.switch_times if t0 < s < t1))
+    return TimeGrid(signal.t0, signal.t1, step, signal.switch_times)
 
 
 def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0=None,
@@ -342,11 +339,10 @@ def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0
 
 
 def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarray,
-                        t0: float | None = None, t1: float | None = None,
                         step: float = 1e-3) -> Trajectory:
-    """Integrate xdot = rho(x) f(x, u(t)) and attach fiber samples a = f(x, u)
-    (by :func:`_held_pass`; over a point, the table's f(v) on an (N, 0) base)."""
-    grid = _signal_grid(sys, signal, t0, t1, step)
+    """Integrate xdot = rho(x) f(x, u(t)) on the signal's interval, with samples
+    a = f(x, u) (by :func:`_held_pass`; over a point, the table's f(v) on an (N, 0) base)."""
+    grid = _signal_grid(sys, signal, step)
     base, fiber, _ = _held_pass(sys, signal, grid, x0)
     return Trajectory(EPath(grid, base, fiber), signal)
 

@@ -31,6 +31,8 @@ __all__ = [
     "shrink_homotopy",
 ]
 
+_COMPOSE_TOL = 1e-9   # largest base gap at the joint that compose_paths accepts
+
 
 @dataclass(frozen=True)
 class EPath:
@@ -105,10 +107,10 @@ def admissibility_residual(alg: ChartAlgebroid, path: EPath) -> float:
     return _anchor_defect(_sampler(alg, "anchor")(path.base[1:-1]), dx, path.fiber[1:-1])
 
 
-def compose_paths(p: EPath, q: EPath, tol: float = 1e-9) -> EPath:
+def compose_paths(p: EPath, q: EPath) -> EPath:
     """Concatenate q after p, shifting q in time; the joint becomes a breakpoint."""
     gap = float(np.linalg.norm(p.base[-1] - q.base[0]))
-    if gap > tol:
+    if gap > _COMPOSE_TOL:
         raise CompositionError(gap)
     shift = p.grid.t1 - q.grid.t0
     nodes = np.concatenate([p.grid.nodes, q.grid.nodes[1:] + shift])

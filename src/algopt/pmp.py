@@ -11,7 +11,7 @@ flow of :mod:`algopt.control` with the maximizing control inserted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -61,6 +61,11 @@ _FLOW_BLOCK = 64
 _AUDIT_BLOCK = 128   # nodes per block of the control-affine audit's arrays
 # Width to which integrate_pmp_flow's bisection localizes a switch time.
 _SWITCH_TOL = 1e-9
+_MAX_SWITCHES = 10_000   # integrate_pmp_flow's switch limits: in all, and within
+_MAX_STEP_SWITCHES = 50   # one grid step, where a sliding mode makes hundreds
+_MAX_EVALS = 2000   # flows one shoot_endpoint call may run
+_CONE_TOL = 1e-6   # of cone_support_check: max <d, z> over the needles
+_CLOCK_TOL = 1e-5   # of time_dependence_audit's dH/dt residual
 # Relative forward-difference step of the shooting Jacobian where it does not
 # come from the switch times.  Where the endpoint depends on z only through
 # switch times, they are localized to _SWITCH_TOL, and the endpoint map is
@@ -220,7 +225,7 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
-                       t1: float, step: float = 1e-3, max_switches: int = 10_000) -> PmpFlow:
+                       t1: float, step: float = 1e-3) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
 
     Over a finite set each segment holds the best value.  The held value
@@ -236,8 +241,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
     the maximizer at every integration stage and keep the control only as
     ``u_nodes``; a declared control-affine system steps the fused field of
-    :func:`_affine_pmp_rhs`.  Aborts with
-    :class:`ChatteringError` after ``max_switches`` switches.
+    :func:`_affine_pmp_rhs`.  Aborts with :class:`ChatteringError` past
+    ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
+    ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
     """
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
@@ -309,8 +315,8 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             t_next, y_next, row_next = ts[j + 1], ys[j], block_rows[j]
             i_new = int(np.argmax(row_next))
             if i_new != i_cur:
-                if len(switch_times) >= max_switches:
-                    raise ChatteringError(max_switches, t_next)
+                if len(switch_times) >= _MAX_SWITCHES:
+                    raise ChatteringError(_MAX_SWITCHES, t_next)
 
                 def sigma(s):
                     vals = row if s <= t else h_at(advance(t, y, s - t)[None])[0]
@@ -334,6 +340,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
                     t_next, y_next, row_next = hi, y_hi, row_hi
                     switch_times.append(hi)
+                    recent = switch_times[-1 - _MAX_STEP_SWITCHES:]
+                    if len(recent) > _MAX_STEP_SWITCHES and recent[0] > hi - step:
+                        raise ChatteringError(_MAX_STEP_SWITCHES, hi)
                     i_cur, advance = i_new, steps[i_new]
                     seg_values.append(U.values[i_cur])
             node_list.append(t_next)
@@ -381,17 +390,7 @@ class ExtremalAudit:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tol": self.tol,
-            "max_condition_violation": self.max_condition_violation,
-            "costate_residual": self.costate_residual,
-            "h_drift": self.h_drift,
-            "covector_min_norm": self.covector_min_norm,
-            "verdicts": dict(self.verdicts),
-            "notes": list(self.notes),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _candidate_controls(sys: ControlSystem):
@@ -604,7 +603,7 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     route, since nothing reads its one base coordinate, the accrued cost:
     bit for bit the cost of :func:`control.simulate_trajectory`."""
     esys = extend_system(sys)
-    grid = _signal_grid(esys, control, None, None, step)
+    grid = _signal_grid(esys, control, step)
     base, fiber, frame = _held_pass(esys, control, grid, np.append(0.0, x0),
                                     np.eye(esys.alg.fiber_dim), point=not sys.alg.base_dim)
     return NeedleContext(sys, esys, Trajectory(EPath(grid, base, fiber), control), frame)
@@ -624,8 +623,8 @@ def needle_vector(ctx: NeedleContext, symbol: VariationSymbol) -> np.ndarray:
     for s in (*symbol.taus, symbol.tau):
         if s <= grid.t0:
             raise ValueError("spike times must lie strictly inside the interval")
-        if any(abs(s - b) <= 1e-9 for b in control.switch_times):
-            raise ValueError(f"time {s} is a discontinuity point of the control")
+        if not _off_switches(s, control.switch_times):
+            raise ValueError(f"time {s} lies within {_SPIKE_GUARD} of a switch of the control")
     xx_tau = ctx.base_at(symbol.tau)
     u_tau = control.value(symbol.tau)
     d = symbol.dt * ctx.esys.f_at(xx_tau, u_tau)
@@ -679,15 +678,14 @@ class ConeSupportReport:
     n_needles: int
 
 
-def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray,
-                       tol: float = 1e-6) -> ConeSupportReport:
+def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray) -> ConeSupportReport:
     """Certify empirically that the extended covector supports the sampled
-    needle directions: max <d, z> <= tol."""
+    needle directions: max <d, z> <= _CONE_TOL."""
     if len(needles) == 0:
         raise ValueError("need at least one needle direction")
     z_ext = np.asarray(z_ext, dtype=float)
     worst = max(float(np.dot(d, z_ext)) for d in needles)
-    return ConeSupportReport(worst, tol, worst <= tol, len(needles))
+    return ConeSupportReport(worst, _CONE_TOL, worst <= _CONE_TOL, len(needles))
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +813,7 @@ class ShootingResult:
 def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
                    z0: float = -1.0, t0: float = 0.0, t1: float | None = None,
                    duration_guess: float = 1.0, step: float = 1e-3,
-                   residual_tol: float = 1e-4, max_evals: int = 2000) -> ShootingResult:
+                   residual_tol: float = 1e-4) -> ShootingResult:
     """Find an initial covector (and, when ``t1`` is None, a horizon) whose
     extremal develops to the target group element.
 
@@ -839,7 +837,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     residual of 1e6.  ``residual`` is the Frobenius norm of the endpoint
     residual at the returned point and the result is flagged not-converged
     when it is not below ``residual_tol``.  ``n_evaluations`` counts every
-    flow the shot ran, difference columns included; ``max_evals`` bounds it.
+    flow the shot ran, difference columns included; ``_MAX_EVALS`` bounds it.
 
     Raises ``ValueError`` before any flow when ``rep`` fails the checks of
     :func:`develop_to_group`, when ``target`` does not have the shape of
@@ -880,7 +878,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
         if duration <= 1e-9:   # no flow: g(t) = I + t rep(f(u)) + O(t^2)
             g, f = np.eye(shape[0]), sys.f_at(x0, _argmax(sys, z, z0, x0))
         else:
-            if n_flows >= max_evals:
+            if n_flows >= _MAX_EVALS:
                 return failed, None
             n_flows += 1
             try:
@@ -920,7 +918,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
         jac = last["jac"]
         if jac is None:   # forward differences, or a zero Jacobian, which stops the solver
             n = len(params)
-            if n_flows + n > max_evals:
+            if n_flows + n > _MAX_EVALS:
                 return np.zeros((target.size + len(level(params)[0]), n))
             h = _SHOOT_DIFF_STEP * np.where(params >= 0, 1.0, -1.0) * np.maximum(1.0, abs(params))
             h = (params + h) - params
@@ -929,7 +927,7 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
         return np.vstack([jac, *level(params)[1]])
 
     params0 = np.append(z_guess, duration_guess) if free_time else z_guess
-    res = least_squares(fun, params0, jac=jacobian, method="trf", max_nfev=max(1, max_evals),
+    res = least_squares(fun, params0, jac=jacobian, method="trf", max_nfev=_MAX_EVALS,
                         tr_solver="lsmr")
     best = res.x
     residual = float(np.linalg.norm(res.fun[:target.size]))
@@ -991,13 +989,12 @@ def autonomize(tdsys: TimeDependentControlSystem) -> AutonomizedSystem:
     return AutonomizedSystem(system, tdsys, n)
 
 
-def time_dependence_audit(auto: AutonomizedSystem, flow: PmpFlow,
-                          tol: float = 1e-5) -> dict:
+def time_dependence_audit(auto: AutonomizedSystem, flow: PmpFlow) -> dict:
     """Runtime checks specific to clock-extended flows.
 
     Verifies that the clock coordinate reproduces t exactly, that the clock
     costate compensates the Hamiltonian (H + xi constant), and that the
-    sampled dH/dt matches  z_i df^i/dt + z0 dL/dt.
+    sampled dH/dt matches  z_i df^i/dt + z0 dL/dt (to ``_CLOCK_TOL``).
     """
     tdsys = auto.source
     clock = auto.clock_index
@@ -1027,5 +1024,5 @@ def time_dependence_audit(auto: AutonomizedSystem, flow: PmpFlow,
         "h_plus_xi_drift": float(np.abs(h_plus_xi - h_plus_xi[0]).max()),
         "xi_drift": float(np.abs(xi - xi[0]).max()),
         "h_drift": float(np.abs(H - H[0]).max()),
-        "passed": clock_error == 0.0 and residual <= tol,
+        "passed": clock_error == 0.0 and residual <= _CLOCK_TOL,
     }

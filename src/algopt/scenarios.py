@@ -88,9 +88,9 @@ class So3ScenarioResult:
     costate_residual: float
     singular: bool
 
-    def checks(self, tol: float) -> list[dict]:
+    def checks(self) -> list[dict]:
         return [
-            _check("maximum_condition", self.audit.max_condition_violation, tol),
+            _check("maximum_condition", self.audit.max_condition_violation, self.audit.tol),
             _check("switching_law_violations", float(self.switching_violations), 0.0),
             _check("hamiltonian_zero", self.audit.h_drift, 1e-6),
             _check("casimir_drift", self.casimir_drift, 1e-8),
@@ -219,13 +219,13 @@ class WongScenarioResult:
     speed_drift: float
     curvature_antisymmetry: float
 
-    def checks(self, tol: float) -> list[dict]:
+    def checks(self) -> list[dict]:
         return [
             _check("momentum_equation", self.momentum_residual, 1e-5),
             _check("internal_momentum_equation", self.internal_residual, 1e-5),
             _check("speed_drift", self.speed_drift, 1e-6),
             _check("curvature_antisymmetry", self.curvature_antisymmetry, 1e-10),
-            _check("maximum_condition", self.audit.max_condition_violation, tol),
+            _check("maximum_condition", self.audit.max_condition_violation, self.audit.tol),
         ]
 
 
@@ -309,7 +309,7 @@ class ClassicalScenarioResult:
     closed_form_error: float
     reduction_residual: float
 
-    def checks(self, tol: float) -> list[dict]:
+    def checks(self) -> list[dict]:
         return [
             _check("closed_form_error", self.closed_form_error, 1e-6),
             _check("reduction_residual", self.reduction_residual, 1e-12),
@@ -679,7 +679,8 @@ def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
     needles = [needle_vector(ctx, s) for s in symbols]
     k = int(np.searchsorted(nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
-    return _check("cone_support", cone_support_check(needles, z_ext).max_pairing, 1e-6)
+    report = cone_support_check(needles, z_ext)
+    return _check("cone_support", report.max_pairing, report.tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -723,7 +724,7 @@ def run_scenario(config: dict, out_dir) -> dict:
     write_report_json(out / "audit.json", result.audit.to_dict())
     write_switch_times(out / "switches.csv", flow.switch_times)
 
-    checks = list(chart_report["checks"]) + result.checks(tol)
+    checks = list(chart_report["checks"]) + result.checks()
     n_symbols = int(cfg["solver"].get("symbol_samples", 0))
     if n_symbols > 0:
         checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))

@@ -233,7 +233,7 @@ def test_criterion_7_needle_cone():
     needles = [needle_vector(ctx, s) for s in symbols]
     k = int(np.searchsorted(flow.path.grid.nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
-    good = cone_support_check(needles, z_ext, tol=1e-6)
+    good = cone_support_check(needles, z_ext)
 
     frozen = ControlSignal(0.0, 6.0, (), (np.array([1.0]),))
     ctx_bad = make_needle_context(sys, frozen, np.zeros(0), step=2e-3)
@@ -243,7 +243,7 @@ def test_criterion_7_needle_cone():
     zb_ext = np.concatenate([[-1.0], zs_bad[kb]])
     symbols_bad = sample_symbols(np.random.default_rng(1), ctx_bad, tau, 500)
     needles_bad = [needle_vector(ctx_bad, s) for s in symbols_bad]
-    bad = cone_support_check(needles_bad, zb_ext, tol=1e-6)
+    bad = cone_support_check(needles_bad, zb_ext)
 
     dt = time.perf_counter() - t0
     ok = (lin_err < 1e-10 and good.passed and not bad.passed and dt < 60.0)

@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -195,9 +196,24 @@ def test_flow_zero_covector_flagged(bang_bang_system):
 
 
 def test_flow_chattering_guard(bang_bang_system):
-    with pytest.raises(ChatteringError):
+    with patch.object(pmp, "_MAX_SWITCHES", 3), pytest.raises(ChatteringError):
         integrate_pmp_flow(bang_bang_system, np.zeros(0), [0.0, 1.0, 0.2], -1.0,
-                           0.0, 30.0, step=1e-3, max_switches=3)
+                           0.0, 30.0, step=1e-3)
+
+
+def test_a_sliding_flow_fails_within_one_grid_step():
+    """At z0 = 0 this drift-free control-affine flow slides on b = 0 from
+    about t = 0.06, hundreds of switches per grid step, which a bang-bang
+    flow cannot follow.  It stops past pmp._MAX_STEP_SWITCHES switches within
+    one step, not after pmp._MAX_SWITCHES in all (about 50 s of switching)."""
+    rng = np.random.default_rng(1)
+    sys = random_control_affine(rng, 2, 1, "atiyah", False)
+    x0, z_init = rng.normal(size=2), rng.normal(size=sys.alg.fiber_dim)
+    start = time.perf_counter()
+    with pytest.raises(ChatteringError) as err:
+        integrate_pmp_flow(sys, x0, z_init, 0.0, 0.0, 1.0, step=1e-2)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.n_switches == pmp._MAX_STEP_SWITCHES and err.value.t < 0.1
 
 
 def test_flow_rejects_positive_multiplier(bang_bang_system):
@@ -501,14 +517,13 @@ def test_abnormal_affine_flow_switches_where_a_switching_function_vanishes(seed,
     one some b_j changes sign within two switch tolerances (2e-9), on the
     RK4 step the flow takes under the control held before the switch.  A
     sliding mode (a singular arc, which a bang-bang flow cannot follow)
-    ends in ChatteringError; such a draw is rejected, after 300 switches
-    rather than the default 10,000 (about a minute each)."""
+    ends in ChatteringError within one grid step; such a draw is rejected."""
     rng = np.random.default_rng(seed)
     n = 0 if chart == "point" else n
     sys = random_control_affine(rng, n, p, chart, active)
     x0, z_init = rng.uniform(-0.5, 0.5, n), rng.normal(size=sys.alg.fiber_dim)
     try:
-        flow = integrate_pmp_flow(sys, x0, z_init, 0.0, 0.0, 0.05, step=1e-3, max_switches=300)
+        flow = integrate_pmp_flow(sys, x0, z_init, 0.0, 0.0, 0.05, step=1e-3)
     except ChatteringError:
         reject()
     assert flow.control is None
@@ -638,8 +653,10 @@ def test_needle_rejects_discontinuity_times(needle_setup):
     sys, flow, ctx = needle_setup
     assert len(flow.switch_times) >= 1
     bad = flow.switch_times[0]
-    with pytest.raises(ValueError):
-        needle_vector(ctx, VariationSymbol((bad,), ([1.0],), 3.0, (0.5,), 0.0))
+    for s in (bad, bad + 5e-7):   # within pmp._SPIKE_GUARD of the switch
+        with pytest.raises(ValueError):
+            needle_vector(ctx, VariationSymbol((s,), ([1.0],), 3.0, (0.5,), 0.0))
+    needle_vector(ctx, VariationSymbol((bad + 2e-6,), ([1.0],), 3.0, (0.5,), 0.0))
 
 
 def reference_extended_pass(sys, signal, grid, x0):
@@ -722,7 +739,7 @@ def test_cone_supported_on_extremal(needle_setup, rng):
     needles = [needle_vector(ctx, s) for s in symbols]
     k = int(np.searchsorted(flow.path.grid.nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
-    rep = cone_support_check(needles, z_ext, tol=1e-6)
+    rep = cone_support_check(needles, z_ext)
     assert rep.passed, rep.max_pairing
 
 
@@ -737,7 +754,7 @@ def test_cone_violated_for_suboptimal_control(needle_setup, rng):
     z_ext = np.concatenate([[-1.0], zs[k]])
     symbols = sample_symbols(rng, ctx, tau, 500)
     needles = [needle_vector(ctx, s) for s in symbols]
-    rep = cone_support_check(needles, z_ext, tol=1e-6)
+    rep = cone_support_check(needles, z_ext)
     assert not rep.passed
 
 
@@ -842,9 +859,10 @@ def test_shoot_zero_time_identity(bang_bang_system):
 def test_shoot_unreachable_flagged():
     degenerate = build_so3_bang_bang_system([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
     target = expm(skew_hat(np.array([1.2, 0.0, 0.0])))
-    res = shoot_endpoint(degenerate, skew_hat, target,
-                         z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
-                         t0=0.0, t1=1.5, step=2e-3, max_evals=300)
+    with patch.object(pmp, "_MAX_EVALS", 300):
+        res = shoot_endpoint(degenerate, skew_hat, target,
+                             z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
+                             t0=0.0, t1=1.5, step=2e-3)
     assert not res.converged
 
 
@@ -853,9 +871,10 @@ def test_shoot_unreachable_stops_by_stall():
     vanishes and the solver stops long before the budget."""
     degenerate = build_so3_bang_bang_system([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
     target = expm(skew_hat(np.array([1.2, 0.0, 0.0])))
-    res = shoot_endpoint(degenerate, skew_hat, target,
-                         z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
-                         t0=0.0, t1=1.5, step=2e-3, max_evals=300)
+    with patch.object(pmp, "_MAX_EVALS", 300):
+        res = shoot_endpoint(degenerate, skew_hat, target,
+                             z_guess=np.array([0.3, 0.2, 0.5]), z0=-1.0,
+                             t0=0.0, t1=1.5, step=2e-3)
     assert not res.converged
     assert res.n_evaluations <= 20
 
@@ -910,8 +929,9 @@ def test_shoot_counts_every_flow(flow_counter):
     assert res.converged
     assert res.n_evaluations == len(flow_counter) >= 2
     del flow_counter[:]
-    capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
-                            t0=0.0, t1=2.0, step=1e-2, max_evals=8)
+    with patch.object(pmp, "_MAX_EVALS", 8):
+        capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                                t0=0.0, t1=2.0, step=1e-2)
     assert capped.n_evaluations == len(flow_counter) <= 8
 
 
@@ -1002,7 +1022,7 @@ def test_free_time_shot_lands_on_the_zero_level(z_a, z_3, sign, direction):
 
 def test_shoot_differences_a_grazing_switch_within_the_budget(flow_counter, monkeypatch):
     """An evaluation with a grazing switch takes its Jacobian by forward
-    differences, one flow per column, and max_evals still bounds the flows."""
+    differences, one flow per column, and pmp._MAX_EVALS still bounds the flows."""
     monkeypatch.setattr(pmp, "_GRAZE", np.inf)   # every switch grazes
     system, _, target = switching_case(np.array([-0.3, 1.3, -0.4]))
     guess = np.array([-0.27, 1.27, -0.43])
@@ -1012,8 +1032,9 @@ def test_shoot_differences_a_grazing_switch_within_the_budget(flow_counter, monk
     assert res.converged
     assert res.n_evaluations == len(flow_counter) > 4
     del flow_counter[:]
-    capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
-                            t0=0.0, t1=2.0, step=1e-2, max_evals=8)
+    with patch.object(pmp, "_MAX_EVALS", 8):
+        capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
+                                t0=0.0, t1=2.0, step=1e-2)
     assert capped.n_evaluations == len(flow_counter) <= 8
 
 
