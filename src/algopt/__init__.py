@@ -24,7 +24,7 @@ from .pmp import (CostatePath, ExtremalAudit, PmpFlow, TimeDependentControlSyste
                   hamiltonian, integrate_pmp_flow, make_needle_context,
                   maximize_hamiltonian, needle_vector, sample_symbols,
                   shoot_endpoint, time_dependence_audit, verify_extremal)
-from .scenarios import (WongFixture, default_config, run_scenario,
+from .scenarios import (ScenarioResult, WongFixture, default_config, run_scenario,
                         scenario_classical, scenario_so3_bang_bang, scenario_wong)
 
 __version__ = "0.1.0"

@@ -80,7 +80,7 @@ def _cmd_audit(args) -> int:
     if cfg["scenario"] not in SCENARIOS:
         raise ConfigError("scenario", "auditing requires a built-in scenario")
     scenario = SCENARIOS[cfg["scenario"]]
-    sys_ = scenario.system(cfg)
+    sys_ = scenario.problem(cfg)[0]
     for file in (args.traj, args.costate):
         if not Path(file).is_file():
             raise ConfigError(file, "file not found")

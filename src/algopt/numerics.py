@@ -155,19 +155,20 @@ def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
 
 def _held_steps(advance, nodes, y) -> np.ndarray:
     """The states at ``nodes[1:]`` stepped from y by ``advance`` (t, y, h) -> y,
-    stacked, up to the first non-finite one, which raises if it is the first.
-    Later steps run under an errstate raising on overflow and invalid values;
-    a flagged one ends the states, so the next call takes it first and warns
-    as the caller's errstate says, as in a node-by-node loop."""
+    stacked, up to the first non-finite one.  A non-finite first step raises
+    before another is taken (NaN steps flag nothing).  Later steps run under an
+    errstate raising on overflow and invalid values; a flagged one ends the
+    states, so the next call takes it first and warns as the caller's errstate
+    says, as in a node-by-node loop."""
     ys = [advance(nodes[0], y, nodes[1] - nodes[0])]
+    if not np.isfinite(ys[0]).all():
+        raise IntegrationDivergedError(nodes[1])
     with suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
         for k in range(1, len(nodes) - 1):
             ys.append(advance(nodes[k], ys[-1], nodes[k + 1] - nodes[k]))
     ys = np.array(ys)
-    finite = np.isfinite(ys).all(axis=1)
-    if not finite[0]:
-        raise IntegrationDivergedError(nodes[1])
-    return ys if finite.all() else ys[:finite.argmin()]
+    finite = np.isfinite(ys[1:]).all(axis=1)
+    return ys if finite.all() else ys[:1 + finite.argmin()]
 
 
 def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:

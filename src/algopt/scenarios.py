@@ -1,9 +1,10 @@
 """Built-in scenarios, fixtures, and the config-driven runner.
 
-Each built-in pipeline is registered once, as a :class:`Scenario` in
-``SCENARIOS``: its config defaults, field checks, control system (which
-carries the chart) and runner.  A config names a registered scenario, or
-``custom`` to validate a user-supplied chart only.
+Each built-in scenario is registered once, as a :class:`Scenario` in
+``SCENARIOS``: its config defaults, field checks and problem (the control
+system, which carries the chart, the start and the oracles), which
+:func:`_solve` flows, audits and judges.  A config names a registered
+scenario, or ``custom`` to validate a user-supplied chart only.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .serialize import (write_costate_csv, write_report_json, write_switch_times
 __all__ = [
     "SCHEMA_VERSION",
     "WongFixture",
-    "So3ScenarioResult",
-    "WongScenarioResult",
-    "ClassicalScenarioResult",
+    "ScenarioResult",
     "build_so3_bang_bang_system",
     "scenario_so3_bang_bang",
     "build_wong_system",
@@ -61,6 +60,42 @@ _MAX_CHART_DIM = 100
 
 
 # ---------------------------------------------------------------------------
+# The one pipeline: flow, audit, oracles
+# ---------------------------------------------------------------------------
+
+def _check(name: str, value: float, tolerance: float) -> dict:
+    return {"name": name, "value": float(value), "tolerance": float(tolerance),
+            "passed": bool(value <= tolerance)}
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """A scenario's flow and audit, its checks in report order (its oracles'
+    and the audit values it reports) and its report's notes."""
+
+    flow: PmpFlow
+    audit: ExtremalAudit
+    checks: list
+    notes: dict
+
+    def value(self, name: str) -> float:
+        """The value of the check called ``name``."""
+        return next(c["value"] for c in self.checks if c["name"] == name)
+
+
+def _solve(name: str, problem: tuple, z0: float, horizon: float, step: float,
+           tol: float) -> ScenarioResult:
+    """Flow ``problem`` = (system, x0, z_init, oracles) over [0, horizon],
+    audit it in the scenario's mode and judge it by ``oracles(flow, audit)``,
+    which returns the checks and the notes."""
+    sys, x0, z_init, oracles = problem
+    flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, horizon, step=step)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
+                            mode=SCENARIOS[name].mode, tol=tol)
+    return ScenarioResult(flow, audit, *oracles(flow, audit))
+
+
+# ---------------------------------------------------------------------------
 # so(3) bang-bang
 # ---------------------------------------------------------------------------
 
@@ -68,9 +103,8 @@ def build_so3_bang_bang_system(a, b) -> ControlSystem:
     """Rotation at unit cost about the axis a + u b, u in {-1, +1}."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    alg = so3_algebra()
     return ControlSystem(
-        alg=alg,
+        alg=so3_algebra(),
         f=lambda x, u: a + u[0] * b,
         L=lambda x, u: 1.0,
         control_space=FiniteSet(([-1.0], [1.0])),
@@ -79,54 +113,42 @@ def build_so3_bang_bang_system(a, b) -> ControlSystem:
     )
 
 
-@dataclass(frozen=True)
-class So3ScenarioResult:
-    flow: PmpFlow
-    audit: ExtremalAudit
-    switching_violations: int
-    casimir_drift: float
-    costate_residual: float
-    singular: bool
-
-    def checks(self) -> list[dict]:
-        return [
-            _check("maximum_condition", self.audit.max_condition_violation, self.audit.tol),
-            _check("switching_law_violations", float(self.switching_violations), 0.0),
-            _check("hamiltonian_zero", self.audit.h_drift, 1e-6),
-            _check("casimir_drift", self.casimir_drift, 1e-8),
-            _check("costate_equation", self.costate_residual, 1e-6),
-        ]
-
-
-def scenario_so3_bang_bang(a, b, z_init, z0: float = -1.0, horizon: float = 10.0,
-                           step: float = 1e-3, tol: float = 1e-5) -> So3ScenarioResult:
-    """Run the two-axis time-optimal pipeline and audit the switching law
+def _so3_problem(a, b, z_init) -> tuple:
+    """The two-axis time-optimal problem and its oracles: the switching law
     u = sgn<z, b>, the zero Hamiltonian level, the conserved |z|, and the
     costate equation zdot_j = c^k_ij (a^i + u b^i) z_k: one RK4 step of it
     from each node, under the control stored there (the right-hand limit at
     a switch), must reach the next node; the residual is the miss / step."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    sys = build_so3_bang_bang_system(a, b)
-    flow = integrate_pmp_flow(sys, np.zeros(0), z_init, z0, 0.0, horizon, step=step)
-    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode=SCENARIOS["so3-bang-bang"].mode, tol=tol)
 
-    nodes, z, u = flow.path.grid.nodes, flow.costate.z, flow.u_nodes[:, 0]
-    sigma = z @ b
-    judged = ~np.isin(nodes, flow.switch_times) & (sigma != 0.0)
-    violations = int(np.count_nonzero(u[judged] != np.sign(sigma[judged])))
-    singular = bool(np.max(np.abs(sigma)) < 1e-12)
+    def oracles(flow: PmpFlow, audit: ExtremalAudit):
+        nodes, z, u = flow.path.grid.nodes, flow.costate.z, flow.u_nodes[:, 0]
+        sigma = z @ b
+        judged = ~np.isin(nodes, flow.switch_times) & (sigma != 0.0)
+        violations = int(np.count_nonzero(u[judged] != np.sign(sigma[judged])))
+        singular = bool(np.max(np.abs(sigma)) < 1e-12)
+        norms = np.linalg.norm(z, axis=1)
 
-    norms = np.linalg.norm(z, axis=1)
-    casimir_drift = float(np.abs(norms - norms[0]).max())
+        K = np.einsum("kij,ni->njk", so3_structure(), a + u[:-1, None] * b)
+        h = np.diff(nodes)[:, None]
+        reached = _rk4_sampled(lambda A, w: np.einsum("njk,nk->nj", A, w), (K,), (K,), z[:-1], h)
+        residual = float(np.max(np.abs(z[1:] - reached) / h, initial=0.0))
+        return [
+            _check("maximum_condition", audit.max_condition_violation, audit.tol),
+            _check("switching_law_violations", float(violations), 0.0),
+            _check("hamiltonian_zero", audit.h_drift, 1e-6),
+            _check("casimir_drift", np.abs(norms - norms[0]).max(), 1e-8),
+            _check("costate_equation", residual, 1e-6),
+        ], {"singular": singular, "switch_times": list(flow.switch_times)}
 
-    K = np.einsum("kij,ni->njk", so3_structure(), a + u[:-1, None] * b)
-    h = np.diff(nodes)[:, None]
-    reached = _rk4_sampled(lambda A, w: np.einsum("njk,nk->nj", A, w), (K,), (K,), z[:-1], h)
-    residual = float(np.max(np.abs(z[1:] - reached) / h, initial=0.0))
+    return build_so3_bang_bang_system(a, b), np.zeros(0), z_init, oracles
 
-    return So3ScenarioResult(flow, audit, violations, casimir_drift, residual, singular)
+
+def scenario_so3_bang_bang(a, b, z_init, z0: float = -1.0, horizon: float = 10.0,
+                           step: float = 1e-3, tol: float = 1e-5) -> ScenarioResult:
+    """Run the two-axis time-optimal pipeline (see :func:`_so3_problem`)."""
+    return _solve("so3-bang-bang", _so3_problem(a, b, z_init), z0, horizon, step, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +167,7 @@ class WongFixture:
     is skew in (a, b); its structure-constant term carries the sign for which
     the reduced momentum equation closes along extremals of the energy cost
     (measured against the dual-transport flow; see the momentum residual in
-    :func:`scenario_wong`).
+    :func:`_wong_problem`).
     """
 
     algebra: np.ndarray                       # (k, k, k)
@@ -210,70 +232,55 @@ def build_wong_system(fixture: WongFixture, u_max: float = 10.0) -> ControlSyste
     return control_affine(chart, F, (fixture.metric_const, fixture.metric_linear), u_max)
 
 
-@dataclass(frozen=True)
-class WongScenarioResult:
-    flow: PmpFlow
-    audit: ExtremalAudit
-    momentum_residual: float
-    internal_residual: float
-    speed_drift: float
-    curvature_antisymmetry: float
-
-    def checks(self) -> list[dict]:
-        return [
-            _check("momentum_equation", self.momentum_residual, 1e-5),
-            _check("internal_momentum_equation", self.internal_residual, 1e-5),
-            _check("speed_drift", self.speed_drift, 1e-6),
-            _check("curvature_antisymmetry", self.curvature_antisymmetry, 1e-10),
-            _check("maximum_condition", self.audit.max_condition_violation, self.audit.tol),
-        ]
-
-
-def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
-                  horizon: float = 1.0, step: float = 1e-3,
-                  tol: float = 1e-5, u_max: float = 10.0) -> WongScenarioResult:
-    """Fixed-interval energy-minimizing flow on the Atiyah chart, with the
-    residuals of the two reduced equations,
+def _wong_problem(fixture: WongFixture, x0, z_init, u_max: float) -> tuple:
+    """The fixed-interval energy-minimizing problem on the Atiyah chart from
+    x0 with covector z_init = (p, xi), and its oracles: the residuals of the
+    two reduced equations,
 
         d/dt ptilde_b + B^i_ab u^a xi_i + (z0/2) d g_ac/dx^b u^a u^c = 0 ,
         d/dt xi_j + c^k_ij A^i_b u^b xi_k = 0 ,
 
     and the drift of the speed g(u, u) over the nodes where every |u_j| < u_max:
-    there g(u, u) = -2H / z0, and H is constant along the flow.
+    there g(u, u) = -2H / z0, and H is constant along the flow.  A metric
+    singular at x0 is a ValueError.
     """
     d = fixture.base_dim
     x0 = np.asarray(x0, dtype=float)
     g0 = fixture.metric(x0)
     if abs(np.linalg.det(g0)) < 1e-12:
         raise ValueError("metric is singular at the initial point")
-    sys = build_wong_system(fixture, u_max=u_max)
-    z_init = np.concatenate([np.asarray(p_init, dtype=float),
-                             np.asarray(xi_init, dtype=float)])
-    flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, horizon, step=step)
-    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode=SCENARIOS["wong-so3-r2"].mode, tol=tol)
 
-    xs, us = flow.path.base, flow.u_nodes
-    ps, xis = flow.costate.z[:, :d], flow.costate.z[:, d:]
-    A = fixture.connection(xs)
-    dptil = grid_derivative(flow.path.grid, ps - np.einsum("nib,ni->nb", A, xis))
-    dxi = grid_derivative(flow.path.grid, xis)
+    def oracles(flow: PmpFlow, audit: ExtremalAudit):
+        z0 = flow.costate.z0
+        xs, us = flow.path.base, flow.u_nodes
+        ps, xis = flow.costate.z[:, :d], flow.costate.z[:, d:]
+        A = fixture.connection(xs)
+        dptil = grid_derivative(flow.path.grid, ps - np.einsum("nib,ni->nb", A, xis))
+        dxi = grid_derivative(flow.path.grid, xis)
 
-    inner = slice(2, len(xs) - 2)
-    r1 = (dptil + np.einsum("niab,na,ni->nb", fixture.curvature(xs), us, xis)
-          + 0.5 * z0 * np.einsum("acb,na,nc->nb", fixture.metric_linear, us, us))
-    r2 = dxi + np.einsum("kij,nib,nb,nk->nj", fixture.algebra, A, us, xis)
-    res1 = float(np.max(np.abs(r1[inner]), initial=0.0))
-    res2 = float(np.max(np.abs(r2[inner]), initial=0.0))
+        inner = slice(2, len(xs) - 2)
+        r1 = (dptil + np.einsum("niab,na,ni->nb", fixture.curvature(xs), us, xis)
+              + 0.5 * z0 * np.einsum("acb,na,nc->nb", fixture.metric_linear, us, us))
+        r2 = dxi + np.einsum("kij,nib,nb,nk->nj", fixture.algebra, A, us, xis)
+        speeds = np.einsum("na,nac,nc->n", us, fixture.metric(xs), us)[(np.abs(us) < u_max).all(1)]
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(25, d))
+        return [
+            _check("momentum_equation", np.max(np.abs(r1[inner]), initial=0.0), 1e-5),
+            _check("internal_momentum_equation", np.max(np.abs(r2[inner]), initial=0.0), 1e-5),
+            _check("speed_drift", np.abs(speeds - speeds[:1]).max(initial=0.0), 1e-6),
+            _check("curvature_antisymmetry", fixture.curvature_antisymmetry(pts), 1e-10),
+            _check("maximum_condition", audit.max_condition_violation, audit.tol),
+        ], {}
 
-    speeds = np.einsum("na,nac,nc->n", us, fixture.metric(xs), us)[(np.abs(us) < u_max).all(1)]
-    speed_drift = float(np.abs(speeds - speeds[:1]).max(initial=0.0))
+    return build_wong_system(fixture, u_max=u_max), x0, z_init, oracles
 
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1.0, 1.0, size=(25, d))
-    curv_skew = fixture.curvature_antisymmetry(pts)
 
-    return WongScenarioResult(flow, audit, res1, res2, speed_drift, curv_skew)
+def scenario_wong(fixture: WongFixture, x0, p_init, xi_init, z0: float = -1.0,
+                  horizon: float = 1.0, step: float = 1e-3,
+                  tol: float = 1e-5, u_max: float = 10.0) -> ScenarioResult:
+    """Run the Wong pipeline (see :func:`_wong_problem`) with z_init = (p_init, xi_init)."""
+    z_init = np.concatenate([np.asarray(p_init, dtype=float), np.asarray(xi_init, dtype=float)])
+    return _solve("wong-so3-r2", _wong_problem(fixture, x0, z_init, u_max), z0, horizon, step, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -302,56 +309,45 @@ def classical_reduction_residual(sys: ControlSystem, samples) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class ClassicalScenarioResult:
-    flow: PmpFlow
-    audit: ExtremalAudit
-    closed_form_error: float
-    reduction_residual: float
+def _lq_problem(z_init: float, x0: float, u_max: float) -> tuple:
+    """The LQ problem with its hand-solvable oracle: the costate is constant,
+    u = z / (-z0) clipped to the box (the sign rule at z0 = 0), and the
+    state moves on a straight line; and the adjoint identity of
+    :func:`classical_reduction_residual` on 20 random samples."""
+    z_init, x0 = float(z_init), float(x0)
+    sys = build_lq_system(u_max=u_max)
 
-    def checks(self) -> list[dict]:
+    def oracles(flow: PmpFlow, audit: ExtremalAudit):
+        z0 = flow.costate.z0
+        u_star = (float(np.clip(z_init / (-z0), -u_max, u_max)) if z0 < 0
+                  else (u_max if z_init >= 0 else -u_max))
+        x_exact = x0 + u_star * flow.path.grid.nodes
+        err = max(float(np.abs(flow.path.base[:, 0] - x_exact).max()),
+                  float(np.abs(flow.costate.z[:, 0] - z_init).max()),
+                  float(np.abs(flow.u_nodes[:, 0] - u_star).max()))
+
+        rng = np.random.default_rng(1)
+        samples = [(rng.normal(size=1), rng.normal(size=1), rng.normal(size=1), z0)
+                   for _ in range(20)]
         return [
-            _check("closed_form_error", self.closed_form_error, 1e-6),
-            _check("reduction_residual", self.reduction_residual, 1e-12),
-            _check("hamiltonian_constancy", self.audit.h_drift, 1e-8),
-        ]
+            _check("closed_form_error", err, 1e-6),
+            _check("reduction_residual", classical_reduction_residual(sys, samples), 1e-12),
+            _check("hamiltonian_constancy", audit.h_drift, 1e-8),
+        ], {}
+
+    return sys, [x0], [z_init], oracles
 
 
 def scenario_classical(z_init: float = 0.5, x0: float = 0.0, z0: float = -1.0,
                        horizon: float = 1.0, step: float = 1e-3,
-                       tol: float = 1e-5, u_max: float = 10.0) -> ClassicalScenarioResult:
-    """LQ pipeline with its hand-solvable oracle: the costate is constant,
-    u = z / (-z0) clipped to the box (the sign rule at z0 = 0), and the
-    state moves on a straight line."""
-    sys = build_lq_system(u_max=u_max)
-    flow = integrate_pmp_flow(sys, [float(x0)], [float(z_init)], z0, 0.0, horizon,
-                              step=step)
-    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes,
-                            mode=SCENARIOS["classical-tm-lq"].mode, tol=tol)
-
-    nodes = flow.path.grid.nodes
-    u_star = (float(np.clip(float(z_init) / (-z0), -u_max, u_max)) if z0 < 0
-              else (u_max if z_init >= 0 else -u_max))
-    x_exact = float(x0) + u_star * nodes
-    err = max(float(np.abs(flow.path.base[:, 0] - x_exact).max()),
-              float(np.abs(flow.costate.z[:, 0] - float(z_init)).max()),
-              float(np.abs(flow.u_nodes[:, 0] - u_star).max()))
-
-    rng = np.random.default_rng(1)
-    samples = [(rng.normal(size=1), rng.normal(size=1), rng.normal(size=1), z0)
-               for _ in range(20)]
-    reduction = classical_reduction_residual(sys, samples)
-    return ClassicalScenarioResult(flow, audit, err, reduction)
+                       tol: float = 1e-5, u_max: float = 10.0) -> ScenarioResult:
+    """Run the LQ pipeline (see :func:`_lq_problem`)."""
+    return _solve("classical-tm-lq", _lq_problem(z_init, x0, u_max), z0, horizon, step, tol)
 
 
 # ---------------------------------------------------------------------------
 # Scenario registry and the config-driven runner
 # ---------------------------------------------------------------------------
-
-def _check(name: str, value: float, tolerance: float) -> dict:
-    return {"name": name, "value": float(value), "tolerance": float(tolerance),
-            "passed": bool(value <= tolerance)}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -360,17 +356,16 @@ class Scenario:
     ``mode`` is the problem's PMP mode: "free-time" (H = 0) or "fixed-time"
     (H constant).  ``defaults`` are the scenario-specific config fields;
     ``fields`` lists the arrays to check as (section, key, shape[, required]),
-    with section "" for the top level.  ``system(cfg)`` builds the control
-    system, whose chart :func:`validate_chart` checks.  ``run(cfg, z0, step,
-    tol)`` returns the scenario result and its report notes.
+    with section "" for the top level.  ``problem(cfg)`` returns (system, x0,
+    z_init, oracles) for :func:`_solve`; the system carries the chart that
+    :func:`validate_chart` checks.
     """
 
     name: str
     mode: str
     defaults: dict
     fields: tuple
-    system: Callable[[dict], ControlSystem]
-    run: Callable[[dict, float, float, float], tuple]
+    problem: Callable[[dict], tuple]
 
 
 def _u_max(cfg: dict) -> float:
@@ -382,31 +377,6 @@ def _wong_fixture(params: dict) -> WongFixture:
                        params.get("connection_linear"))
 
 
-def _run_so3(cfg: dict, z0: float, step: float, tol: float):
-    p = cfg["params"]
-    result = scenario_so3_bang_bang(p["a"], p["b"], np.asarray(cfg["z_init"], dtype=float),
-                                    z0=z0, horizon=float(cfg["horizon"]), step=step, tol=tol)
-    return result, {"singular": result.singular, "switch_times": list(result.flow.switch_times)}
-
-
-def _run_classical(cfg: dict, z0: float, step: float, tol: float):
-    result = scenario_classical(z_init=float(np.asarray(cfg["z_init"])[0]),
-                                x0=float(np.asarray(cfg["initial_point"])[0]),
-                                z0=z0, horizon=float(cfg["horizon"]),
-                                step=step, tol=tol, u_max=_u_max(cfg))
-    return result, {}
-
-
-def _run_wong(cfg: dict, z0: float, step: float, tol: float):
-    z_init = np.asarray(cfg["z_init"], dtype=float)
-    result = scenario_wong(_wong_fixture(cfg["params"]),
-                           np.asarray(cfg["initial_point"], dtype=float),
-                           z_init[:2], z_init[2:], z0=z0,
-                           horizon=float(cfg["horizon"]), step=step, tol=tol,
-                           u_max=_u_max(cfg))
-    return result, {}
-
-
 SCENARIOS = {s.name: s for s in (
     # Time-optimal switching between two body-fixed rotation axes, on the
     # zero-anchor so(3) chart.
@@ -416,8 +386,7 @@ SCENARIOS = {s.name: s for s in (
         defaults={"horizon": 10.0, "z_init": [0.0, 1.0, 0.2],
                   "params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0]}},
         fields=(("params", "a", (3,)), ("params", "b", (3,)), ("", "z_init", (3,))),
-        system=lambda cfg: build_so3_bang_bang_system(cfg["params"]["a"], cfg["params"]["b"]),
-        run=_run_so3),
+        problem=lambda cfg: _so3_problem(cfg["params"]["a"], cfg["params"]["b"], cfg["z_init"])),
     # Scalar linear-quadratic problem on the tangent bundle, with a
     # closed-form oracle.
     Scenario(
@@ -426,8 +395,7 @@ SCENARIOS = {s.name: s for s in (
         defaults={"horizon": 1.0, "z_init": [0.5], "initial_point": [0.0],
                   "params": {"u_max": 10.0}},
         fields=(("", "z_init", (1,)), ("", "initial_point", (1,))),
-        system=lambda cfg: build_lq_system(u_max=_u_max(cfg)),
-        run=_run_classical),
+        problem=lambda cfg: _lq_problem(cfg["z_init"][0], cfg["initial_point"][0], _u_max(cfg))),
     # Energy-minimizing trajectories on a trivialized Atiyah chart TM x so(3)
     # over R^2 with an affine connection, audited against the reduced
     # momentum/internal-momentum equations.
@@ -448,8 +416,8 @@ SCENARIOS = {s.name: s for s in (
         fields=(("", "z_init", (5,)), ("", "initial_point", (2,)),
                 ("params", "connection_const", (3, 2)),
                 ("params", "connection_linear", (3, 2, 2), False)),
-        system=lambda cfg: build_wong_system(_wong_fixture(cfg["params"]), u_max=_u_max(cfg)),
-        run=_run_wong),
+        problem=lambda cfg: _wong_problem(_wong_fixture(cfg["params"]), cfg["initial_point"],
+                                          cfg["z_init"], _u_max(cfg))),
 )}
 
 _SOLVER_DEFAULTS = {"step": 1e-3, "tol": 1e-5, "seed": 0}
@@ -573,7 +541,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("horizon", f"horizon / solver.step is {horizon / step:.3g}, "
                                      f"above the limit of {_MAX_NODES} nodes")
     if ("symbol_samples" in solver
-            and not isinstance(SCENARIOS[name].system(out).control_space, FiniteSet)):
+            and not isinstance(SCENARIOS[name].problem(out)[0].control_space, FiniteSet)):
         _reject_unknown(solver, "solver", _SOLVER_DEFAULTS)
     return out
 
@@ -635,7 +603,7 @@ def validate_chart(cfg: dict) -> dict:
     """AL-axiom validation of the scenario's chart on 100 random points, to 1e-6."""
     cfg = validate_config(cfg)
     name = cfg["scenario"]
-    chart = (SCENARIOS[name].system(cfg).alg if name in SCENARIOS
+    chart = (SCENARIOS[name].problem(cfg)[0].alg if name in SCENARIOS
              else build_chart_from_config(cfg["chart"]))
     rng = np.random.default_rng(cfg["solver"]["seed"])
     pts = rng.uniform(-1.0, 1.0, size=(100, chart.base_dim))
@@ -705,14 +673,14 @@ def run_scenario(config: dict, out_dir) -> dict:
         write_report_json(out / "invariants.json", report)
         return report
 
-    scenario = SCENARIOS[name]
     step = float(cfg["solver"]["step"])
     tol = float(cfg["solver"]["tol"])
     z0 = 0.0 if cfg["z0_mode"] == "abnormal" else -1.0
     head = {"schema_version": SCHEMA_VERSION, "scenario": name,
             "config": {k: v for k, v in cfg.items() if k != "params"}}
+    problem = SCENARIOS[name].problem(cfg)
     try:
-        result, notes = scenario.run(cfg, z0, step, tol)
+        result = _solve(name, problem, z0, float(cfg["horizon"]), step, tol)
     except (IntegrationDivergedError, ChatteringError) as exc:   # report the failed flow
         flow_check = {"name": "flow", "error": type(exc).__name__, "t": exc.t, "passed": False}
         write_report_json(out / "invariants.json", {
@@ -724,11 +692,12 @@ def run_scenario(config: dict, out_dir) -> dict:
     write_report_json(out / "audit.json", result.audit.to_dict())
     write_switch_times(out / "switches.csv", flow.switch_times)
 
-    checks = list(chart_report["checks"]) + result.checks()
+    checks = list(chart_report["checks"]) + result.checks
     n_symbols = int(cfg["solver"].get("symbol_samples", 0))
     if n_symbols > 0:
-        checks.append(_cone_check(cfg, scenario.system(cfg), flow, n_symbols, step))
+        checks.append(_cone_check(cfg, problem[0], flow, n_symbols, step))
     checks.append(_check("extremal_audit", 0.0 if result.audit.passed else 1.0, 0.0))
-    report = {**head, "checks": checks, "notes": notes, "passed": all(c["passed"] for c in checks)}
+    report = {**head, "checks": checks, "notes": result.notes,
+              "passed": all(c["passed"] for c in checks)}
     write_report_json(out / "invariants.json", report)
     return report

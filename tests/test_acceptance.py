@@ -155,12 +155,13 @@ def test_criterion_4_so3_bang_bang():
     r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, 0.2],
                                z0=-1.0, horizon=10.0, step=1e-3)
     dt = time.perf_counter() - t0
-    ok = (r.switching_violations == 0 and r.audit.h_drift < 1e-6
-          and r.casimir_drift < 1e-8 and r.costate_residual < 1e-6 and dt < 10.0)
+    v = r.value
+    ok = (v("switching_law_violations") == 0 and r.audit.h_drift < 1e-6
+          and v("casimir_drift") < 1e-8 and v("costate_equation") < 1e-6 and dt < 10.0)
     report(4, "so(3) bang-bang", ok,
-           f"switch violations {r.switching_violations}, |H| {r.audit.h_drift:.2g}, "
-           f"|z| drift {r.casimir_drift:.2g}, costate residual "
-           f"{r.costate_residual:.2g}, {len(r.flow.switch_times)} switches, {dt:.1f}s")
+           f"switch violations {v('switching_law_violations')}, |H| {r.audit.h_drift:.2g}, "
+           f"|z| drift {v('casimir_drift'):.2g}, costate residual "
+           f"{v('costate_equation'):.2g}, {len(r.flow.switch_times)} switches, {dt:.1f}s")
 
 
 def test_criterion_5_wong_equations():
@@ -179,11 +180,13 @@ def test_criterion_5_wong_equations():
     line_err = float(np.abs(rf.flow.path.base
                             - (x0[None, :] + ts[:, None] * p0[None, :])).max())
     dt = time.perf_counter() - t0
-    ok = (r.momentum_residual < 1e-5 and r.internal_residual < 1e-5
-          and r.speed_drift < 1e-6 and line_err < 1e-8 and dt < 10.0)
+    v = r.value
+    ok = (v("momentum_equation") < 1e-5 and v("internal_momentum_equation") < 1e-5
+          and v("speed_drift") < 1e-6 and line_err < 1e-8 and dt < 10.0)
     report(5, "reduced (Wong) equations", ok,
-           f"momentum {r.momentum_residual:.2g}, internal {r.internal_residual:.2g}, "
-           f"speed drift {r.speed_drift:.2g}, flat-line error {line_err:.2g}, {dt:.1f}s")
+           f"momentum {v('momentum_equation'):.2g}, "
+           f"internal {v('internal_momentum_equation'):.2g}, "
+           f"speed drift {v('speed_drift'):.2g}, flat-line error {line_err:.2g}, {dt:.1f}s")
 
 
 def test_criterion_6_classical_reduction():
@@ -202,10 +205,10 @@ def test_criterion_6_classical_reduction():
 
     r = scenario_classical(z_init=0.5, horizon=1.0, step=1e-3)
     dt = time.perf_counter() - t0
-    ok = (reduction < 1e-12 and r.closed_form_error < 1e-6
-          and r.reduction_residual < 1e-12 and dt < 5.0)
+    ok = (reduction < 1e-12 and r.value("closed_form_error") < 1e-6
+          and r.value("reduction_residual") < 1e-12 and dt < 5.0)
     report(6, "classical reduction", ok,
-           f"adjoint identity {reduction:.2g}, LQ closed-form {r.closed_form_error:.2g}, "
+           f"adjoint identity {reduction:.2g}, LQ closed-form {r.value('closed_form_error'):.2g}, "
            f"{dt:.1f}s")
 
 

@@ -1,9 +1,10 @@
 import json
+import time
 import warnings
-from dataclasses import replace
 
 import pytest
 
+from algopt import scenarios
 from algopt.cli import main
 from algopt.core import so3_structure
 from algopt.errors import ChatteringError
@@ -391,7 +392,20 @@ def test_diverged_run_prints_its_time_as_a_plain_float(tmp_path, capsys):
     assert capsys.readouterr().err == "error: integration produced a non-finite state at t=0.001\n"
 
 
-def chatter(cfg, z0, step, tol):
+def test_diverged_run_stops_at_its_first_step(tmp_path, capsys):
+    """A flow whose first step is non-finite raises there instead of stepping
+    NaN states to the horizon, which on these 5,000 nodes, each a NaN box
+    stage with a face search, takes over 10 s."""
+    path = write_config(tmp_path, {"scenario": "wong-so3-r2", "initial_point": [1e200, 1e200],
+                                   "solver": {"step": 2e-4}})
+    start = time.perf_counter()
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == ("error: integration produced a non-finite state "
+                                       "at t=0.0002\n")
+
+
+def chatter(*args, **kwargs):
     raise ChatteringError(10_000, 0.25)
 
 
@@ -401,13 +415,12 @@ def chatter(cfg, z0, step, tol):
     ids=["diverged", "chattering"])
 def test_failed_flow_writes_its_report_before_the_error(tmp_path, capsys, monkeypatch, error,
                                                         line, t):
-    """A Wong flow from 1e200 diverges at its first step, and a patched run
+    """A Wong flow from 1e200 diverges at its first step, and a patched flow
     chatters: each leaves invariants.json with a failed flow check naming the
     error and its time as a plain float, strict JSON, and no other artifact,
     while the CLI prints its one error line and exits 1 as before."""
     if error == "ChatteringError":
-        wong = replace(SCENARIOS["wong-so3-r2"], run=chatter)
-        monkeypatch.setitem(SCENARIOS, "wong-so3-r2", wong)
+        monkeypatch.setattr(scenarios, "integrate_pmp_flow", chatter)
     path = write_config(tmp_path, {"scenario": "wong-so3-r2", "initial_point": [1e200, 1e200]})
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 1

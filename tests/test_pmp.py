@@ -581,7 +581,7 @@ def test_constant_metric_flow_makes_no_solve_calls(name, monkeypatch):
     interior point G^-1 b / c: with the boxes inactive, integrate_pmp_flow
     calls no np.linalg.solve."""
     cfg = default_config(name)
-    sys = SCENARIOS[name].system(cfg)
+    sys = SCENARIOS[name].problem(cfg)[0]
     assert sys.affine[1][1] is None
 
     def forbidden(*args, **kwargs):

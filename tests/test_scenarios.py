@@ -26,11 +26,11 @@ def test_so3_default_pipeline():
     r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, 0.2],
                                horizon=10.0, step=1e-3)
     assert r.audit.passed
-    assert r.switching_violations == 0
-    assert not r.singular
+    assert r.value("switching_law_violations") == 0
+    assert not r.notes["singular"]
     assert r.audit.h_drift < 1e-6
-    assert r.casimir_drift < 1e-8
-    assert r.costate_residual < 1e-6
+    assert r.value("casimir_drift") < 1e-8
+    assert r.value("costate_equation") < 1e-6
     assert len(r.flow.switch_times) >= 2
 
 
@@ -46,7 +46,7 @@ def test_so3_monotone_switching_function_never_switches():
 def test_so3_zero_axis_is_permanently_singular():
     r = scenario_so3_bang_bang([1, 0, 0], [0, 0, 0], [0.0, 0.0, 1.0],
                                horizon=1.0, step=1e-2)
-    assert r.singular
+    assert r.notes["singular"]
     assert len(r.flow.tie_times) > 0
 
 
@@ -54,7 +54,7 @@ def test_so3_abnormal_multiplier_mode():
     r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, 0.0], z0=0.0,
                                horizon=2.0, step=1e-3, tol=1e-5)
     assert r.flow.costate.z0 == 0.0
-    assert r.switching_violations == 0
+    assert r.value("switching_law_violations") == 0
 
 
 @pytest.mark.parametrize("z3", [2.2, 5.0])
@@ -63,13 +63,13 @@ def test_so3_costate_equation_holds_for_larger_covectors(z3):
     # and 2.38e-6 here, its own O(step^2) error growing with |z|
     r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, z3], horizon=3.0, step=1e-3)
     assert r.audit.h_drift < 1e-6
-    assert r.costate_residual <= 1e-6
+    assert r.value("costate_equation") <= 1e-6
 
 
 def test_so3_costate_equation_fails_with_the_structure_sign_flipped(monkeypatch):
     monkeypatch.setattr(scenarios, "so3_structure", lambda: -so3_structure())
     r = scenario_so3_bang_bang([1, 0, 0], [0, 1, 0], [0.0, 1.0, 0.2], horizon=3.0, step=1e-3)
-    assert r.costate_residual > 1e-3
+    assert r.value("costate_equation") > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +79,10 @@ def test_so3_costate_equation_fails_with_the_structure_sign_flipped(monkeypatch)
 def test_wong_default_residuals(wong_fixture):
     r = scenario_wong(wong_fixture, [0.2, -0.1], [0.8, 0.5], [0.3, -0.2, 0.4],
                       horizon=1.0, step=1e-3)
-    assert r.momentum_residual < 1e-5
-    assert r.internal_residual < 1e-5
-    assert r.speed_drift < 1e-6
-    assert r.curvature_antisymmetry < 1e-10
+    assert r.value("momentum_equation") < 1e-5
+    assert r.value("internal_momentum_equation") < 1e-5
+    assert r.value("speed_drift") < 1e-6
+    assert r.value("curvature_antisymmetry") < 1e-10
     assert r.audit.passed
 
 
@@ -99,8 +99,8 @@ def test_wong_nonconstant_metric_residuals():
     )
     r = scenario_wong(fixture, [0.2, -0.1], [0.8, 0.5], [0.3, -0.2, 0.4],
                       horizon=1.0, step=1e-3)
-    assert r.momentum_residual < 1e-5
-    assert r.internal_residual < 1e-5
+    assert r.value("momentum_equation") < 1e-5
+    assert r.value("internal_momentum_equation") < 1e-5
 
 
 def test_wong_oracle_matches_a_per_node_loop():
@@ -131,9 +131,9 @@ def test_wong_oracle_matches_a_per_node_loop():
         res1, res2 = max(res1, np.abs(r1).max()), max(res2, np.abs(r2).max())
     speeds = np.array([u @ gk @ u for u, gk in zip(us, g)])
     tol = 100 * np.finfo(float).eps / step
-    assert abs(r.momentum_residual - res1) < tol
-    assert abs(r.internal_residual - res2) < tol
-    assert abs(r.speed_drift - np.abs(speeds - speeds[0]).max()) < tol
+    assert abs(r.value("momentum_equation") - res1) < tol
+    assert abs(r.value("internal_momentum_equation") - res2) < tol
+    assert abs(r.value("speed_drift") - np.abs(speeds - speeds[0]).max()) < tol
 
 
 def test_abnormal_wong_flow_bisects_its_vertex_switches(wong_fixture):
@@ -149,7 +149,7 @@ def test_abnormal_wong_flow_bisects_its_vertex_switches(wong_fixture):
         assert len(r.flow.switch_times) == 6
         assert np.all(np.abs(r.flow.u_nodes) == 10.0)
         assert r.audit.verdicts["hamiltonian_profile"], r.audit.to_dict()
-    assert runs[0].momentum_residual >= 3.0 * runs[1].momentum_residual
+    assert runs[0].value("momentum_equation") >= 3.0 * runs[1].value("momentum_equation")
 
 
 def test_wong_flat_connection_gives_straight_lines():
@@ -161,7 +161,7 @@ def test_wong_flat_connection_gives_straight_lines():
     straight = x0[None, :] + ts[:, None] * p0[None, :]
     assert np.abs(r.flow.path.base - straight).max() < 1e-8
     assert np.abs(r.flow.costate.z[:, 2:] - np.array([0.3, -0.2, 0.4])).max() < 1e-10
-    assert r.momentum_residual < 1e-8
+    assert r.value("momentum_equation") < 1e-8
 
 
 def test_wong_singular_metric_rejected():
@@ -185,8 +185,8 @@ def test_wong_curvature_antisymmetry_random(rng):
 
 def test_classical_lq_matches_oracle():
     r = scenario_classical(z_init=0.5, horizon=1.0, step=1e-3)
-    assert r.closed_form_error < 1e-6
-    assert r.reduction_residual < 1e-12
+    assert r.value("closed_form_error") < 1e-6
+    assert r.value("reduction_residual") < 1e-12
     assert r.audit.h_drift < 1e-8
     assert r.audit.passed
 
@@ -196,7 +196,7 @@ def test_abnormal_classical_lq_takes_the_sign_rule(z_init):
     """At z0 = 0 the oracle's control is u_max for z >= 0 and -u_max below,
     and the flow's matches it."""
     r = scenario_classical(z_init=z_init, z0=0.0, u_max=2.0)
-    assert r.closed_form_error < 1e-6
+    assert r.value("closed_form_error") < 1e-6
     assert np.all(r.flow.u_nodes == (2.0 if z_init > 0 else -2.0))
     assert r.audit.passed
 
@@ -206,7 +206,7 @@ def test_classical_oracle_respects_the_box(tmp_path, z_init):
     """With an active box the oracle's control is z / (-z0) clipped to
     +-u_max, as the flow's is, so a correct extremal passes the run."""
     r = scenario_classical(z_init=z_init, u_max=0.1)
-    assert r.closed_form_error < 1e-6
+    assert r.value("closed_form_error") < 1e-6
     assert np.all(np.abs(r.flow.u_nodes) == 0.1)
     cfg = default_config("classical-tm-lq")
     cfg["z_init"], cfg["params"]["u_max"] = [z_init], 0.1
@@ -463,6 +463,31 @@ def test_run_scenario_is_bit_reproducible(tmp_path, scenario):
     for name in ("trajectory.csv", "costate.csv", "invariants.json"):
         assert ((tmp_path / "one" / name).read_bytes()
                 == (tmp_path / "two" / name).read_bytes()), name
+
+
+def _api_call(cfg: dict):
+    """The public scenario_* call with the arguments that ``cfg`` gives the run."""
+    p, z = cfg["params"], cfg["z_init"]
+    run = {"horizon": cfg["horizon"], "step": cfg["solver"]["step"], "tol": cfg["solver"]["tol"]}
+    if cfg["scenario"] == "so3-bang-bang":
+        return scenario_so3_bang_bang(p["a"], p["b"], z, **run)
+    if cfg["scenario"] == "classical-tm-lq":
+        return scenario_classical(z[0], cfg["initial_point"][0], u_max=p["u_max"], **run)
+    fixture = WongFixture(so3_structure(), p["connection_const"], p["connection_linear"])
+    return scenario_wong(fixture, cfg["initial_point"], z[:2], z[2:], u_max=p["u_max"], **run)
+
+
+@pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
+def test_the_python_api_and_the_run_are_one_pipeline(tmp_path, scenario):
+    """A default run's checks between the two chart checks and extremal_audit
+    are the scenario_* call's checks, dict for dict, and its notes the call's."""
+    cfg = default_config(scenario)
+    report = run_scenario(cfg, tmp_path)
+    result = _api_call(cfg)
+    assert [c["name"] for c in report["checks"][:2]] == ["skew_symmetry", "anchor_morphism"]
+    assert report["checks"][-1]["name"] == "extremal_audit"
+    assert report["checks"][2:-1] == result.checks
+    assert report["notes"] == result.notes
 
 
 def test_reports_are_strict_json_when_a_check_overflows(tmp_path):
