@@ -24,7 +24,6 @@ from .numerics import finite_difference_jacobian
 __all__ = [
     "ChartAlgebroid",
     "Section",
-    "ValidationReport",
     "validate_skew",
     "as_sample_points",
     "validate_anchor_morphism",
@@ -112,31 +111,12 @@ class Section:
         return cls(eval=lambda x: v, jacobian=lambda x: np.zeros((v.size, np.asarray(x).size)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    check: str
-    max_violation: float
-    tol: float
-    passed: bool
-    n_points: int
-    box_lo: tuple[float, ...]
-    box_hi: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.check,
-            "value": self.max_violation,
-            "tolerance": self.tol,
-            "passed": self.passed,
-            "n_points": self.n_points,
-            "sample_box": [list(self.box_lo), list(self.box_hi)],
-        }
-
-
-def _sample_box(points: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    if points.size == 0:
-        return (), ()
-    return tuple(points.min(axis=0)), tuple(points.max(axis=0))
+def _check(name: str, value: float, tolerance: float, **detail) -> dict:
+    """One check as the reports write it: passes iff value <= tolerance, so a
+    NaN value fails; ``detail`` adds keys after the four."""
+    value = float(value)
+    return {"name": name, "value": value, "tolerance": float(tolerance),
+            "passed": bool(value <= tolerance), **detail}
 
 
 def as_sample_points(points, base_dim: int) -> np.ndarray:
@@ -150,19 +130,16 @@ def as_sample_points(points, base_dim: int) -> np.ndarray:
 
 
 def _sampled_report(check: str, alg: ChartAlgebroid, sample_points, tol: float,
-                    residual) -> ValidationReport:
-    """Largest |residual(x)| entry over the sample points; passes iff <= tol."""
+                    residual) -> dict:
+    """The check of the largest |residual(x)| entry over the sample points,
+    NaN if any entry is NaN; passes iff <= tol."""
     pts = as_sample_points(sample_points, alg.base_dim)
-    worst = 0.0
-    for x in pts:
-        res = residual(x)
-        if res.size:
-            worst = max(worst, float(np.abs(res).max()))
-    lo, hi = _sample_box(pts)
-    return ValidationReport(check, worst, tol, worst <= tol, len(pts), lo, hi)
+    worst = np.max([np.max(np.abs(residual(x)), initial=0.0) for x in pts], initial=0.0)
+    box = [pts.min(axis=0).tolist(), pts.max(axis=0).tolist()] if pts.size else [[], []]
+    return _check(check, worst, tol, n_points=len(pts), sample_box=box)
 
 
-def validate_skew(alg: ChartAlgebroid, sample_points, tol: float) -> ValidationReport:
+def validate_skew(alg: ChartAlgebroid, sample_points, tol: float) -> dict:
     """Max of |c^i_jk + c^i_kj| over the samples; passes iff <= tol."""
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -185,7 +162,7 @@ def morphism_residual(alg: ChartAlgebroid, x: np.ndarray) -> np.ndarray:
     return res
 
 
-def validate_anchor_morphism(alg: ChartAlgebroid, sample_points, tol: float) -> ValidationReport:
+def validate_anchor_morphism(alg: ChartAlgebroid, sample_points, tol: float) -> dict:
     """Check that the anchor is a bracket morphism on the sample points."""
     if not (tol > 0):
         raise ValueError("tol must be positive")

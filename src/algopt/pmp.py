@@ -20,7 +20,7 @@ import numpy as np
 from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       _box_qp, _flow_rhs, _held_pass, _point_table, _signal_grid,
                       costate_rhs, extend_system)
-from .core import ChartAlgebroid, _dual_field, _shaped, _with_unit_direction
+from .core import ChartAlgebroid, _check, _dual_field, _shaped, _with_unit_direction
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_matrix,
                        _rk4_sampled, finite_difference_jacobian, grid_derivative, integrate,
@@ -40,7 +40,6 @@ __all__ = [
     "make_needle_context",
     "needle_vector",
     "sample_symbols",
-    "ConeSupportReport",
     "cone_support_check",
     "develop_to_group",
     "ShootingResult",
@@ -325,12 +324,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 hi = t_next
                 for _ in U.values:   # bisect, and again towards a third value leading at hi
                     lo = t
-                    if sigma(lo) > 0:
-                        hi = min(hi, lo + _SWITCH_TOL)
-                    else:
-                        while hi - lo > _SWITCH_TOL:
-                            mid = 0.5 * (lo + hi)
-                            lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
+                    while hi - lo > _SWITCH_TOL:
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
                     y_hi = advance(t, y, hi - t)
                     row_hi = h_at(y_hi[None])[0]
                     lead = int(np.argmax(row_hi))
@@ -670,22 +666,14 @@ def sample_symbols(rng: np.random.Generator, ctx: NeedleContext, tau: float,
     return out
 
 
-@dataclass(frozen=True)
-class ConeSupportReport:
-    max_pairing: float
-    tol: float
-    passed: bool
-    n_needles: int
-
-
-def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray) -> ConeSupportReport:
+def cone_support_check(needles: Sequence[np.ndarray], z_ext: np.ndarray) -> dict:
     """Certify empirically that the extended covector supports the sampled
-    needle directions: max <d, z> <= _CONE_TOL."""
+    needle directions: the ``cone_support`` check of max <d, z> (NaN if any
+    pairing is) against _CONE_TOL."""
     if len(needles) == 0:
         raise ValueError("need at least one needle direction")
     z_ext = np.asarray(z_ext, dtype=float)
-    worst = max(float(np.dot(d, z_ext)) for d in needles)
-    return ConeSupportReport(worst, _CONE_TOL, worst <= _CONE_TOL, len(needles))
+    return _check("cone_support", np.max([np.dot(d, z_ext) for d in needles]), _CONE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,12 +998,10 @@ def time_dependence_audit(auto: AutonomizedSystem, flow: PmpFlow) -> dict:
                   + z0 * float(tdsys.L(x[k], nodes[k], flow.u_nodes[k]))
                   for k in range(len(nodes))])
     dH = grid_derivative(flow.path.grid, H.reshape(-1, 1))[:, 0]
-    residual = 0.0
-    for i0, i1 in flow.path.grid.segment_bounds:
-        for k in range(i0 + 1, i1):
-            expected = float(z[k] @ tdsys.f_t_at(x[k], nodes[k], flow.u_nodes[k])
-                             + z0 * tdsys.L_t_at(x[k], nodes[k], flow.u_nodes[k]))
-            residual = max(residual, abs(dH[k] - expected))
+    inner = [k for i0, i1 in flow.path.grid.segment_bounds for k in range(i0 + 1, i1)]
+    expected = [float(z[k] @ tdsys.f_t_at(x[k], nodes[k], flow.u_nodes[k])
+                      + z0 * tdsys.L_t_at(x[k], nodes[k], flow.u_nodes[k])) for k in inner]
+    residual = float(np.max(np.abs(dH[inner] - expected), initial=0.0))
 
     h_plus_xi = H + xi
     return {

@@ -47,19 +47,19 @@ def test_criterion_1_al_axiom_validation():
         morph = validate_anchor_morphism(alg, pts, 1e-6)
         dt = time.perf_counter() - t0
         worst_time = max(worst_time, dt)
-        all_pass &= skew.passed and morph.passed
-        details.append(f"{alg.name}: skew {skew.max_violation:.2g} "
-                       f"morph {morph.max_violation:.2g}")
+        all_pass &= skew["passed"] and morph["passed"]
+        details.append(f"{alg.name}: skew {skew['value']:.2g} "
+                       f"morph {morph['value']:.2g}")
     bad_skew = validate_skew(non_skew_chart(), np.zeros((100, 0)), 1e-6)
     broken, _ = scaled_anchor_pair()
     pts1 = rng.uniform(-1.0, 1.0, size=(100, 1))
     bad_morph = validate_anchor_morphism(broken, pts1, 1e-6)
-    crafted_fail = (not bad_skew.passed and bad_skew.max_violation > 1e-3
-                    and not bad_morph.passed and bad_morph.max_violation > 1e-3)
+    crafted_fail = (not bad_skew["passed"] and bad_skew["value"] > 1e-3
+                    and not bad_morph["passed"] and bad_morph["value"] > 1e-3)
     ok = all_pass and crafted_fail and worst_time < 1.0
     report(1, "AL-axiom validation", ok,
            f"{'; '.join(details)}; crafted violations "
-           f"{bad_skew.max_violation:.2g}/{bad_morph.max_violation:.2g}, "
+           f"{bad_skew['value']:.2g}/{bad_morph['value']:.2g}, "
            f"slowest chart {worst_time:.2f}s")
 
 
@@ -249,10 +249,10 @@ def test_criterion_7_needle_cone():
     bad = cone_support_check(needles_bad, zb_ext)
 
     dt = time.perf_counter() - t0
-    ok = (lin_err < 1e-10 and good.passed and not bad.passed and dt < 60.0)
+    ok = (lin_err < 1e-10 and good["passed"] and not bad["passed"] and dt < 60.0)
     report(7, "needle/cone machinery", ok,
-           f"linearity {lin_err:.2g}, extremal support {good.max_pairing:.2g} over "
-           f"{good.n_needles}, suboptimal violation {bad.max_pairing:.2g}, {dt:.1f}s")
+           f"linearity {lin_err:.2g}, extremal support {good['value']:.2g} over "
+           f"{len(needles)}, suboptimal violation {bad['value']:.2g}, {dt:.1f}s")
 
 
 def test_criterion_8_group_development():

@@ -458,6 +458,29 @@ def test_validate_builds_an_atiyah_chart_from_config(tmp_path, capsys):
     assert report["chart"] == "config-atiyah" and report["passed"]
 
 
+# Its anchor is no bracket morphism: the residual is 1e600, inf - inf in floats.
+NAN_MORPHISM = {"scenario": "custom", "chart": {
+    "kind": "affine-anchor", "anchor_const": [[1e300, 1e300]],
+    "anchor_linear": [[[1e300], [2e300]]], "table": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}}
+
+
+def test_a_nan_morphism_residual_fails_validate_and_run_unwarned(tmp_path, capsys):
+    """A NaN residual fails the anchor_morphism check, written as null, and
+    both commands exit 1 without numpy's invalid-value warning."""
+    path = write_config(tmp_path, NAN_MORPHISM)
+    out_dir = tmp_path / "artifacts"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", path]) == 1
+        printed = capsys.readouterr()
+        assert main(["run", path, "--out", str(out_dir)]) == 1
+    assert printed.err == "" and capsys.readouterr().err == ""
+    for report in (json.loads(printed.out), json.loads((out_dir / "invariants.json").read_text())):
+        morph = report["checks"][1]
+        assert morph["name"] == "anchor_morphism" and morph["value"] is None
+        assert morph["passed"] is False and report["passed"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--step", "1e-3"],
     ["validate", "--tol", "1e-5"],

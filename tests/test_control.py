@@ -276,8 +276,8 @@ def test_skew_bracket_preserves_the_pairing(seed, k, base):
         sys = constant_section_system(alg, f)
         traj = simulate_trajectory(sys, ControlSignal.constant([0.0], 0.0, 1.0), x0, step=1e-2)
         drifts.append(pairing_drift(sys, traj, y0, xi0))
-    assert validate_skew(chart, pts, 1e-12).passed and drifts[0] <= 1e-8
-    assert not validate_skew(broken, pts, 1e-6).passed and drifts[1] > 1e-3
+    assert validate_skew(chart, pts, 1e-12)["passed"] and drifts[0] <= 1e-8
+    assert not validate_skew(broken, pts, 1e-6)["passed"] and drifts[1] > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -328,12 +328,12 @@ def test_anchor_morphism_gives_admissible_homotopies(seed):
     points = x.reshape(-1, 2)[::97]
 
     al = ChartAlgebroid(2, 3, anchor, lambda x: c, anchor_jacobian=anchor_jac)
-    assert validate_anchor_morphism(al, points, 1e-9).passed
+    assert validate_anchor_morphism(al, points, 1e-9)["passed"]
     _, chi = generate_infinitesimal_homotopy(al, field, b0)
     assert chi <= 1e-6
 
     flat = ChartAlgebroid(2, 3, anchor, lambda x: np.zeros((3, 3, 3)), anchor_jacobian=anchor_jac)
-    assert not validate_anchor_morphism(flat, points, 1e-9).passed
+    assert not validate_anchor_morphism(flat, points, 1e-9)["passed"]
     with pytest.warns(AdmissibilityWarning):
         _, chi_flat = generate_infinitesimal_homotopy(flat, field, b0)
     assert chi_flat >= 1e-3

@@ -729,7 +729,28 @@ def test_needle_context_with_a_base_is_the_joint_rk4_pass(seed, n, p, atiyah, n_
 
 def test_cone_zero_needle_always_supported():
     rep = cone_support_check([np.zeros(4)], np.array([-1.0, 0.0, 1.0, 0.2]))
-    assert rep.passed and rep.max_pairing == 0.0
+    assert rep["passed"] and rep["value"] == 0.0
+
+
+def test_cone_nan_pairing_fails_wherever_it_falls():
+    z_ext = np.array([-1.0, 0.0, 1.0, 0.2])
+    for needles in ([np.zeros(4), np.full(4, np.nan)], [np.full(4, np.nan), np.zeros(4)]):
+        rep = cone_support_check(needles, z_ext)
+        assert np.isnan(rep["value"]) and not rep["passed"]
+
+
+def test_sample_symbols_over_a_box_draw_values_inside_it():
+    box = Box([-0.3, 2.0], [0.1, 2.5])
+    sys = ControlSystem(tangent_bundle(2), lambda x, u: u.copy(),
+                        lambda x, u: 0.5 * float(u @ u), box)
+    signal = ControlSignal(0.0, 1.0, (0.5,), (np.array([0.0, 2.2]), np.array([-0.2, 2.4])))
+    ctx = make_needle_context(sys, signal, np.zeros(2), step=1e-2)
+    symbols = sample_symbols(np.random.default_rng(3), ctx, 0.8, 200)
+    values = np.array([v for s in symbols for v in s.vs])
+    assert values.shape[1] == 2
+    assert np.all((box.lower <= values) & (values <= box.upper))
+    assert np.all(np.ptp(values, axis=0) > 0.5 * (box.upper - box.lower))
+    assert all(np.isfinite(needle_vector(ctx, s)).all() for s in symbols[:5])
 
 
 def test_cone_supported_on_extremal(needle_setup, rng):
@@ -740,7 +761,7 @@ def test_cone_supported_on_extremal(needle_setup, rng):
     k = int(np.searchsorted(flow.path.grid.nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
     rep = cone_support_check(needles, z_ext)
-    assert rep.passed, rep.max_pairing
+    assert rep["passed"], rep["value"]
 
 
 def test_cone_violated_for_suboptimal_control(needle_setup, rng):
@@ -755,7 +776,7 @@ def test_cone_violated_for_suboptimal_control(needle_setup, rng):
     symbols = sample_symbols(rng, ctx, tau, 500)
     needles = [needle_vector(ctx, s) for s in symbols]
     rep = cone_support_check(needles, z_ext)
-    assert not rep.passed
+    assert not rep["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1061,25 @@ def test_shoot_differences_a_grazing_switch_within_the_budget(flow_counter, monk
 
 # ---------------------------------------------------------------------------
 # time-dependent problems
+
+
+def test_fixed_time_shot_with_a_varying_cost_has_no_level_row(flow_counter):
+    """At z0 = -1 over a finite set on which L takes two values, the
+    maximizing control changes under z -> s z, so the shot keeps |z| free:
+    its rows are the endpoint residual's alone."""
+    bang_bang = build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    system = replace(bang_bang, L=lambda x, u: 1.0 + 0.5 * u[0])
+    z_star = np.array([-0.3, 1.3, -0.4])
+    flow = integrate_pmp_flow(system, np.zeros(0), z_star, -1.0, 0.0, 2.0, step=1e-2)
+    assert flow.switch_times
+    target = develop_to_group(system.alg, flow.path, skew_hat)
+    del flow_counter[:]
+    res = shoot_endpoint(system, skew_hat, target, z_guess=z_star + np.array([0.03, -0.03, 0.03]),
+                         z0=-1.0, t0=0.0, t1=2.0, step=1e-2)
+    assert res.converged and res.residual < 1e-4
+    assert res.n_evaluations == len(flow_counter) <= 40
+    shot = integrate_pmp_flow(system, np.zeros(0), res.z_init, -1.0, 0.0, 2.0, step=1e-2)
+    assert np.linalg.norm(develop_to_group(system.alg, shot.path, skew_hat) - target) < 1e-4
 # ---------------------------------------------------------------------------
 
 def ramp_gain_system():
@@ -1074,6 +1114,19 @@ def test_autonomize_dhdt_matches_partials():
     assert audit["dhdt_residual"] < 1e-5
     assert audit["h_plus_xi_drift"] < 1e-8
     assert np.abs(flow.u_nodes[:, 0] - flow.path.grid.nodes).max() < 1e-10
+
+
+def test_autonomize_audit_fails_a_nan_rate():
+    """A control map that is NaN at one inner node makes dH/dt NaN there,
+    which fails the audit however small the other residuals."""
+    auto = autonomize(ramp_gain_system())
+    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+                              [1.0, 0.0], -1.0, 0.0, 2.0, step=1e-2)
+    t_bad = flow.path.grid.nodes[150]
+    f = auto.source.f
+    sick = replace(auto.source, f=lambda x, t, u: np.full(1, np.nan) if t == t_bad else f(x, t, u))
+    audit = time_dependence_audit(replace(auto, source=sick), flow)
+    assert np.isnan(audit["dhdt_residual"]) and not audit["passed"]
 
 
 def test_autonomize_time_independent_reproduces_constancy():

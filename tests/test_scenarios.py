@@ -12,7 +12,7 @@ from algopt.core import so3_structure, tangent_bundle
 from algopt.errors import ConfigError
 from algopt.numerics import finite_difference_jacobian, grid_derivative
 from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, build_chart_from_config,
-                              classical_reduction_residual,
+                              build_lq_system, classical_reduction_residual,
                               default_config, run_scenario, scenario_classical,
                               scenario_so3_bang_bang, scenario_wong,
                               validate_chart, validate_config)
@@ -244,6 +244,15 @@ def test_classical_reduction_identity_nontrivial_system(rng):
                 rng.normal(size=2), -float(rng.random()))
                for _ in range(25)]
     assert classical_reduction_residual(sys, samples) < 1e-12
+
+
+def test_classical_reduction_residual_keeps_a_nan_gap():
+    """A NaN covector after a good sample makes the residual NaN, not the good gap."""
+    sys = build_lq_system()
+    good = (np.zeros(1), np.array([0.5]), np.array([0.3]), -1.0)
+    sick = (np.zeros(1), np.array([0.5]), np.array([np.nan]), -1.0)
+    assert classical_reduction_residual(sys, [good]) == 0.0
+    assert np.isnan(classical_reduction_residual(sys, [good, sick]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
