@@ -48,6 +48,19 @@ def _shaped(value, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+class _Constant:
+    """A chart field that does not read the base point: one read-only array,
+    returned for every x.  The built-in charts declare their constant data
+    with it, so that flows and checks can read it once (:func:`_constant_field`)."""
+
+    def __init__(self, value):
+        self.value = np.array(value, dtype=float)
+        self.value.flags.writeable = False
+
+    def __call__(self, x):
+        return self.value
+
+
 @dataclass(frozen=True)
 class ChartAlgebroid:
     """Anchored bundle chart with callable structure data.
@@ -88,6 +101,23 @@ class ChartAlgebroid:
                            "anchor jacobian returned shape")
         flat = finite_difference_jacobian(lambda p: self.anchor_at(p).ravel(), x)
         return flat.reshape(self.base_dim, self.fiber_dim, self.base_dim)
+
+
+def _constant_field(alg: ChartAlgebroid, field: str) -> np.ndarray | None:
+    """The shape-checked value of the chart field "anchor" or "structure" when
+    it is one for every x: declared by :class:`_Constant`, or any field over a
+    point base; None otherwise."""
+    if alg.base_dim and not isinstance(getattr(alg, field), _Constant):
+        return None
+    return getattr(alg, f"{field}_at")(np.zeros(alg.base_dim))
+
+
+def _is_constant(alg: ChartAlgebroid) -> bool:
+    """Whether no field of the chart reads the base point: each is declared
+    by :class:`_Constant` (a missing anchor Jacobian is then zero), or the
+    base is a point."""
+    fields = (alg.anchor, alg.structure, alg.anchor_jacobian)
+    return not alg.base_dim or all(f is None or isinstance(f, _Constant) for f in fields)
 
 
 @dataclass(frozen=True)
@@ -132,9 +162,11 @@ def as_sample_points(points, base_dim: int) -> np.ndarray:
 def _sampled_report(check: str, alg: ChartAlgebroid, sample_points, tol: float,
                     residual) -> dict:
     """The check of the largest |residual(x)| entry over the sample points,
-    NaN if any entry is NaN; passes iff <= tol."""
+    NaN if any entry is NaN; passes iff <= tol.  A chart that reads no base
+    point (:func:`_is_constant`) has one residual, taken at the first point."""
     pts = as_sample_points(sample_points, alg.base_dim)
-    worst = np.max([np.max(np.abs(residual(x)), initial=0.0) for x in pts], initial=0.0)
+    read = pts[:1] if _is_constant(alg) else pts
+    worst = np.max([np.max(np.abs(residual(x)), initial=0.0) for x in read], initial=0.0)
     box = [pts.min(axis=0).tolist(), pts.max(axis=0).tolist()] if pts.size else [[], []]
     return _check(check, worst, tol, n_points=len(pts), sample_box=box)
 
@@ -277,11 +309,9 @@ def product_with_time(alg: ChartAlgebroid) -> ChartAlgebroid:
 
 def tangent_bundle(n: int) -> ChartAlgebroid:
     """The tangent bundle of R^n: identity anchor, zero bracket."""
-    eye = np.eye(n)
-    zero_c = np.zeros((n, n, n))
-    zero_jac = np.zeros((n, n, n))
-    return ChartAlgebroid(n, n, lambda x: eye, lambda x: zero_c,
-                          anchor_jacobian=lambda x: zero_jac, name=f"TR^{n}")
+    zero = _Constant(np.zeros((n, n, n)))
+    return ChartAlgebroid(n, n, _Constant(np.eye(n)), zero, anchor_jacobian=zero,
+                          name=f"TR^{n}")
 
 
 def lie_algebra(table: np.ndarray, name: str = "lie-algebra") -> ChartAlgebroid:
@@ -296,9 +326,8 @@ def lie_algebra(table: np.ndarray, name: str = "lie-algebra") -> ChartAlgebroid:
     if np.abs(table + np.swapaxes(table, 1, 2)).max() > 1e-12:
         raise ValueError("structure table is not skew in its lower indices")
     m = table.shape[0]
-    zero_anchor = np.zeros((0, m))
-    return ChartAlgebroid(0, m, lambda x: zero_anchor, lambda x: table,
-                          anchor_jacobian=lambda x: np.zeros((0, m, 0)), name=name)
+    return ChartAlgebroid(0, m, _Constant(np.zeros((0, m))), _Constant(table),
+                          anchor_jacobian=_Constant(np.zeros((0, m, 0))), name=name)
 
 
 def so3_structure() -> np.ndarray:
@@ -328,8 +357,8 @@ def atiyah_trivial(base_dim: int, table: np.ndarray, name: str = "atiyah") -> Ch
     rho[:, :n] = np.eye(n)
     c = np.zeros((m, m, m))
     c[n:, n:, n:] = table
-    return ChartAlgebroid(n, m, lambda x: rho, lambda x: c,
-                          anchor_jacobian=lambda x: np.zeros((n, m, n)), name=name)
+    return ChartAlgebroid(n, m, _Constant(rho), _Constant(c),
+                          anchor_jacobian=_Constant(np.zeros((n, m, n))), name=name)
 
 
 def affine_matrix_field(const: np.ndarray, linear: np.ndarray | None = None):

@@ -137,12 +137,18 @@ def _rk4_matrix(X: np.ndarray) -> np.ndarray:
     return eye + X @ (eye + X @ (eye / 2.0 + X @ (eye / 6.0 + X / 24.0)))
 
 
-def _linear_rk4(A: np.ndarray):
+class _linear_rk4:
     """RK4 on y' = A y as a step (t, y, h) -> R(hA) y, t unread (:func:`_rk4_matrix`).
     y is a vector or the columns of a frame flattened row-major; R is formed
-    again only when h changes."""
-    R = lru_cache(maxsize=1)(lambda h: _rk4_matrix(h * A))
-    return lambda t, y, h: (R(h) @ y.reshape(len(A), -1)).ravel()
+    again only when h changes.  :func:`_held_steps` steps ``R`` on y's (m, k)
+    shape itself."""
+
+    def __init__(self, A: np.ndarray):
+        self.dim = len(A)
+        self.R = lru_cache(maxsize=1)(lambda h: _rk4_matrix(h * A))
+
+    def __call__(self, t, y, h):
+        return (self.R(h) @ y.reshape(self.dim, -1)).ravel()
 
 
 def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
@@ -155,18 +161,23 @@ def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
 
 def _held_steps(advance, nodes, y) -> np.ndarray:
     """The states at ``nodes[1:]`` stepped from y by ``advance`` (t, y, h) -> y,
-    stacked, up to the first non-finite one.  A non-finite first step raises
-    before another is taken (NaN steps flag nothing).  Later steps run under an
-    errstate raising on overflow and invalid values; a flagged one ends the
-    states, so the next call takes it first and warns as the caller's errstate
-    says, as in a node-by-node loop."""
-    ys = [advance(nodes[0], y, nodes[1] - nodes[0])]
+    stacked, up to the first non-finite one.  The times are read once, as
+    Python floats; a :class:`_linear_rk4` step is taken as R(h) @ Y on y's
+    (m, k) shape.  A non-finite first step raises before another is taken
+    (NaN steps flag nothing).  Later steps run under an errstate raising on
+    overflow and invalid values; a flagged one ends the states, so the next
+    call takes it first and warns as the caller's errstate says, as in a
+    node-by-node loop."""
+    ts = np.asarray(nodes, dtype=float).tolist()
+    hs = [b - a for a, b in zip(ts, ts[1:])]
+    R = advance.R if isinstance(advance, _linear_rk4) else None
+    ys = [advance(ts[0], y, hs[0]) if R is None else R(hs[0]) @ y.reshape(advance.dim, -1)]
     if not np.isfinite(ys[0]).all():
-        raise IntegrationDivergedError(nodes[1])
+        raise IntegrationDivergedError(ts[1])
     with suppress(FloatingPointError), np.errstate(over="raise", invalid="raise"):
-        for k in range(1, len(nodes) - 1):
-            ys.append(advance(nodes[k], ys[-1], nodes[k + 1] - nodes[k]))
-    ys = np.array(ys)
+        for t, h in zip(ts[1:], hs[1:]):
+            ys.append(advance(t, ys[-1], h) if R is None else R(h) @ ys[-1])
+    ys = np.array(ys).reshape(len(ys), -1)
     finite = np.isfinite(ys[1:]).all(axis=1)
     return ys if finite.all() else ys[:1 + finite.argmin()]
 

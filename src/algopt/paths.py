@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartAlgebroid
+from .core import ChartAlgebroid, _constant_field
 from .errors import AdmissibilityWarning, CompositionError, IntegrationDivergedError
 from .numerics import TimeGrid, _rk4, grid_derivative
 
@@ -179,7 +179,9 @@ class HomotopyReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.equation_residual, self.t_admissibility, self.eps_admissibility)
+        """The largest of the three, NaN if any is NaN."""
+        return float(np.max([self.equation_residual, self.t_admissibility,
+                             self.eps_admissibility]))
 
 
 def _eps_gradient(eps_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -190,13 +192,13 @@ def _eps_gradient(eps_nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _sampler(alg: ChartAlgebroid, field: str):
     """``points -> values`` for the chart field "anchor" or "structure": a
     (..., n) stack of points maps to (..., n, m) or (..., m, m, m), one
-    evaluation per point.  Over a point base the field is evaluated once,
-    here, and broadcast."""
+    evaluation per point.  A constant field (:func:`core._constant_field`)
+    is evaluated once, here, and broadcast, read-only."""
+    value = _constant_field(alg, field)
+    if value is not None:
+        return lambda points: np.broadcast_to(value, points.shape[:-1] + value.shape)
     n, m = alg.base_dim, alg.fiber_dim
     at, shape = (alg.anchor_at, (n, m)) if field == "anchor" else (alg.structure_at, (m, m, m))
-    if n == 0:
-        value = at(np.zeros(0))
-        return lambda points: np.broadcast_to(value, points.shape[:-1] + shape)
     return lambda points: np.reshape([at(x) for x in points.reshape(-1, n)],
                                      points.shape[:-1] + shape)
 

@@ -20,7 +20,8 @@ import numpy as np
 from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, Trajectory,
                       _box_qp, _flow_rhs, _held_pass, _point_table, _signal_grid,
                       costate_rhs, extend_system)
-from .core import ChartAlgebroid, _check, _dual_field, _shaped, _with_unit_direction
+from .core import (ChartAlgebroid, _check, _constant_field, _dual_field, _shaped,
+                   _with_unit_direction)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
 from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_matrix,
                        _rk4_sampled, finite_difference_jacobian, grid_derivative, integrate,
@@ -195,8 +196,12 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     linear part of F or G, by the system's own Jacobians: costate_rhs's bits.
     u is tested on Python floats: strictly inside the box it is kept, within
     ``_BOX_SLACK`` clipped, past it (or NaN) sent to ``_box_qp`` and clipped.
-    Without linear parts the anchor term (zero) is left out."""
+    Without linear parts the anchor term (zero) is left out.  A constant
+    anchor and structure (:func:`core._constant_field`) are read once here."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
+    rho_c, c_c = _constant_field(alg, "anchor"), _constant_field(alg, "structure")
+    rho_at = alg.anchor_at if rho_c is None else lambda x: rho_c
+    c_at = alg.structure_at if c_c is None else lambda x: c_c
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
     _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
     G_inv = np.linalg.inv(G0) if G1 is None else None
@@ -214,11 +219,11 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
             if not all([lo <= v <= hi for (lo, hi), v in zip(slack, ul)]):
                 u = _box_qp(b[None], Gx[None], -z0, U)[0]
             u = u.clip(U.lower, U.upper)
-        f, rho = Fx.dot(u), alg.anchor_at(x)
+        f, rho = Fx.dot(u), rho_at(x)
         dh_dx = zero if F1 is None else z.dot(sys.f_jacobian(x, u))
         if G1 is not None:
             dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
-        return np.concatenate([rho.dot(f), _dual_field(alg.structure_at(x), rho, f, z, dh_dx)])
+        return np.concatenate([rho.dot(f), _dual_field(c_at(x), rho, f, z, dh_dx)])
 
     return rhs
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .control import ControlSystem, FiniteSet, control_affine, costate_rhs
-from .core import (ChartAlgebroid, _check, affine_matrix_field, atiyah_trivial,
+from .core import (ChartAlgebroid, _check, _Constant, affine_matrix_field, atiyah_trivial,
                    lie_algebra, so3_algebra, so3_structure, tangent_bundle,
                    validate_anchor_morphism, validate_skew)
 from .errors import ChatteringError, ConfigError, IntegrationDivergedError
@@ -316,9 +316,9 @@ def _lq_problem(z_init: float, x0: float, u_max: float) -> tuple:
         u_star = (float(np.clip(z_init / (-z0), -u_max, u_max)) if z0 < 0
                   else (u_max if z_init >= 0 else -u_max))
         x_exact = x0 + u_star * flow.path.grid.nodes
-        err = max(float(np.abs(flow.path.base[:, 0] - x_exact).max()),
-                  float(np.abs(flow.costate.z[:, 0] - z_init).max()),
-                  float(np.abs(flow.u_nodes[:, 0] - u_star).max()))
+        err = np.max([np.abs(flow.path.base[:, 0] - x_exact).max(),   # NaN if any is
+                      np.abs(flow.costate.z[:, 0] - z_init).max(),
+                      np.abs(flow.u_nodes[:, 0] - u_star).max()])
 
         rng = np.random.default_rng(1)
         samples = [(rng.normal(size=1), rng.normal(size=1), rng.normal(size=1), z0)
@@ -588,8 +588,9 @@ def build_chart_from_config(spec: dict) -> ChartAlgebroid:
     table = _structure_table(spec)
     if table.shape[0] != m:
         raise ConfigError("chart.table", "table size does not match the anchor")
-    anchor, anchor_jac = affine_matrix_field(const, linear)
-    return ChartAlgebroid(n, m, anchor, lambda x: table,
+    anchor, anchor_jac = ((_Constant(const), _Constant(np.zeros((n, m, n)))) if linear is None
+                          else affine_matrix_field(const, linear))
+    return ChartAlgebroid(n, m, anchor, _Constant(table),
                           anchor_jacobian=anchor_jac, name="config-affine-anchor")
 
 

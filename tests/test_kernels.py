@@ -5,6 +5,7 @@ with its interpolation, the extremal audit against a per-node loop, and the
 blocks of held steps against node-by-node stepping."""
 
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,9 @@ from algopt import pmp
 from algopt.control import (_BOX_SLACK, ControlSignal, ControlSystem, FiniteSet, _box_qp,
                             _flow_rhs, _point_table, _transport, control_affine, costate_rhs,
                             simulate_trajectory)
-from algopt.core import _dual_field, lie_algebra, so3_algebra, so3_structure, tangent_bundle
-from algopt.errors import IntegrationDivergedError
+from algopt.core import (ChartAlgebroid, _dual_field, lie_algebra, so3_algebra, so3_structure,
+                         tangent_bundle, validate_anchor_morphism, validate_skew)
+from algopt.errors import ChatteringError, IntegrationDivergedError
 from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
 from algopt.paths import EPath
 from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
@@ -446,6 +448,39 @@ def test_flow_blocks_are_bit_identical_to_node_by_node_steps(seed, m, k, z0):
         blocks += [first, max(first - 1, 1)]
     for block in blocks:
         assert flow_bits(flow(block)) == flow_bits(reference)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(1, 3), p=st.integers(1, 3),
+       chart=st.sampled_from(["tangent", "atiyah"]), z0=st.sampled_from([0.0, -1.0]),
+       active=st.booleans())
+def test_constant_chart_gives_the_bits_of_its_callable_twin(seed, n, p, chart, z0, active):
+    """The built-in charts declare a constant anchor, structure and anchor
+    Jacobian, which the fused flow, the block audit and the validators read
+    once.  The same system on a chart of plain callables returning the same
+    arrays, read at every call, gives the same bytes: the flow (or the time
+    of its ChatteringError), its audit and both validator reports."""
+    rng = np.random.default_rng(seed)
+    sys = random_control_affine(rng, n, p, chart, active)
+    alg = sys.alg
+    rho, c, jac = (np.array(at(np.zeros(n)))
+                   for at in (alg.anchor_at, alg.structure_at, alg.anchor_jacobian_at))
+    twin = replace(sys, alg=ChartAlgebroid(n, alg.fiber_dim, lambda x: rho, lambda x: c,
+                                           anchor_jacobian=lambda x: jac, name=alg.name))
+    x0, z_init = rng.uniform(-0.5, 0.5, n), rng.normal(size=alg.fiber_dim)
+    points = rng.uniform(-1.0, 1.0, size=(20, n))
+
+    def bits(s):
+        charts = (repr(validate_skew(s.alg, points, 1e-6)),
+                  repr(validate_anchor_morphism(s.alg, points, 1e-6)))
+        try:
+            flow = integrate_pmp_flow(s, x0, z_init, z0, 0.0, 0.05, step=2.5e-3)
+        except ChatteringError as exc:
+            return charts + (exc.t,)
+        audit = verify_extremal(s, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
+        return charts + flow_bits(flow) + (flow.path.base.tobytes(), repr(audit.to_dict()))
+
+    assert bits(sys) == bits(twin)
 
 
 @PROPERTY

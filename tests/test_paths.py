@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from algopt.core import (ChartAlgebroid, affine_matrix_field, tangent_bundle,
-                         validate_anchor_morphism)
+from algopt.core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial, so3_structure,
+                         tangent_bundle, validate_anchor_morphism)
 from algopt.errors import AdmissibilityWarning, CompositionError
 from algopt.numerics import TimeGrid, _rk4_sampled
-from algopt.paths import (EPath, HomotopyField, admissibility_residual, compose_paths,
+from algopt.paths import (EPath, HomotopyField, HomotopyReport, _sampler,
+                          admissibility_residual, compose_paths,
                           generate_infinitesimal_homotopy, homotopy_residual,
                           null_path, reparameterize_unit, shrink_homotopy)
 from conftest import scaled_anchor_pair, skew_hat
@@ -138,6 +139,27 @@ def test_residual_zero_for_eps_independent_pair(so3):
     rep = homotopy_residual(so3, filled)
     assert rep.equation_residual == 0.0
     assert rep.max_residual == 0.0
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_max_residual_keeps_a_nan(position):
+    values = [0.0, 1e-3, 2.0]
+    values[position] = np.nan
+    assert np.isnan(HomotopyReport(*values).max_residual)
+
+
+@pytest.mark.parametrize("field", ["anchor", "structure"])
+def test_sampler_broadcasts_a_constant_field_read_only(field):
+    """On the Atiyah chart TR^2 x so(3) a constant field is read once and
+    broadcast; it equals the per-point stack of the chart's values."""
+    alg = atiyah_trivial(2, so3_structure())
+    points = np.random.default_rng(3).normal(size=(4, 5, 2))
+    at = alg.anchor_at if field == "anchor" else alg.structure_at
+    values = _sampler(alg, field)(points)
+    expected = np.array([at(x) for x in points.reshape(-1, 2)])
+    assert values.shape == points.shape[:-1] + at(points[0, 0]).shape
+    assert values.tobytes() == expected.tobytes()
+    assert not values.flags.writeable
 
 
 def test_residual_detects_perturbation(so3):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from algopt.control import control_affine
 from algopt.core import so3_structure, tangent_bundle
 from algopt.errors import ConfigError
 from algopt.numerics import finite_difference_jacobian, grid_derivative
-from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, build_chart_from_config,
+from algopt.pmp import CostatePath, integrate_pmp_flow, verify_extremal
+from algopt.scenarios import (_MAX_SYMBOL_SAMPLES, WongFixture, _lq_problem,
+                              build_chart_from_config,
                               build_lq_system, classical_reduction_residual,
                               default_config, run_scenario, scenario_classical,
                               scenario_so3_bang_bang, scenario_wong,
@@ -211,6 +214,21 @@ def test_classical_oracle_respects_the_box(tmp_path, z_init):
     cfg = default_config("classical-tm-lq")
     cfg["z_init"], cfg["params"]["u_max"] = [z_init], 0.1
     assert run_scenario(cfg, tmp_path)["passed"]
+
+
+def test_classical_oracle_fails_a_nan_costate():
+    """One NaN costate entry makes closed_form_error NaN, and the check
+    fails, though the state and control terms are exact."""
+    sys, x0, z_init, oracles = _lq_problem(0.5, 0.0, 10.0)
+    flow = integrate_pmp_flow(sys, x0, z_init, -1.0, 0.0, 1.0, step=1e-2)
+    audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
+    z = flow.costate.z.copy()
+    z[3, 0] = np.nan
+    sick = replace(flow, costate=CostatePath(flow.costate.grid, z, flow.costate.z0))
+    assert oracles(flow, audit)[0][0]["passed"]
+    check = oracles(sick, audit)[0][0]
+    assert check["name"] == "closed_form_error"
+    assert np.isnan(check["value"]) and not check["passed"]
 
 
 def test_wong_speed_oracle_judges_only_the_free_nodes(tmp_path):
