@@ -46,7 +46,6 @@ __all__ = [
     "ShootingResult",
     "shoot_endpoint",
     "TimeDependentControlSystem",
-    "AutonomizedSystem",
     "autonomize",
     "time_dependence_audit",
 ]
@@ -252,9 +251,8 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
     n = sys.alg.base_dim
-    x0 = np.asarray(x0, dtype=float)
-    z_init = np.asarray(z_init, dtype=float)
-    state = np.concatenate([x0, z_init])
+    state = np.concatenate([_shaped(x0, (n,), "initial point has shape"),
+                            _shaped(z_init, (sys.alg.fiber_dim,), "initial covector has shape")])
     U = sys.control_space
     box = isinstance(U, Box)
     if box and sys.affine is not None and z0 == 0:
@@ -279,7 +277,6 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             h_nodes = np.array([hamiltonian(sys, z, z0, x, u)
                                 for x, z, u in zip(base, zs, u_nodes)])
     else:
-        _shaped(z_init, (sys.alg.fiber_dim,), "dual vector has shape")
         if n:   # rows: H over the set at each state, and each held value's step (t, y, h) -> y
             def h_at(ys):
                 return np.array([[hamiltonian(sys, y[n:], z0, y[:n], v) for v in U.values]
@@ -949,25 +946,10 @@ class TimeDependentControlSystem:
         return float(finite_difference_jacobian(lambda s: self.L(x, s[0], u), [t], 1e-6)[0, 0])
 
 
-@dataclass(frozen=True)
-class AutonomizedSystem:
-    """Time-independent equivalent on the chart with an appended clock.
-
-    Base coordinate ``clock_index`` is the clock (unit dynamics); the appended
-    fiber coordinate is the constant clock rate 1.
-    """
-
-    system: ControlSystem
-    source: TimeDependentControlSystem
-    clock_index: int
-
-    def initial_point(self, x0, t0: float) -> np.ndarray:
-        return np.concatenate([np.asarray(x0, dtype=float), [float(t0)]])
-
-
-def autonomize(tdsys: TimeDependentControlSystem) -> AutonomizedSystem:
-    """Append a clock coordinate with unit dynamics so the problem becomes
-    time-independent; the control map gains a constant unit component."""
+def autonomize(tdsys: TimeDependentControlSystem) -> ControlSystem:
+    """The clock extension: ``tdsys`` on the chart with a clock appended as
+    its last base coordinate (unit dynamics; the control map gains a constant
+    unit component), so a flow starts from ``np.append(x0, t0)``."""
     n = tdsys.alg.base_dim
     chart = _with_unit_direction(tdsys.alg, False, "clock-extended")
 
@@ -978,20 +960,22 @@ def autonomize(tdsys: TimeDependentControlSystem) -> AutonomizedSystem:
     def L_ext(xe, u):
         return float(tdsys.L(xe[:n], float(xe[n]), u))
 
-    system = ControlSystem(chart, f_ext, L_ext, tdsys.control_space)
-    return AutonomizedSystem(system, tdsys, n)
+    return ControlSystem(chart, f_ext, L_ext, tdsys.control_space)
 
 
-def time_dependence_audit(auto: AutonomizedSystem, flow: PmpFlow) -> dict:
-    """Runtime checks specific to clock-extended flows.
+def time_dependence_audit(tdsys: TimeDependentControlSystem, flow: PmpFlow) -> dict:
+    """Runtime checks of a flow of ``autonomize(tdsys)``.
 
     Verifies that the clock coordinate reproduces t exactly, that the clock
     costate compensates the Hamiltonian (H + xi constant), and that the
-    sampled dH/dt matches  z_i df^i/dt + z0 dL/dt (to ``_CLOCK_TOL``).
+    sampled dH/dt matches  z_i df^i/dt + z0 dL/dt (to ``_CLOCK_TOL``), with
+    H evaluated from ``tdsys`` at the nodes.  Raises ``ValueError`` when the
+    flow's base and fiber dimensions are not ``tdsys``'s plus one.
     """
-    tdsys = auto.source
-    clock = auto.clock_index
-    m = tdsys.alg.fiber_dim
+    clock, m = tdsys.alg.base_dim, tdsys.alg.fiber_dim
+    dims, extended = (flow.path.base.shape[1], flow.costate.fiber_dim), (clock + 1, m + 1)
+    if dims != extended:
+        raise ValueError(f"flow has base and fiber dimensions {dims}, expected {extended}")
     nodes = flow.path.grid.nodes
     clock_error = float(np.abs(flow.path.base[:, clock] - nodes).max())
 

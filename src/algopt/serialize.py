@@ -142,7 +142,10 @@ def write_costate_csv(file, costate: CostatePath, h_nodes: np.ndarray) -> None:
 
 def read_costate_csv(file) -> tuple[CostatePath, np.ndarray]:
     data, grid = _read_table(file, ("t", "z0", "H"))
-    return CostatePath(grid, _columns(data, "z_", file), float(data["z0"][0])), data["H"]
+    z0 = data["z0"]
+    if np.ptp(z0) != 0 or z0[0] > 0:
+        raise ConfigError(str(file), "column 'z0' must hold one value, at most 0")
+    return CostatePath(grid, _columns(data, "z_", file), float(z0[0])), data["H"]
 
 
 def write_report_json(file, report: dict) -> None:

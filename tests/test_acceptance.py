@@ -302,10 +302,9 @@ def test_criterion_9_time_dependent_reduction():
         L=lambda x, t, u: 0.5 * float(u @ u),
         control_space=Box([-10.0], [10.0], maximizer=maximizer),
     )
-    auto = autonomize(ramp)
-    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+    flow = integrate_pmp_flow(autonomize(ramp), [0.0, 0.0],
                               [1.0, 0.0], -1.0, 0.0, 2.0, step=1e-3)
-    audit = time_dependence_audit(auto, flow)
+    audit = time_dependence_audit(ramp, flow)
 
     steady = TimeDependentControlSystem(
         alg=tangent_bundle(1),
@@ -315,10 +314,9 @@ def test_criterion_9_time_dependent_reduction():
                           maximizer=lambda xe, z, z0: np.atleast_1d(z[0]) if z0 < 0
                           else np.atleast_1d(10.0)),
     )
-    auto2 = autonomize(steady)
-    flow2 = integrate_pmp_flow(auto2.system, auto2.initial_point([0.0], 0.0),
+    flow2 = integrate_pmp_flow(autonomize(steady), [0.0, 0.0],
                                [0.7, 0.0], -1.0, 0.0, 1.0, step=1e-3)
-    audit2 = time_dependence_audit(auto2, flow2)
+    audit2 = time_dependence_audit(steady, flow2)
     dt = time.perf_counter() - t0
     ok = (audit["clock_error"] == 0.0 and audit["dhdt_residual"] < 1e-5
           and audit2["clock_error"] == 0.0 and audit2["h_drift"] < 1e-8

@@ -277,6 +277,28 @@ def test_audit_names_a_file_that_is_not_an_artifact_table(tmp_path, capsys, flag
     assert capsys.readouterr().err.startswith(f"config error: {files[flag]}: ")
 
 
+@pytest.mark.parametrize("z0", [lambda k: "0.5", lambda k: ("0", "-1")[k % 2]],
+                         ids=["positive", "varying"])
+def test_audit_names_a_costate_whose_z0_is_not_one_multiplier(tmp_path, capsys, z0):
+    """A z0 column that is positive or varies down the rows exits 2 and names
+    the file, instead of a traceback or an audit at the first row's z0."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+    assert main(["run", path, "--out", str(out_dir)]) == 0
+    costate = out_dir / "costate.csv"
+    lines = costate.read_text().splitlines()
+    col = lines[0].split(",").index("z0")
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows):
+        row[col] = z0(k)
+    costate.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["audit", path, "--traj", str(out_dir / "trajectory.csv"),
+                 "--costate", str(costate)]) == 2
+    assert capsys.readouterr().err == (f"config error: {costate}: column 'z0' must hold "
+                                       "one value, at most 0\n")
+
+
 @pytest.mark.parametrize("chart, field", [
     ({"kind": "affine-anchor", "anchor_const": [["a"]]}, "chart.anchor_const"),
     ({"kind": "atiyah", "base_dim": 1, "table": [[["a"]]]}, "chart.table"),

@@ -149,6 +149,19 @@ def test_lift_base_component_is_the_anchor_image(rng):
         assert np.array_equal(xdot, alg.anchor_at(x) @ f.value(x))
 
 
+def test_lift_of_a_section_without_a_jacobian_takes_differences(rng):
+    """Section.jacobian_at falls back to central differences: the lift then
+    matches the lift with the analytic Jacobian."""
+    alg = atiyah_trivial(2, so3_structure())
+    A, b = rng.normal(size=(5, 2)), rng.normal(size=5)
+    exact = Section(eval=lambda x: b + A @ np.sin(x), jacobian=lambda x: A * np.cos(x))
+    for _ in range(5):
+        x, y = rng.normal(size=2), rng.normal(size=5)
+        approx = tangent_lift_section(alg, Section(eval=exact.eval), x, y)
+        for got, want in zip(approx, tangent_lift_section(alg, exact, x, y)):
+            assert np.abs(got - want).max() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian vector fields
 # ---------------------------------------------------------------------------

@@ -222,6 +222,22 @@ def test_flow_rejects_positive_multiplier(bang_bang_system):
                            0.0, 1.0)
 
 
+@pytest.mark.parametrize("name, x0, z_init, z0, message", [
+    ("so3", [], [0.0, 1.0], -1.0, r"initial covector has shape \(2,\), expected \(3,\)"),
+    ("lq", [], [0.3, 0.5], -1.0, r"initial point has shape \(0,\), expected \(1,\)"),
+    ("lq", [0.0, 1.0], [0.5], 0.0, r"initial point has shape \(2,\), expected \(1,\)"),
+    ("wong", [0.2], [0.1] * 6, -1.0, r"initial point has shape \(1,\), expected \(2,\)"),
+], ids=["so3-covector", "lq-short-point", "lq-abnormal-long-point", "wong-short-point"])
+def test_flow_names_a_misshapen_initial_point_or_covector(wong_fixture, name, x0, z_init, z0,
+                                                          message):
+    """Each control space checks x0 and z_init against the chart before the
+    flow, so neither is silently split at the base dimension."""
+    sys = {"so3": lambda: build_so3_bang_bang_system([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+           "lq": build_lq_system, "wong": lambda: build_wong_system(wong_fixture)}[name]()
+    with pytest.raises(ValueError, match=message):
+        integrate_pmp_flow(sys, x0, z_init, z0, 0.0, 0.1, step=0.01)
+
+
 def test_a_three_valued_set_bisects_its_switches():
     """so(3) with u in {-1, 0, 1} and L = 1 + u^2/2 steps down 1 -> 0 -> -1:
     each switch is bisected onto the crossing of the two best H, which agree
@@ -350,6 +366,20 @@ def test_audit_grid_mismatch_rejected(bang_bang_system):
                                -1.0, 0.0, 1.0, step=2e-3)
     with pytest.raises(ValueError):
         verify_extremal(bang_bang_system, flow.path, other.costate, flow.u_nodes)
+
+
+@pytest.mark.parametrize("z0", [-1.0, 0.0])
+def test_audit_of_a_box_above_three_controls_reads_the_exact_maximizer(z0):
+    """Above p = 3 the audit's one grid candidate is the box's midpoint, so
+    only H at the exact maximizer can see a control that is not the best."""
+    I = np.eye(4)
+    sys = control_affine(tangent_bundle(4), (I, None), (I, None), 1.0)
+    assert [c.tolist() for c in pmp._candidate_controls(sys)] == [[0.0] * 4]
+    flow = integrate_pmp_flow(sys, np.zeros(4), [1.0, 2.0, -1.0, 0.5], z0, 0.0, 1.0, step=1e-2)
+    args = (sys, flow.path, flow.costate)
+    assert verify_extremal(*args, flow.u_nodes, mode="fixed-time").passed
+    audit = verify_extremal(*args, np.zeros_like(flow.u_nodes), mode="fixed-time")
+    assert not audit.verdicts["maximum_condition"] and audit.max_condition_violation > 1.0
 
 
 def per_node_audit(sys, path, costate, u_nodes, mode, tol):
@@ -657,6 +687,14 @@ def test_needle_rejects_discontinuity_times(needle_setup):
         with pytest.raises(ValueError):
             needle_vector(ctx, VariationSymbol((s,), ([1.0],), 3.0, (0.5,), 0.0))
     needle_vector(ctx, VariationSymbol((bad + 2e-6,), ([1.0],), 3.0, (0.5,), 0.0))
+
+
+def test_needle_skips_a_zero_width_spike(needle_setup):
+    _, _, ctx = needle_setup
+    vs = (np.array([-1.0]), np.array([1.0]))
+    with_zero = VariationSymbol((0.5, 1.5), vs, 3.0, (0.0, 0.3), 0.2)
+    without = VariationSymbol((1.5,), vs[1:], 3.0, (0.3,), 0.2)
+    assert needle_vector(ctx, with_zero).tobytes() == needle_vector(ctx, without).tobytes()
 
 
 def reference_extended_pass(sys, signal, grid, x0):
@@ -1098,18 +1136,18 @@ def ramp_gain_system():
 
 
 def test_autonomize_clock_is_exact():
-    auto = autonomize(ramp_gain_system())
-    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+    ramp = ramp_gain_system()
+    flow = integrate_pmp_flow(autonomize(ramp), [0.0, 0.0],
                               [1.0, 0.0], -1.0, 0.0, 2.0, step=1e-3)
-    audit = time_dependence_audit(auto, flow)
+    audit = time_dependence_audit(ramp, flow)
     assert audit["clock_error"] == 0.0
 
 
 def test_autonomize_dhdt_matches_partials():
-    auto = autonomize(ramp_gain_system())
-    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+    ramp = ramp_gain_system()
+    flow = integrate_pmp_flow(autonomize(ramp), [0.0, 0.0],
                               [1.0, 0.0], -1.0, 0.0, 2.0, step=1e-3)
-    audit = time_dependence_audit(auto, flow)
+    audit = time_dependence_audit(ramp, flow)
     # here dH/dt = z * u with z = 1, u = t
     assert audit["dhdt_residual"] < 1e-5
     assert audit["h_plus_xi_drift"] < 1e-8
@@ -1119,14 +1157,25 @@ def test_autonomize_dhdt_matches_partials():
 def test_autonomize_audit_fails_a_nan_rate():
     """A control map that is NaN at one inner node makes dH/dt NaN there,
     which fails the audit however small the other residuals."""
-    auto = autonomize(ramp_gain_system())
-    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+    ramp = ramp_gain_system()
+    flow = integrate_pmp_flow(autonomize(ramp), [0.0, 0.0],
                               [1.0, 0.0], -1.0, 0.0, 2.0, step=1e-2)
     t_bad = flow.path.grid.nodes[150]
-    f = auto.source.f
-    sick = replace(auto.source, f=lambda x, t, u: np.full(1, np.nan) if t == t_bad else f(x, t, u))
-    audit = time_dependence_audit(replace(auto, source=sick), flow)
+    f = ramp.f
+    sick = replace(ramp, f=lambda x, t, u: np.full(1, np.nan) if t == t_bad else f(x, t, u))
+    audit = time_dependence_audit(sick, flow)
     assert np.isnan(audit["dhdt_residual"]) and not audit["passed"]
+
+
+def test_autonomize_names_a_missing_clock():
+    """A clock-extended flow needs the clock in its initial point, and the
+    audit needs a flow of the clock extension of the system it is given."""
+    ramp = ramp_gain_system()
+    with pytest.raises(ValueError, match=r"initial point has shape \(1,\), expected \(2,\)"):
+        integrate_pmp_flow(autonomize(ramp), [0.0], [1.0, 0.0], -1.0, 0.0, 1.0, step=1e-2)
+    flow = integrate_pmp_flow(build_lq_system(), [0.0], [0.5], -1.0, 0.0, 1.0, step=1e-2)
+    with pytest.raises(ValueError, match=r"dimensions \(1, 1\), expected \(2, 2\)"):
+        time_dependence_audit(ramp, flow)
 
 
 def test_autonomize_time_independent_reproduces_constancy():
@@ -1138,10 +1187,9 @@ def test_autonomize_time_independent_reproduces_constancy():
                           maximizer=lambda xe, z, z0: np.atleast_1d(z[0]) if z0 < 0
                           else np.atleast_1d(10.0)),
     )
-    auto = autonomize(td)
-    flow = integrate_pmp_flow(auto.system, auto.initial_point([0.0], 0.0),
+    flow = integrate_pmp_flow(autonomize(td), [0.0, 0.0],
                               [0.7, 0.0], -1.0, 0.0, 1.0, step=1e-3)
-    audit = time_dependence_audit(auto, flow)
+    audit = time_dependence_audit(td, flow)
     assert audit["xi_drift"] < 1e-12
     assert audit["h_drift"] < 1e-8
     assert audit["clock_error"] == 0.0

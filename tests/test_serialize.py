@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from algopt.numerics import TimeGrid
 from algopt.paths import EPath
 from algopt.pmp import CostatePath
-from algopt.serialize import (infer_breakpoints, read_costate_csv, read_trajectory_csv,
-                              write_costate_csv, write_switch_times, write_trajectory_csv)
+from algopt.serialize import (_report_text, infer_breakpoints, read_costate_csv,
+                              read_trajectory_csv, write_costate_csv, write_switch_times,
+                              write_trajectory_csv)
 from algopt.errors import ConfigError
 
 
@@ -96,3 +98,11 @@ def test_misnumbered_columns_are_a_config_error_naming_the_file(tmp_path, header
     with pytest.raises(ConfigError) as err:
         read_trajectory_csv(f)
     assert err.value.path == str(f)
+
+
+def test_report_text_writes_numpy_values_as_plain_json():
+    """Array entries and numpy scalars become Python numbers, and a
+    non-finite one null, so the text is strict JSON."""
+    text = _report_text({"a": np.array([1.0, np.nan]), "b": np.float64(np.inf),
+                         "c": np.int64(3)})
+    assert json.loads(text, parse_constant=pytest.fail) == {"a": [1.0, None], "b": None, "c": 3}
