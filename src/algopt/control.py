@@ -204,15 +204,20 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
     """The system f(x, u) = F(x) u with the cost L(x, u) = 1/2 u.G(x) u over
     the box |u_j| <= u_max, with exact Jacobians.  ``F`` and ``G`` are
     (const, linear) pairs of :func:`core.affine_matrix_field` (linear may be
-    None): F(x) has shape (m, p), G(x) shape (p, p), symmetric positive
+    None): F(x) has shape (m, p), G(x) shape (p, p), and each linear part one
+    more axis (n,), else ``ValueError`` names the table; G(x) is symmetric positive
     definite where the system is used.  The box's maximizer of
     H = b.u + (z0/2) u.G u, b = F(x).T z, is exact (:func:`_box_qp`).  The
     audit and the fused flow read F and G from ``affine``, zero linear parts as None,
     and dh/dx from the Jacobians, which take one control or a stack of them."""
+    m, n, p = alg.fiber_dim, alg.base_dim, np.shape(F[0])[-1] if np.ndim(F[0]) else 0
+    for name, (c, d), shape in (("F", F, (m, p)), ("G", G, (p, p))):
+        _shaped(c, shape, f"{name} has shape")
+        if d is not None:
+            _shaped(d, shape + (n,), f"{name}'s linear part has shape")
     F, G = ((c, None if d is None or not np.any(d) else d) for c, d in (F, G))
     F_at, dF = affine_matrix_field(*F)
     G_at, dG = affine_matrix_field(*G)
-    (m, p), n = np.shape(F[0]), alg.base_dim
     dF_u = np.moveaxis(dF(np.zeros(n)), 1, 2).reshape(m * n, p)
     dG_u = dG(np.zeros(n)).reshape(p, p * n)
     box = Box(-u_max * np.ones(p), u_max * np.ones(p), maximizer=lambda x, z, z0: _box_qp(
@@ -342,6 +347,7 @@ def simulate_trajectory(sys: ControlSystem, signal: ControlSignal, x0: np.ndarra
                         step: float = 1e-3) -> Trajectory:
     """Integrate xdot = rho(x) f(x, u(t)) on the signal's interval, with samples
     a = f(x, u) (by :func:`_held_pass`; over a point, the table's f(v) on an (N, 0) base)."""
+    x0 = _shaped(x0, (sys.alg.base_dim,), "initial point has shape")
     grid = _signal_grid(sys, signal, step)
     base, fiber, _ = _held_pass(sys, signal, grid, x0)
     return Trajectory(EPath(grid, base, fiber), signal)

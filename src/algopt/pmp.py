@@ -202,7 +202,6 @@ def _affine_pmp_rhs(sys: ControlSystem, z0: float):
     rho_at = alg.anchor_at if rho_c is None else lambda x: rho_c
     c_at = alg.structure_at if c_c is None else lambda x: c_c
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
-    _shaped(F0, (alg.fiber_dim, U.dim), "F has shape")
     G_inv = np.linalg.inv(G0) if G1 is None else None
     zero = None if F1 is None and G1 is None else np.zeros(n)   # None: no anchor term
     box = list(zip(U.lower.tolist(), U.upper.tolist()))
@@ -234,11 +233,11 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     Over a finite set each segment holds the best value.  The held value
     steps up to ``_FLOW_BLOCK`` nodes ahead over a point (one with a base) by
     :func:`numerics._held_steps`, and one H table over them finds the first
-    node with another value best; the nodes before it pass.  From there the
-    switch is localized to ``_SWITCH_TOL`` by bisection on sigma(s) =
-    H[new](s) - H[current](s), new being the best value at the step's end
-    (and again towards a third value that leads where the shortened step
-    ends), and inserted as a grid breakpoint.  A declared control-affine
+    node with another value best; the nodes before it pass.  Within that
+    step the switch is localized to ``_SWITCH_TOL`` by bisection on the same
+    test, whether the held value is still the argmax of H, and inserted as a
+    grid breakpoint; the next segment holds the argmax at the bracket's upper
+    end.  A declared control-affine
     system at z0 = 0 has H = b.u linear in u, so it runs the same loop over
     the 2^p vertices of its box, upper bounds listed first so that a tie
     keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
@@ -287,19 +286,18 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
             h_at = partial(_point_hamiltonians, table, z0=z0)
             steps = [_linear_rk4(K) for K in table.K]
 
-        # The nodes, and the states and H rows as per-block arrays; y and row are the last node's.
-        node_list, y, row = [t0], state.copy(), h_at(state[None])[0]
-        states, rows = [y[None]], [row[None]]
-        i_cur = int(np.argmax(row))
+        # The nodes, and the states and H rows as per-block arrays; y is the last node's.
+        node_list, y = [t0], state.copy()
+        states, rows = [y[None]], [h_at(y[None])]
+        i_cur = int(rows[0].argmax())
         seg_values = [U.values[i_cur]]
-        advance = steps[i_cur]
         while t1 - node_list[-1] > 1e-15:
             # A block of held steps (one with a base), checked by one H table; its
             # nodes pass up to its first new argmax, which is checked as one step.
             ts = [node_list[-1]]
             while len(ts) <= (1 if n else _FLOW_BLOCK) and t1 - ts[-1] > 1e-15:
                 ts.append(ts[-1] + step if t1 - ts[-1] > step * (1.0 + _STEP_SLACK) else t1)
-            ys = _held_steps(advance, ts, y)
+            ys = _held_steps(steps[i_cur], ts, y)
             try:   # where H flags, it is evaluated (and warns) at the next node alone
                 with np.errstate(over="raise", invalid="raise"):
                     block_rows = h_at(ys)
@@ -311,42 +309,35 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 node_list += ts[1:j + 1]
                 states.append(ys[:j])
                 rows.append(block_rows[:j])
-                y, row = ys[j - 1], block_rows[j - 1]
+                y = ys[j - 1]
             t = node_list[-1]
             t_next, y_next, row_next = ts[j + 1], ys[j], block_rows[j]
-            i_new = int(np.argmax(row_next))
-            if i_new != i_cur:
+            if moved[j]:
                 if len(switch_times) >= _MAX_SWITCHES:
                     raise ChatteringError(_MAX_SWITCHES, t_next)
-
-                def sigma(s):
-                    vals = row if s <= t else h_at(advance(t, y, s - t)[None])[0]
-                    return vals[i_new] - vals[i_cur]
-
-                hi = t_next
-                for _ in U.values:   # bisect, and again towards a third value leading at hi
-                    lo = t
-                    while hi - lo > _SWITCH_TOL:
-                        mid = 0.5 * (lo + hi)
-                        lo, hi = (lo, mid) if sigma(mid) > 0 else (mid, hi)
-                    y_hi = advance(t, y, hi - t)
-                    row_hi = h_at(y_hi[None])[0]
-                    lead = int(np.argmax(row_hi))
-                    if lead in (i_cur, i_new):
+                lo, hi, y_hi, row_hi = t, t_next, y_next, row_next   # bisect on the same test
+                while hi - lo > _SWITCH_TOL:
+                    mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:   # one ulp wide at a large t
                         break
-                    i_new = lead
+                    y_mid = steps[i_cur](t, y, mid - t)
+                    row_mid = h_at(y_mid[None])[0]
+                    if row_mid.argmax() != i_cur:
+                        hi, y_hi, row_hi = mid, y_mid, row_mid
+                    else:
+                        lo = mid
                 if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
                     t_next, y_next, row_next = hi, y_hi, row_hi
                     switch_times.append(hi)
                     recent = switch_times[-1 - _MAX_STEP_SWITCHES:]
                     if len(recent) > _MAX_STEP_SWITCHES and recent[0] > hi - step:
                         raise ChatteringError(_MAX_STEP_SWITCHES, hi)
-                    i_cur, advance = i_new, steps[i_new]
+                    i_cur = int(row_hi.argmax())
                     seg_values.append(U.values[i_cur])
             node_list.append(t_next)
-            y, row = y_next, row_next
+            y = y_next
             states.append(y[None])
-            rows.append(row[None])
+            rows.append(row_next[None])
 
         states, rows = np.concatenate(states), np.concatenate(rows)
         base, zs = states[:, :n], states[:, n:]
@@ -600,6 +591,7 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     transport).  The extension of a point system takes the pass's table
     route, since nothing reads its one base coordinate, the accrued cost:
     bit for bit the cost of :func:`control.simulate_trajectory`."""
+    x0 = _shaped(x0, (sys.alg.base_dim,), "initial point has shape")
     esys = extend_system(sys)
     grid = _signal_grid(esys, control, step)
     base, fiber, frame = _held_pass(esys, control, grid, np.append(0.0, x0),

@@ -112,6 +112,8 @@ def test_audit_detects_corrupted_costate(tmp_path, capsys):
     ({"params": {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": 1.0}}, "params.c"),
     ({"scenario": "wong-so3-r2", "params": {"metric_linear": [[0.0]]}}, "params.metric_linear"),
     ({"scenario": "custom", "chart": {"kind": "tangent", "dim": 1}}, "horizon"),
+    ({"solver": {"tol": 0.0}}, "solver.tol"),
+    ({"z0_mode": "mixed"}, "z0_mode"),
 ])
 def test_bad_input_exits_2_with_field_path(tmp_path, capsys, change, field):
     path = write_config(tmp_path, dict(default_config("so3-bang-bang"), **change))
@@ -313,12 +315,16 @@ def test_audit_names_a_costate_whose_z0_is_not_one_multiplier(tmp_path, capsys, 
       "connection_const": [[0.0]]}, "chart.connection_const"),
     ({"kind": "atiyah", "base_dim": 2, "table": so3_structure().tolist(),
       "connection_const": [[0.0, 0.1], [0.1, 0.0], [0.0, 0.0]]}, "chart.connection_const"),
+    ({"kind": "lie-algebra", "table": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+     "chart.table"),
+    ({"kind": "affine-anchor", "anchor_const": [[1.0, 0.0]], "table": [[[0.0]]]}, "chart.table"),
 ])
 def test_bad_chart_spec_exits_2_with_its_path(tmp_path, capsys, chart, field):
-    """Non-numeric tables, negative dimensions, dimensions past the cap of
-    100 (tangent_bundle(n) holds two (n, n, n) tables) and keys that the
-    kind does not read, an atiyah chart's connection among them, are config
-    errors."""
+    """Non-numeric tables, a lie-algebra table that is not skew, an
+    affine-anchor table that does not match the anchor, negative dimensions,
+    dimensions past the cap of 100 (tangent_bundle(n) holds two (n, n, n)
+    tables) and keys that the kind does not read, an atiyah chart's
+    connection among them, are config errors."""
     path = write_config(tmp_path, {"scenario": "custom", "chart": chart})
     assert main(["validate", path]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")

@@ -400,3 +400,19 @@ def test_box_flow_from_a_huge_state_forms_no_infeasible_h():
         flow = integrate_pmp_flow(sys, [1e303], [1.0], -1.0, 0.0, 10.0, step=1.0)
     assert np.isfinite(flow.path.base).all() and np.isfinite(flow.costate.z).all()
     assert (flow.u_nodes == 1.0).all()
+
+
+@pytest.mark.parametrize("F, G, message", [
+    ((np.ones((3, 1)), None), (np.eye(1), None), r"^F has shape \(3, 1\), expected \(2, 1\)$"),
+    ((np.ones((2, 1)), None), (np.eye(2), None), r"^G has shape \(2, 2\), expected \(1, 1\)$"),
+    ((np.ones((2, 1)), None), (np.eye(1), np.ones((1, 1, 1))),
+     r"^G's linear part has shape \(1, 1, 1\), expected \(1, 1, 2\)$"),
+    ((np.ones((2, 1)), np.ones((2, 1, 3))), (np.eye(1), None),
+     r"^F's linear part has shape \(2, 1, 3\), expected \(2, 1, 2\)$"),
+], ids=["F-rows", "G-square", "G-linear", "F-linear"])
+def test_control_affine_names_a_misshapen_table(F, G, message):
+    """On TR^2 (m = n = 2) with p = 1 control, F's constant part must be
+    (m, p), G's (p, p), and each linear part that shape plus (n,); a table
+    that does not fit is named at construction, not in a later flow."""
+    with pytest.raises(ValueError, match=message):
+        control_affine(tangent_bundle(2), F, G, 1.0)

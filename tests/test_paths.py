@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from algopt.core import (ChartAlgebroid, affine_matrix_field, atiyah_trivial, so3_structure,
                          tangent_bundle, validate_anchor_morphism)
-from algopt.errors import AdmissibilityWarning, CompositionError
+from algopt.errors import AdmissibilityWarning, CompositionError, IntegrationDivergedError
 from algopt.numerics import TimeGrid, _rk4_sampled
 from algopt.paths import (EPath, HomotopyField, HomotopyReport, _sampler,
                           admissibility_residual, compose_paths,
@@ -179,6 +179,16 @@ def test_generate_zero_source(so3):
     out, chi = generate_infinitesimal_homotopy(so3, field, np.zeros((17, 3)))
     assert np.all(out.b == 0.0)
     assert chi == 0.0
+
+
+def test_generate_stops_at_the_first_non_finite_node(so3):
+    """A source of 1e300 overflows b on the first step (t = 0.025), which
+    raises there instead of carrying infinities to the end."""
+    field = constant_field(so3, [1e300, 1e300, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationDivergedError) as err:
+        generate_infinitesimal_homotopy(so3, field, np.full((17, 3), 1e10))
+    assert err.value.t == 0.025
 
 
 def test_generate_so3_rotation_against_expm(so3):

@@ -1,8 +1,10 @@
 import itertools
+import os
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -17,7 +19,7 @@ from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _point
                             transport_Bbar)
 from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
-from algopt.numerics import TimeGrid, grid_derivative, rk4_step
+from algopt.numerics import TimeGrid, _linear_rk4, grid_derivative, rk4_step
 from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
@@ -252,6 +254,79 @@ def test_a_three_valued_set_bisects_its_switches():
                  for z in at_switch], axis=1)
     assert len(H) == 2
     assert np.all(H[:, -1] - H[:, -2] <= 1e-8)
+
+
+def so3_default_flow():
+    cfg = default_config("so3-bang-bang")
+    sys = build_so3_bang_bang_system(cfg["params"]["a"], cfg["params"]["b"])
+    return sys, np.zeros(0), cfg["z_init"], -1.0, cfg["horizon"]
+
+
+def atiyah_vertex_flow():
+    """An abnormal control-affine flow over the 8 vertices of a 3-D box, whose
+    switches often have several values leading within one step."""
+    rng = np.random.default_rng([7, 2, 3])
+    sys = random_control_affine(rng, 2, 3, "atiyah", False)
+    return sys, rng.uniform(-0.5, 0.5, 2), rng.normal(size=5), 0.0, 0.05
+
+
+@pytest.mark.parametrize("case", [so3_default_flow, atiyah_vertex_flow])
+def test_a_switch_costs_one_bisection_to_the_switch_tolerance(monkeypatch, case):
+    """Each switch is bisected on the test that detects it, whether the held
+    value is still the argmax of H: from a step of 1e-3 that is 20 steps to
+    the 1e-9 tolerance per switch, however many values lead within the step.
+    Steps taken inside held blocks (numerics._held_steps) are not counted."""
+    count, held = [0], [False]
+
+    def counted(step):
+        def wrapped(*args):
+            count[0] += not held[0]
+            return step(*args)
+        return wrapped
+
+    def held_steps(*args):
+        held[0] = True
+        try:
+            return real_held(*args)
+        finally:
+            held[0] = False
+
+    real_held = pmp._held_steps
+    monkeypatch.setattr(pmp, "_held_steps", held_steps)
+    monkeypatch.setattr(pmp, "rk4_step", counted(pmp.rk4_step))
+    monkeypatch.setattr(_linear_rk4, "__call__", counted(_linear_rk4.__call__))
+    sys, x0, z_init, z0, horizon = case()
+    flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, horizon, step=1e-3)
+    assert len(flow.switch_times) >= 2
+    assert count[0] <= 20 * len(flow.switch_times)
+
+
+def test_a_switch_at_a_large_time_is_localized_without_hanging():
+    """At t = 1e7 a bracket one ulp (1.9e-9) wide is still wider than the
+    1e-9 tolerance; the bisection stops there instead of repeating a
+    midpoint that rounds to an end.  Run in a subprocess so that a hang
+    fails the test instead of the suite."""
+    code = ("import numpy as np\n"
+            "from algopt.pmp import integrate_pmp_flow\n"
+            "from algopt.scenarios import build_so3_bang_bang_system\n"
+            "sys = build_so3_bang_bang_system([1, 0, 0], [0, 1, 0])\n"
+            "flow = integrate_pmp_flow(sys, np.zeros(0), [0.0, 1.0, 0.2], -1.0, 1e7, 1e7 + 10.0)\n"
+            "print(len(flow.switch_times))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pmp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=10, env=env)
+    assert out.stdout.strip() == "2"
+
+
+@pytest.mark.parametrize("x0", [[], [0.1, 0.2]], ids=["empty", "long"])
+@pytest.mark.parametrize("run", [simulate_trajectory, make_needle_context])
+def test_a_trajectory_names_a_misshapen_initial_point(run, x0):
+    """simulate_trajectory and make_needle_context check x0 against the chart,
+    as integrate_pmp_flow does, instead of returning a base of the wrong width
+    or failing in a reshape."""
+    with pytest.raises(ValueError, match=rf"initial point has shape \({len(x0)},\), "
+                                         r"expected \(1,\)"):
+        run(build_lq_system(), ControlSignal(0.0, 1.0, (), ([0.5],)), x0)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,6 +1170,33 @@ def test_shoot_differences_a_grazing_switch_within_the_budget(flow_counter, monk
         capped = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0,
                                 t0=0.0, t1=2.0, step=1e-2)
     assert capped.n_evaluations == len(flow_counter) <= 8
+
+
+def test_shoot_counts_a_chattering_flow_as_a_residual_of_1e6(monkeypatch):
+    """With no switch allowed every flow towards a switching target raises
+    ChatteringError: each counts as the residual 1e6, its difference columns
+    vanish, and the shot stops there, not converged."""
+    system, _, target = switching_case(np.array([-0.3, 1.3, -0.4]))
+    monkeypatch.setattr(pmp, "_MAX_SWITCHES", 0)
+    res = shoot_endpoint(system, skew_hat, target, z_guess=np.array([-0.27, 1.27, -0.43]),
+                         z0=-1.0, t0=0.0, t1=2.0, step=1e-2)
+    assert not res.converged
+    assert res.residual == 1e6
+
+
+def test_shoot_over_a_box_stops_where_differences_would_pass_the_budget(monkeypatch):
+    """Over a box the Jacobian takes one flow per difference column; where
+    those would pass pmp._MAX_EVALS it is zero, and the solver stops at the
+    guess after its one flow."""
+    system = random_control_affine(np.random.default_rng(5), 0, 2, "point", True)
+    flow = integrate_pmp_flow(system, np.zeros(0), [0.3, -0.2, 0.5], -1.0, 0.0, 1.0, step=1e-2)
+    target = develop_to_group(system.alg, flow.path, skew_hat)
+    guess = np.array([0.35, -0.25, 0.45])
+    monkeypatch.setattr(pmp, "_MAX_EVALS", 2)
+    res = shoot_endpoint(system, skew_hat, target, z_guess=guess, z0=-1.0, t0=0.0, t1=1.0,
+                         step=1e-2)
+    assert res.n_evaluations == 1
+    assert np.array_equal(res.z_init, guess) and not res.converged
 
 
 # ---------------------------------------------------------------------------
