@@ -39,7 +39,7 @@ __all__ = [
     "pairing_drift",
 ]
 
-_BOX_SLACK = 1e-12   # of Box.contains; pmp._affine_pmp_rhs clips within it, calls _box_qp past it
+_BOX_SLACK = 1e-12   # of Box.contains; pmp._affine_pmp_step clips within it, calls _box_qp past it
 
 
 def _as_control(u) -> np.ndarray:   # held values, 1-D float arrays already, pass as they are

@@ -234,11 +234,13 @@ def _dual_field(c: np.ndarray, rho: np.ndarray, v: np.ndarray, z: np.ndarray,
     fiber velocity dh/dz; ``dh_dx`` is read only when the base is not a point,
     and None means dh/dx = 0 (for a finite rho, zdot - rho^T 0 is zdot).
     Terms are vector-matrix products (z c, then v (z c)): ``dot`` at one point
-    (2-D matmul's BLAS bits) and matmul on stacked rows, which keep its bits."""
-    m, n = c.shape[-1], rho.shape[-2]
-    if c.ndim == 3:
-        zdot = v.dot(z.dot(c.reshape(m, m * m)).reshape(m, m))
-        return zdot - dh_dx.dot(rho) if n and dh_dx is not None else zdot
+    (2-D matmul's BLAS bits) and matmul on stacked rows, which keep its bits.
+    At one point c may come laid out as that product reads it, (m, m * m)."""
+    if z.ndim == 1:
+        m = len(z)
+        zdot = v.dot(z.dot(c if c.ndim == 2 else c.reshape(m, m * m)).reshape(m, m))
+        return zdot - dh_dx.dot(rho) if len(rho) and dh_dx is not None else zdot
+    m, n = rho.shape[-1], rho.shape[-2]
     zdot = (v[:, None] @ (z[:, None] @ c.reshape(-1, m, m * m)).reshape(-1, m, m))[:, 0]
     if not n or dh_dx is None:
         return zdot

@@ -10,6 +10,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -109,18 +110,24 @@ class TimeGrid:
         return len(self.nodes)
 
 
-def _rk4(f_lo, f_mid, f_hi, y, h: float):
-    """The classical RK4 stage formula, with the field at the left end, the
-    midpoint and the right end of the step given as ``y -> dy`` callables.
+def _rk4_sum(y, h: float, k1, k2, k3, k4):
+    """RK4's update from the four stage slopes, on arrays or on Python floats:
+    elementwise IEEE adds and multiplies, so both give the same bits.
 
     The increment is written as ``h * (combo / 6)`` so that a unit-rate RHS
     advances the state by exactly ``h`` in floating point.
     """
+    return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def _rk4(f_lo, f_mid, f_hi, y, h: float):
+    """The classical RK4 stage formula, with the field at the left end, the
+    midpoint and the right end of the step given as ``y -> dy`` callables."""
     k1 = f_lo(y)
     k2 = f_mid(y + (h / 2.0) * k1)
     k3 = f_mid(y + (h / 2.0) * k2)
     k4 = f_hi(y + h * k3)
-    return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    return _rk4_sum(y, h, k1, k2, k3, k4)
 
 
 def rk4_step(fn, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -149,6 +156,38 @@ class _linear_rk4:
 
     def __call__(self, t, y, h):
         return (self.R(h) @ y.reshape(self.dim, -1)).ravel()
+
+
+class _float_rk4:
+    """RK4 on the autonomous y' = stage(y) as a step (t, y, h) -> y, t unread.
+    ``stage`` maps a state (the step's input array for k1, a list of floats
+    for the others) to its derivative as a list of floats, and the stage
+    inputs and :func:`_rk4_sum` run on Python floats: the bits of
+    :func:`_rk4` on arrays, without numpy's per-call cost on a small state.
+    Python floats do not warn, so a step with a non-finite stage input or
+    result is taken again by :func:`_rk4` on arrays, which warns or raises as
+    the caller's errstate says."""
+
+    def __init__(self, stage):
+        self.stage = stage
+
+    def __call__(self, t, y, h):
+        stage, y0 = self.stage, y.tolist()
+        ks = [stage(y)]
+        for s in (h / 2.0, h / 2.0, h):   # the inputs of k2, k3 and k4
+            v = [a + s * k for a, k in zip(y0, ks[-1])]
+            if not isfinite(sum(v)):   # inf or NaN if any term is (or if finite ones overflow)
+                break
+            ks.append(stage(v))
+        else:
+            v = [_rk4_sum(a, h, k1, k2, k3, k4) for a, k1, k2, k3, k4 in zip(y0, *ks)]
+            if isfinite(sum(v)):
+                return np.array(v)
+
+        def on_arrays(v):
+            return np.array(stage(v))
+
+        return _rk4(on_arrays, on_arrays, on_arrays, y, h)
 
 
 def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
@@ -186,10 +225,11 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """RK4 over ``grid``, with a per-segment RHS factory.
 
     ``make_rhs(seg_index, t_lo, t_hi)`` returns the RHS callable used on that
-    segment (or a matrix A: y' = A y, by :func:`_linear_rk4`), so piecewise
-    fields (e.g. held controls) are evaluated on the correct side of each
-    breakpoint, including at the closing stage point.  Each segment goes by
-    :func:`_held_steps`, in as many passes as it flags steps.  Returns (n_nodes, dim).
+    segment (or a matrix A: y' = A y, by :func:`_linear_rk4`, or a
+    :class:`_float_rk4` step), so piecewise fields (e.g. held controls) are
+    evaluated on the correct side of each breakpoint, including at the closing
+    stage point.  Each segment goes by :func:`_held_steps`, in as many passes
+    as it flags steps.  Returns (n_nodes, dim).
     """
     y = np.array(y0, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -199,7 +239,8 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     out[0] = y
     for seg_index, (i0, i1) in enumerate(grid.segment_bounds):
         fn = make_rhs(seg_index, nodes[i0], nodes[i1])
-        advance = _linear_rk4(fn) if isinstance(fn, np.ndarray) else partial(rk4_step, fn)
+        advance = (fn if isinstance(fn, _float_rk4) else _linear_rk4(fn)
+                   if isinstance(fn, np.ndarray) else partial(rk4_step, fn))
         while i0 < i1:
             ys = _held_steps(advance, nodes[i0:i1 + 1], y)
             out[i0 + 1:i0 + 1 + len(ys)] = ys
@@ -208,9 +249,9 @@ def integrate_segmented(make_rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
 
 
 def integrate(rhs, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
-    """RK4 integration of ``rhs``, a callable ``(t, y) -> dy``, at every node
-    of ``grid``.  It is evaluated segment-wise and must be well defined at
-    segment closures."""
+    """RK4 integration of ``rhs``, a callable ``(t, y) -> dy`` (or a
+    :class:`_float_rk4` step), at every node of ``grid``.  It is evaluated
+    segment-wise and must be well defined at segment closures."""
     return integrate_segmented(lambda seg, lo, hi: rhs, grid, y0)
 
 

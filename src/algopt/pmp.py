@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from functools import partial
+from operator import le, lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,9 +24,9 @@ from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, 
 from .core import (ChartAlgebroid, _check, _constant_field, _dual_field, _shaped,
                    _with_unit_direction)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (_STEP_SLACK, TimeGrid, _held_steps, _linear_rk4, _rk4_matrix,
-                       _rk4_sampled, finite_difference_jacobian, grid_derivative, integrate,
-                       rk4_step)
+from .numerics import (_STEP_SLACK, TimeGrid, _float_rk4, _held_steps, _linear_rk4,
+                       _rk4_matrix, _rk4_sampled, finite_difference_jacobian, grid_derivative,
+                       integrate, rk4_step)
 from .paths import EPath, _sampler
 
 __all__ = [
@@ -187,43 +188,49 @@ def _pmp_rhs(sys: ControlSystem, u, z0: float):
                      lambda x, v, z: costate_rhs(sys, x, v, z, z0))
 
 
-def _affine_pmp_rhs(sys: ControlSystem, z0: float):
-    """``_pmp_rhs(sys, None, z0)`` for a :func:`control.control_affine` system
-    at z0 < 0, fused from its tables read once per flow: F(x) = F0 + F1 x,
-    u = G^-1 b / -z0 (b = F(x)^T z; G^-1 formed once where G is constant), as
-    ``_box_qp``, which runs only when u leaves the box, and dh/dx only for a
-    linear part of F or G, by the system's own Jacobians: costate_rhs's bits.
-    u is tested on Python floats: strictly inside the box it is kept, within
-    ``_BOX_SLACK`` clipped, past it (or NaN) sent to ``_box_qp`` and clipped.
-    Without linear parts the anchor term (zero) is left out.  A constant
-    anchor and structure (:func:`core._constant_field`) are read once here."""
-    alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
+def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
+    """The RK4 step of ``_pmp_rhs(sys, None, z0)`` for a
+    :func:`control.control_affine` system at z0 < 0, fused from its tables
+    read once per flow: F(x) = F0 + F1 x, u = G^-1 b / -z0 (b = F(x)^T z; G^-1
+    formed once where G is constant), as ``_box_qp``, which runs only when u
+    leaves the box, and dh/dx only for a linear part of F or G, by the
+    system's own Jacobians: costate_rhs's bits.  u is tested on Python
+    floats: strictly inside the box it is kept, within ``_BOX_SLACK``
+    clipped, past it (or NaN) sent to ``_box_qp`` and clipped.  Without
+    linear parts the anchor term (zero) is left out.  A constant anchor and
+    structure (:func:`core._constant_field`) are read once here, the table
+    laid out as (m, m * m).  The stage reads x and z from its input, an array
+    or a list of floats, and returns the derivative as a list of floats
+    (:class:`numerics._float_rk4`)."""
+    alg, U, n, m = sys.alg, sys.control_space, sys.alg.base_dim, sys.alg.fiber_dim
     rho_c, c_c = _constant_field(alg, "anchor"), _constant_field(alg, "structure")
-    rho_at = alg.anchor_at if rho_c is None else lambda x: rho_c
-    c_at = alg.structure_at if c_c is None else lambda x: c_c
+    table = None if c_c is None else c_c.reshape(m, m * m)
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
     G_inv = np.linalg.inv(G0) if G1 is None else None
     zero = None if F1 is None and G1 is None else np.zeros(n)   # None: no anchor term
-    box = list(zip(U.lower.tolist(), U.upper.tolist()))
-    slack = list(zip((U.lower - _BOX_SLACK).tolist(), (U.upper + _BOX_SLACK).tolist()))
+    lo, hi = U.lower.tolist(), U.upper.tolist()
+    lo_slack, hi_slack = (U.lower - _BOX_SLACK).tolist(), (U.upper + _BOX_SLACK).tolist()
+    f_jacobian, L_gradient, c = sys.f_jacobian, sys.L_gradient, -z0
 
-    def rhs(t, state):
-        x, z = state[:n], state[n:]
+    def stage(v):
+        y = np.asarray(v)
+        x, z = y[:n], y[n:]
         Fx = F0 if F1 is None else F0 + F1 @ x
         Gx, b = G0 if G1 is None else G0 + G1 @ x, z.dot(Fx)
-        u = (np.linalg.inv(Gx) if G_inv is None else G_inv).dot(b) / -z0
+        u = (np.linalg.inv(Gx) if G_inv is None else G_inv).dot(b) / c
         ul = u.tolist()
-        if not all([lo < v < hi for (lo, hi), v in zip(box, ul)]):
-            if not all([lo <= v <= hi for (lo, hi), v in zip(slack, ul)]):
-                u = _box_qp(b[None], Gx[None], -z0, U)[0]
+        if not (all(map(lt, lo, ul)) and all(map(lt, ul, hi))):
+            if not (all(map(le, lo_slack, ul)) and all(map(le, ul, hi_slack))):
+                u = _box_qp(b[None], Gx[None], c, U)[0]
             u = u.clip(U.lower, U.upper)
-        f, rho = Fx.dot(u), rho_at(x)
-        dh_dx = zero if F1 is None else z.dot(sys.f_jacobian(x, u))
+        f, rho = Fx.dot(u), alg.anchor_at(x) if rho_c is None else rho_c
+        dh_dx = zero if F1 is None else z.dot(f_jacobian(x, u))
         if G1 is not None:
-            dh_dx = dh_dx + z0 * sys.L_gradient(x, u)
-        return np.concatenate([rho.dot(f), _dual_field(c_at(x), rho, f, z, dh_dx)])
+            dh_dx = dh_dx + z0 * L_gradient(x, u)
+        c_x = alg.structure_at(x) if table is None else table
+        return rho.dot(f).tolist() + _dual_field(c_x, rho, f, z, dh_dx).tolist()
 
-    return rhs
+    return _float_rk4(stage)
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
@@ -242,8 +249,8 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     the 2^p vertices of its box, upper bounds listed first so that a tie
     keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
     the maximizer at every integration stage and keep the control only as
-    ``u_nodes``; a declared control-affine system steps the fused field of
-    :func:`_affine_pmp_rhs`.  Aborts with :class:`ChatteringError` past
+    ``u_nodes``; a declared control-affine system takes the fused step of
+    :func:`_affine_pmp_step`.  Aborts with :class:`ChatteringError` past
     ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
     ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
     """
@@ -262,7 +269,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         grid = TimeGrid(t0, t1, step)
         node_list = grid.nodes
         affine = sys.affine is not None
-        states = integrate(_affine_pmp_rhs(sys, z0) if affine else _pmp_rhs(sys, None, z0),
+        states = integrate(_affine_pmp_step(sys, z0) if affine else _pmp_rhs(sys, None, z0),
                            grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]

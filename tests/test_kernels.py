@@ -20,7 +20,7 @@ from algopt.control import (_BOX_SLACK, ControlSignal, ControlSystem, FiniteSet,
 from algopt.core import (ChartAlgebroid, _dual_field, lie_algebra, so3_algebra, so3_structure,
                          tangent_bundle, validate_anchor_morphism, validate_skew)
 from algopt.errors import ChatteringError, IntegrationDivergedError
-from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented
+from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented, rk4_step
 from algopt.paths import EPath
 from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
                         verify_extremal)
@@ -91,8 +91,9 @@ def test_dual_field_at_one_point_keeps_the_matmul_bits(seed, m, n, with_dh):
 
 
 def reference_affine_stage(sys, z0):
-    """pmp._affine_pmp_rhs with every product taken by matmul, as first
-    written, and _dual_field's one-point branch inlined the same way."""
+    """The stage of pmp._affine_pmp_step as a field (t, y) -> dy on arrays,
+    with every product taken by matmul, as first written, and _dual_field's
+    one-point branch inlined the same way."""
     alg, U, n = sys.alg, sys.control_space, sys.alg.base_dim
     (F0, F1), (G0, G1) = ((np.asarray(c, dtype=float), d) for c, d in sys.affine)
     G_inv = np.linalg.inv(G0) if G1 is None else None
@@ -120,17 +121,12 @@ def reference_affine_stage(sys, z0):
     return rhs
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(seed=SEEDS, n=st.integers(1, 3), p=st.integers(1, 3),
-       chart=st.sampled_from(["tangent", "atiyah", "point"]),
-       linear_F=st.booleans(), linear_G=st.booleans())
-def test_fused_affine_stage_keeps_the_matmul_bits(seed, n, p, chart, linear_F, linear_G):
-    """The fused stage, whose one-point products are ndarray.dot calls, gives
-    the bytes of the same stage with every product taken by matmul: on
-    control-affine systems with and without linear parts of F and G, at
-    z0 < 0, with the box's bound at twice, once and half the largest |u_j|
-    of u = G^-1 b / -z0, so that u lies inside the box, on its bound (the
-    clip within the slack) or outside it (_box_qp)."""
+def affine_stage_draws(seed, n, p, chart, linear_F, linear_G):
+    """(scale, system, z0, y): a control-affine system with or without linear
+    parts of F and G, z0 < 0 and a state y, with the box's bound at twice,
+    once and half the largest |u_j| of u = G^-1 b / -z0 at y, so that u lies
+    inside the box, on its bound (the clip within the slack) or outside it
+    (_box_qp)."""
     rng = np.random.default_rng(seed)
     n = 0 if chart == "point" else n
     drawn = random_control_affine(rng, n, p, chart, False)
@@ -141,10 +137,52 @@ def test_fused_affine_stage_keeps_the_matmul_bits(seed, n, p, chart, linear_F, l
     Fx = F0 if F1 is None else F0 + F1 @ x
     Gx = G0 if G1 is None else G0 + G1 @ x
     reach, y = np.abs(np.linalg.inv(Gx) @ (Fx.T @ z) / -z0).max(), np.concatenate([x, z])
-    for scale in (2.0, 1.0, 0.5):
-        sys = control_affine(drawn.alg, (F0, F1), (G0, G1), scale * reach)
-        assert same_bytes(pmp._affine_pmp_rhs(sys, z0)(0.0, y),
+    return [(scale, control_affine(drawn.alg, (F0, F1), (G0, G1), scale * reach), z0, y)
+            for scale in (2.0, 1.0, 0.5)]
+
+
+AFFINE_DRAWS = dict(seed=SEEDS, n=st.integers(1, 3), p=st.integers(1, 3),
+                    chart=st.sampled_from(["tangent", "atiyah", "point"]),
+                    linear_F=st.booleans(), linear_G=st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**AFFINE_DRAWS)
+def test_fused_affine_stage_keeps_the_matmul_bits(seed, n, p, chart, linear_F, linear_G):
+    """The fused stage, whose one-point products are ndarray.dot calls, gives
+    the bytes of the same stage with every product taken by matmul, on the
+    draws of :func:`affine_stage_draws`."""
+    for scale, sys, z0, y in affine_stage_draws(seed, n, p, chart, linear_F, linear_G):
+        assert same_bytes(np.array(pmp._affine_pmp_step(sys, z0).stage(y.tolist())),
                           reference_affine_stage(sys, z0)(0.0, y)), scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**AFFINE_DRAWS)
+def test_fused_affine_step_keeps_the_bits_of_rk4_step(seed, n, p, chart, linear_F, linear_G):
+    """The fused step, whose stage inputs and RK4 sums run on Python floats,
+    gives the bytes of numerics.rk4_step on the matmul reference stage, on the
+    draws of :func:`affine_stage_draws`, at a step of 1e-3 and at one of 0.25,
+    over which u moves further against the box."""
+    for scale, sys, z0, y in affine_stage_draws(seed, n, p, chart, linear_F, linear_G):
+        step, reference = pmp._affine_pmp_step(sys, z0), reference_affine_stage(sys, z0)
+        for h in (1e-3, 0.25):
+            assert same_bytes(step(0.0, y, h), rk4_step(reference, 0.0, y, h)), (scale, h)
+
+
+def test_fused_affine_step_takes_G1_x_by_matmul():
+    """G(x) = G0 + G1 @ x is a matmul of the (p, p, n) table, and G1.dot(x)
+    gives other bits on some draws.  On this one (Atiyah chart, n = p = 2)
+    the two products differ at the step's start and the difference reaches
+    the step's bytes, so only a step that takes the matmul matches the
+    reference."""
+    rng = np.random.default_rng(285)
+    sys = random_control_affine(rng, 2, 2, "atiyah", False)
+    x, z = rng.uniform(-0.5, 0.5, 2), rng.normal(size=sys.alg.fiber_dim)
+    G1, y = sys.affine[1][1], np.concatenate([x, z])
+    assert (G1 @ x).tobytes() != G1.dot(x).tobytes()
+    assert same_bytes(pmp._affine_pmp_step(sys, -1.0)(0.0, y, 1e-3),
+                      rk4_step(reference_affine_stage(sys, -1.0), 0.0, y, 1e-3))
 
 
 def affine_line_algebra():
@@ -544,6 +582,27 @@ def test_box_flow_divergence_stops_at_the_first_non_finite_node(mode, error, mes
             integrate_pmp_flow(sys, [1e303], [1.0], -1.0, 0.0, 20.0, step=1.0)
     if error is IntegrationDivergedError:
         assert raised.value.t == 11.0
+    assert {str(w.message) for w in caught} == messages
+
+
+@pytest.mark.parametrize("mode, error, detail, messages", [
+    ("warn", IntegrationDivergedError, 25.0,
+     {"overflow encountered in multiply", "invalid value encountered in dot"}),
+    ("ignore", IntegrationDivergedError, 25.0, set()),
+    ("raise", FloatingPointError, "overflow encountered in multiply", set())])
+def test_box_flow_divergence_inside_a_step_keeps_the_array_steps(mode, error, detail,
+                                                                  messages):
+    """The system above from x = 1e303 and z = 1e-10 at step 5: at t = 20,
+    x = 4.5e307, and the step to t = 25 first overflows in (h / 2) k2, the
+    input of k3, before its final sum.  The fused step runs on Python
+    floats, which do not warn, so it takes that step again on arrays: the
+    error, its time (or message) and the warnings are those of array steps."""
+    sys = control_affine(tangent_bundle(1), ([[1.0]], [[[1.0]]]), ([[1.0]], None), 1.0)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        with pytest.raises(error) as raised:
+            integrate_pmp_flow(sys, [1e303], [1e-10], -1.0, 0.0, 50.0, step=5.0)
+    assert (raised.value.t if error is IntegrationDivergedError else str(raised.value)) == detail
     assert {str(w.message) for w in caught} == messages
 
 

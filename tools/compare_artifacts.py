@@ -7,7 +7,8 @@ working tree.  Each revision is checked out with ``git worktree add
 --detach`` into a temporary directory, which is removed afterwards.  Both
 trees run the same fixed list of configs (``configs()``): the three built-in
 defaults in normal and abnormal mode, four box and symbol variants, a custom
-tangent chart, and the so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
+tangent chart, a wong-so3-r2 run that diverges after ten steps, and the
+so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
 ``perfbench/workloads.py``.  Each tree runs them in one subprocess, with
 ``PYTHONPATH`` set to that tree's ``src``, through
 ``algopt.cli.main(["run", config, "--out", dir])``; the two subprocesses run
@@ -80,7 +81,7 @@ def _workloads():
 
 
 def configs() -> dict[str, dict]:
-    """The 47 configs, by name.  Defaults are partial configs, so each tree
+    """The 48 configs, by name.  Defaults are partial configs, so each tree
     fills in its own; abnormal runs set ``z0_mode``, which every revision
     since the option existed reads from the file."""
     out = {}
@@ -93,6 +94,10 @@ def configs() -> dict[str, dict]:
     out["so3-bang-bang-symbols-200"] = {"scenario": "so3-bang-bang",
                                         "solver": {"symbol_samples": 200}}
     out["custom-tangent-2"] = {"scenario": "custom", "chart": {"kind": "tangent", "dim": 2}}
+    # Its costate grows about 1e29-fold per step; the step to t = 0.011, after
+    # ten finite ones, first overflows inside a stage (b = F(x)^T z), so the
+    # failed run's report covers a step the fused flow takes again on arrays.
+    out["wong-so3-r2-diverged"] = {"scenario": "wong-so3-r2", "initial_point": [1e10, 1e10]}
     workloads = _workloads()
     for label, make in (("bang-bang-cone", workloads.bang_bang_config),
                         ("wong", workloads.wong_config), ("lq", workloads.classical_config)):
