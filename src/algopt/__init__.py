@@ -22,7 +22,7 @@ from .paths import (EPath, HomotopyField, admissibility_residual, compose_paths,
 from .pmp import (CostatePath, ExtremalAudit, PmpFlow, TimeDependentControlSystem,
                   VariationSymbol, autonomize, cone_support_check, develop_to_group,
                   hamiltonian, integrate_pmp_flow, make_needle_context,
-                  maximize_hamiltonian, needle_vector, sample_symbols,
+                  maximize_hamiltonian, needle_vector, needle_vectors, sample_symbols,
                   shoot_endpoint, time_dependence_audit, verify_extremal)
 from .scenarios import (ScenarioResult, WongFixture, default_config, run_scenario,
                         scenario_classical, scenario_so3_bang_bang, scenario_wong)

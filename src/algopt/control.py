@@ -175,11 +175,15 @@ def _box_qp(b: np.ndarray, G: np.ndarray, c: float, box: Box) -> np.ndarray:
     coordinate free, at its lower or at its upper bound): a concave maximum
     is the stationary point of the face it lies inside.  H is formed only on
     the rows whose face point lies in the box, so an infeasible face point
-    far outside it cannot overflow.  For c = 0 it is the sign rule, the
-    upper bound where b_j >= 0."""
+    far outside it cannot overflow.  For one control the best face is the
+    bound nearest the interior point, so every row is that point clipped,
+    with no search (each caller clips anyway).  For c = 0 it is the sign
+    rule, the upper bound where b_j >= 0."""
     if c == 0:
         return np.where(b >= 0, box.upper, box.lower)
     u = (np.linalg.inv(G) @ b[..., None])[..., 0] / c
+    if b.shape[1] == 1:
+        return box.clip(u)
     out = ~box.contains(u)
     if not out.any():
         return u

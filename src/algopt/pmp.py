@@ -41,6 +41,7 @@ __all__ = [
     "NeedleContext",
     "make_needle_context",
     "needle_vector",
+    "needle_vectors",
     "sample_symbols",
     "cone_support_check",
     "develop_to_group",
@@ -571,24 +572,27 @@ class NeedleContext:
     def grid(self) -> TimeGrid:
         return self.etraj.path.grid
 
-    def base_at(self, t: float) -> np.ndarray:
+    def base_at(self, t) -> np.ndarray:
         return self.etraj.path.base_at(t)
 
-    def frame_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the frame, bracketed once for all entries.
+    def frame_at(self, t) -> np.ndarray:
+        """Linear interpolation of the frame at a time, or (k, m, m) at each
+        of an array of times, bracketed once for all entries.
 
         Entry for entry this is ``np.interp`` over the nodes, with its own
         formula: the node value at a node, the end values outside, and
         slope * (t - t_j) + B_j in between (NaN for a NaN time).
         """
         nodes, B = self.grid.nodes, self.frame_B
-        if t <= nodes[0] or t >= nodes[-1]:
-            return B[0 if t <= nodes[0] else -1].copy()
-        j = min(int(np.searchsorted(nodes, t, side="right")), len(nodes) - 1) - 1
-        if nodes[j] == t:
-            return B[j].copy()
-        slope = (B[j + 1] - B[j]) / (nodes[j + 1] - nodes[j])
-        return slope * (t - nodes[j]) + B[j]
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        j = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
+        out = B.take(np.where(ts >= nodes[-1], len(nodes) - 1, j), axis=0)
+        between = ~((ts <= nodes[0]) | (ts >= nodes[-1]) | (ts == nodes[j]))
+        if between.any():
+            j, dt = j[between], (ts[between] - nodes[j[between]])[:, None, None]
+            slope = (B[j + 1] - B[j]) / (nodes[j + 1] - nodes[j])[:, None, None]
+            out[between] = slope * dt + B[j]
+        return out if np.ndim(t) else out[0]
 
 
 def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
@@ -606,34 +610,51 @@ def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,
     return NeedleContext(sys, esys, Trajectory(EPath(grid, base, fiber), control), frame)
 
 
-def needle_vector(ctx: NeedleContext, symbol: VariationSymbol) -> np.ndarray:
-    """First-order endpoint direction of the needle variation, in the
-    cost-extended fiber over the trajectory point at the observation time:
+def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np.ndarray:
+    """First-order endpoint directions (k, m+1) of the needle variations, each
+    in the cost-extended fiber over the trajectory point at its observation time:
 
         d = fext(x(tau), u(tau)) dt
             + sum_i B_{tau tau_i} [fext(x(tau_i), v_i) - fext(x(tau_i), u(tau_i))] dt_i .
+
+    One pass for all symbols: the base, frame and control are read at every
+    observation and spike time at once, and the i-th spikes of nonzero width
+    take one stacked solve and product, added in spike order (a zero-width
+    spike is skipped), so each row has the bits of its symbol alone.
     """
-    control = ctx.etraj.control
-    grid = ctx.grid
-    if not (grid.t0 < symbol.tau < grid.t1):
+    control, grid, f = ctx.etraj.control, ctx.grid, ctx.esys.f_at
+    if not all(grid.t0 < s.tau < grid.t1 for s in symbols):
         raise ValueError("observation time must lie strictly inside the interval")
-    for s in (*symbol.taus, symbol.tau):
-        if s <= grid.t0:
-            raise ValueError("spike times must lie strictly inside the interval")
-        if not _off_switches(s, control.switch_times):
-            raise ValueError(f"time {s} lies within {_SPIKE_GUARD} of a switch of the control")
-    xx_tau = ctx.base_at(symbol.tau)
-    u_tau = control.value(symbol.tau)
-    d = symbol.dt * ctx.esys.f_at(xx_tau, u_tau)
-    F_tau = ctx.frame_at(symbol.tau)
-    for s, v, w in zip(symbol.taus, symbol.vs, symbol.dts):
-        if w == 0.0:
-            continue
-        xx = ctx.base_at(s)
-        delta = ctx.esys.f_at(xx, v) - ctx.esys.f_at(xx, control.value(s))
-        F_s = ctx.frame_at(s)
-        d = d + w * (F_tau @ np.linalg.solve(F_s, delta))
+    times = np.array([t for s in symbols for t in (*s.taus, s.tau)])
+    bad = (times <= grid.t0) | ~_off_switches(times, control.switch_times)
+    if bad.any():
+        t = float(times[bad.argmax()])
+        raise ValueError("spike times must lie strictly inside the interval" if t <= grid.t0
+                         else f"time {t} lies within {_SPIKE_GUARD} of a switch of the control")
+    k, m1 = len(symbols), ctx.esys.alg.fiber_dim
+    rows = [[r for r, s in enumerate(symbols) if i < len(s.dts) and s.dts[i] != 0.0]
+            for i in range(max((len(s.dts) for s in symbols), default=0))]
+    spikes = [(i, r) for i, rs in enumerate(rows) for r in rs]
+    at = np.array([s.tau for s in symbols] + [symbols[r].taus[i] for i, r in spikes])
+    xs, frames = ctx.base_at(at), ctx.frame_at(at)
+    us = [control.values[j] for j in np.searchsorted(control.switch_times, at, side="right")]
+    d = np.array([s.dt for s in symbols])[:, None] * np.array(
+        [f(x, u) for x, u in zip(xs[:k], us)]).reshape(k, m1)
+    deltas = np.array([f(x, symbols[r].vs[i]) - f(x, u)
+                       for (i, r), x, u in zip(spikes, xs[k:], us[k:])]).reshape(-1, m1, 1)
+    lo = 0   # the i-th spikes' rows of xs[k:], us[k:] and deltas start here
+    for i, rs in enumerate(rows):
+        if rs:
+            F_s, delta = frames[k + lo:k + lo + len(rs)], deltas[lo:lo + len(rs)]
+            w = np.array([symbols[r].dts[i] for r in rs])[:, None]
+            d[rs] = d[rs] + w * (frames[rs] @ np.linalg.solve(F_s, delta))[..., 0]
+            lo += len(rs)
     return d
+
+
+def needle_vector(ctx: NeedleContext, symbol: VariationSymbol) -> np.ndarray:
+    """The direction of one needle variation: :func:`needle_vectors` of it alone."""
+    return needle_vectors(ctx, [symbol])[0]
 
 
 def _off_switches(times, switch_times) -> np.ndarray:

@@ -18,14 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .control import ControlSystem, FiniteSet, control_affine, costate_rhs
+from .control import ControlSignal, ControlSystem, FiniteSet, control_affine, costate_rhs
 from .core import (ChartAlgebroid, _check, _Constant, affine_matrix_field, atiyah_trivial,
                    lie_algebra, so3_algebra, so3_structure, tangent_bundle,
                    validate_anchor_morphism, validate_skew)
 from .errors import ChatteringError, ConfigError, IntegrationDivergedError
 from .numerics import _rk4_sampled, grid_derivative
-from .pmp import (ExtremalAudit, PmpFlow, _off_switches, cone_support_check,
-                  integrate_pmp_flow, make_needle_context, needle_vector, sample_symbols,
+from .pmp import (_SPIKE_GUARD, ExtremalAudit, PmpFlow, _off_switches, cone_support_check,
+                  integrate_pmp_flow, make_needle_context, needle_vectors, sample_symbols,
                   verify_extremal)
 from .serialize import (write_costate_csv, write_report_json, write_switch_times,
                         write_trajectory_csv)
@@ -614,14 +614,14 @@ def validate_chart(cfg: dict) -> dict:
     }
 
 
-def _observation_time(nodes: np.ndarray, spike_nodes: np.ndarray, switch_times) -> float:
+def _observation_time(nodes: np.ndarray, switch_times) -> float:
     """The cone check's observation time: the middle flow node, else the node
     five after it, else the nearest later node, else the nearest earlier one.
     It must lie strictly inside the horizon, more than pmp._SPIKE_GUARD from every
-    switch, and above at least one spike node that is too (as
+    switch, and above at least one node that is too (a spike time, as
     :func:`sample_symbols` draws them); raises ConfigError when no node does.
     """
-    inner = spike_nodes[(spike_nodes > nodes[0]) & _off_switches(spike_nodes, switch_times)]
+    inner = nodes[(nodes > nodes[0]) & _off_switches(nodes, switch_times)]
     first_spike = inner[0] if inner.size else np.inf
     mid, last = len(nodes) // 2, len(nodes) - 1
     for k in itertools.chain((mid, mid + 5), range(mid + 1, last), range(mid - 1, 0, -1)):
@@ -635,13 +635,21 @@ def _observation_time(nodes: np.ndarray, spike_nodes: np.ndarray, switch_times) 
 
 def _cone_check(cfg: dict, sys: ControlSystem, flow: PmpFlow, n_symbols: int,
                 step: float) -> dict:
-    """Sampled support check of the extended covector against needle directions."""
-    ctx = make_needle_context(sys, flow.control, flow.path.base[0], step=step)
-    nodes = flow.path.grid.nodes
-    tau = _observation_time(nodes, ctx.grid.nodes, flow.switch_times)
+    """Sampled support check of the extended covector against needle directions.
+    No needle reads past the observation time tau, a flow node, so the needle
+    context runs the flow's control only up to the first node more than
+    pmp._SPIKE_GUARD after tau (the next node at any step above that), without
+    the switches at or after it: its nodes, frames and spike times up to tau
+    are those of the whole horizon."""
+    nodes, control = flow.path.grid.nodes, flow.control
+    tau = _observation_time(nodes, flow.switch_times)
+    cut = nodes[min(int(np.searchsorted(nodes, tau + _SPIKE_GUARD, side="right")), len(nodes) - 1)]
+    kept = int(np.searchsorted(control.switch_times, cut))
+    ctx = make_needle_context(sys, ControlSignal(control.t0, cut, control.switch_times[:kept],
+                                                 control.values[:kept + 1]),
+                              flow.path.base[0], step=step)
     rng = np.random.default_rng(cfg["solver"]["seed"])
-    symbols = sample_symbols(rng, ctx, tau, n_symbols)
-    needles = [needle_vector(ctx, s) for s in symbols]
+    needles = needle_vectors(ctx, sample_symbols(rng, ctx, tau, n_symbols))
     k = int(np.searchsorted(nodes, tau))
     z_ext = np.concatenate([[flow.costate.z0], flow.costate.z[k]])
     return cone_support_check(needles, z_ext)

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from algopt import control
 from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _box_qp,
                             control_affine, costate_rhs, extend_system, pairing_drift,
                             simulate_trajectory, transport_B, transport_Bbar)
@@ -14,6 +16,7 @@ from algopt.core import (Section, atiyah_trivial, lie_algebra, tangent_bundle,
                          tangent_lift_section, validate_skew)
 from algopt.numerics import integrate
 from algopt.pmp import integrate_pmp_flow
+from algopt.scenarios import run_scenario
 from conftest import non_skew_chart, skew_hat
 
 
@@ -388,6 +391,40 @@ def test_box_qp_scoring_only_feasible_faces_moves_no_choice(seed, p, k, shrink):
     box = Box(-reach * rng.uniform(0.2, 1.0, p), reach * rng.uniform(0.2, 1.0, p))
     assert not box.contains(interior).all()
     assert np.array_equal(_box_qp(b, G, c, box), reference_box_qp(b, G, c, box))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 400), c=st.floats(0.1, 10.0))
+def test_box_qp_with_one_control_is_the_clip_of_the_face_search(seed, k, c):
+    """For one control the best face is the bound nearest the interior point,
+    so _box_qp clips it and searches no face: on random rows (G > 0, boxes
+    below, above and across 0, interior points inside the box, within and
+    just past its slack, and far outside it), _box_qp clipped has the bits of
+    the face search clipped."""
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-2.0, 1.0)
+    box = Box([lower], [lower + rng.uniform(0.05, 3.0)])
+    G = rng.uniform(0.1, 10.0, size=(k, 1, 1))
+    u = rng.uniform(-1.0, 1.0, size=(k, 1)) * 10.0 ** rng.uniform(-2.0, 3.0, size=(k, 1))
+    edge = rng.choice([box.lower[0], box.upper[0]], size=(k, 1)) + rng.choice(
+        [0.0, -2e-12, -5e-13, 5e-13, 2e-12], size=(k, 1))
+    u = np.where(rng.random((k, 1)) < 0.3, edge, u)
+    b = c * (G @ u[..., None])[..., 0]
+    got, want = _box_qp(b, G, c, box), reference_box_qp(b, G, c, box)
+    assert box.clip(got).tobytes() == box.clip(want).tobytes()
+
+
+def test_a_one_control_box_runs_without_a_face_search(tmp_path, monkeypatch):
+    """classical-tm-lq with u_max 0.1 holds u on the bound all the way, and
+    every _box_qp caller (the fused stage, the node samples and the audit)
+    runs with the face enumeration made to raise."""
+    def no_faces(*args, **kwargs):
+        raise AssertionError("the face search ran")
+
+    monkeypatch.setattr(control, "itertools", SimpleNamespace(product=no_faces))
+    report = run_scenario({"scenario": "classical-tm-lq", "params": {"u_max": 0.1}}, tmp_path)
+    u = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, -1]
+    assert report["passed"] and (u == 0.1).all()
 
 
 def test_box_flow_from_a_huge_state_forms_no_infeasible_h():

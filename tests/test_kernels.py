@@ -1,7 +1,8 @@
 """Property tests of the per-segment linear kernels over a point: the held
 control's constant matrix, the fixed Hamiltonian table of a finite set,
 development by composed step propagators, the cost-extended needle frame
-with its interpolation, the extremal audit against a per-node loop, and the
+with its interpolation, the stacked needle directions and the cone check's
+cut context, the extremal audit against a per-node loop, and the
 blocks of held steps against node-by-node stepping."""
 
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algopt import pmp
-from algopt.control import (_BOX_SLACK, ControlSignal, ControlSystem, FiniteSet, _box_qp,
+from algopt.control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, _box_qp,
                             _flow_rhs, _point_table, _transport, control_affine, costate_rhs,
                             simulate_trajectory)
 from algopt.core import (ChartAlgebroid, _dual_field, lie_algebra, so3_algebra, so3_structure,
@@ -22,10 +23,12 @@ from algopt.core import (ChartAlgebroid, _dual_field, lie_algebra, so3_algebra, 
 from algopt.errors import ChatteringError, IntegrationDivergedError
 from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented, rk4_step
 from algopt.paths import EPath
-from algopt.pmp import (develop_to_group, integrate_pmp_flow, make_needle_context,
-                        verify_extremal)
-from algopt.scenarios import build_so3_bang_bang_system
-from conftest import random_control_affine, skew_hat
+from algopt.pmp import (VariationSymbol, cone_support_check, develop_to_group,
+                        integrate_pmp_flow, make_needle_context, needle_vector, needle_vectors,
+                        sample_symbols, verify_extremal)
+from algopt.scenarios import (SCENARIOS, _cone_check, _observation_time,
+                              build_so3_bang_bang_system, validate_config)
+from conftest import box_signal, random_control_affine, skew_hat
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -380,6 +383,112 @@ def test_frame_at_is_np_interp_entry_by_entry(seed):
         got = ctx.frame_at(t)
         assert got.shape == (me, me)
         assert got.ravel().tobytes() == expected.tobytes()
+
+
+def reference_needle_vector(ctx, symbol):
+    """One needle direction as first written, symbol by symbol: the base and
+    the control read at one time each, the frame entry by entry by np.interp,
+    and d = d + w (F_tau @ solve(F_s, delta)) over the spikes of nonzero
+    width, in order."""
+    control, nodes, me = ctx.etraj.control, ctx.grid.nodes, ctx.frame_B.shape[1]
+    flat = ctx.frame_B.reshape(len(nodes), me * me)
+
+    def frame(t):
+        return np.array([np.interp(t, nodes, flat[:, j]) for j in range(me * me)]).reshape(me, me)
+
+    d = symbol.dt * ctx.esys.f_at(ctx.base_at(symbol.tau), control.value(symbol.tau))
+    F_tau = frame(symbol.tau)
+    for s, v, w in zip(symbol.taus, symbol.vs, symbol.dts):
+        if w == 0.0:
+            continue
+        xx = ctx.base_at(s)
+        delta = ctx.esys.f_at(xx, v) - ctx.esys.f_at(xx, control.value(s))
+        d = d + w * (F_tau @ np.linalg.solve(frame(s), delta))
+    return d
+
+
+def draw_symbols(rng, ctx, draw_value, count):
+    """``count`` symbols, each with its own observation time and 1-3 spikes
+    (a width of 0 about a third of the time), every time off the switches:
+    half of them grid nodes, half drawn between."""
+    nodes, switches = ctx.grid.nodes, ctx.etraj.control.switch_times
+
+    def time_in(lo, hi):
+        while True:
+            inner = nodes[(nodes > lo) & (nodes < hi)]
+            t = float(rng.choice(inner) if inner.size and rng.random() < 0.5
+                      else rng.uniform(lo, hi))
+            if lo < t < hi and pmp._off_switches(t, switches):
+                return t
+
+    out = []
+    for _ in range(count):
+        tau = time_in(0.1 * ctx.grid.t1, 0.95 * ctx.grid.t1)
+        s = int(rng.integers(1, 4))
+        taus = sorted(time_in(0.0, tau) for _ in range(s))
+        dts = np.where(rng.random(s) < 0.3, 0.0, rng.random(s))
+        out.append(VariationSymbol(tuple(taus), tuple(draw_value() for _ in range(s)), tau,
+                                   tuple(dts), float(rng.uniform(-1.0, 1.0))))
+    return out
+
+
+@PROPERTY
+@given(seed=SEEDS, base=st.booleans())
+def test_stacked_needles_keep_the_bits_of_one_at_a_time(seed, base):
+    """needle_vectors takes all symbols in one pass; each row has the bytes of
+    the symbol-by-symbol loop, and needle_vector is its row.  Over a point the
+    systems are random_point_system draws; with a base, the box system on TR^2
+    of test_sample_symbols_over_a_box_draw_values_inside_it under a random
+    signal."""
+    rng = np.random.default_rng(seed)
+    step = float(rng.uniform(5e-3, 5e-2))
+    if base:
+        box = Box([-0.3, 2.0], [0.1, 2.5])
+        sys = ControlSystem(tangent_bundle(2), lambda x, u: u.copy(),
+                            lambda x, u: 0.5 * float(u @ u), box)
+        signal = box_signal(rng, box, int(rng.integers(1, 4)), 1.0)
+        ctx = make_needle_context(sys, signal, rng.uniform(-0.5, 0.5, 2), step=step)
+
+        def values():
+            return box.lower + (box.upper - box.lower) * rng.random(2)
+    else:
+        sys, _ = random_point_system(rng, int(rng.integers(2, 5)))
+        U = sys.control_space.values
+        signal = random_signal(rng, U, int(rng.integers(1, 4)), 1.0)
+        ctx = make_needle_context(sys, signal, np.zeros(0), step=step)
+
+        def values():
+            return U[int(rng.integers(0, 2))]
+    symbols = draw_symbols(rng, ctx, values, int(rng.integers(1, 30)))
+    got = needle_vectors(ctx, symbols)
+    assert got.shape == (len(symbols), ctx.esys.alg.fiber_dim)
+    for row, symbol in zip(got, symbols):
+        assert row.tobytes() == reference_needle_vector(ctx, symbol).tobytes()
+        assert needle_vector(ctx, symbol).tobytes() == row.tobytes()
+
+
+def test_the_cone_check_cut_on_a_switch_drops_it():
+    """At horizon 4.44 the default so3 flow's middle node, the cone check's
+    observation time, is the last node before the first switch (2.22144147),
+    which is where the needle context's control is cut.  The cut signal drops
+    that switch rather than raising, and cone_support has the bits of a
+    whole-horizon context, stacked and symbol by symbol."""
+    cfg = validate_config({"scenario": "so3-bang-bang", "horizon": 4.44,
+                           "solver": {"symbol_samples": 50}})
+    sys, x0, z_init, _ = SCENARIOS["so3-bang-bang"].problem(cfg)
+    flow = integrate_pmp_flow(sys, x0, z_init, -1.0, 0.0, 4.44, step=1e-3)
+    nodes = flow.path.grid.nodes
+    k = len(nodes) // 2
+    assert _observation_time(nodes, flow.switch_times) == nodes[k]
+    assert nodes[k + 1] == flow.switch_times[0]
+    value = _cone_check(cfg, sys, flow, 50, 1e-3)["value"]
+
+    whole = make_needle_context(sys, flow.control, x0, step=1e-3)
+    symbols = sample_symbols(np.random.default_rng(cfg["solver"]["seed"]), whole, nodes[k], 50)
+    z_ext = np.concatenate([[-1.0], flow.costate.z[k]])
+    for needles in (needle_vectors(whole, symbols),
+                    [reference_needle_vector(whole, s) for s in symbols]):
+        assert cone_support_check(needles, z_ext)["value"].hex() == value.hex()
 
 
 def reference_audit(sys, c, flow, u_nodes, mode):

@@ -6,7 +6,8 @@ BASE and CHANGE are git revisions of this repository; CHANGE defaults to the
 working tree.  Each revision is checked out with ``git worktree add
 --detach`` into a temporary directory, which is removed afterwards.  Both
 trees run the same fixed list of configs (``configs()``): the three built-in
-defaults in normal and abnormal mode, four box and symbol variants, a custom
+defaults in normal and abnormal mode, four box and symbol variants, an so3
+run whose cone check cuts its needle context on a switch, a custom
 tangent chart, a wong-so3-r2 run that diverges after ten steps, and the
 so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
 ``perfbench/workloads.py``.  Each tree runs them in one subprocess, with
@@ -81,7 +82,7 @@ def _workloads():
 
 
 def configs() -> dict[str, dict]:
-    """The 48 configs, by name.  Defaults are partial configs, so each tree
+    """The 49 configs, by name.  Defaults are partial configs, so each tree
     fills in its own; abnormal runs set ``z0_mode``, which every revision
     since the option existed reads from the file."""
     out = {}
@@ -93,6 +94,11 @@ def configs() -> dict[str, dict]:
         out[f"wong-so3-r2-u_max-{u_max}"] = {"scenario": "wong-so3-r2", "params": {"u_max": u_max}}
     out["so3-bang-bang-symbols-200"] = {"scenario": "so3-bang-bang",
                                         "solver": {"symbol_samples": 200}}
+    # The middle node, the cone check's observation time, is the last node
+    # before the first switch (2.22144147): the needle context's control is
+    # cut on that switch (horizons 4.44 and 4.441 do this at step 1e-3).
+    out["so3-bang-bang-cut-at-switch"] = {"scenario": "so3-bang-bang", "horizon": 4.44,
+                                          "solver": {"symbol_samples": 50}}
     out["custom-tangent-2"] = {"scenario": "custom", "chart": {"kind": "tangent", "dim": 2}}
     # Its costate grows about 1e29-fold per step; the step to t = 0.011, after
     # ten finite ones, first overflows inside a stage (b = F(x)^T z), so the
