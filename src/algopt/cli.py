@@ -16,6 +16,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -106,6 +107,7 @@ def _cmd_audit(args) -> int:
     return 0 if audit.passed else 1
 
 
+@functools.cache   # built once per process; parse_args leaves it as it was
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="algopt",
                                      description="optimal control on anchored bundle charts")

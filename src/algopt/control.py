@@ -228,6 +228,8 @@ def control_affine(alg: ChartAlgebroid, F, G, u_max: float) -> ControlSystem:
         (F_at(x).T @ z)[None], G_at(x)[None], -z0, box)[0])
 
     def f_jacobian(x, u):   # (m, n), or (k, m, n) for a stack u (k, p), row by row the same bits
+        if u.ndim == 1:   # one gemv, the BLAS call of the stack's matmul
+            return dF_u.dot(u).reshape(m, n)
         return (dF_u @ u[..., None]).reshape(u.shape[:-1] + (m, n))
 
     def L_gradient(x, u):   # (n,), or (k, n) for a stack u (k, p), row by row the same bits

@@ -172,17 +172,20 @@ class _float_rk4:
         self.stage = stage
 
     def __call__(self, t, y, h):
-        stage, y0 = self.stage, y.tolist()
-        ks = [stage(y)]
-        for s in (h / 2.0, h / 2.0, h):   # the inputs of k2, k3 and k4
-            v = [a + s * k for a, k in zip(y0, ks[-1])]
-            if not isfinite(sum(v)):   # inf or NaN if any term is (or if finite ones overflow)
-                break
-            ks.append(stage(v))
-        else:
-            v = [_rk4_sum(a, h, k1, k2, k3, k4) for a, k1, k2, k3, k4 in zip(y0, *ks)]
+        stage, y0, s = self.stage, y.tolist(), h / 2.0
+        k1 = stage(y)
+        v = [a + s * k for a, k in zip(y0, k1)]
+        if isfinite(sum(v)):   # inf or NaN if any term is (or if finite ones overflow)
+            k2 = stage(v)
+            v = [a + s * k for a, k in zip(y0, k2)]
             if isfinite(sum(v)):
-                return np.array(v)
+                k3 = stage(v)
+                v = [a + h * k for a, k in zip(y0, k3)]
+                if isfinite(sum(v)):
+                    k4 = stage(v)
+                    v = [_rk4_sum(a, h, p, q, r, w) for a, p, q, r, w in zip(y0, k1, k2, k3, k4)]
+                    if isfinite(sum(v)):
+                        return np.array(v)
 
         def on_arrays(v):
             return np.array(stage(v))

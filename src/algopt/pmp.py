@@ -193,10 +193,10 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
     """The RK4 step of ``_pmp_rhs(sys, None, z0)`` for a
     :func:`control.control_affine` system at z0 < 0, fused from its tables
     read once per flow: F(x) = F0 + F1 x, u = G^-1 b / -z0 (b = F(x)^T z; G^-1
-    formed once where G is constant), as ``_box_qp``, which runs only when u
-    leaves the box, and dh/dx only for a linear part of F or G, by the
-    system's own Jacobians: costate_rhs's bits.  u is tested on Python
-    floats: strictly inside the box it is kept, within ``_BOX_SLACK``
+    formed once where G is constant; no division at -z0 = 1), as ``_box_qp``,
+    which runs only when u leaves the box, and dh/dx only for a linear part of
+    F or G, by the system's own Jacobians: costate_rhs's bits.  u is tested on
+    Python floats: strictly inside the box it is kept, within ``_BOX_SLACK``
     clipped, past it (or NaN) sent to ``_box_qp`` and clipped.  Without
     linear parts the anchor term (zero) is left out.  A constant anchor and
     structure (:func:`core._constant_field`) are read once here, the table
@@ -218,7 +218,9 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
         x, z = y[:n], y[n:]
         Fx = F0 if F1 is None else F0 + F1 @ x
         Gx, b = G0 if G1 is None else G0 + G1 @ x, z.dot(Fx)
-        u = (np.linalg.inv(Gx) if G_inv is None else G_inv).dot(b) / c
+        u = (np.linalg.inv(Gx) if G_inv is None else G_inv).dot(b)
+        if c != 1.0:   # x / 1.0 is x
+            u = u / c
         ul = u.tolist()
         if not (all(map(lt, lo, ul)) and all(map(lt, ul, hi))):
             if not (all(map(le, lo_slack, ul)) and all(map(le, ul, hi_slack))):
@@ -404,16 +406,24 @@ def _affine_at(sys: ControlSystem, x, z, z0: float):
     """At the rows of x (k, n) and z (k, m) for a :func:`control.control_affine`
     system: G(x), b = F(x)^T z and ``h(w)``, H and f(x, w) at controls
     w (k, j, p), as (k, j) and (k, j, m).  Stacked products whose rows keep
-    the bits of F(x), G(x), f_at and hamiltonian at one point; a constant G
-    forms L once per control shared by the rows (w of shape (1, j, p)), not per row."""
+    the bits of F(x), G(x), f_at and hamiltonian at one point.  Controls shared
+    by the rows (w of shape (1, j, p)) take f as one gemv of the (k m, p) table
+    per control, the BLAS call of the rows' matmul for m > 1 (for m = 1 that
+    is a dot, which a gemv does not match), and, where G is constant, L once
+    per control, not per row."""
     Fx, Gx = (np.broadcast_to(c, (len(x),) + np.shape(c)) if d is None
               else c + (d @ x[:, None, :, None])[..., 0] for c, d in sys.affine)
     b = (Fx.swapaxes(1, 2) @ z[..., None])[..., 0]
     G0, G1 = sys.affine[1]
     G = np.asarray(G0) if G1 is None else Gx[:, None]
+    k, m, p = Fx.shape
 
     def h(w):
-        f = Fx[:, None] @ w[..., None]
+        if len(w) == 1 and m > 1:
+            tall = Fx.reshape(k * m, p)
+            f = np.stack([tall.dot(v).reshape(k, m) for v in w[0]], axis=1)[..., None]
+        else:
+            f = Fx[:, None] @ w[..., None]
         L = 0.5 * (w[..., None, :] @ G @ w[..., None])
         return (z[:, None, None] @ f + z0 * L)[..., 0, 0], f[..., 0]
 
@@ -439,6 +449,21 @@ def _affine_block(sys: ControlSystem, x, z, z0: float, u, candidates):
     rhs = _dual_field(_sampler(sys.alg, "structure")(x), _sampler(sys.alg, "anchor")(x),
                       f[:, 0], z, dh_dx)
     return h_u[:, 0], values, h_star, rhs
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, axis=0, return_inverse=True)`` for a float table (N, p)
+    by a lexsort of its columns, not a sort of a structured view: the rows in
+    the same order (field by field, NaN last), rows equal as floats one row
+    (-0.0 and 0.0 too, the first in the stable order standing for them) and
+    each row with a NaN its own."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    which = np.empty(len(a), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return rows[new], which
 
 
 def verify_extremal(sys: ControlSystem, path: EPath, costate: CostatePath,
@@ -484,9 +509,9 @@ def verify_extremal(sys: ControlSystem, path: EPath, costate: CostatePath,
         h_vals, values, h_star, rhs = map(np.concatenate, blocks)
         values, h_star, rhs = values[keep], h_star[keep], rhs[inner]
     elif sys.alg.base_dim == 0:
-        used, which = np.unique(u_nodes, axis=0, return_inverse=True)
+        used, which = _unique_rows(u_nodes)
         table = _point_table(sys, [*candidates, *used])
-        which = c + which.ravel()
+        which = c + which
         H = _point_hamiltonians(table, z, z0)
         h_vals, values = H[np.arange(N), which], H[keep, :c]
         rhs = np.einsum("nij,nj->ni", table.K[which[inner]], z[inner])

@@ -573,3 +573,21 @@ def test_audit_of_a_custom_config_exits_2(tmp_path, capsys):
     assert main(["audit", path, "--traj", "t.csv", "--costate", "c.csv"]) == 2
     assert capsys.readouterr().err == ("config error: scenario: auditing requires a "
                                        "built-in scenario\n")
+
+
+def test_the_parser_built_once_runs_alike_after_a_bad_flag(tmp_path, capsys):
+    """main builds its parser once per process: a run, a bad flag (exit 2)
+    and the same run again give the same stdout and artifacts."""
+    path = write_config(tmp_path, default_config("classical-tm-lq"))
+    out_dir = tmp_path / "artifacts"
+
+    def run():
+        assert main(["run", path, "--out", str(out_dir)]) == 0
+        return capsys.readouterr().out, {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    first = run()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert run() == first

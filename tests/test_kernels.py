@@ -124,19 +124,21 @@ def reference_affine_stage(sys, z0):
     return rhs
 
 
-def affine_stage_draws(seed, n, p, chart, linear_F, linear_G):
+def affine_stage_draws(seed, n, p, chart, linear_F, linear_G, z0=None):
     """(scale, system, z0, y): a control-affine system with or without linear
     parts of F and G, z0 < 0 and a state y, with the box's bound at twice,
     once and half the largest |u_j| of u = G^-1 b / -z0 at y, so that u lies
     inside the box, on its bound (the clip within the slack) or outside it
-    (_box_qp)."""
+    (_box_qp).  z0 is drawn from -U(0.1, 3) unless given; the other draws do
+    not depend on it."""
     rng = np.random.default_rng(seed)
     n = 0 if chart == "point" else n
     drawn = random_control_affine(rng, n, p, chart, False)
     (F0, F1), (G0, G1) = drawn.affine
     F1, G1 = (F1 if linear_F else None), (G1 if linear_G else None)
     x, z = rng.uniform(-0.5, 0.5, n), rng.normal(size=drawn.alg.fiber_dim)
-    z0 = -float(rng.uniform(0.1, 3.0))
+    drawn_z0 = -float(rng.uniform(0.1, 3.0))
+    z0 = drawn_z0 if z0 is None else z0
     Fx = F0 if F1 is None else F0 + F1 @ x
     Gx = G0 if G1 is None else G0 + G1 @ x
     reach, y = np.abs(np.linalg.inv(Gx) @ (Fx.T @ z) / -z0).max(), np.concatenate([x, z])
@@ -171,6 +173,104 @@ def test_fused_affine_step_keeps_the_bits_of_rk4_step(seed, n, p, chart, linear_
         step, reference = pmp._affine_pmp_step(sys, z0), reference_affine_stage(sys, z0)
         for h in (1e-3, 0.25):
             assert same_bytes(step(0.0, y, h), rk4_step(reference, 0.0, y, h)), (scale, h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**AFFINE_DRAWS)
+def test_fused_affine_stage_and_step_at_unit_multiplier(seed, n, p, chart, linear_F, linear_G):
+    """At z0 = -1, where the fused stage leaves out its division by -z0, the
+    stage and the step at 1e-3 and at 0.25 give the bytes of the matmul
+    reference and of numerics.rk4_step on it, over the chart, linear-part and
+    box-scale draws of :func:`affine_stage_draws`."""
+    for scale, sys, z0, y in affine_stage_draws(seed, n, p, chart, linear_F, linear_G, z0=-1.0):
+        step, reference = pmp._affine_pmp_step(sys, z0), reference_affine_stage(sys, z0)
+        assert same_bytes(np.array(step.stage(y.tolist())), reference(0.0, y)), scale
+        for h in (1e-3, 0.25):
+            assert same_bytes(step(0.0, y, h), rk4_step(reference, 0.0, y, h)), (scale, h)
+
+
+def zero_chart(n, m):
+    """A chart with base R^n, fiber R^m, zero anchor and zero bracket."""
+    return ChartAlgebroid(n, m, lambda x: np.zeros((n, m)), lambda x: np.zeros((m, m, m)))
+
+
+@pytest.mark.parametrize("m, n, p", [(m, n, p) for m in (1, 2, 3, 5)
+                                     for n in (1, 2, 3) for p in (1, 2, 3)])
+def test_one_control_jacobian_is_a_row_of_the_stacked_call(m, n, p):
+    """control_affine's f_jacobian on one control, a gemv, gives the bytes of
+    each row of its call on a stack of controls, a matmul."""
+    rng = np.random.default_rng([m, n, p])
+    sys = control_affine(zero_chart(n, m), (rng.normal(size=(m, p)), rng.normal(size=(m, p, n))),
+                         (np.eye(p), None), 1.0)
+    x, u = rng.normal(size=n), rng.normal(size=(200, p))
+    stacked = sys.f_jacobian(x, u)
+    for k in range(len(u)):
+        assert same_bytes(sys.f_jacobian(x, u[k]), stacked[k]), k
+
+
+@pytest.mark.parametrize("k", [1, 127, 128, 129])
+@pytest.mark.parametrize("linear_F", [False, True])
+def test_shared_candidates_keep_the_bits_of_the_stacked_table(k, linear_F):
+    """_affine_at's h on controls shared by the rows (one gemv of the tall F
+    table per control where m > 1) gives the bytes of the stacked
+    Fx[:, None] @ w[..., None] product and its H, for a constant F (a stride-0
+    broadcast) and a linear one."""
+    rng = np.random.default_rng([k, linear_F])
+    for m, p in ((m, p) for m in range(1, 6) for p in range(1, 4)):
+        R = rng.normal(size=(p, p))
+        F = (rng.normal(size=(m, p)), rng.normal(size=(m, p, 2)) if linear_F else None)
+        sys = control_affine(zero_chart(2, m), F, (R @ R.T + np.eye(p), None), 1.0)
+        x, z = rng.uniform(-1.0, 1.0, (k, 2)), rng.normal(size=(k, m))
+        w = rng.uniform(-1.0, 1.0, (1, 27, p))
+        z0 = -0.7
+        H, f = pmp._affine_at(sys, x, z, z0)[2](w)
+        (F0, F1), G0 = sys.affine[0], sys.affine[1][0]
+        Fx = (np.broadcast_to(F0, (k, m, p)) if F1 is None
+              else F0 + (F1 @ x[:, None, :, None])[..., 0])
+        f_ref = Fx[:, None] @ w[..., None]
+        H_ref = z[:, None, None] @ f_ref + z0 * (0.5 * (w[..., None, :] @ G0 @ w[..., None]))
+        assert same_bytes(f, f_ref[..., 0]), (m, p)
+        assert same_bytes(H, H_ref[..., 0, 0]), (m, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, rows=st.integers(1, 16), p=st.integers(1, 3))
+def test_unique_rows_is_np_unique_on_small_tables(seed, rows, p):
+    """pmp._unique_rows gives the bytes of np.unique(axis=0,
+    return_inverse=True) on rows drawn with repeats from values with +-0.0 and
+    NaN.  Up to 16 rows np.unique's quicksort is an insertion sort, stable, so
+    the row it keeps for -0.0 and 0.0 is the first listed, as here."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, np.nan, 1.0, -1.0, 0.5])[rng.integers(0, 6, (4, p))]
+    a = pool[rng.integers(0, len(pool), rows)]
+    used, which = pmp._unique_rows(a)
+    ref_used, ref_which = np.unique(a, axis=0, return_inverse=True)
+    assert same_bytes(used, ref_used)
+    assert np.array_equal(which, ref_which)
+
+
+@PROPERTY
+@given(seed=SEEDS, p=st.integers(1, 3), signed_zeros=st.booleans())
+def test_unique_rows_is_np_unique_on_long_tables(seed, p, signed_zeros):
+    """On 3,000 rows, as many as a bang-bang flow's u_nodes, pmp._unique_rows
+    groups and orders the rows as np.unique(axis=0) does.  Where rows equal as
+    floats differ in bytes (-0.0 and 0.0), np.unique's unstable quicksort may
+    keep either, so only the values are compared then, and the inverse of rows
+    with a NaN, each its own row, only up to the order of such equal rows."""
+    rng = np.random.default_rng(seed)
+    values = [0.0, -0.0, np.nan, 1.0, -1.0] if signed_zeros else [0.0, 1.0, -1.0, 0.25]
+    pool = np.array(values)[rng.integers(0, len(values), (6, p))]
+    a = pool[rng.integers(0, len(pool), 3000)]
+    used, which = pmp._unique_rows(a)
+    ref_used, ref_which = np.unique(a, axis=0, return_inverse=True)
+    if signed_zeros:
+        assert np.array_equal(used, ref_used, equal_nan=True)
+        plain = ~np.isnan(a).any(axis=1)
+        assert np.array_equal(which[plain], ref_which[plain])
+        assert np.array_equal(np.sort(which[~plain]), np.sort(ref_which[~plain]))
+    else:
+        assert same_bytes(used, ref_used)
+        assert np.array_equal(which, ref_which)
 
 
 def test_fused_affine_step_takes_G1_x_by_matmul():
