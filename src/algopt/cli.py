@@ -37,6 +37,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(path, "config file not found") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(path, "JSON nested too deeply to read") from None
 
 
 def _apply_overrides(cfg: dict, args) -> dict:

@@ -62,28 +62,36 @@ class EPath:
 
     def base_at(self, t) -> np.ndarray:
         """Linear interpolation of the (continuous) base curve."""
-        return self._interp(self.base, t, (), ((0, self.grid.n_nodes - 1),))
+        return _node_interp(self.grid.nodes, self.base, t)
 
     def fiber_at(self, t) -> np.ndarray:
-        """Segment-respecting linear interpolation; right-continuous at breakpoints."""
-        return self._interp(self.fiber, t, self.grid.breakpoints, self.grid.segment_bounds)
+        """Linear interpolation of the fiber samples; a breakpoint's node holds
+        the right-hand limit, which the step before it blends toward."""
+        return _node_interp(self.grid.nodes, self.fiber, t)
 
-    def _interp(self, values: np.ndarray, t, breakpoints, segments) -> np.ndarray:
-        """Column-wise linear interpolation of node samples within the segment
-        each time falls in; a breakpoint belongs to the segment it starts."""
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        nodes = self.grid.nodes
-        out = np.empty(t.shape + (values.shape[1],))
-        seg_of_t = np.searchsorted(np.asarray(breakpoints, dtype=float), t, side="right")
-        for s, (i0, i1) in enumerate(segments):
-            mask = seg_of_t == s
-            if not mask.any():
-                continue
-            seg_nodes = nodes[i0:i1 + 1]
-            for j in range(values.shape[1]):
-                out[mask, j] = np.interp(t[mask], seg_nodes, values[i0:i1 + 1, j])
-        return out[0] if scalar else out
+
+def _node_interp(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Node samples (N, ...) at one time, or (k, ...) at an array of times, each
+    bracketed once for all entries: entry for entry ``np.interp``'s value, by
+    its formula and, where that is NaN, its fallbacks (the NaN time, the right
+    node's formula, a flat step's sample: inf on samples [0, inf, inf])."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    j = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
+    out = values.take(np.where(ts >= nodes[-1], len(nodes) - 1, j), axis=0)
+    between = ~((ts <= nodes[0]) | (ts >= nodes[-1]) | (ts == nodes[j]))
+    if between.any():
+        col = (-1,) + (1,) * (values.ndim - 1)   # one time per row of samples
+        j, tb = j[between], ts[between].reshape(col)
+        lo, hi, v0, v1 = nodes[j].reshape(col), nodes[j + 1].reshape(col), values[j], values[j + 1]
+        with np.errstate(all="ignore"):   # np.interp does not warn
+            slope = (v1 - v0) / (hi - lo)
+            value = slope * (tb - lo) + v0
+            nan = value != value
+            if nan.any():   # rare: a NaN time or non-finite samples
+                value = np.where(nan, np.where(tb == tb, slope * (tb - hi) + v1, tb), value)
+                value = np.where((value != value) & (v0 == v1) & (tb == tb), v0, value)
+        out[between] = value
+    return out if np.ndim(t) else out[0]
 
 
 def null_path(alg: ChartAlgebroid, x0: np.ndarray, t0: float = 0.0, t1: float = 1.0,

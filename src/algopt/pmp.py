@@ -27,7 +27,7 @@ from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimens
 from .numerics import (_STEP_SLACK, TimeGrid, _float_rk4, _held_steps, _linear_rk4,
                        _rk4_matrix, _rk4_sampled, finite_difference_jacobian, grid_derivative,
                        integrate, rk4_step)
-from .paths import EPath, _sampler
+from .paths import EPath, _node_interp, _sampler
 
 __all__ = [
     "CostatePath",
@@ -602,22 +602,8 @@ class NeedleContext:
 
     def frame_at(self, t) -> np.ndarray:
         """Linear interpolation of the frame at a time, or (k, m, m) at each
-        of an array of times, bracketed once for all entries.
-
-        Entry for entry this is ``np.interp`` over the nodes, with its own
-        formula: the node value at a node, the end values outside, and
-        slope * (t - t_j) + B_j in between (NaN for a NaN time).
-        """
-        nodes, B = self.grid.nodes, self.frame_B
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        j = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, len(nodes) - 2)
-        out = B.take(np.where(ts >= nodes[-1], len(nodes) - 1, j), axis=0)
-        between = ~((ts <= nodes[0]) | (ts >= nodes[-1]) | (ts == nodes[j]))
-        if between.any():
-            j, dt = j[between], (ts[between] - nodes[j[between]])[:, None, None]
-            slope = (B[j + 1] - B[j]) / (nodes[j + 1] - nodes[j])[:, None, None]
-            out[between] = slope * dt + B[j]
-        return out if np.ndim(t) else out[0]
+        of an array of times (:func:`paths._node_interp`)."""
+        return _node_interp(self.grid.nodes, self.frame_B, t)
 
 
 def make_needle_context(sys: ControlSystem, control: ControlSignal, x0,

@@ -124,8 +124,11 @@ def _switch_times(file: Path, nodes: np.ndarray, u_nodes: np.ndarray) -> tuple[f
     if not file.is_file():
         guess = infer_breakpoints(nodes, u_nodes)
         return guess if len(guess) <= 0.05 * len(nodes) else ()
+    header, _, body = file.read_text().partition("\n")
+    if header.strip() != "t":
+        raise ConfigError(str(file), "expected the header 't' on the first line")
     try:
-        times = tuple(float(t) for t in file.read_text().split()[1:])
+        times = tuple(float(t) for t in body.split())
     except ValueError:
         times = (np.nan,)
     if not set(times) <= set(nodes[1:-1]):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -566,6 +570,22 @@ def test_config_that_is_not_json_exits_2_with_its_path(tmp_path, capsys):
     path.write_text("{scenario: so3-bang-bang")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON: ")
+
+
+def test_a_config_nested_too_deeply_exits_2_without_a_traceback(tmp_path):
+    """100,000 nested lists under params.a make json.load recurse past
+    Python's limit; run exits 2 with one config error line naming the file,
+    in a fresh process as a user runs it."""
+    path = tmp_path / "config.json"
+    path.write_text('{"scenario": "so3-bang-bang", "params": {"a": '
+                    + "[" * 100_000 + "]" * 100_000 + "}}")
+    env = {**os.environ, "PYTHONPATH": str(Path(scenarios.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "algopt.cli", "run", str(path), "--out",
+                          str(tmp_path / "out")], capture_output=True, text=True, timeout=60,
+                         env=env)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [f"config error: {path}: JSON nested too deeply to read"]
+    assert "Traceback" not in out.stderr
 
 
 def test_audit_of_a_custom_config_exits_2(tmp_path, capsys):

@@ -483,6 +483,32 @@ def test_frame_at_is_np_interp_entry_by_entry(seed):
         got = ctx.frame_at(t)
         assert got.shape == (me, me)
         assert got.ravel().tobytes() == expected.tobytes()
+    # the path reads take the same formula, also one float below each switch,
+    # where the fiber blends toward the right-hand limit stored at the switch
+    path = ctx.etraj.path
+    for t in np.concatenate([times, np.nextafter(signal.switch_times, -np.inf)]):
+        for read, samples in ((path.base_at, path.base), (path.fiber_at, path.fiber)):
+            expected = np.array([np.interp(t, nodes, col) for col in samples.T])
+            assert read(t).tobytes() == expected.tobytes()
+
+
+def test_node_reads_keep_np_interp_on_non_finite_samples():
+    """On samples [0, inf, inf] at t = 1.5 the slope is inf - inf; the path
+    reads and frame_at give np.interp's value there (inf, from its flat-step
+    fallback), and at the other times its values, with no warning."""
+    grid = TimeGrid.from_nodes(np.array([0.0, 1.0, 2.0]))
+    samples = np.array([[0.0, 0.0], [np.inf, 1.0], [np.inf, np.nan]])
+    path = EPath(grid, samples, samples[:, ::-1])
+    ctx = pmp.NeedleContext(None, None, pmp.Trajectory(path, None), samples[:, :, None])
+    times = np.array([1.5, 0.5, 1.0, -1.0, 3.0, np.nan])
+    expected = np.array([[np.interp(t, grid.nodes, col) for col in samples.T] for t in times])
+    assert expected[0, 0] == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reads = (path.base_at(times), path.fiber_at(times)[:, ::-1], ctx.frame_at(times)[..., 0],
+                 np.array([path.base_at(t) for t in times]))
+    for got in reads:
+        assert got.tobytes() == expected.tobytes()
 
 
 def reference_needle_vector(ctx, symbol):

@@ -34,6 +34,21 @@ def test_path_round_trip(tmp_path):
     assert q.grid.breakpoints == (0.5,)
 
 
+@pytest.mark.parametrize("text", ["0.5\n", "0.25\n0.5\n", "time\n0.5\n", ""])
+def test_a_switches_file_without_its_header_is_a_config_error(tmp_path, text):
+    """The first line of a switches CSV must be the header t: a file that
+    starts with a time, or with another name, or is empty, is rejected with
+    its path instead of read as a shorter list of switches."""
+    grid = TimeGrid(0.0, 1.0, 0.125)
+    f = tmp_path / "traj.csv"
+    write_trajectory_csv(f, EPath(grid, np.zeros((grid.n_nodes, 0)), np.ones((grid.n_nodes, 1))),
+                         np.zeros((grid.n_nodes, 1)))
+    (tmp_path / "switches.csv").write_text(text)
+    with pytest.raises(ConfigError) as err:
+        read_trajectory_csv(f, tmp_path / "switches.csv")
+    assert err.value.path == str(tmp_path / "switches.csv")
+
+
 def test_trajectory_and_costate_round_trip(tmp_path):
     grid = TimeGrid(0.0, 1.0, 0.25)
     N = grid.n_nodes
