@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (ChartAlgebroid, _dual_field, _lift_matrix, _shaped, affine_matrix_field,
                    product_with_time)
-from .numerics import TimeGrid, finite_difference_jacobian, integrate_segmented
+from .numerics import TimeGrid, _constant_rk4, finite_difference_jacobian, integrate_segmented
 from .paths import EPath
 
 __all__ = [
@@ -321,9 +321,7 @@ def _held_pass(sys: ControlSystem, signal: ControlSignal, grid: TimeGrid, x0, w0
     if point or not n:
         table = _point_table(sys, signal.values, x0)
         mats = table.K if dual else table.M
-        r = (table.F @ sys.alg.anchor_at(x0).T)[at_node[:-1]]
-        steps = np.diff(grid.nodes)[:, None] * ((r + 2.0 * r + 2.0 * r + r) / 6.0)
-        base = np.cumsum(np.concatenate([x0[None], steps]), axis=0)
+        base = _constant_rk4(grid.nodes, x0, (table.F @ sys.alg.anchor_at(x0).T)[at_node[:-1]])
         fiber = table.F[at_node]
 
         def held(seg, lo, hi):

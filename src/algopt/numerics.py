@@ -120,6 +120,16 @@ def _rk4_sum(y, h: float, k1, k2, k3, k4):
     return y + h * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
+def _constant_rk4(nodes, y0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The RK4 states (N, d) at ``nodes`` of y' = r from y0, where r is one
+    rate (d,) or one per step (N - 1, d): every stage of a step returns its
+    rate, so each step adds :func:`_rk4_sum`'s increment ``h * (combo / 6)``
+    of four equal slopes.  ``np.cumsum`` adds them left to right, the IEEE
+    adds of stepping (Hairer, Norsett and Wanner, *Solving ODEs I*, II.1)."""
+    steps = np.diff(nodes)[:, None] * ((r + 2.0 * r + 2.0 * r + r) / 6.0)
+    return np.cumsum(np.concatenate([y0[None], steps]), axis=0)
+
+
 def _rk4(f_lo, f_mid, f_hi, y, h: float):
     """The classical RK4 stage formula, with the field at the left end, the
     midpoint and the right end of the step given as ``y -> dy`` callables."""
@@ -166,10 +176,12 @@ class _float_rk4:
     :func:`_rk4` on arrays, without numpy's per-call cost on a small state.
     Python floats do not warn, so a step with a non-finite stage input or
     result is taken again by :func:`_rk4` on arrays, which warns or raises as
-    the caller's errstate says."""
+    the caller's errstate says.  ``constant`` declares a stage that reads
+    only coordinates to which it returns the rate ±0 (the fused PMP stage of a
+    constant field); stepping does not read it."""
 
-    def __init__(self, stage):
-        self.stage = stage
+    def __init__(self, stage, constant: bool = False):
+        self.stage, self.constant = stage, constant
 
     def __call__(self, t, y, h):
         stage, y0, s = self.stage, y.tolist(), h / 2.0

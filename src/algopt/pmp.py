@@ -24,9 +24,9 @@ from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, 
 from .core import (ChartAlgebroid, _check, _constant_field, _dual_field, _shaped,
                    _with_unit_direction)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (_STEP_SLACK, TimeGrid, _float_rk4, _held_steps, _linear_rk4,
-                       _rk4_matrix, _rk4_sampled, finite_difference_jacobian, grid_derivative,
-                       integrate, rk4_step)
+from .numerics import (_STEP_SLACK, TimeGrid, _constant_rk4, _float_rk4, _held_steps,
+                       _linear_rk4, _rk4_matrix, _rk4_sampled, finite_difference_jacobian,
+                       grid_derivative, integrate, rk4_step)
 from .paths import EPath, _node_interp, _sampler
 
 __all__ = [
@@ -202,7 +202,11 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
     structure (:func:`core._constant_field`) are read once here, the table
     laid out as (m, m * m).  The stage reads x and z from its input, an array
     or a list of floats, and returns the derivative as a list of floats
-    (:class:`numerics._float_rk4`)."""
+    (:class:`numerics._float_rk4`).  The field is constant, and the step
+    declared ``constant``, where F and G have no linear part and the chart a
+    constant anchor and an all-zero structure table (TR^n, or any abelian
+    chart): the stage then reads z alone and returns zdot = ±0, which
+    :func:`_constant_flow` sums without stepping."""
     alg, U, n, m = sys.alg, sys.control_space, sys.alg.base_dim, sys.alg.fiber_dim
     rho_c, c_c = _constant_field(alg, "anchor"), _constant_field(alg, "structure")
     table = None if c_c is None else c_c.reshape(m, m * m)
@@ -233,7 +237,32 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
         c_x = alg.structure_at(x) if table is None else table
         return rho.dot(f).tolist() + _dual_field(c_x, rho, f, z, dh_dx).tolist()
 
-    return _float_rk4(stage)
+    return _float_rk4(stage, constant=F1 is None and G1 is None and rho_c is not None
+                      and table is not None and not table.any())
+
+
+def _constant_flow(step: _float_rk4, nodes, y0: np.ndarray, n: int) -> np.ndarray | None:
+    """``integrate(step, grid, y0)`` at the grid's ``nodes`` for the fused step
+    of a constant field (``step.constant``), or None for the caller to step.
+    Its stage reads z alone and returns zdot = ±0, so where no entry of z is
+    ±0, z + s zdot is z: every RK4 stage of every step returns k = stage(y0),
+    and the states are :func:`numerics._constant_rk4` of k, the adds of
+    stepping.  None as well where the stage flags a floating-point error (a
+    stepped flow would warn or raise there), or where a summed state or a
+    step's last stage input y + h k is not finite (the other inputs lie
+    between y and it; a non-finite k makes both so): the stepped flow then
+    raises, warns and stops as :func:`numerics._held_steps` does."""
+    if not (step.constant and y0[n:].all()):   # -0.0 + (+0.0) is +0.0
+        return None
+    try:
+        with np.errstate(all="raise"):
+            k = np.array(step.stage(y0))
+    except FloatingPointError:
+        return None
+    with np.errstate(all="ignore"):
+        states = _constant_rk4(nodes, y0, k)
+        last = states[:-1] + np.diff(nodes)[:, None] * k
+    return states if np.isfinite(states).all() and np.isfinite(last).all() else None
 
 
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
@@ -253,9 +282,12 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
     the maximizer at every integration stage and keep the control only as
     ``u_nodes``; a declared control-affine system takes the fused step of
-    :func:`_affine_pmp_step`.  Aborts with :class:`ChatteringError` past
-    ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
-    ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
+    :func:`_affine_pmp_step`; where that field is constant (as in LQ), its
+    stage is evaluated once and its RK4 increments summed, with the stepped
+    flow's bits, unless a guard of :func:`_constant_flow` steps it.  Aborts
+    with :class:`ChatteringError` past ``_MAX_SWITCHES`` switches, or past
+    ``_MAX_STEP_SWITCHES`` within one ``step`` of time (a sliding mode, which
+    a bang-bang flow cannot follow).
     """
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
@@ -272,8 +304,10 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         grid = TimeGrid(t0, t1, step)
         node_list = grid.nodes
         affine = sys.affine is not None
-        states = integrate(_affine_pmp_step(sys, z0) if affine else _pmp_rhs(sys, None, z0),
-                           grid, state)
+        rhs = _affine_pmp_step(sys, z0) if affine else _pmp_rhs(sys, None, z0)
+        states = _constant_flow(rhs, node_list, state, n) if affine else None
+        if states is None:
+            states = integrate(rhs, grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]
         if affine:
@@ -631,9 +665,20 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
     One pass for all symbols: the base, frame and control are read at every
     observation and spike time at once, and the i-th spikes of nonzero width
     take one stacked solve and product, added in spike order (a zero-width
-    spike is skipped), so each row has the bits of its symbol alone.
+    spike is skipped), so each row has the bits of its symbol alone.  Over a
+    point the extended f reads no base coordinate, so it is evaluated once
+    per distinct control value (keyed by its bytes) and its rows reused.
     """
     control, grid, f = ctx.etraj.control, ctx.grid, ctx.esys.f_at
+    if not ctx.sys.alg.base_dim:
+        rows_of, f_at = {}, f
+
+        def f(x, u):
+            key = u.tobytes()
+            if key not in rows_of:
+                rows_of[key] = f_at(x, u)
+            return rows_of[key]
+
     if not all(grid.t0 < s.tau < grid.t1 for s in symbols):
         raise ValueError("observation time must lie strictly inside the interval")
     times = np.array([t for s in symbols for t in (*s.taus, s.tau)])

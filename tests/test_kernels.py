@@ -26,7 +26,7 @@ from algopt.paths import EPath
 from algopt.pmp import (VariationSymbol, cone_support_check, develop_to_group,
                         integrate_pmp_flow, make_needle_context, needle_vector, needle_vectors,
                         sample_symbols, verify_extremal)
-from algopt.scenarios import (SCENARIOS, _cone_check, _observation_time,
+from algopt.scenarios import (SCENARIOS, _cone_check, _observation_time, build_lq_system,
                               build_so3_bang_bang_system, validate_config)
 from conftest import box_signal, random_control_affine, skew_hat
 
@@ -818,6 +818,71 @@ def test_box_flow_divergence_stops_at_the_first_non_finite_node(mode, error, mes
     if error is IntegrationDivergedError:
         assert raised.value.t == 11.0
     assert {str(w.message) for w in caught} == messages
+
+
+@pytest.mark.parametrize("x0, z_init, t1, t, op", [
+    (1.79e308, 1e307, 1.0, 0.07700000000000005, "add"), (0.0, 1e308, 1e-3, 1e-3, "multiply")])
+@pytest.mark.parametrize("mode", ["warn", "ignore", "raise"])
+def test_a_constant_field_whose_sum_overflows_is_stepped(x0, z_init, t1, t, op, mode):
+    """LQ with u_max 1e308, a constant field (u = z): from x = 1.79e308 and
+    z = 1e307, x overflows at the 77th step of 1e-3; from z = 1e308 the
+    RK4 combination k + 2k + 2k + k overflows in the one step, whose stage
+    inputs stay finite.  The summed states are not finite there, so the flow
+    is stepped from its start: the error, its time (or message) and the
+    warnings are those of stepping."""
+    error = FloatingPointError if mode == "raise" else IntegrationDivergedError
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        with pytest.raises(error) as raised:
+            integrate_pmp_flow(build_lq_system(u_max=1e308), [x0], [z_init], -1.0, 0.0, t1,
+                               step=1e-3)
+    if mode == "raise":
+        assert str(raised.value) == f"overflow encountered in {op}"
+    else:
+        assert raised.value.t == t
+    assert {str(w.message) for w in caught} == ({f"overflow encountered in {op}"}
+                                                if mode == "warn" else set())
+
+
+@pytest.mark.parametrize("mode", ["warn", "ignore", "raise"])
+def test_a_constant_field_whose_stage_overflows_is_stepped(mode):
+    """f = 2u on TR over |u| <= 1 from z = 1e308: b = F^T z overflows to inf
+    in every stage, whose clipped u = 1 and zdot = 0 are finite.  A stage
+    that flags is never summed: stepped, the flow warns at each of its 4 x 10
+    stages (then its H samples overflow), or raises at the first."""
+    sys = control_affine(tangent_bundle(1), ([[2.0]], None), ([[1.0]], None), 1.0)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all=mode):
+        warnings.simplefilter("always")
+        if mode == "raise":
+            with pytest.raises(FloatingPointError, match="overflow encountered in dot"):
+                integrate_pmp_flow(sys, [0.0], [1e308], -1.0, 0.0, 0.01, step=1e-3)
+        else:
+            flow = integrate_pmp_flow(sys, [0.0], [1e308], -1.0, 0.0, 0.01, step=1e-3)
+            assert np.array_equal(flow.u_nodes[:, 0], np.ones(11))
+    assert [str(w.message) for w in caught] == (
+        ["overflow encountered in dot"] * 40 + ["overflow encountered in matmul"] * 2
+        if mode == "warn" else [])
+
+
+def test_a_constant_field_whose_last_stage_input_overflows_is_stepped():
+    """LQ at u = z = k, where (k + 2k + 2k + k) / 6 is one ulp below k, one
+    step of 1 from x = y: the last stage input y + k ties at the overflow
+    threshold and rounds to inf, while the step's sum rounds to the largest
+    float.  Stepping retakes that step on arrays and warns (or raises) about
+    the add, so the flow is stepped, not summed; its H samples overflow."""
+    k, y = float.fromhex("0x1.b84bb7b4434d4p+1020"), float.fromhex("0x1.c8f6890977965p+1023")
+    assert (k + 2.0 * k + 2.0 * k + k) / 6.0 < k
+    sys = build_lq_system(u_max=1e308)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError,
+                                                 match="overflow encountered in add"):
+        integrate_pmp_flow(sys, [y], [k], -1.0, 0.0, 1.0, step=1.0)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        flow = integrate_pmp_flow(sys, [y], [k], -1.0, 0.0, 1.0, step=1.0)
+    assert flow.path.base[1, 0] == np.finfo(float).max
+    assert {str(w.message) for w in caught} == {
+        "overflow encountered in add", "overflow encountered in matmul",
+        "invalid value encountered in add"}
 
 
 @pytest.mark.parametrize("mode, error, detail, messages", [

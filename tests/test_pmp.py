@@ -19,7 +19,7 @@ from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _point
                             transport_Bbar)
 from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
-from algopt.numerics import TimeGrid, _linear_rk4, grid_derivative, rk4_step
+from algopt.numerics import TimeGrid, _linear_rk4, grid_derivative, integrate, rk4_step
 from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
@@ -589,9 +589,11 @@ def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
     strictly inside (no clip), within _BOX_SLACK of it (clip only) and past
     it (_box_qp, then clip).  On TR^p with constant F and G the costate is
     constant, so u lands at every stage on u_max, 5e-13 past it or 1e-6 past
-    it, in its first coordinate.  Each case gives the generic flow's bits,
-    and only the last calls _box_qp at the stages (the one other call
-    maximizes at the nodes)."""
+    it, in its first coordinate.  Stepped by integrate, only the last case
+    calls _box_qp, at each of the 4 x 5 stages.  The flow of this constant
+    field evaluates its stage once (_constant_flow), so it calls _box_qp at
+    most there and once to maximize at the nodes.  Each case gives the bits
+    of the stepped field and of the generic flow."""
     u_max = 0.5
     F, G = np.eye(p), np.diag([2.0, 4.0][:p])   # powers of 2: G^-1 (G u) is u exactly
     sys = control_affine(tangent_bundle(p), (F, None), (G, None), u_max)
@@ -599,16 +601,94 @@ def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
     z_init = G @ u
     assert np.array_equal(np.linalg.inv(G) @ (F.T @ z_init), u)
     with patch.object(pmp, "_box_qp", wraps=pmp._box_qp) as qp:
+        stepped = integrate(pmp._affine_pmp_step(sys, -1.0), TimeGrid(0.0, 0.05, 1e-2),
+                            np.append(np.zeros(p), z_init))
+    assert qp.call_count == (4 * 5 if past > 1e-12 else 0)
+    with patch.object(pmp, "_box_qp", wraps=pmp._box_qp) as qp:
         fused = integrate_pmp_flow(sys, np.zeros(p), z_init, -1.0, 0.0, 0.05, step=1e-2)
+    assert qp.call_count == (2 if past > 1e-12 else 1)
     generic = integrate_pmp_flow(replace(sys, affine=None), np.zeros(p), z_init, -1.0,
                                  0.0, 0.05, step=1e-2)
-    assert qp.call_count == (1 + 4 * 5 if past > 1e-12 else 1)
+    assert np.array_equal(np.hstack([fused.path.base, fused.costate.z]), stepped)
     for name, a, b in (("base", fused.path.base, generic.path.base),
                        ("costate", fused.costate.z, generic.costate.z),
                        ("u_nodes", fused.u_nodes, generic.u_nodes),
                        ("h_nodes", fused.h_nodes, generic.h_nodes)):
         assert np.array_equal(a, b), name
     assert np.all(fused.u_nodes[:, 0] == u_max)
+
+
+def stepped_flow(*args, **kwargs):
+    """integrate_pmp_flow with _constant_flow declining every field, so that
+    every box flow is stepped by integrate."""
+    with patch.object(pmp, "_constant_flow", return_value=None):
+        return integrate_pmp_flow(*args, **kwargs)
+
+
+def assert_same_bytes(flow, reference):
+    for name in ("base", "fiber"):
+        assert getattr(flow.path, name).tobytes() == getattr(reference.path, name).tobytes(), name
+    for name in ("u_nodes", "h_nodes"):
+        assert getattr(flow, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert flow.costate.z.tobytes() == reference.costate.z.tobytes(), "costate"
+    assert flow.path.grid.nodes.tobytes() == reference.path.grid.nodes.tobytes(), "nodes"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), p=st.integers(1, 3),
+       point=st.booleans(), active=st.booleans(), z0=st.sampled_from([-0.5, -1.0, -2.0]),
+       x_scale=st.floats(-3, 3), z_scale=st.floats(-3, 3), step=st.floats(1e-3, 0.013),
+       steps=st.integers(1, 40), last=st.floats(0.05, 0.95))
+def test_a_constant_field_flow_is_its_stepped_flow(seed, n, p, point, active, z0, x_scale,
+                                                    z_scale, step, steps, last):
+    """With constant F and SPD G on TR^n (or an abelian chart over a point)
+    the fused stage reads z alone and leaves it fixed, so the flow evaluates
+    it once and sums its RK4 increments, calling no integrate.  Base, fiber,
+    costate, u_nodes and h_nodes are the stepped flow's bytes: boxes active
+    and inactive, x0 and z_init from 1e-3 to 1e3, horizons with a short last
+    step."""
+    rng = np.random.default_rng(seed)
+    chart = lie_algebra(np.zeros((n, n, n))) if point else tangent_bundle(n)
+    A = rng.normal(size=(p, p))
+    F, G = rng.normal(size=(n, p)), A @ A.T + 0.1 * np.eye(p)
+    x0 = 10.0 ** x_scale * rng.normal(size=chart.base_dim)
+    z_init = 10.0 ** z_scale * rng.normal(size=n)
+    u = np.linalg.solve(G, F.T @ z_init) / -z0   # the control all along
+    sys = control_affine(chart, (F, None), (G, None), (0.5 if active else 2.0) * np.abs(u).max())
+    t1 = (steps + last) * step
+    with patch.object(pmp, "integrate", side_effect=AssertionError("stepped")):
+        flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, t1, step=step)
+    assert_same_bytes(flow, stepped_flow(sys, x0, z_init, z0, 0.0, t1, step=step))
+    assert np.all(np.abs(flow.u_nodes).max(axis=1) == sys.control_space.upper[0]) == active
+
+
+def test_a_signed_zero_costate_steps_the_flow():
+    """From x0 = z_init = -0.0 the LQ stage's zdot = +0 turns z into +0 after
+    the first step, so the flow is stepped: x reads -0 at t = 0 and +0 after."""
+    sys = build_lq_system()
+    flow = integrate_pmp_flow(sys, [-0.0], [-0.0], -1.0, 0.0, 1.0)
+    assert_same_bytes(flow, stepped_flow(sys, [-0.0], [-0.0], -1.0, 0.0, 1.0))
+    x = flow.path.base[:, 0]
+    assert np.signbit(x[0]) and not np.signbit(x[1:]).any() and not x.any()
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_the_default_lq_flow_evaluates_its_stage_once(stepped, monkeypatch):
+    """The default LQ field is constant: one stage evaluation for the whole
+    flow, where stepping makes 4 per step, 4,000 over 1,000 steps."""
+    calls, make = [], pmp._affine_pmp_step
+
+    def counted(sys, z0):
+        step = make(sys, z0)
+        stage = step.stage
+        step.stage = lambda v: calls.append(1) or stage(v)
+        return step
+
+    monkeypatch.setattr(pmp, "_affine_pmp_step", counted)
+    cfg = default_config("classical-tm-lq")
+    args = (build_lq_system(), cfg["initial_point"], cfg["z_init"], -1.0, 0.0, cfg["horizon"])
+    flow = (stepped_flow if stepped else integrate_pmp_flow)(*args, step=cfg["solver"]["step"])
+    assert len(flow.u_nodes) == 1001 and len(calls) == (4000 if stepped else 1)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
