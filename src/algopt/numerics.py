@@ -1,8 +1,9 @@
 """Deterministic fixed-step ODE integration with discontinuity-aware time grids.
 
-All flow computations in the library go through :func:`integrate` /
-:func:`integrate_segmented`, which apply classical fourth-order Runge-Kutta
-segment-wise between declared breakpoints and never step across one.
+Every flow in the library places its nodes by :func:`_grid_rule`, never across
+a declared breakpoint, and writes RK4's update as :func:`_rk4_sum`; a stepped
+flow steps by :func:`_held_steps`, through :func:`integrate_segmented` or, block
+by block, in the switching flow of ``pmp.integrate_pmp_flow``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ _STEP_SLACK = 1e-9
 class TimeGrid:
     """Uniform time grid on [t0, t1] refined so that every breakpoint is a node.
 
-    Nodes are accumulated segment-by-segment (t += step) so that repeated
-    unit-rate integration reproduces node times bitwise.  The final interval
-    of each segment may be shorter than ``step``.  ``nodes_override`` carries
-    explicit nodes for grids obtained by path composition, where spacing is
-    no longer uniform; ``step`` is then the nominal (maximal) spacing.  An
-    array given there is owned by the grid, which makes it read-only.
+    Each segment's nodes are :func:`_grid_rule`'s sums t += step, so that
+    repeated unit-rate integration reproduces node times bitwise; none repeats,
+    and a segment's last interval may be shorter than ``step``.
+    ``nodes_override`` carries explicit nodes for grids obtained by path
+    composition, where spacing is no longer uniform; ``step`` is then the
+    nominal (maximal) spacing.  An array given there is owned by the grid,
+    which makes it read-only.
     """
 
     t0: float
@@ -83,14 +85,8 @@ class TimeGrid:
             out = np.asarray(self.nodes_override, dtype=float)
         else:
             bounds = (self.t0, *self.breakpoints, self.t1)
-            acc = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                t = lo
-                acc.append(t)
-                while hi - t > self.step * (1.0 + _STEP_SLACK):
-                    t = t + self.step
-                    acc.append(t)
-            acc.append(self.t1)
+            acc = [self.t0] + [t for lo, hi in zip(bounds[:-1], bounds[1:])
+                               for t in [*_grid_rule(lo, hi, self.step)][1:]]
             out = np.asarray(acc, dtype=float)
         out.flags.writeable = False
         return out
@@ -108,6 +104,15 @@ class TimeGrid:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+
+def _grid_rule(t: float, hi: float, step: float):
+    """The nodes from t to hi: t + step while more than step (1 + _STEP_SLACK)
+    remains, then hi once.  A sum that rounds to hi ends them: none repeats."""
+    while t < hi:
+        yield t
+        t = t + step if hi - t > step * (1.0 + _STEP_SLACK) else hi
+    yield hi
 
 
 def _rk4_sum(y, h: float, k1, k2, k3, k4):

@@ -24,7 +24,7 @@ from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, 
 from .core import (ChartAlgebroid, _check, _constant_field, _dual_field, _shaped,
                    _with_unit_direction)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (_STEP_SLACK, TimeGrid, _constant_rk4, _float_rk4, _held_steps,
+from .numerics import (TimeGrid, _constant_rk4, _float_rk4, _grid_rule, _held_steps,
                        _linear_rk4, _rk4_matrix, _rk4_sampled, finite_difference_jacobian,
                        grid_derivative, integrate, rk4_step)
 from .paths import EPath, _node_interp, _sampler
@@ -269,25 +269,24 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        t1: float, step: float = 1e-3) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
 
-    Over a finite set each segment holds the best value.  The held value
-    steps up to ``_FLOW_BLOCK`` nodes ahead over a point (one with a base) by
-    :func:`numerics._held_steps`, and one H table over them finds the first
-    node with another value best; the nodes before it pass.  Within that
-    step the switch is localized to ``_SWITCH_TOL`` by bisection on the same
-    test, whether the held value is still the argmax of H, and inserted as a
-    grid breakpoint; the next segment holds the argmax at the bracket's upper
-    end.  A declared control-affine
-    system at z0 = 0 has H = b.u linear in u, so it runs the same loop over
-    the 2^p vertices of its box, upper bounds listed first so that a tie
-    keeps the sign rule (b_j >= 0 takes the upper bound).  Other boxes use
-    the maximizer at every integration stage and keep the control only as
-    ``u_nodes``; a declared control-affine system takes the fused step of
-    :func:`_affine_pmp_step`; where that field is constant (as in LQ), its
-    stage is evaluated once and its RK4 increments summed, with the stepped
-    flow's bits, unless a guard of :func:`_constant_flow` steps it.  Aborts
-    with :class:`ChatteringError` past ``_MAX_SWITCHES`` switches, or past
-    ``_MAX_STEP_SWITCHES`` within one ``step`` of time (a sliding mode, which
-    a bang-bang flow cannot follow).
+    Over a finite set each segment holds the best value.  The held value steps
+    up to ``_FLOW_BLOCK`` nodes of :func:`numerics._grid_rule` ahead over a
+    point (one with a base) by :func:`numerics._held_steps`, and one H table
+    over them finds the first node with another value best; the nodes before
+    it pass.  Within that step the switch is localized to ``_SWITCH_TOL`` by
+    bisection on the same test, whether the held value is still the argmax of
+    H, and inserted as a grid breakpoint; the next segment holds the argmax at
+    the bracket's upper end.  A declared control-affine system at z0 = 0 has
+    H = b.u linear in u, so it runs the same loop over the 2^p vertices of its
+    box, upper bounds listed first so that a tie keeps the sign rule (b_j >= 0
+    takes the upper bound).  Other boxes use the maximizer at every
+    integration stage and keep the control only as ``u_nodes``; a declared
+    control-affine system takes the fused step of :func:`_affine_pmp_step`;
+    where that field is constant (as in LQ), its stage is evaluated once and
+    its RK4 increments summed, with the stepped flow's bits, unless a guard of
+    :func:`_constant_flow` steps it.  Aborts with :class:`ChatteringError`
+    past ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
+    ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
     """
     if z0 > 0:
         raise ValueError("multiplier must satisfy z0 <= 0")
@@ -335,12 +334,11 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         states, rows = [y[None]], [h_at(y[None])]
         i_cur = int(rows[0].argmax())
         seg_values = [U.values[i_cur]]
-        while t1 - node_list[-1] > 1e-15:
+        while node_list[-1] < t1:
             # A block of held steps (one with a base), checked by one H table; its
             # nodes pass up to its first new argmax, which is checked as one step.
-            ts = [node_list[-1]]
-            while len(ts) <= (1 if n else _FLOW_BLOCK) and t1 - ts[-1] > 1e-15:
-                ts.append(ts[-1] + step if t1 - ts[-1] > step * (1.0 + _STEP_SLACK) else t1)
+            ts = [*itertools.islice(_grid_rule(node_list[-1], t1, step),
+                                    2 if n else _FLOW_BLOCK + 1)]
             ys = _held_steps(steps[i_cur], ts, y)
             try:   # where H flags, it is evaluated (and warns) at the next node alone
                 with np.errstate(over="raise", invalid="raise"):
@@ -393,7 +391,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         tie_times = np.asarray(node_list)[_ties(rows, zs)].tolist()
     signal = None if box else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
-    # The flow's own nodes, increasing, with each switch among them: not validated again.
+    # The nodes of TimeGrid(t0, t1, step, switch_times), by its rule: not built again.
     nodes = np.array(node_list, dtype=float)
     grid = TimeGrid(float(nodes[0]), float(nodes[-1]), step, tuple(switch_times),
                     nodes_override=nodes)
@@ -663,11 +661,12 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
             + sum_i B_{tau tau_i} [fext(x(tau_i), v_i) - fext(x(tau_i), u(tau_i))] dt_i .
 
     One pass for all symbols: the base, frame and control are read at every
-    observation and spike time at once, and the i-th spikes of nonzero width
-    take one stacked solve and product, added in spike order (a zero-width
-    spike is skipped), so each row has the bits of its symbol alone.  Over a
-    point the extended f reads no base coordinate, so it is evaluated once
-    per distinct control value (keyed by its bytes) and its rows reused.
+    observation and spike time at once, every spike of nonzero width takes
+    one stacked solve and product (a zero-width spike is skipped), and
+    ``np.add.at`` adds each row's terms in spike order, so each row has the
+    bits of its symbol alone.  Over a point the extended f reads no base
+    coordinate, so it is evaluated once per distinct control value (keyed by
+    its bytes) and its rows reused.
     """
     control, grid, f = ctx.etraj.control, ctx.grid, ctx.esys.f_at
     if not ctx.sys.alg.base_dim:
@@ -688,9 +687,8 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
         raise ValueError("spike times must lie strictly inside the interval" if t <= grid.t0
                          else f"time {t} lies within {_SPIKE_GUARD} of a switch of the control")
     k, m1 = len(symbols), ctx.esys.alg.fiber_dim
-    rows = [[r for r, s in enumerate(symbols) if i < len(s.dts) and s.dts[i] != 0.0]
-            for i in range(max((len(s.dts) for s in symbols), default=0))]
-    spikes = [(i, r) for i, rs in enumerate(rows) for r in rs]
+    # (spike index, row) of every spike of nonzero width, spike index first
+    spikes = sorted((i, r) for r, s in enumerate(symbols) for i, w in enumerate(s.dts) if w)
     at = np.array([s.tau for s in symbols] + [symbols[r].taus[i] for i, r in spikes])
     xs, frames = ctx.base_at(at), ctx.frame_at(at)
     us = [control.values[j] for j in np.searchsorted(control.switch_times, at, side="right")]
@@ -698,13 +696,9 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
         [f(x, u) for x, u in zip(xs[:k], us)]).reshape(k, m1)
     deltas = np.array([f(x, symbols[r].vs[i]) - f(x, u)
                        for (i, r), x, u in zip(spikes, xs[k:], us[k:])]).reshape(-1, m1, 1)
-    lo = 0   # the i-th spikes' rows of xs[k:], us[k:] and deltas start here
-    for i, rs in enumerate(rows):
-        if rs:
-            F_s, delta = frames[k + lo:k + lo + len(rs)], deltas[lo:lo + len(rs)]
-            w = np.array([symbols[r].dts[i] for r in rs])[:, None]
-            d[rs] = d[rs] + w * (frames[rs] @ np.linalg.solve(F_s, delta))[..., 0]
-            lo += len(rs)
+    rows = np.array([r for _, r in spikes], dtype=int)
+    w = np.array([symbols[r].dts[i] for i, r in spikes]).reshape(-1, 1)
+    np.add.at(d, rows, w * (frames[rows] @ np.linalg.solve(frames[k:], deltas))[..., 0])
     return d
 
 

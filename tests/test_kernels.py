@@ -565,7 +565,8 @@ def test_stacked_needles_keep_the_bits_of_one_at_a_time(seed, base):
     the symbol-by-symbol loop, and needle_vector is its row.  Over a point the
     systems are random_point_system draws; with a base, the box system on TR^2
     of test_sample_symbols_over_a_box_draw_values_inside_it under a random
-    signal."""
+    signal.  Some symbols have only spikes of zero width, mixed in with the
+    others and alone, where the stacked solve is empty."""
     rng = np.random.default_rng(seed)
     step = float(rng.uniform(5e-3, 5e-2))
     if base:
@@ -585,12 +586,16 @@ def test_stacked_needles_keep_the_bits_of_one_at_a_time(seed, base):
 
         def values():
             return U[int(rng.integers(0, 2))]
-    symbols = draw_symbols(rng, ctx, values, int(rng.integers(1, 30)))
-    got = needle_vectors(ctx, symbols)
-    assert got.shape == (len(symbols), ctx.esys.alg.fiber_dim)
-    for row, symbol in zip(got, symbols):
-        assert row.tobytes() == reference_needle_vector(ctx, symbol).tobytes()
-        assert needle_vector(ctx, symbol).tobytes() == row.tobytes()
+    drawn = draw_symbols(rng, ctx, values, int(rng.integers(1, 30)))
+    flat = [replace(s, dts=(0.0,) * len(s.dts)) for s in drawn[:int(rng.integers(1, 4))]]
+    mixed = drawn + flat
+    rng.shuffle(mixed)
+    for symbols in (mixed, flat):
+        got = needle_vectors(ctx, symbols)
+        assert got.shape == (len(symbols), ctx.esys.alg.fiber_dim)
+        for row, symbol in zip(got, symbols):
+            assert row.tobytes() == reference_needle_vector(ctx, symbol).tobytes()
+            assert needle_vector(ctx, symbol).tobytes() == row.tobytes()
 
 
 def test_the_cone_check_cut_on_a_switch_drops_it():

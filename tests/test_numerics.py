@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algopt.errors import IntegrationDivergedError
 from algopt.numerics import (TimeGrid, finite_difference_jacobian, grid_derivative,
@@ -24,6 +28,24 @@ def test_grid_contains_breakpoints_exactly():
     assert 0.5 in grid.nodes
     assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
     assert np.all(np.diff(grid.nodes) > 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(t0=st.floats(0.0, 1e8), step=st.floats(1e-4, 1e-1), n=st.integers(1, 60),
+       cuts=st.lists(st.integers(1, 59), max_size=3))
+@example(t0=121843.2827230996, step=0.002043118942748335, n=2, cuts=[])
+@example(t0=121843.2827230996, step=0.002043118942748335, n=3, cuts=[2])
+def test_a_whole_number_of_steps_repeats_no_node(t0, step, n, cuts):
+    """Far from 0 a sum t + step can round to the segment's end while more
+    than step (1 + slack) remained before it; that node ends the segment
+    once.  t1 and the breakpoints are sums t0 + step + ... + step."""
+    sums = list(itertools.accumulate([t0] + [step] * n))
+    t1 = sums[-1]
+    grid = TimeGrid(t0, t1, step, tuple(sums[c] for c in cuts if c < n))
+    nodes = grid.nodes
+    assert nodes[0] == t0 and nodes[-1] == t1
+    assert np.all(np.diff(nodes) > 0)
+    assert set(grid.breakpoints) <= set(nodes.tolist())
 
 
 def test_grid_from_nodes_requires_breakpoint_membership():

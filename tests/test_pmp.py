@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -316,6 +317,41 @@ def test_a_switch_at_a_large_time_is_localized_without_hanging():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=10, env=env)
     assert out.stdout.strip() == "2"
+
+
+# Two steps far from 0: the sum t0 + step + step rounds to t1 although more
+# than step (1 + slack) remained before it, so the rule must end there once.
+LARGE_T0 = (121843.2827230996, 121843.2868093375, 0.002043118942748335)
+
+
+@pytest.mark.parametrize("interval", [lambda h: (0.0, h, 1e-3), lambda h: LARGE_T0,
+                                      lambda h: (123456.789, 123456.789 + h, 1e-3)],
+                         ids=["default", "large-t0", "shifted"])
+@pytest.mark.parametrize("case", [so3_default_flow, atiyah_vertex_flow])
+def test_a_switching_flow_has_the_nodes_of_its_time_grid(case, interval):
+    """A finite-set flow, over a point or with a base, places its nodes by
+    the rule of TimeGrid with its switches as breakpoints, bit for bit:
+    scenarios._cone_check rebuilds the needle grid up to its cut from them.
+    The default and shifted horizons switch."""
+    sys, x0, z_init, z0, horizon = case()
+    t0, t1, step = interval(horizon)
+    flow = integrate_pmp_flow(sys, x0, z_init, z0, t0, t1, step=step)
+    grid = TimeGrid(t0, t1, step, flow.switch_times)
+    assert flow.path.grid.nodes.tobytes() == grid.nodes.tobytes()
+    assert flow.switch_times or (t0, t1, step) == LARGE_T0
+
+
+def test_the_lq_box_flow_at_a_large_time_audits_with_a_finite_costate_residual():
+    """On LARGE_T0 the LQ box flow has three distinct nodes, so the audit's
+    grid derivative divides by no zero step, and nothing warns."""
+    t0, t1, step = LARGE_T0
+    sys = build_lq_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = integrate_pmp_flow(sys, [0.0], [0.5], -1.0, t0, t1, step=step)
+        audit = verify_extremal(sys, flow.path, flow.costate, flow.u_nodes, mode="fixed-time")
+    assert flow.path.grid.n_nodes == 3
+    assert np.isfinite(audit.costate_residual) and audit.verdicts["costate_flow"]
 
 
 @pytest.mark.parametrize("x0", [[], [0.1, 0.2]], ids=["empty", "long"])
