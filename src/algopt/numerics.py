@@ -3,7 +3,8 @@
 Every flow in the library places its nodes by :func:`_grid_rule`, never across
 a declared breakpoint, and writes RK4's update as :func:`_rk4_sum`; a stepped
 flow steps by :func:`_held_steps`, through :func:`integrate_segmented` or, block
-by block, in the switching flow of ``pmp.integrate_pmp_flow``.
+by block, in the switching flow of ``pmp.integrate_pmp_flow``.  A constant
+field's steps are summed there, in one pass, by :func:`_constant_rk4`.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class _float_rk4:
     result is taken again by :func:`_rk4` on arrays, which warns or raises as
     the caller's errstate says.  ``constant`` declares a stage that reads
     only coordinates to which it returns the rate ±0 (the fused PMP stage of a
-    constant field); stepping does not read it."""
+    constant field), whose steps :func:`_held_steps` sums."""
 
     def __init__(self, stage, constant: bool = False):
         self.stage, self.constant = stage, constant
@@ -221,14 +222,27 @@ def _rk4_sampled(fn, lo: tuple, hi: tuple, y, h: float):
 def _held_steps(advance, nodes, y) -> np.ndarray:
     """The states at ``nodes[1:]`` stepped from y by ``advance`` (t, y, h) -> y,
     stacked, up to the first non-finite one.  The times are read once, as
-    Python floats; a :class:`_linear_rk4` step is taken as R(h) @ Y on y's
-    (m, k) shape.  A non-finite first step raises before another is taken
-    (NaN steps flag nothing).  Later steps run under an errstate raising on
-    overflow and invalid values; a flagged one ends the states, so the next
-    call takes it first and warns as the caller's errstate says, as in a
-    node-by-node loop."""
+    Python floats.  A :class:`_float_rk4` declared ``constant`` reads only
+    coordinates of rate ±0, and x + (±0) is x but for -0.0 + (+0.0): unless
+    a -0.0 of y has the rate +0.0 in k = stage(y), every stage of every step
+    returns k, and the states are :func:`_constant_rk4` of k.  The stage, the
+    sum and each step's last stage input y + h k (the others lie between y
+    and it) run under an errstate raising on every flag; a flag or a
+    non-finite last stage input steps them instead.  A :class:`_linear_rk4`
+    step is taken as R(h) @ Y on y's (m, k) shape.  A non-finite first step
+    raises before another is taken (NaN steps flag nothing).  Later steps run
+    under an errstate raising on overflow and invalid values; a flagged one
+    ends the states, so the next call takes it first and warns as the
+    caller's errstate says, as in a node-by-node loop."""
     ts = np.asarray(nodes, dtype=float).tolist()
     hs = [b - a for a, b in zip(ts, ts[1:])]
+    if isinstance(advance, _float_rk4) and advance.constant:
+        with suppress(FloatingPointError), np.errstate(all="raise"):
+            k = np.array(advance.stage(y))
+            if not ((y == 0) & (k == 0) & (np.signbit(y) > np.signbit(k))).any():
+                ys = _constant_rk4(ts, y, k)
+                if np.isfinite(ys[:-1] + np.diff(ts)[:, None] * k).all():
+                    return ys[1:]
     R = advance.R if isinstance(advance, _linear_rk4) else None
     ys = [advance(ts[0], y, hs[0]) if R is None else R(hs[0]) @ y.reshape(advance.dim, -1)]
     if not np.isfinite(ys[0]).all():

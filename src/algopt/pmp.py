@@ -24,9 +24,9 @@ from .control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, FiniteSet, 
 from .core import (ChartAlgebroid, _check, _constant_field, _dual_field, _shaped,
                    _with_unit_direction)
 from .errors import ChatteringError, IntegrationDivergedError, UnsupportedDimensionError
-from .numerics import (TimeGrid, _constant_rk4, _float_rk4, _grid_rule, _held_steps,
-                       _linear_rk4, _rk4_matrix, _rk4_sampled, finite_difference_jacobian,
-                       grid_derivative, integrate, rk4_step)
+from .numerics import (TimeGrid, _float_rk4, _grid_rule, _held_steps, _linear_rk4,
+                       _rk4_matrix, _rk4_sampled, finite_difference_jacobian, grid_derivative,
+                       integrate, rk4_step)
 from .paths import EPath, _node_interp, _sampler
 
 __all__ = [
@@ -205,8 +205,8 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
     (:class:`numerics._float_rk4`).  The field is constant, and the step
     declared ``constant``, where F and G have no linear part and the chart a
     constant anchor and an all-zero structure table (TR^n, or any abelian
-    chart): the stage then reads z alone and returns zdot = ±0, which
-    :func:`_constant_flow` sums without stepping."""
+    chart): the stage then reads z alone and returns zdot = ±0, and
+    :func:`numerics._held_steps` sums its increments without stepping."""
     alg, U, n, m = sys.alg, sys.control_space, sys.alg.base_dim, sys.alg.fiber_dim
     rho_c, c_c = _constant_field(alg, "anchor"), _constant_field(alg, "structure")
     table = None if c_c is None else c_c.reshape(m, m * m)
@@ -241,30 +241,6 @@ def _affine_pmp_step(sys: ControlSystem, z0: float) -> _float_rk4:
                       and table is not None and not table.any())
 
 
-def _constant_flow(step: _float_rk4, nodes, y0: np.ndarray, n: int) -> np.ndarray | None:
-    """``integrate(step, grid, y0)`` at the grid's ``nodes`` for the fused step
-    of a constant field (``step.constant``), or None for the caller to step.
-    Its stage reads z alone and returns zdot = ±0, so where no entry of z is
-    ±0, z + s zdot is z: every RK4 stage of every step returns k = stage(y0),
-    and the states are :func:`numerics._constant_rk4` of k, the adds of
-    stepping.  None as well where the stage flags a floating-point error (a
-    stepped flow would warn or raise there), or where a summed state or a
-    step's last stage input y + h k is not finite (the other inputs lie
-    between y and it; a non-finite k makes both so): the stepped flow then
-    raises, warns and stops as :func:`numerics._held_steps` does."""
-    if not (step.constant and y0[n:].all()):   # -0.0 + (+0.0) is +0.0
-        return None
-    try:
-        with np.errstate(all="raise"):
-            k = np.array(step.stage(y0))
-    except FloatingPointError:
-        return None
-    with np.errstate(all="ignore"):
-        states = _constant_rk4(nodes, y0, k)
-        last = states[:-1] + np.diff(nodes)[:, None] * k
-    return states if np.isfinite(states).all() and np.isfinite(last).all() else None
-
-
 def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                        t1: float, step: float = 1e-3) -> PmpFlow:
     """Integrate state and costate with the pointwise-maximizing control.
@@ -282,9 +258,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     takes the upper bound).  Other boxes use the maximizer at every
     integration stage and keep the control only as ``u_nodes``; a declared
     control-affine system takes the fused step of :func:`_affine_pmp_step`;
-    where that field is constant (as in LQ), its stage is evaluated once and
-    its RK4 increments summed, with the stepped flow's bits, unless a guard of
-    :func:`_constant_flow` steps it.  Aborts with :class:`ChatteringError`
+    where that field is constant (as in LQ), :func:`numerics._held_steps`
+    evaluates its stage once and sums its RK4 increments, with the stepped
+    flow's bits, unless its guard steps it.  Aborts with :class:`ChatteringError`
     past ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
     ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
     """
@@ -304,9 +280,7 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         node_list = grid.nodes
         affine = sys.affine is not None
         rhs = _affine_pmp_step(sys, z0) if affine else _pmp_rhs(sys, None, z0)
-        states = _constant_flow(rhs, node_list, state, n) if affine else None
-        if states is None:
-            states = integrate(rhs, grid, state)
+        states = integrate(rhs, grid, state)
         tie_times: list[float] = []   # box maximizers report no runner-up gap
         base, zs = states[:, :n], states[:, n:]
         if affine:

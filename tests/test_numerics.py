@@ -1,4 +1,5 @@
 import itertools
+from math import copysign
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algopt.errors import IntegrationDivergedError
-from algopt.numerics import (TimeGrid, finite_difference_jacobian, grid_derivative,
-                             integrate, integrate_segmented)
+from algopt.numerics import (TimeGrid, _float_rk4, finite_difference_jacobian,
+                             grid_derivative, integrate, integrate_segmented)
 
 
 def test_grid_rejects_bad_intervals():
@@ -136,3 +137,34 @@ def test_grid_derivative_one_sided_at_kinks():
     k = np.searchsorted(ts, 0.5)
     assert abs(dv[k, 0] - 3.0) < 1e-9
     assert abs(dv[k - 1, 0] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("y0, zdot, summed", [
+    ([0.25, 0.5], 0.0, True), ([-0.0, 0.0], 0.0, True), ([0.25, -0.0], -0.0, True),
+    ([0.25, -0.0], 0.0, False)])
+def test_a_constant_step_is_summed_with_the_bits_of_stepping(y0, zdot, summed):
+    """The stage (x, z) -> (sign of z, zdot) reads z alone, whose rate is
+    zdot = ±0: declared constant, its flow is one stage evaluation and a sum,
+    with the bytes of the same stage stepped.  A z of -0.0 at rate +0.0 turns
+    +0.0 at the first stage input, so that flow is stepped (and x moves the
+    other way from its second stage on)."""
+    calls = []
+
+    def stage(v):
+        calls.append(1)
+        return [copysign(1.0, v[1]), zdot]
+
+    grid = TimeGrid(0.0, 1.0, 0.1)
+    flow = integrate(_float_rk4(stage, constant=True), grid, np.array(y0))
+    assert len(calls) == (1 if summed else 1 + 4 * 10)
+    assert flow.tobytes() == integrate(_float_rk4(stage), grid, np.array(y0)).tobytes()
+
+
+def test_a_constant_step_whose_rate_is_not_finite_is_stepped():
+    """A stage on Python floats flags nothing: its rate 1e308 * 10.0 is inf,
+    so the last stage input is not finite and the steps are taken instead,
+    the first of which raises as stepping does."""
+    step = _float_rk4(lambda v: [1e308 * 10.0, 0.0], constant=True)
+    with pytest.raises(IntegrationDivergedError) as raised:
+        integrate(step, TimeGrid(0.0, 1.0, 0.5), np.array([0.0, 1.0]))
+    assert raised.value.t == 0.5

@@ -20,7 +20,8 @@ from algopt.control import (Box, ControlSignal, ControlSystem, FiniteSet, _point
                             transport_Bbar)
 from algopt.core import lie_algebra, so3_structure, tangent_bundle
 from algopt.errors import ChatteringError, UnsupportedDimensionError
-from algopt.numerics import TimeGrid, _linear_rk4, grid_derivative, integrate, rk4_step
+from algopt.numerics import (TimeGrid, _float_rk4, _linear_rk4, grid_derivative, integrate,
+                             rk4_step)
 from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
@@ -625,10 +626,11 @@ def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
     strictly inside (no clip), within _BOX_SLACK of it (clip only) and past
     it (_box_qp, then clip).  On TR^p with constant F and G the costate is
     constant, so u lands at every stage on u_max, 5e-13 past it or 1e-6 past
-    it, in its first coordinate.  Stepped by integrate, only the last case
-    calls _box_qp, at each of the 4 x 5 stages.  The flow of this constant
-    field evaluates its stage once (_constant_flow), so it calls _box_qp at
-    most there and once to maximize at the nodes.  Each case gives the bits
+    it, in its first coordinate.  Stepped by integrate (a copy of the step
+    not declared constant), only the last case calls _box_qp, at each of the
+    4 x 5 stages.  The flow of this constant field evaluates its stage once
+    (numerics._held_steps sums it), so it calls _box_qp at most there and
+    once to maximize at the nodes.  Each case gives the bits
     of the stepped field and of the generic flow."""
     u_max = 0.5
     F, G = np.eye(p), np.diag([2.0, 4.0][:p])   # powers of 2: G^-1 (G u) is u exactly
@@ -637,8 +639,8 @@ def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
     z_init = G @ u
     assert np.array_equal(np.linalg.inv(G) @ (F.T @ z_init), u)
     with patch.object(pmp, "_box_qp", wraps=pmp._box_qp) as qp:
-        stepped = integrate(pmp._affine_pmp_step(sys, -1.0), TimeGrid(0.0, 0.05, 1e-2),
-                            np.append(np.zeros(p), z_init))
+        stepped = integrate(_float_rk4(pmp._affine_pmp_step(sys, -1.0).stage),
+                            TimeGrid(0.0, 0.05, 1e-2), np.append(np.zeros(p), z_init))
     assert qp.call_count == (4 * 5 if past > 1e-12 else 0)
     with patch.object(pmp, "_box_qp", wraps=pmp._box_qp) as qp:
         fused = integrate_pmp_flow(sys, np.zeros(p), z_init, -1.0, 0.0, 0.05, step=1e-2)
@@ -655,9 +657,10 @@ def test_fused_in_box_test_keeps_the_generic_bits_at_the_bound(p, past):
 
 
 def stepped_flow(*args, **kwargs):
-    """integrate_pmp_flow with _constant_flow declining every field, so that
-    every box flow is stepped by integrate."""
-    with patch.object(pmp, "_constant_flow", return_value=None):
+    """integrate_pmp_flow with every fused step copied without its
+    ``constant`` declaration, so that every box flow is stepped."""
+    make = pmp._affine_pmp_step
+    with patch.object(pmp, "_affine_pmp_step", lambda sys, z0: _float_rk4(make(sys, z0).stage)):
         return integrate_pmp_flow(*args, **kwargs)
 
 
@@ -679,7 +682,7 @@ def test_a_constant_field_flow_is_its_stepped_flow(seed, n, p, point, active, z0
                                                     z_scale, step, steps, last):
     """With constant F and SPD G on TR^n (or an abelian chart over a point)
     the fused stage reads z alone and leaves it fixed, so the flow evaluates
-    it once and sums its RK4 increments, calling no integrate.  Base, fiber,
+    it once and sums its RK4 increments, taking no step.  Base, fiber,
     costate, u_nodes and h_nodes are the stepped flow's bytes: boxes active
     and inactive, x0 and z_init from 1e-3 to 1e3, horizons with a short last
     step."""
@@ -692,26 +695,14 @@ def test_a_constant_field_flow_is_its_stepped_flow(seed, n, p, point, active, z0
     u = np.linalg.solve(G, F.T @ z_init) / -z0   # the control all along
     sys = control_affine(chart, (F, None), (G, None), (0.5 if active else 2.0) * np.abs(u).max())
     t1 = (steps + last) * step
-    with patch.object(pmp, "integrate", side_effect=AssertionError("stepped")):
+    with patch.object(_float_rk4, "__call__", side_effect=AssertionError("stepped")):
         flow = integrate_pmp_flow(sys, x0, z_init, z0, 0.0, t1, step=step)
     assert_same_bytes(flow, stepped_flow(sys, x0, z_init, z0, 0.0, t1, step=step))
     assert np.all(np.abs(flow.u_nodes).max(axis=1) == sys.control_space.upper[0]) == active
 
 
-def test_a_signed_zero_costate_steps_the_flow():
-    """From x0 = z_init = -0.0 the LQ stage's zdot = +0 turns z into +0 after
-    the first step, so the flow is stepped: x reads -0 at t = 0 and +0 after."""
-    sys = build_lq_system()
-    flow = integrate_pmp_flow(sys, [-0.0], [-0.0], -1.0, 0.0, 1.0)
-    assert_same_bytes(flow, stepped_flow(sys, [-0.0], [-0.0], -1.0, 0.0, 1.0))
-    x = flow.path.base[:, 0]
-    assert np.signbit(x[0]) and not np.signbit(x[1:]).any() and not x.any()
-
-
-@pytest.mark.parametrize("stepped", [False, True])
-def test_the_default_lq_flow_evaluates_its_stage_once(stepped, monkeypatch):
-    """The default LQ field is constant: one stage evaluation for the whole
-    flow, where stepping makes 4 per step, 4,000 over 1,000 steps."""
+def counted_stages(monkeypatch) -> list:
+    """The stage calls of every fused step made after this, one entry each."""
     calls, make = [], pmp._affine_pmp_step
 
     def counted(sys, z0):
@@ -721,6 +712,46 @@ def test_the_default_lq_flow_evaluates_its_stage_once(stepped, monkeypatch):
         return step
 
     monkeypatch.setattr(pmp, "_affine_pmp_step", counted)
+    return calls
+
+
+def test_a_signed_zero_costate_steps_the_flow(monkeypatch):
+    """From z_init = -0.0 the LQ stage's zdot = +0 turns z into +0 at the
+    first stage input, so the flow is stepped, 4 stage calls per step after
+    the one that finds the -0.0: z, and x from x0 = -0.0, read -0 at t = 0
+    and +0 after; from x0 = +0.0 too."""
+    sys, calls = build_lq_system(), counted_stages(monkeypatch)
+    for x0 in (-0.0, 0.0):
+        calls.clear()
+        flow = integrate_pmp_flow(sys, [x0], [-0.0], -1.0, 0.0, 1.0)
+        assert len(calls) == 4001
+        assert_same_bytes(flow, stepped_flow(sys, [x0], [-0.0], -1.0, 0.0, 1.0))
+        for v, first in ((flow.path.base[:, 0], np.signbit(x0)), (flow.costate.z[:, 0], True)):
+            assert np.signbit(v[0]) == first and not np.signbit(v[1:]).any() and not v.any()
+
+
+def test_a_zero_costate_lq_flow_evaluates_its_stage_once(monkeypatch):
+    """From z_init = +0.0 the LQ stage returns zdot = ±0, and +0.0 + (±0) is
+    +0.0: the flow is one stage evaluation and a sum, with the bytes of the
+    stepped flow's 4,000 stage calls."""
+    calls = counted_stages(monkeypatch)
+    args = (build_lq_system(), [0.0], [0.0], -1.0, 0.0, 1.0)
+    flow = integrate_pmp_flow(*args)
+    assert len(calls) == 1
+    assert_same_bytes(flow, stepped_flow(*args))
+    assert len(calls) == 4001
+
+
+def test_an_lq_flow_from_a_non_finite_point_is_refused():
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate_pmp_flow(build_lq_system(), [np.inf], [0.5], -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_the_default_lq_flow_evaluates_its_stage_once(stepped, monkeypatch):
+    """The default LQ field is constant: one stage evaluation for the whole
+    flow, where stepping makes 4 per step, 4,000 over 1,000 steps."""
+    calls = counted_stages(monkeypatch)
     cfg = default_config("classical-tm-lq")
     args = (build_lq_system(), cfg["initial_point"], cfg["z_init"], -1.0, 0.0, cfg["horizon"])
     flow = (stepped_flow if stepped else integrate_pmp_flow)(*args, step=cfg["solver"]["step"])

@@ -9,7 +9,7 @@ trees run the same fixed list of configs (``configs()``): the three built-in
 defaults in normal and abnormal mode, four box and symbol variants, an so3
 run whose cone check cuts its needle context on a switch, a custom
 tangent chart, a wong-so3-r2 run that diverges after ten steps, LQ from a
-signed-zero costate and LQ diverging at t = 0.077, and the
+zero and from a signed-zero costate and LQ diverging at t = 0.077, and the
 so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
 ``perfbench/workloads.py``.  Each tree runs them in one subprocess, with
 ``PYTHONPATH`` set to that tree's ``src``, through
@@ -83,7 +83,7 @@ def _workloads():
 
 
 def configs() -> dict[str, dict]:
-    """The 51 configs, by name.  Defaults are partial configs, so each tree
+    """The 52 configs, by name.  Defaults are partial configs, so each tree
     fills in its own; abnormal runs set ``z0_mode``, which every revision
     since the option existed reads from the file."""
     out = {}
@@ -91,8 +91,10 @@ def configs() -> dict[str, dict]:
         out[name] = {"scenario": name}
         out[f"{name}-abnormal"] = {"scenario": name, "z0_mode": "abnormal"}
     out["classical-tm-lq-u_max-0.1"] = {"scenario": "classical-tm-lq", "params": {"u_max": 0.1}}
-    # The LQ field is constant, and its flow one stage and a sum, unless a
-    # costate entry is ±0 or the sum overflows: both are stepped instead.
+    # The LQ field is constant, and its flow one stage and a sum, from a zero
+    # costate too, unless an entry of -0.0 has the rate +0.0 or the sum flags
+    # (here: overflows): those are stepped instead.
+    out["classical-tm-lq-zero-costate"] = {"scenario": "classical-tm-lq", "z_init": [0.0]}
     out["classical-tm-lq-signed-zero"] = {"scenario": "classical-tm-lq", "z_init": [-0.0],
                                           "initial_point": [-0.0]}
     out["classical-tm-lq-diverged"] = {"scenario": "classical-tm-lq", "initial_point": [1.79e308],
