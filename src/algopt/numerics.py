@@ -70,7 +70,7 @@ class TimeGrid:
         if len(nodes) < 2:
             raise ValueError("need at least two nodes")
         diffs = np.diff(nodes)
-        if np.any(diffs <= 0):
+        if not np.all(diffs > 0):   # a NaN node compares False
             raise ValueError("nodes must be strictly increasing")
         node_set = set(nodes)
         for b in breakpoints:

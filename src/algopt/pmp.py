@@ -94,8 +94,8 @@ class CostatePath:
         z = np.atleast_2d(np.asarray(self.z, dtype=float))
         if z.shape[0] != self.grid.n_nodes:
             raise ValueError("costate sample rows do not match grid nodes")
-        if self.z0 > 0:
-            raise ValueError(f"multiplier must satisfy z0 <= 0, got {self.z0}")
+        if not -np.inf < self.z0 <= 0:
+            raise ValueError(f"multiplier must satisfy -inf < z0 <= 0, got {self.z0}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "z0", float(self.z0))
 
@@ -248,11 +248,14 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     Over a finite set each segment holds the best value.  The held value steps
     up to ``_FLOW_BLOCK`` nodes of :func:`numerics._grid_rule` ahead over a
     point (one with a base) by :func:`numerics._held_steps`, and one H table
-    over them finds the first node with another value best; the nodes before
-    it pass.  Within that step the switch is localized to ``_SWITCH_TOL`` by
-    bisection on the same test, whether the held value is still the argmax of
-    H, and inserted as a grid breakpoint; the next segment holds the argmax at
-    the bracket's upper end.  A declared control-affine system at z0 = 0 has
+    over them finds the first node with another value best; the block's
+    nodes, states and H rows are appended in one place, up to and including
+    that node.  Within the step before it the switch is localized to
+    ``_SWITCH_TOL`` by bisection on the same test, whether the held value is
+    still the argmax of H; the bracket's upper end, its state and its H row
+    overwrite that node's in place, as a grid breakpoint, and the next segment
+    holds its argmax, so each segment's value is ``u_nodes`` at its first
+    node.  A declared control-affine system at z0 = 0 has
     H = b.u linear in u, so it runs the same loop over the 2^p vertices of its
     box, upper bounds listed first so that a tie keeps the sign rule (b_j >= 0
     takes the upper bound).  Other boxes use the maximizer at every
@@ -263,9 +266,10 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     flow's bits, unless its guard steps it.  Aborts with :class:`ChatteringError`
     past ``_MAX_SWITCHES`` switches, or past ``_MAX_STEP_SWITCHES`` within one
     ``step`` of time (a sliding mode, which a bang-bang flow cannot follow).
+    Raises ``ValueError`` unless -inf < z0 <= 0, t0 < t1 and step > 0.
     """
-    if z0 > 0:
-        raise ValueError("multiplier must satisfy z0 <= 0")
+    if not -np.inf < z0 <= 0:
+        raise ValueError(f"multiplier must satisfy -inf < z0 <= 0, got {z0}")
     n = sys.alg.base_dim
     state = np.concatenate([_shaped(x0, (n,), "initial point has shape"),
                             _shaped(z_init, (sys.alg.fiber_dim,), "initial covector has shape")])
@@ -274,9 +278,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
     if box and sys.affine is not None and z0 == 0:
         U = FiniteSet(tuple(itertools.product(*zip(U.upper, U.lower))))
     switch_times: list[float] = []
+    grid = TimeGrid(t0, t1, step)   # checks the interval and step of either branch
 
     if isinstance(U, Box):
-        grid = TimeGrid(t0, t1, step)
         node_list = grid.nodes
         affine = sys.affine is not None
         rhs = _affine_pmp_step(sys, z0) if affine else _pmp_rhs(sys, None, z0)
@@ -307,10 +311,9 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
         node_list, y = [t0], state.copy()
         states, rows = [y[None]], [h_at(y[None])]
         i_cur = int(rows[0].argmax())
-        seg_values = [U.values[i_cur]]
         while node_list[-1] < t1:
             # A block of held steps (one with a base), checked by one H table; its
-            # nodes pass up to its first new argmax, which is checked as one step.
+            # nodes pass up to and including its first new argmax, node j + 1.
             ts = [*itertools.islice(_grid_rule(node_list[-1], t1, step),
                                     2 if n else _FLOW_BLOCK + 1)]
             ys = _held_steps(steps[i_cur], ts, y)
@@ -321,17 +324,14 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                 ys, block_rows = ys[:1], h_at(ys[:1])
             moved = block_rows.argmax(axis=1) != i_cur
             j = int(moved.argmax()) if moved.any() else len(ys) - 1
-            if j:
-                node_list += ts[1:j + 1]
-                states.append(ys[:j])
-                rows.append(block_rows[:j])
-                y = ys[j - 1]
-            t = node_list[-1]
-            t_next, y_next, row_next = ts[j + 1], ys[j], block_rows[j]
-            if moved[j]:
+            node_list += ts[1:j + 2]
+            states.append(ys[:j + 1])
+            rows.append(block_rows[:j + 1])
+            if moved[j]:   # bisect on the same test from node j, state y
+                t, y = ts[j], ys[j - 1] if j else y
                 if len(switch_times) >= _MAX_SWITCHES:
-                    raise ChatteringError(_MAX_SWITCHES, t_next)
-                lo, hi, y_hi, row_hi = t, t_next, y_next, row_next   # bisect on the same test
+                    raise ChatteringError(_MAX_SWITCHES, ts[j + 1])
+                lo, hi, y_hi, row_hi = t, ts[j + 1], ys[j], block_rows[j]
                 while hi - lo > _SWITCH_TOL:
                     mid = 0.5 * (lo + hi)
                     if not lo < mid < hi:   # one ulp wide at a large t
@@ -343,17 +343,13 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                     else:
                         lo = mid
                 if t1 - hi > 1e-12:   # else the switch falls on the horizon end: no segment left
-                    t_next, y_next, row_next = hi, y_hi, row_hi
+                    node_list[-1], ys[j], block_rows[j] = hi, y_hi, row_hi   # the switch node
                     switch_times.append(hi)
                     recent = switch_times[-1 - _MAX_STEP_SWITCHES:]
                     if len(recent) > _MAX_STEP_SWITCHES and recent[0] > hi - step:
                         raise ChatteringError(_MAX_STEP_SWITCHES, hi)
                     i_cur = int(row_hi.argmax())
-                    seg_values.append(U.values[i_cur])
-            node_list.append(t_next)
-            y = y_next
-            states.append(y[None])
-            rows.append(row_next[None])
+            y = ys[j]
 
         states, rows = np.concatenate(states), np.concatenate(rows)
         base, zs = states[:, :n], states[:, n:]
@@ -363,12 +359,13 @@ def integrate_pmp_flow(sys: ControlSystem, x0, z_init, z0: float, t0: float,
                  else table.F[idx])
         h_nodes = rows[np.arange(len(idx)), idx]
         tie_times = np.asarray(node_list)[_ties(rows, zs)].tolist()
-    signal = None if box else ControlSignal(t0, t1, tuple(switch_times), tuple(seg_values))
 
     # The nodes of TimeGrid(t0, t1, step, switch_times), by its rule: not built again.
     nodes = np.array(node_list, dtype=float)
     grid = TimeGrid(float(nodes[0]), float(nodes[-1]), step, tuple(switch_times),
                     nodes_override=nodes)
+    signal = None if box else ControlSignal(t0, t1, tuple(switch_times), tuple(
+        u_nodes[np.searchsorted(nodes, [t0, *switch_times])]))
     return PmpFlow(EPath(grid, base, fiber), signal, CostatePath(grid, zs, z0), u_nodes,
                    h_nodes, tuple(switch_times), tuple(tie_times))
 
@@ -638,20 +635,12 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
     observation and spike time at once, every spike of nonzero width takes
     one stacked solve and product (a zero-width spike is skipped), and
     ``np.add.at`` adds each row's terms in spike order, so each row has the
-    bits of its symbol alone.  Over a point the extended f reads no base
-    coordinate, so it is evaluated once per distinct control value (keyed by
-    its bytes) and its rows reused.
+    bits of its symbol alone.  The extended f is read at the held control of
+    every observation and spike time and at every spike's value, once per
+    (x, u); over a point it reads no base coordinate, so it is evaluated once
+    per distinct control row, found by :func:`_unique_rows` as in the audit.
     """
     control, grid, f = ctx.etraj.control, ctx.grid, ctx.esys.f_at
-    if not ctx.sys.alg.base_dim:
-        rows_of, f_at = {}, f
-
-        def f(x, u):
-            key = u.tobytes()
-            if key not in rows_of:
-                rows_of[key] = f_at(x, u)
-            return rows_of[key]
-
     if not all(grid.t0 < s.tau < grid.t1 for s in symbols):
         raise ValueError("observation time must lie strictly inside the interval")
     times = np.array([t for s in symbols for t in (*s.taus, s.tau)])
@@ -660,16 +649,21 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
         t = float(times[bad.argmax()])
         raise ValueError("spike times must lie strictly inside the interval" if t <= grid.t0
                          else f"time {t} lies within {_SPIKE_GUARD} of a switch of the control")
-    k, m1 = len(symbols), ctx.esys.alg.fiber_dim
+    k, m1, p = len(symbols), ctx.esys.alg.fiber_dim, ctx.sys.control_space.dim
     # (spike index, row) of every spike of nonzero width, spike index first
     spikes = sorted((i, r) for r, s in enumerate(symbols) for i, w in enumerate(s.dts) if w)
     at = np.array([s.tau for s in symbols] + [symbols[r].taus[i] for i, r in spikes])
     xs, frames = ctx.base_at(at), ctx.frame_at(at)
-    us = [control.values[j] for j in np.searchsorted(control.switch_times, at, side="right")]
-    d = np.array([s.dt for s in symbols])[:, None] * np.array(
-        [f(x, u) for x, u in zip(xs[:k], us)]).reshape(k, m1)
-    deltas = np.array([f(x, symbols[r].vs[i]) - f(x, u)
-                       for (i, r), x, u in zip(spikes, xs[k:], us[k:])]).reshape(-1, m1, 1)
+    # the held controls at every time of ``at``, then every spike's value
+    held = np.array(control.values)[np.searchsorted(control.switch_times, at, side="right")]
+    us = np.reshape([*held, *(symbols[r].vs[i] for i, r in spikes)], (-1, p))
+    if ctx.sys.alg.base_dim:
+        fs = np.array([f(x, u) for x, u in zip([*xs, *xs[k:]], us)]).reshape(-1, m1)
+    else:
+        distinct, which = _unique_rows(us)
+        fs = np.array([f(xs[0], u) for u in distinct]).reshape(-1, m1)[which]
+    d = np.array([s.dt for s in symbols])[:, None] * fs[:k]
+    deltas = (fs[len(at):] - fs[k:len(at)])[..., None]
     rows = np.array([r for _, r in spikes], dtype=int)
     w = np.array([symbols[r].dts[i] for i, r in spikes]).reshape(-1, 1)
     np.add.at(d, rows, w * (frames[rows] @ np.linalg.solve(frames[k:], deltas))[..., 0])
@@ -788,8 +782,8 @@ def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
 
 
 def _segment_propagator(X: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The product of the RK4 steps R(h_k X) of a segment whose steps are h:
-    all but the last have the length h[0] (the steps commute)."""
+    """The product of the commuting RK4 steps R(h_k X) of a segment whose steps
+    are h, all but the last taken as h[0]: they differ from it by rounding alone."""
     return np.linalg.matrix_power(_rk4_matrix(h[0] * X), len(h) - 1) @ _rk4_matrix(h[-1] * X)
 
 
@@ -876,7 +870,8 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     Raises ``ValueError`` before any flow when ``rep`` fails the checks of
     :func:`develop_to_group`, when ``target`` does not have the shape of
     ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or when
-    ``target``, ``z_guess`` or ``duration_guess`` is not finite.
+    ``target``, ``z_guess`` or ``duration_guess`` is not finite, or when
+    ``step`` is not positive.
     """
     from scipy.optimize import least_squares   # the only user; keeps `import algopt` light
 
@@ -894,6 +889,8 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     if not (np.isfinite(target).all() and np.isfinite(z_guess).all()
             and np.isfinite(duration_guess)):
         raise ValueError("target, z_guess and duration_guess must be finite")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     free_time = t1 is None
     x0 = np.zeros(0)
     U = sys.control_space

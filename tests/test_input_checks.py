@@ -69,6 +69,9 @@ CHECKS = {
     "TimeGrid.from_nodes order": (
         lambda: TimeGrid.from_nodes([0.0, 0.5, 0.5]), ValueError,
         "nodes must be strictly increasing"),
+    "TimeGrid.from_nodes NaN node": (
+        lambda: TimeGrid.from_nodes([0.0, np.nan, 1.0], step=0.5), ValueError,
+        "nodes must be strictly increasing"),
     "grid_derivative rows": (
         lambda: grid_derivative(GRID, np.zeros((2, 1))), ValueError,
         "sample count does not match grid nodes"),

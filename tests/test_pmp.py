@@ -26,8 +26,9 @@ from algopt.paths import EPath, reparameterize_unit
 from algopt.pmp import (CostatePath, TimeDependentControlSystem, VariationSymbol,
                         autonomize, cone_support_check, develop_to_group,
                         hamiltonian, integrate_pmp_flow, make_needle_context,
-                        maximize_hamiltonian, needle_vector, sample_symbols,
-                        shoot_endpoint, time_dependence_audit, verify_extremal)
+                        maximize_hamiltonian, needle_vector, needle_vectors,
+                        sample_symbols, shoot_endpoint, time_dependence_audit,
+                        verify_extremal)
 from algopt.scenarios import (SCENARIOS, WongFixture, build_lq_system,
                               build_so3_bang_bang_system, build_wong_system, default_config)
 from conftest import box_signal, random_control_affine, skew_hat
@@ -226,6 +227,17 @@ def test_flow_rejects_positive_multiplier(bang_bang_system):
                            0.0, 1.0)
 
 
+@pytest.mark.parametrize("z0", [np.nan, -np.inf], ids=["nan", "minus-inf"])
+def test_a_non_finite_multiplier_is_refused(bang_bang_system, z0):
+    """Over a point a NaN multiplier gave a flow whose H was NaN at every node,
+    with no switch and no error, and -inf one whose H was -inf after a
+    warning; the flow and the costate refuse both, naming z0."""
+    with pytest.raises(ValueError, match=f"multiplier must satisfy -inf < z0 <= 0, got {z0}"):
+        integrate_pmp_flow(bang_bang_system, np.zeros(0), [0.0, 1.0, 0.2], z0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=f"multiplier must satisfy -inf < z0 <= 0, got {z0}"):
+        CostatePath(TimeGrid(0.0, 1.0, 0.5), np.zeros((3, 3)), z0)
+
+
 @pytest.mark.parametrize("name, x0, z_init, z0, message", [
     ("so3", [], [0.0, 1.0], -1.0, r"initial covector has shape \(2,\), expected \(3,\)"),
     ("lq", [], [0.3, 0.5], -1.0, r"initial point has shape \(0,\), expected \(1,\)"),
@@ -320,6 +332,34 @@ def test_a_switch_at_a_large_time_is_localized_without_hanging():
     assert out.stdout.strip() == "2"
 
 
+def test_a_flow_or_shot_at_a_non_positive_step_fails_fast():
+    """The switching loop never advanced at a step of 0 and stepped backwards
+    at a negative one, over a point (so3) and over a box's vertices (LQ at
+    z0 = 0), and a shot passed its step on to such flows.  Each refuses the
+    step before any flow.  Run in a subprocess so that a hang fails the test
+    instead of the suite."""
+    code = ("import numpy as np\n"
+            "from algopt.pmp import integrate_pmp_flow, shoot_endpoint\n"
+            "from algopt.scenarios import build_lq_system, build_so3_bang_bang_system\n"
+            "so3, lq = build_so3_bang_bang_system([1, 0, 0], [0, 1, 0]), build_lq_system()\n"
+            "hat = lambda u: np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])\n"
+            "z = [0.0, 1.0, 0.2]\n"
+            "calls = [lambda s: integrate_pmp_flow(so3, np.zeros(0), z, -1.0, 0.0, 1.0, step=s),\n"
+            "         lambda s: integrate_pmp_flow(lq, [0.0], [0.5], 0.0, 0.0, 1.0, step=s),\n"
+            "         lambda s: shoot_endpoint(so3, hat, np.eye(3), z, t1=1.0, step=s)]\n"
+            "for call in calls:\n"
+            "    for s in (0.0, -1e-3):\n"
+            "        try:\n"
+            "            call(s)\n"
+            "        except ValueError as e:\n"
+            "            print(e)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(pmp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=10, env=env)
+    assert out.stdout.splitlines() == ["step must be positive, got 0.0",
+                                       "step must be positive, got -0.001"] * 3
+
+
 # Two steps far from 0: the sum t0 + step + step rounds to t1 although more
 # than step (1 + slack) remained before it, so the rule must end there once.
 LARGE_T0 = (121843.2827230996, 121843.2868093375, 0.002043118942748335)
@@ -340,6 +380,14 @@ def test_a_switching_flow_has_the_nodes_of_its_time_grid(case, interval):
     grid = TimeGrid(t0, t1, step, flow.switch_times)
     assert flow.path.grid.nodes.tobytes() == grid.nodes.tobytes()
     assert flow.switch_times or (t0, t1, step) == LARGE_T0
+    # Each segment holds u_nodes at its first node, and a switch node's H is
+    # that of its own state and control: the switch overwrote the node whole.
+    firsts = [i0 for i0, _ in grid.segment_bounds]
+    if flow.control is not None:   # a box's vertex flow keeps its control as u_nodes alone
+        assert np.array_equal(flow.control.values, flow.u_nodes[firsts])
+    for k in firsts[1:]:
+        assert flow.h_nodes[k] == hamiltonian(sys, flow.costate.z[k], z0, flow.path.base[k],
+                                              flow.u_nodes[k])
 
 
 def test_the_lq_box_flow_at_a_large_time_audits_with_a_finite_costate_residual():
@@ -917,6 +965,15 @@ def test_needle_skips_a_zero_width_spike(needle_setup):
     with_zero = VariationSymbol((0.5, 1.5), vs, 3.0, (0.0, 0.3), 0.2)
     without = VariationSymbol((1.5,), vs[1:], 3.0, (0.3,), 0.2)
     assert needle_vector(ctx, with_zero).tobytes() == needle_vector(ctx, without).tobytes()
+
+
+@pytest.mark.parametrize("point", [True, False], ids=["so3", "lq"])
+def test_needle_vectors_of_no_symbol_is_an_empty_table(needle_setup, point):
+    """No symbols give a (0, m+1) table, over a point and with a base."""
+    ctx = needle_setup[2] if point else make_needle_context(
+        build_lq_system(), ControlSignal.constant([0.0], 0.0, 1.0), [0.0], step=0.25)
+    d = needle_vectors(ctx, [])
+    assert d.shape == ((0, 4) if point else (0, 2)) and d.dtype == float
 
 
 def reference_extended_pass(sys, signal, grid, x0):
