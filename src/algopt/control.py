@@ -65,9 +65,9 @@ class FiniteSet:
     def dim(self) -> int:
         return self.values[0].size
 
-    def contains(self, u) -> bool:
+    def contains(self, u):   # one bool per row of a stack, as Box.contains
         u = _as_control(u)
-        return any(np.allclose(u, v, atol=1e-12) for v in self.values)
+        return np.isclose(u[..., None, :], self.values, atol=1e-12).all(axis=-1).any(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -575,16 +575,22 @@ class VariationSymbol:
         vs = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.vs)
         if not (len(taus) == len(dts) == len(vs)):
             raise ValueError("taus, vs and dts must have equal length")
+        tau, dt = float(self.tau), float(self.dt)
+        for name, values in (("taus", taus), ("tau", [tau]), ("dts", dts), ("dt", [dt]),
+                             ("vs", vs)):
+            if not all(np.isfinite(v).all() for v in values):
+                raise ValueError(f"{name} must be finite")
         if any(b < a for a, b in zip(taus[:-1], taus[1:])):
             raise ValueError("spike times must be nondecreasing")
-        if taus and taus[-1] > self.tau:
+        if taus and taus[-1] > tau:
             raise ValueError("spike times must not exceed the observation time")
         if any(d < 0 for d in dts):
             raise ValueError("spike widths must be nonnegative")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "dts", dts)
         object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "dt", dt)
 
 
 @dataclass(frozen=True)
@@ -650,6 +656,13 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
         raise ValueError("spike times must lie strictly inside the interval" if t <= grid.t0
                          else f"time {t} lies within {_SPIKE_GUARD} of a switch of the control")
     k, m1, p = len(symbols), ctx.esys.alg.fiber_dim, ctx.sys.control_space.dim
+    spiked = [(r, v) for r, s in enumerate(symbols) for v in s.vs]
+    fits = [v.shape == (p,) for _, v in spiked]
+    if spiked and all(fits):
+        fits = ctx.sys.control_space.contains(np.array([v for _, v in spiked]))
+    if not all(fits):
+        raise ValueError(f"symbol {spiked[np.argmin(fits)][0]}: a spike value must be a point "
+                         f"of the control space, of shape ({p},)")
     # (spike index, row) of every spike of nonzero width, spike index first
     spikes = sorted((i, r) for r, s in enumerate(symbols) for i, w in enumerate(s.dts) if w)
     at = np.array([s.tau for s in symbols] + [symbols[r].taus[i] for i, r in spikes])
@@ -755,7 +768,9 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep) -> np.ndarray:
 
 
 def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
-    """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``."""
+    """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``.
+    The running product is ``g.dot(P)``: the BLAS call and bits of g @ P at
+    about half the call cost."""
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
     nodes = path.grid.nodes
@@ -771,7 +786,7 @@ def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
         h = np.diff(nodes[lo:hi + 1])[:, None, None]
         P = _rk4_sampled(lambda A, y: y @ A, (R0,), (R1,), eye, h)
         for k in range(lo, hi):
-            g = g @ P[k - lo]
+            g = g.dot(P[k - lo])
             if skew and (k + 1) % _REORTHONORMALIZE_EVERY == 0:
                 uu, _, vv = np.linalg.svd(g)
                 g = uu @ vv

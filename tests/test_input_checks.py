@@ -14,7 +14,8 @@ from algopt.paths import EPath, HomotopyField, generate_infinitesimal_homotopy, 
 from algopt.pmp import (CostatePath, VariationSymbol, cone_support_check, develop_to_group,
                         make_needle_context, needle_vectors, sample_symbols, shoot_endpoint,
                         verify_extremal)
-from algopt.scenarios import WongFixture, build_lq_system, default_config
+from algopt.scenarios import (WongFixture, build_lq_system, build_so3_bang_bang_system,
+                              default_config)
 
 from conftest import skew_hat
 
@@ -38,8 +39,19 @@ def lq_needle_context():
                                [0.0], step=0.25)
 
 
-def symbol(taus, dts, tau=0.5):
-    return VariationSymbol(taus, tuple([0.0] for _ in taus), tau, dts, 1.0)
+def so3_needle_context():
+    return make_needle_context(build_so3_bang_bang_system((1, 0, 0), (0, 1, 0)),
+                               ControlSignal.constant([1.0], 0.0, 1.0), [], step=0.25)
+
+
+def symbol(taus, dts, tau=0.5, vs=None, dt=1.0):
+    return VariationSymbol(taus, tuple([0.0] for _ in taus) if vs is None else vs, tau, dts, dt)
+
+
+def spiked(ctx, v, width):
+    """needle_vectors on a one-spike symbol of value v after a valid one."""
+    return needle_vectors(ctx, [symbol((0.3,), (0.1,), vs=([1.0],)),
+                                symbol((0.3,), (width,), vs=(v,))])
 
 
 CHECKS = {
@@ -109,6 +121,33 @@ CHECKS = {
         "spike times must not exceed the observation time"),
     "VariationSymbol widths": (
         lambda: symbol((0.1,), (-0.1,)), ValueError, "spike widths must be nonnegative"),
+    "VariationSymbol NaN spike time": (
+        lambda: symbol((np.nan,), (0.1,)), ValueError, "taus must be finite"),
+    "VariationSymbol infinite observation time": (
+        lambda: symbol((0.1,), (0.1,), tau=np.inf), ValueError, "tau must be finite"),
+    "VariationSymbol NaN width": (
+        lambda: symbol((0.1,), (np.nan,)), ValueError, "dts must be finite"),
+    "VariationSymbol infinite width": (
+        lambda: symbol((0.1,), (np.inf,)), ValueError, "dts must be finite"),
+    "VariationSymbol NaN horizon change": (
+        lambda: symbol((0.1,), (0.1,), dt=np.nan), ValueError, "dt must be finite"),
+    "VariationSymbol infinite spike value": (
+        lambda: symbol((0.1,), (0.1,), vs=([np.inf],)), ValueError, "vs must be finite"),
+    "needle_vectors spike shape, zero width": (
+        lambda: spiked(so3_needle_context(), [1.0, 5.0], 0.0), ValueError,
+        r"symbol 1: a spike value must be a point of the control space, of shape \(1,\)"),
+    "needle_vectors spike shape, nonzero width": (
+        lambda: spiked(so3_needle_context(), [1.0, 5.0], 0.1), ValueError,
+        r"symbol 1: a spike value must be a point of the control space, of shape \(1,\)"),
+    "needle_vectors spike of two axes": (
+        lambda: spiked(so3_needle_context(), [[1.0]], 0.1), ValueError,
+        r"symbol 1: a spike value must be a point of the control space, of shape \(1,\)"),
+    "needle_vectors spike outside a finite set": (
+        lambda: spiked(so3_needle_context(), [0.5], 0.0), ValueError,
+        r"symbol 1: a spike value must be a point of the control space, of shape \(1,\)"),
+    "needle_vectors spike outside a box": (
+        lambda: spiked(lq_needle_context(), [11.0], 0.1), ValueError,
+        r"symbol 1: a spike value must be a point of the control space, of shape \(1,\)"),
     "needle_vectors observation time": (
         lambda: needle_vectors(lq_needle_context(), [symbol((), (), tau=1.0)]), ValueError,
         "observation time must lie strictly inside the interval"),

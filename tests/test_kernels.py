@@ -7,6 +7,7 @@ blocks of held steps against node-by-node stepping."""
 
 import warnings
 from dataclasses import replace
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,8 @@ from algopt.control import (_BOX_SLACK, Box, ControlSignal, ControlSystem, Finit
 from algopt.core import (ChartAlgebroid, _dual_field, lie_algebra, so3_algebra, so3_structure,
                          tangent_bundle, validate_anchor_morphism, validate_skew)
 from algopt.errors import ChatteringError, IntegrationDivergedError
-from algopt.numerics import TimeGrid, _linear_rk4, integrate_segmented, rk4_step
+from algopt.numerics import (TimeGrid, _grid_rule, _held_steps, _linear_rk4, _rk4_matrix,
+                             integrate_segmented, rk4_step)
 from algopt.paths import EPath
 from algopt.pmp import (VariationSymbol, cone_support_check, develop_to_group,
                         integrate_pmp_flow, make_needle_context, needle_vector, needle_vectors,
@@ -332,6 +334,41 @@ def test_develop_to_group_matches_stepwise_rk4(seed, n_nodes, every, skew):
     with mock.patch.object(pmp, "_REORTHONORMALIZE_EVERY", every):
         g = develop_to_group(alg, path, rep)
     assert np.abs(g - reference_development(path, rep, every, skew)).max() <= 1e-12
+
+
+@PROPERTY
+@given(seed=SEEDS, n_nodes=st.integers(102, 400), block=st.integers(1, 150),
+       skew=st.booleans())
+def test_development_keeps_the_bits_of_a_matmul_product(seed, n_nodes, block, skew):
+    """Development's running product g.dot(P) has the bytes of g @ P composed
+    from the same propagators, across blocks of propagators and over more
+    than _REORTHONORMALIZE_EVERY steps, so that a skew rep re-projects."""
+    rng = np.random.default_rng(seed)
+    alg, rep = (so3_algebra(), skew_hat) if skew else affine_line_algebra()
+    nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(1e-3, 2e-2, size=n_nodes - 1)]))
+    fiber = rng.uniform(-2.0, 2.0, size=(n_nodes, alg.fiber_dim))
+    path = EPath(TimeGrid.from_nodes(nodes), np.zeros((n_nodes, 0)), fiber)
+    propagators, rk4_sampled = [], pmp._rk4_sampled
+
+    def recorded(*args):
+        P = rk4_sampled(*args)
+        propagators.extend(P)
+        return P
+
+    with mock.patch.object(pmp, "_DEVELOP_BLOCK", block), \
+            mock.patch.object(pmp, "_rk4_sampled", recorded):
+        g = develop_to_group(alg, path, rep)
+    expected = np.eye(len(propagators[0]))
+    for k, P in enumerate(propagators):
+        expected = expected @ P
+        if skew and (k + 1) % pmp._REORTHONORMALIZE_EVERY == 0:
+            uu, _, vv = np.linalg.svd(expected)
+            expected = uu @ vv
+    if skew:
+        uu, _, vv = np.linalg.svd(expected)
+        expected = uu @ vv
+    assert len(propagators) == n_nodes - 1
+    assert same_bytes(g, expected)
 
 
 def reference_so3_switch_times(a, b, z, horizon, step, switch_tol=1e-9):
@@ -778,6 +815,33 @@ def test_matrix_segments_are_bit_identical_to_node_by_node_steps(seed, m, n_brea
             expected.append(y)
     got = integrate_segmented(lambda seg, lo, hi: mats[seg], grid, y0)
     assert got.tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=SEEDS, m=st.integers(1, 6), frame=st.booleans(),
+       t0=st.sampled_from([0.0, 1.0, 1e3, 1e6, 2.0**26 - 1.0, 1e8]), n_steps=st.integers(1, 300))
+def test_held_matrix_steps_keep_the_bits_of_a_matmul_loop(seed, m, frame, t0, n_steps):
+    """A block of held steps on y' = A y, the first by R(h) @ y and the later
+    ones by a bound R(h).dot, has the bytes of a loop of R(h) @ y.  Far from
+    0 the grid rule's step lengths differ by ulps, so a block binds R again
+    at each change of h: R is read for the first step and then once per run
+    of equal later step lengths.  From 0 and from just below 2**26 the nodes
+    cross binades, and with them the rounding of t + step."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m)) * rng.uniform(0.1, 3.0)
+    step = float(rng.uniform(1e-3, 5e-2))
+    nodes = list(_grid_rule(t0, t0 + n_steps * step, step))
+    hs = [b - a for a, b in zip(nodes, nodes[1:])]
+    y0 = (np.eye(m) + 0.1 * rng.normal(size=(m, m))).ravel() if frame else rng.normal(size=m)
+    Y, expected = y0.reshape(m, -1), []
+    for h in hs:
+        Y = _rk4_matrix(h * A) @ Y
+        expected.append(Y.ravel())
+    advance, read = _linear_rk4(A), []
+    R = advance.R
+    advance.R = lambda h: read.append(h) or R(h)
+    assert same_bytes(_held_steps(advance, nodes, y0), np.array(expected))
+    assert read == [hs[0]] + [h for h, _ in groupby(hs[1:])]
 
 
 @pytest.mark.parametrize("mode, error, messages", [

@@ -8,8 +8,9 @@ working tree.  Each revision is checked out with ``git worktree add
 trees run the same fixed list of configs (``configs()``): the three built-in
 defaults in normal and abnormal mode, four box and symbol variants, an so3
 run whose cone check cuts its needle context on a switch, a custom
-tangent chart, a wong-so3-r2 run that diverges after ten steps, LQ from a
-zero and from a signed-zero costate and LQ diverging at t = 0.077, and the
+tangent chart, a wong-so3-r2 run that diverges after ten steps, an so3 run
+whose held rotation overflows at t = 1400, LQ from a zero and from a
+signed-zero costate and LQ diverging at t = 0.077, and the
 so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
 ``perfbench/workloads.py``.  Each tree runs them in one subprocess, with
 ``PYTHONPATH`` set to that tree's ``src``, through
@@ -83,7 +84,7 @@ def _workloads():
 
 
 def configs() -> dict[str, dict]:
-    """The 52 configs, by name.  Defaults are partial configs, so each tree
+    """The 53 configs, by name.  Defaults are partial configs, so each tree
     fills in its own; abnormal runs set ``z0_mode``, which every revision
     since the option existed reads from the file."""
     out = {}
@@ -113,6 +114,12 @@ def configs() -> dict[str, dict]:
     # ten finite ones, first overflows inside a stage (b = F(x)^T z), so the
     # failed run's report covers a step the fused flow takes again on arrays.
     out["wong-so3-r2-diverged"] = {"scenario": "wong-so3-r2", "initial_point": [1e10, 1e10]}
+    # A held rotation (b = 0) stepped far past RK4's stability bound grows by
+    # a fixed factor per step and overflows at t = 1400: the flow's blocks
+    # stop at a flagged step, which the next block takes first and reports.
+    out["so3-bang-bang-diverged"] = {"scenario": "so3-bang-bang", "params": {"b": [0, 0, 0]},
+                                     "z_init": [0.2, 0.9, 1.1], "horizon": 2000,
+                                     "solver": {"step": 4}}
     workloads = _workloads()
     for label, make in (("bang-bang-cone", workloads.bang_bang_config),
                         ("wong", workloads.wong_config), ("lq", workloads.classical_config)):
