@@ -35,7 +35,7 @@ _STEP_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on [t0, t1] refined so that every breakpoint is a node.
+    """Uniform time grid on a finite [t0, t1], refined so that every breakpoint is a node.
 
     Each segment's nodes are :func:`_grid_rule`'s sums t += step, so that
     repeated unit-rate integration reproduces node times bitwise; none repeats,
@@ -54,6 +54,8 @@ class TimeGrid:
                                                                   compare=False)
 
     def __post_init__(self):
+        if not (isfinite(self.t0) and isfinite(self.t1)):
+            raise ValueError(f"t0 and t1 must be finite, got [{self.t0}, {self.t1}]")
         if not (self.t0 < self.t1):
             raise ValueError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
         if not (self.step > 0):

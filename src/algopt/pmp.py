@@ -643,8 +643,8 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
     ``np.add.at`` adds each row's terms in spike order, so each row has the
     bits of its symbol alone.  The extended f is read at the held control of
     every observation and spike time and at every spike's value, once per
-    (x, u); over a point it reads no base coordinate, so it is evaluated once
-    per distinct control row, found by :func:`_unique_rows` as in the audit.
+    distinct row of (x, u), found by :func:`_unique_rows` as in the audit:
+    it never reads the accrued cost, the extended base's first coordinate.
     """
     control, grid, f = ctx.etraj.control, ctx.grid, ctx.esys.f_at
     if not all(grid.t0 < s.tau < grid.t1 for s in symbols):
@@ -670,11 +670,9 @@ def needle_vectors(ctx: NeedleContext, symbols: Sequence[VariationSymbol]) -> np
     # the held controls at every time of ``at``, then every spike's value
     held = np.array(control.values)[np.searchsorted(control.switch_times, at, side="right")]
     us = np.reshape([*held, *(symbols[r].vs[i] for i, r in spikes)], (-1, p))
-    if ctx.sys.alg.base_dim:
-        fs = np.array([f(x, u) for x, u in zip([*xs, *xs[k:]], us)]).reshape(-1, m1)
-    else:
-        distinct, which = _unique_rows(us)
-        fs = np.array([f(xs[0], u) for u in distinct]).reshape(-1, m1)[which]
+    distinct, which = _unique_rows(np.hstack([np.vstack([xs, xs[k:]])[:, 1:], us]))
+    n = ctx.sys.alg.base_dim
+    fs = np.array([f(np.append(0.0, r[:n]), r[n:]) for r in distinct]).reshape(-1, m1)[which]
     d = np.array([s.dt for s in symbols])[:, None] * fs[:k]
     deltas = (fs[len(at):] - fs[k:len(at)])[..., None]
     rows = np.array([r for _, r in spikes], dtype=int)
@@ -764,21 +762,22 @@ def develop_to_group(alg: ChartAlgebroid, path: EPath, rep) -> np.ndarray:
     """
     if alg.base_dim != 0:
         raise ValueError("development requires a chart over a point (zero anchor)")
-    return _develop(_rep_matrices(alg, rep), path)
+    return _develop(_rep_matrices(alg, rep), path)[-1]
 
 
 def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
-    """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``.
-    The running product is ``g.dot(P)``: the BLAS call and bits of g @ P at
-    about half the call cost."""
+    """:func:`develop_to_group` with rep(e_k) given, and checked, as ``mats``:
+    the running product at the end node of every segment of the path's grid,
+    (segments, d, d), with g(t1) last.  The running product is ``g.dot(P)``:
+    the BLAS call and bits of g @ P at about half the call cost."""
     skew = all(np.abs(Mi + Mi.T).max() <= 1e-12 for Mi in mats)
 
     nodes = path.grid.nodes
     left, right = path.fiber[:-1], path.fiber[1:].copy()
-    ends = np.array([i1 for _, i1 in path.grid.segment_bounds[:-1]], dtype=int)
-    right[ends - 1] = left[ends - 1]
+    ends = np.array([i1 for _, i1 in path.grid.segment_bounds], dtype=int)
+    right[ends[:-1] - 1] = left[ends[:-1] - 1]
     eye = np.eye(mats.shape[1])
-    g = eye
+    g, out = eye, []
     n_steps = len(nodes) - 1
     for lo in range(0, n_steps, _DEVELOP_BLOCK):
         hi = min(lo + _DEVELOP_BLOCK, n_steps)
@@ -790,10 +789,12 @@ def _develop(mats: np.ndarray, path: EPath) -> np.ndarray:
             if skew and (k + 1) % _REORTHONORMALIZE_EVERY == 0:
                 uu, _, vv = np.linalg.svd(g)
                 g = uu @ vv
+            if k + 1 == ends[len(out)]:
+                out.append(g)
     if skew:
         uu, _, vv = np.linalg.svd(g)
-        g = uu @ vv
-    return g
+        out[-1] = uu @ vv
+    return np.array(out)
 
 
 def _segment_propagator(X: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -802,21 +803,22 @@ def _segment_propagator(X: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_power(_rk4_matrix(h[0] * X), len(h) - 1) @ _rk4_matrix(h[-1] * X)
 
 
-def _switch_jacobian(table, mats: np.ndarray, flow: PmpFlow, z0: float) -> np.ndarray | None:
+def _switch_jacobian(table, mats: np.ndarray, flow: PmpFlow, z0: float,
+                     gs: np.ndarray) -> np.ndarray | None:
     """d g(t1) / d z_init, shape (d, d, m), for the development g of a flow
     over a point with a finite set whose per-control table is ``table`` and
-    whose rep(e_k) are ``mats``; None at a grazing switch.
+    whose rep(e_k) are ``mats``, from the flow's development ``gs`` at the end
+    of each arc (:func:`_develop`); None at a grazing switch.
 
     Over a point the dual transport is linear, so z_init moves the endpoint
     only through the switch times.  One walk over the arcs carries
-    S = dz/dz_init and T = dg/dz_init.  On an arc held at value i, S is
-    left-multiplied by the arc's propagator of zdot = K_i z and T
-    right-multiplied by that of gdot = g A_i, A_i = rep(F_i): products of the
-    RK4 steps R(hK_i) and R(hA_i).  At a switch i -> j at t_s, where the flow
-    holds z_s, sigma = H_j - H_i vanishes, so with dF = F_j - F_i
+    S = dz/dz_init: on an arc held at value i, S is left-multiplied by the
+    arc's propagator of zdot = K_i z, the product of the RK4 steps R(hK_i).
+    At a switch i -> j at t_s, where the flow holds z_s and g_s, sigma =
+    H_j - H_i vanishes, so with dF = F_j - F_i and A_i = rep(F_i)
 
         dt_s = -(dF S) / (dF K_i z_s),   S += (K_i - K_j) z_s dt_s,
-        T += g(t_s) (A_i - A_j) dt_s
+        dg(t1) += g_s (A_i - A_j) g_s^-1 g(t1) dt_s
 
     (the jump terms of Hiskens and Pai, IEEE TCAS-I 47, 2000).  A switch is
     grazing when |dF K_i z_s| <= _GRAZE |dF| |K_i z_s|.
@@ -825,23 +827,18 @@ def _switch_jacobian(table, mats: np.ndarray, flow: PmpFlow, z0: float) -> np.nd
     bounds = grid.segment_bounds
     held = _point_hamiltonians(table, z[[i0 for i0, _ in bounds]], z0).argmax(axis=1)
     A = np.tensordot(table.F, mats, axes=(1, 0))
-    S, g = np.eye(z.shape[1]), np.eye(mats.shape[1])
-    T = np.zeros(g.shape + (z.shape[1],))
-    for k, (i0, i1) in enumerate(bounds):
-        i, h = held[k], np.diff(grid.nodes[i0:i1 + 1])
-        P = _segment_propagator(A[i], h)
-        g, T = g @ P, np.einsum("abk,bc->ack", T, P)
-        if k + 1 == len(bounds):
-            return T
-        j, z_s = held[k + 1], z[i1]
+    S, T = np.eye(z.shape[1]), np.zeros(gs.shape[1:] + (z.shape[1],))
+    for k, (i0, i1) in enumerate(bounds[:-1]):
+        i, j, z_s = held[k], held[k + 1], z[i1]
         dF, dz = table.F[j] - table.F[i], table.K[i] @ z_s
         rate = dF @ dz
         if abs(rate) <= _GRAZE * np.linalg.norm(dF) * np.linalg.norm(dz):
             return None
-        S = _segment_propagator(table.K[i], h) @ S
+        S = _segment_propagator(table.K[i], np.diff(grid.nodes[i0:i1 + 1])) @ S
         dt_s = -(dF @ S) / rate
         S = S + np.outer((table.K[i] - table.K[j]) @ z_s, dt_s)
-        T = T + (g @ (A[i] - A[j]))[..., None] * dt_s
+        T = T + (gs[k] @ (A[i] - A[j]) @ np.linalg.solve(gs[k], gs[-1]))[..., None] * dt_s
+    return T
 
 
 @dataclass(frozen=True)
@@ -884,9 +881,9 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
 
     Raises ``ValueError`` before any flow when ``rep`` fails the checks of
     :func:`develop_to_group`, when ``target`` does not have the shape of
-    ``rep``'s matrices, when ``z_guess`` is not a fiber covector, or when
-    ``target``, ``z_guess`` or ``duration_guess`` is not finite, or when
-    ``step`` is not positive.
+    ``rep``'s matrices, when ``z_guess`` is not a fiber covector, when
+    ``target``, ``z_guess``, ``duration_guess`` or ``t0`` is not finite, or
+    when :class:`TimeGrid` refuses ``step`` or, in fixed time, [t0, t1].
     """
     from scipy.optimize import least_squares   # the only user; keeps `import algopt` light
 
@@ -902,11 +899,10 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
     if z_guess.shape != (m,):
         raise ValueError(f"z_guess has shape {z_guess.shape}, expected ({m},)")
     if not (np.isfinite(target).all() and np.isfinite(z_guess).all()
-            and np.isfinite(duration_guess)):
-        raise ValueError("target, z_guess and duration_guess must be finite")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+            and np.isfinite(duration_guess) and np.isfinite(t0)):
+        raise ValueError("target, z_guess, duration_guess and t0 must be finite")
     free_time = t1 is None
+    TimeGrid(t0, np.nextafter(t0, np.inf) if free_time else t1, step)   # refuses step or [t0, t1]
     x0 = np.zeros(0)
     U = sys.control_space
     table = _point_table(sys, U.values) if isinstance(U, FiniteSet) else None
@@ -932,8 +928,9 @@ def shoot_endpoint(sys: ControlSystem, rep, target: np.ndarray, z_guess,
                                           step=min(step, duration / 4.0))
             except (ChatteringError, IntegrationDivergedError):
                 return failed, None
-            g, f = _develop(mats, flow.path), flow.path.fiber[-1]
-            T = None if table is None else _switch_jacobian(table, mats, flow, z0)
+            gs, f = _develop(mats, flow.path), flow.path.fiber[-1]
+            g = gs[-1]
+            T = None if table is None else _switch_jacobian(table, mats, flow, z0, gs)
             if T is None:
                 return (g - target).ravel(), None
             jac[:, :m] = T.reshape(target.size, m)

@@ -14,8 +14,8 @@ from algopt.paths import EPath, HomotopyField, generate_infinitesimal_homotopy, 
 from algopt.pmp import (CostatePath, VariationSymbol, cone_support_check, develop_to_group,
                         make_needle_context, needle_vectors, sample_symbols, shoot_endpoint,
                         verify_extremal)
-from algopt.scenarios import (WongFixture, build_lq_system, build_so3_bang_bang_system,
-                              default_config)
+from algopt.scenarios import (WongFixture, build_chart_from_config, build_lq_system,
+                              build_so3_bang_bang_system, default_config, validate_config)
 
 from conftest import skew_hat
 
@@ -78,6 +78,12 @@ CHECKS = {
         lambda: ControlSignal(0.0, 1.0, (0.6, 0.3), ([0.0], [1.0], [0.0])), ValueError,
         "switch times must be strictly increasing"),
     # numerics
+    "TimeGrid infinite end": (
+        lambda: TimeGrid(0.0, np.inf, 0.1), ValueError,
+        r"t0 and t1 must be finite, got \[0.0, inf\]"),
+    "TimeGrid infinite start": (
+        lambda: TimeGrid(-np.inf, 0.0, 0.1), ValueError,
+        r"t0 and t1 must be finite, got \[-inf, 0.0\]"),
     "TimeGrid.from_nodes order": (
         lambda: TimeGrid.from_nodes([0.0, 0.5, 0.5]), ValueError,
         "nodes must be strictly increasing"),
@@ -165,12 +171,25 @@ CHECKS = {
     "shoot_endpoint on a chart with a base": (
         lambda: shoot_endpoint(build_lq_system(), skew_hat, np.eye(3), [1.0]), ValueError,
         "endpoint shooting requires a chart over a point"),
+    "shoot_endpoint empty interval": (
+        lambda: shoot_endpoint(build_so3_bang_bang_system((1, 0, 0), (0, 1, 0)), skew_hat,
+                               np.eye(3), [0.0, 1.0, 0.2], t0=5.0, t1=1.0),
+        ValueError, r"need t0 < t1, got \[5.0, 1.0\]"),
     # scenarios
     "WongFixture shapes": (
         lambda: WongFixture(np.zeros((2, 2, 2)), np.zeros((3, 2))), ValueError,
         "algebra has shape"),
     "default_config unknown name": (
         lambda: default_config("nope"), ConfigError, "unknown scenario 'nope'"),
+    "custom config without a chart": (
+        lambda: validate_config({"scenario": "custom"}), ConfigError,
+        "chart: custom scenarios must supply a chart spec"),
+    "config horizon": (
+        lambda: validate_config({"scenario": "so3-bang-bang", "horizon": 0}), ConfigError,
+        "horizon: must be positive"),
+    "lie-algebra chart table of two axes": (
+        lambda: build_chart_from_config({"kind": "lie-algebra", "table": [[0.0]]}),
+        ConfigError, r"chart.table: expected an \(m, m, m\) table"),
 }
 
 

@@ -338,16 +338,19 @@ def test_develop_to_group_matches_stepwise_rk4(seed, n_nodes, every, skew):
 
 @PROPERTY
 @given(seed=SEEDS, n_nodes=st.integers(102, 400), block=st.integers(1, 150),
-       skew=st.booleans())
-def test_development_keeps_the_bits_of_a_matmul_product(seed, n_nodes, block, skew):
+       skew=st.booleans(), n_breaks=st.integers(0, 3))
+def test_development_keeps_the_bits_of_a_matmul_product(seed, n_nodes, block, skew, n_breaks):
     """Development's running product g.dot(P) has the bytes of g @ P composed
     from the same propagators, across blocks of propagators and over more
-    than _REORTHONORMALIZE_EVERY steps, so that a skew rep re-projects."""
+    than _REORTHONORMALIZE_EVERY steps, so that a skew rep re-projects; on a
+    path with breakpoints each segment's entry of the stack is that product
+    at the segment's end node."""
     rng = np.random.default_rng(seed)
     alg, rep = (so3_algebra(), skew_hat) if skew else affine_line_algebra()
     nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(1e-3, 2e-2, size=n_nodes - 1)]))
     fiber = rng.uniform(-2.0, 2.0, size=(n_nodes, alg.fiber_dim))
-    path = EPath(TimeGrid.from_nodes(nodes), np.zeros((n_nodes, 0)), fiber)
+    breaks = nodes[rng.choice(np.arange(1, n_nodes - 1), n_breaks, replace=False)]
+    path = EPath(TimeGrid.from_nodes(nodes, breaks), np.zeros((n_nodes, 0)), fiber)
     propagators, rk4_sampled = [], pmp._rk4_sampled
 
     def recorded(*args):
@@ -358,17 +361,24 @@ def test_development_keeps_the_bits_of_a_matmul_product(seed, n_nodes, block, sk
     with mock.patch.object(pmp, "_DEVELOP_BLOCK", block), \
             mock.patch.object(pmp, "_rk4_sampled", recorded):
         g = develop_to_group(alg, path, rep)
-    expected = np.eye(len(propagators[0]))
+    expected, at_ends = np.eye(len(propagators[0])), []
+    ends = [i1 for _, i1 in path.grid.segment_bounds]
     for k, P in enumerate(propagators):
         expected = expected @ P
         if skew and (k + 1) % pmp._REORTHONORMALIZE_EVERY == 0:
             uu, _, vv = np.linalg.svd(expected)
             expected = uu @ vv
+        if k + 1 in ends:
+            at_ends.append(expected)
     if skew:
         uu, _, vv = np.linalg.svd(expected)
         expected = uu @ vv
     assert len(propagators) == n_nodes - 1
     assert same_bytes(g, expected)
+    with mock.patch.object(pmp, "_DEVELOP_BLOCK", block):
+        gs = pmp._develop(pmp._rep_matrices(alg, rep), path)
+    assert len(gs) == n_breaks + 1 and same_bytes(gs[-1], g)
+    assert all(same_bytes(a, b) for a, b in zip(gs[:-1], at_ends))
 
 
 def reference_so3_switch_times(a, b, z, horizon, step, switch_tol=1e-9):

@@ -335,29 +335,39 @@ def test_a_switch_at_a_large_time_is_localized_without_hanging():
 def test_a_flow_or_shot_at_a_non_positive_step_fails_fast():
     """The switching loop never advanced at a step of 0 and stepped backwards
     at a negative one, over a point (so3) and over a box's vertices (LQ at
-    z0 = 0), and a shot passed its step on to such flows.  Each refuses the
-    step before any flow.  Run in a subprocess so that a hang fails the test
-    instead of the suite."""
+    z0 = 0), and a shot passed its step on to such flows; a flow, a held
+    pass or a shot towards an infinite end stepped without end.  Each refuses
+    the step or the end before any flow.  Run in a subprocess so that a hang
+    fails the test instead of the suite."""
     code = ("import numpy as np\n"
+            "from algopt.control import ControlSignal, simulate_trajectory\n"
             "from algopt.pmp import integrate_pmp_flow, shoot_endpoint\n"
             "from algopt.scenarios import build_lq_system, build_so3_bang_bang_system\n"
             "so3, lq = build_so3_bang_bang_system([1, 0, 0], [0, 1, 0]), build_lq_system()\n"
             "hat = lambda u: np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])\n"
-            "z = [0.0, 1.0, 0.2]\n"
+            "z, inf = [0.0, 1.0, 0.2], np.inf\n"
+            "hold = ControlSignal(0.0, inf, (), ([1.0],))\n"
             "calls = [lambda s: integrate_pmp_flow(so3, np.zeros(0), z, -1.0, 0.0, 1.0, step=s),\n"
             "         lambda s: integrate_pmp_flow(lq, [0.0], [0.5], 0.0, 0.0, 1.0, step=s),\n"
             "         lambda s: shoot_endpoint(so3, hat, np.eye(3), z, t1=1.0, step=s)]\n"
-            "for call in calls:\n"
-            "    for s in (0.0, -1e-3):\n"
-            "        try:\n"
-            "            call(s)\n"
-            "        except ValueError as e:\n"
-            "            print(e)\n")
+            "ends = [lambda: integrate_pmp_flow(so3, np.zeros(0), z, -1.0, 0.0, inf),\n"
+            "        lambda: integrate_pmp_flow(lq, [0.0], [0.5], -1.0, 0.0, inf),\n"
+            "        lambda: integrate_pmp_flow(so3, np.zeros(0), z, -1.0, -inf, 0.0),\n"
+            "        lambda: simulate_trajectory(so3, hold, []),\n"
+            "        lambda: shoot_endpoint(so3, hat, np.eye(3), z, t1=inf)]\n"
+            "for call in [lambda c=c, s=s: c(s) for c in calls for s in (0.0, -1e-3)] + ends:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(pmp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=10, env=env)
     assert out.stdout.splitlines() == ["step must be positive, got 0.0",
-                                       "step must be positive, got -0.001"] * 3
+                                       "step must be positive, got -0.001"] * 3 + [
+        "t0 and t1 must be finite, got [0.0, inf]"] * 2 + [
+        "t0 and t1 must be finite, got [-inf, 0.0]"] + [
+        "t0 and t1 must be finite, got [0.0, inf]"] * 2
 
 
 # Two steps far from 0: the sum t0 + step + step rounds to t1 although more
@@ -1326,7 +1336,8 @@ def test_switch_time_jacobian_matches_central_differences(horizon, z_a, z_3, sig
         flow = integrate_pmp_flow(system, np.zeros(0), z, -1.0, 0.0, horizon, step=1e-2)
         return develop_to_group(system.alg, flow.path, skew_hat), flow
 
-    J = pmp._switch_jacobian(table, mats, endpoint(z_star)[1], -1.0).reshape(9, 3)
+    flow = endpoint(z_star)[1]
+    J = pmp._switch_jacobian(table, mats, flow, -1.0, pmp._develop(mats, flow.path)).reshape(9, 3)
     h = 1e-5
     C = np.column_stack([(endpoint(z_star + h * e)[0] - endpoint(z_star - h * e)[0]).ravel()
                          / (2.0 * h) for e in np.eye(3)])

@@ -10,12 +10,14 @@ defaults in normal and abnormal mode, four box and symbol variants, an so3
 run whose cone check cuts its needle context on a switch, a custom
 tangent chart, a wong-so3-r2 run that diverges after ten steps, an so3 run
 whose held rotation overflows at t = 1400, LQ from a zero and from a
-signed-zero costate and LQ diverging at t = 0.077, and the
-so3-bang-bang, wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
-``perfbench/workloads.py``.  Each tree runs them in one subprocess, with
-``PYTHONPATH`` set to that tree's ``src``, through
-``algopt.cli.main(["run", config, "--out", dir])``; the two subprocesses run
-side by side.
+signed-zero costate and LQ diverging at t = 0.077, the so3-bang-bang,
+wong-so3-r2 and classical-tm-lq draws 0-11 of seed 1 from
+``perfbench/workloads.py``, and its shoot cases 0-11 of seeds 1 and 7.  Each
+tree runs them in one subprocess, with ``PYTHONPATH`` set to that tree's
+``src``: a run config through ``algopt.cli.main(["run", config, "--out",
+dir])``, a shoot case through ``algopt.pmp.shoot_endpoint`` on the so3
+system, which writes ``shot.json`` (``z_init``, ``residual``, ``converged``
+and ``n_evaluations``) into ``dir``.  The two subprocesses run side by side.
 
 For each config the report says whether every file, the exit code, stdout
 (with the output path masked) and stderr are equal.  Where a CSV differs it
@@ -49,8 +51,23 @@ _ABSENT = "(absent)"
 RUNNER = r"""
 import contextlib, io, json, sys, traceback, warnings
 from pathlib import Path
+import numpy as np
 import algopt
 from algopt.cli import main
+from algopt.pmp import shoot_endpoint
+from algopt.scenarios import build_so3_bang_bang_system
+
+def shoot(case, out):
+    hat = lambda v: np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    shot = shoot_endpoint(build_so3_bang_bang_system(case["a"], case["b"]), hat,
+                          np.array(case["target"]), np.array(case["z_guess"]), z0=-1.0,
+                          t0=0.0, t1=case["t1"], step=case["step"],
+                          residual_tol=case["residual_tol"])
+    out.mkdir()
+    (out / "shot.json").write_text(json.dumps(
+        {"z_init": shot.z_init.tolist(), "residual": shot.residual,
+         "converged": bool(shot.converged), "n_evaluations": shot.n_evaluations}, indent=2))
+    return 0
 
 src = Path(sys.argv[3]).resolve()
 if Path(algopt.__file__).resolve().parent.parent != src:
@@ -65,7 +82,10 @@ for name in json.loads((configs / "index.json").read_text()):
             warnings.catch_warnings():
         warnings.simplefilter("default")
         try:
-            code = main(["run", str(configs / (name + ".json")), "--out", str(out)])
+            config = configs / (name + ".json")
+            case = json.loads(config.read_text())
+            code = (shoot(case, out) if "target" in case
+                    else main(["run", str(config), "--out", str(out)]))
         except SystemExit as exc:
             code = exc.code
         except Exception:
@@ -84,9 +104,10 @@ def _workloads():
 
 
 def configs() -> dict[str, dict]:
-    """The 53 configs, by name.  Defaults are partial configs, so each tree
+    """The 77 configs, by name.  Defaults are partial configs, so each tree
     fills in its own; abnormal runs set ``z0_mode``, which every revision
-    since the option existed reads from the file."""
+    since the option existed reads from the file.  A shoot case carries its
+    ``target`` and the so3 system's ``a`` and ``b``."""
     out = {}
     for name in ("so3-bang-bang", "classical-tm-lq", "wong-so3-r2"):
         out[name] = {"scenario": name}
@@ -125,6 +146,10 @@ def configs() -> dict[str, dict]:
                         ("wong", workloads.wong_config), ("lq", workloads.classical_config)):
         for i in range(12):
             out[f"{label}-{i:02d}"] = make(1, i)
+    for seed in (1, 7):
+        for i in range(12):
+            out[f"shoot-{seed}-{i:02d}"] = {**workloads.shoot_case(seed, i),
+                                            "a": workloads.SO3_A, "b": workloads.SO3_B}
     return out
 
 
